@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -64,7 +65,21 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: Any, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
+
+
+def _bounded(kind: type, low: float, high: float | None = None):
+    """An argparse type: a ``kind`` value in [low, high], else a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low <= value and (high is None or value <= high)):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
 
 
 def _config_from_args(args: argparse.Namespace) -> op.OptimizationConfig:
@@ -129,12 +144,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     comparison = fl.compare_flakiness(
         dataset_a, dataset_b, args.revision_a, args.revision_b
     )
+    relative = comparison.relative_change  # infinite for a rise from a zero rate
     _emit_json(
         {
             "report_a": _report_dict(comparison.report_a),
             "report_b": _report_dict(comparison.report_b),
             "absolute_change": comparison.absolute_change,
-            "relative_change": comparison.relative_change,
+            "relative_change": relative if math.isfinite(relative) else None,
             "warnings": list(comparison.warnings),
         },
         args.out,
@@ -246,9 +262,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "excluded_tests": list(report.excluded_tests),
             "totals": totals,
         }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _emit_json(payload, args.out)
     return 0
 
 
@@ -295,8 +309,12 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=3, help="rerun count per flaky failure")
-    parser.add_argument("--pb", type=float, default=0.0, help="breakage probability")
+    parser.add_argument(
+        "--m", type=_bounded(int, 0), default=3, help="rerun count per flaky failure"
+    )
+    parser.add_argument(
+        "--pb", type=_bounded(float, 0, 1), default=0.0, help="breakage probability"
+    )
     parser.add_argument(
         "--method",
         choices=sorted(_METHOD_ALIASES),
@@ -317,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flakiness", help="flakiness report for one revision")
     _add_io_flags(p)
     p.add_argument("--revision", required=True)
-    p.add_argument("--step", type=int, default=20, help="evolution prefix step")
+    p.add_argument("--step", type=_bounded(int, 1), default=20, help="evolution prefix step")
     p.set_defaults(func=_cmd_flakiness)
 
     p = sub.add_parser("compare", help="compare flakiness of two revisions")
@@ -336,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="cost-optimal timeout per test")
     _add_io_flags(p)
     _add_cost_flags(p)
-    p.add_argument("--min-samples", type=int, default=30)
-    p.add_argument("--fallback", type=int, default=120, help="fallback timeout, minutes")
+    p.add_argument("--min-samples", type=_bounded(int, 2), default=30)
+    p.add_argument(
+        "--fallback", type=_bounded(int, 1), default=120, help="fallback timeout, minutes"
+    )
     p.add_argument("--output-format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_optimize)
 
@@ -351,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validate timeout policies")
     _add_io_flags(p)
     _add_cost_flags(p)
-    p.add_argument("--min-samples", type=int, default=30)
-    p.add_argument("--fallback", type=int, default=120)
-    p.add_argument("--k", type=int, default=5, help="number of folds")
+    p.add_argument("--min-samples", type=_bounded(int, 2), default=30)
+    p.add_argument("--fallback", type=_bounded(int, 1), default=120)
+    p.add_argument("--k", type=_bounded(int, 2), default=5, help="number of folds")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--static", type=int, default=None, help="static baseline, minutes")
     p.add_argument("--timeouts", default=None, help="CSV of original per-test timeouts")
@@ -372,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hang-prob", type=float, default=0.0)
     p.add_argument("--percentile", type=float, default=0.85)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=_bounded(int, 0), default=3)
     p.add_argument("--out", default=None, help="write the dataset as JSONL here")
     p.add_argument("--timeouts-out", default=None, help="write the original policy CSV here")
     p.add_argument("--report-out", default=None, help="write the report JSON here")

@@ -14,17 +14,12 @@ import csv
 import random
 import statistics
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .model import ExecutionDataset, TestSample
-from .optimize import (
-    EMPIRICAL_ECDF,
-    OptimizationConfig,
-    expected_cost,
-    optimize_timeout,
-)
+from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
 OPTIMIZED_POLICY = "optimized"
@@ -149,15 +144,11 @@ def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    by_test: dict[str, list[tuple[object, int]]] = {}
-    for i, record in enumerate(dataset.records):
-        by_test.setdefault(record.test_id, []).append((record.started_at, i))
-
     rng = random.Random(seed)
     assignment: dict[int, int] = {}
     excluded: list[str] = []
-    for test_id in sorted(by_test):
-        indices = [i for _, i in sorted(by_test[test_id])]
+    for test_id, ordered in sorted(dataset.test_index.items()):
+        indices = list(ordered)
         if len(indices) < k:
             excluded.append(test_id)
             continue
@@ -177,25 +168,6 @@ def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:
             stacklevel=2,
         )
     return FoldAssignment(k=k, assignment=assignment, excluded_tests=tuple(excluded))
-
-
-def _subsample(dataset: ExecutionDataset, indices: Sequence[int], test_id: str) -> TestSample:
-    ordered = sorted(indices, key=lambda i: (dataset.records[i].started_at, i))
-    records = [dataset.records[i] for i in ordered]
-    return TestSample(
-        test_id=test_id,
-        revision_id="*",
-        durations=tuple(r.duration for r in records),
-        verdicts=tuple(r.verdict for r in records),
-        censored_count=sum(1 for r in records if r.censored),
-    )
-
-
-def _held_out_cost(
-    sample: TestSample, timeout_units: int, config: OptimizationConfig
-) -> float:
-    empirical = replace(config, probability_method=EMPIRICAL_ECDF)
-    return expected_cost(sample, timeout_units * config.grid_unit, empirical)
 
 
 def cross_validate(
@@ -236,24 +208,21 @@ def cross_validate(
                 f"policy {policy.label!r} has no timeout for test {gaps[0]!r}"
             )
 
-    indices_by_test: dict[str, list[int]] = {tid: [] for tid in included_tests}
-    for i in folds.assignment:
-        indices_by_test[dataset.records[i].test_id].append(i)
-
     all_labels = labels + [OPTIMIZED_POLICY]
     rows: list[FoldPolicyResult] = []
     for fold in range(k):
-        eval_samples: dict[str, TestSample] = {}
+        eval_samples: dict[str, _SortedSample] = {}
         fitted: dict[str, int] = {}
         for test_id in included_tests:
-            train_idx = [
-                i for i in indices_by_test[test_id] if folds.assignment[i] != fold
-            ]
-            eval_idx = [
-                i for i in indices_by_test[test_id] if folds.assignment[i] == fold
-            ]
-            eval_samples[test_id] = _subsample(dataset, eval_idx, test_id)
-            train_sample = _subsample(dataset, train_idx, test_id)
+            train_idx: list[int] = []
+            eval_durations: list[float] = []
+            for i in dataset.test_index[test_id]:
+                if folds.assignment[i] == fold:
+                    eval_durations.append(dataset.records[i].duration)
+                else:
+                    train_idx.append(i)
+            eval_samples[test_id] = _SortedSample(eval_durations)
+            train_sample = dataset.subsample(test_id, "*", train_idx)
             fitted[test_id] = optimize_timeout(train_sample, config).optimal_timeout
         fitted_policy = TimeoutPolicy(kind="optimized", values=fitted)
 
@@ -261,10 +230,10 @@ def cross_validate(
             timeouts = 0
             costs: list[float] = []
             for test_id in included_tests:
-                units = policy.value_for(test_id)
-                sample = eval_samples[test_id]
-                timeouts += count_timeouts(sample, units * config.grid_unit)
-                costs.append(_held_out_cost(sample, units, config))
+                t_seconds = policy.value_for(test_id) * config.grid_unit
+                cost, over = eval_samples[test_id].empirical_cost(t_seconds, config)
+                timeouts += over
+                costs.append(cost)
             rows.append(
                 FoldPolicyResult(
                     fold=fold,
@@ -325,14 +294,17 @@ def compare_policies(
             )
 
     totals: list[PolicyTotals] = []
-    samples = [s for s in dataset.samples.values() if s.n > 0]
+    samples = [
+        (s.test_id, _SortedSample(s.durations)) for s in dataset.samples.values() if s.n > 0
+    ]
     for policy in policies:
         timeouts = 0
         costs: list[float] = []
-        for sample in samples:
-            units = policy.value_for(sample.test_id)
-            timeouts += count_timeouts(sample, units * config.grid_unit)
-            costs.append(_held_out_cost(sample, units, config))
+        for test_id, kernel in samples:
+            t_seconds = policy.value_for(test_id) * config.grid_unit
+            cost, over = kernel.empirical_cost(t_seconds, config)
+            timeouts += over
+            costs.append(cost)
         totals.append(
             PolicyTotals(
                 policy=policy.label,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -143,7 +144,7 @@ def _record_from_row(row: Mapping[str, Any]) -> ExecutionRecord:
         duration = float(raw_duration)
     except (TypeError, ValueError):
         raise ValueError("bad duration") from None
-    if duration != duration:  # NaN
+    if not math.isfinite(duration):
         raise ValueError("bad duration")
     if duration < 0:
         raise ValueError("negative duration")
@@ -214,9 +215,10 @@ def load_executions(
 ) -> tuple[ExecutionDataset, ValidationReport]:
     """Load execution records from a JSONL or CSV file.
 
-    Rows with a negative duration, an unknown verdict, or missing ids are
-    rejected and counted per reason. A warning is recorded for every
-    (test, revision) sample whose censored fraction exceeds the threshold.
+    Rows with a non-finite or negative duration, an unknown verdict, or
+    missing ids are rejected and counted per reason. A warning is recorded
+    for every (test, revision) sample whose censored fraction exceeds the
+    threshold.
 
     Returns:
         The dataset of accepted records and a validation report. Loading the

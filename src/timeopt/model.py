@@ -174,24 +174,41 @@ class ExecutionDataset:
         return len(self.records)
 
     @cached_property
+    def test_index(self) -> Mapping[str, tuple[int, ...]]:
+        """test_id -> indices of its records in (started_at, index) order.
+
+        The one grouping of the records: samples, pooled samples and
+        cross-validation folds are all read from it.
+        """
+        groups: dict[str, list[int]] = {}
+        for i, rec in enumerate(self.records):
+            groups.setdefault(rec.test_id, []).append(i)
+        started = [rec.started_at for rec in self.records]
+        # a stable sort of ascending indices orders ties by index
+        return {
+            test_id: tuple(sorted(indices, key=started.__getitem__))
+            for test_id, indices in groups.items()
+        }
+
+    def subsample(self, test_id: str, revision_id: str, indices: Sequence[int]) -> TestSample:
+        """The records at ``indices``, in that order, as one sample."""
+        ordered = [self.records[i] for i in indices]
+        return TestSample(
+            test_id=test_id,
+            revision_id=revision_id,
+            durations=tuple(r.duration for r in ordered),
+            verdicts=tuple(r.verdict for r in ordered),
+            censored_count=sum(1 for r in ordered if r.censored),
+        )
+
+    @cached_property
     def samples(self) -> Mapping[tuple[str, str], TestSample]:
         """(test_id, revision_id) -> TestSample, durations in start-time order."""
-        groups: dict[tuple[str, str], list[tuple[datetime, int]]] = {}
-        for i, rec in enumerate(self.records):
-            groups.setdefault((rec.test_id, rec.revision_id), []).append(
-                (rec.started_at, i)
-            )
-        out: dict[tuple[str, str], TestSample] = {}
-        for key in sorted(groups):
-            ordered = [self.records[i] for _, i in sorted(groups[key])]
-            out[key] = TestSample(
-                test_id=key[0],
-                revision_id=key[1],
-                durations=tuple(r.duration for r in ordered),
-                verdicts=tuple(r.verdict for r in ordered),
-                censored_count=sum(1 for r in ordered if r.censored),
-            )
-        return out
+        groups: dict[tuple[str, str], list[int]] = {}
+        for test_id, indices in self.test_index.items():
+            for i in indices:
+                groups.setdefault((test_id, self.records[i].revision_id), []).append(i)
+        return {key: self.subsample(*key, groups[key]) for key in sorted(groups)}
 
     def test_ids(self) -> tuple[str, ...]:
         return tuple(sorted({r.test_id for r in self.records}))
@@ -220,16 +237,8 @@ class ExecutionDataset:
 
     def pooled_sample(self, test_id: str) -> TestSample:
         """All executions of one test pooled across revisions, by start time."""
-        picked = sorted(
-            ((r.started_at, i) for i, r in enumerate(self.records) if r.test_id == test_id)
-        )
-        if not picked:
-            raise ValueError(f"unknown test {test_id!r}")
-        ordered = [self.records[i] for _, i in picked]
-        return TestSample(
-            test_id=test_id,
-            revision_id="*",
-            durations=tuple(r.duration for r in ordered),
-            verdicts=tuple(r.verdict for r in ordered),
-            censored_count=sum(1 for r in ordered if r.censored),
-        )
+        try:
+            indices = self.test_index[test_id]
+        except KeyError:
+            raise ValueError(f"unknown test {test_id!r}") from None
+        return self.subsample(test_id, "*", indices)

@@ -15,7 +15,9 @@ probability, and each timeout charges the full rerun budget at the truncated
 mean. The optimal timeout is the exhaustive argmin of cost over the integer
 grid [ceil(mean), ceil(2 * max)] in grid units; candidate timeouts are
 positive integers and ties go to the smallest value so blocked runs are
-interrupted sooner.
+interrupted sooner. The search, the static sweep and held-out scoring read
+tm(t) and the empirical p(t) from one sorted copy of each sample, exactly
+equal to the ``truncated_mean`` and ``empirical_exceedance`` references.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -23,7 +25,8 @@ All operations are pure; per-test optimizations are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import ExecutionDataset, ExecutionRecord, SampleStats, TestSample, sample_stats
@@ -171,9 +174,58 @@ def expected_cost(
         raise ValueError("timeout must be positive")
     tm = truncated_mean(sample, timeout_seconds)
     p = timeout_probability(sample, timeout_seconds, config)
+    return _cost(tm, p, timeout_seconds, config)
+
+
+class _SortedSample:
+    """One sample's durations sorted once, for O(log n) scoring of any timeout.
+
+    Durations are kept as exact integer prefix sums over a common
+    power-of-two denominator (every finite float is an integer over a power
+    of two). At threshold t, with k = bisect_right(sorted, t), the capped
+    sum is the integer (prefix[k] + (n - k) * t) over that denominator, and
+    Python's int / int division rounds it correctly, exactly as math.fsum
+    rounds the same sum. So ``at`` returns what ``truncated_mean`` and
+    ``empirical_exceedance`` return, bit for bit. Durations must be finite,
+    and ``at`` needs at least one.
+    """
+
+    __slots__ = ("ordered", "n", "prefix", "denominator")
+
+    def __init__(self, durations: Sequence[float]) -> None:
+        self.ordered = sorted(durations)
+        self.n = len(self.ordered)
+        ratios = [d.as_integer_ratio() for d in self.ordered]
+        self.denominator = max((q for _, q in ratios), default=1)
+        self.prefix = [0]
+        total = 0
+        for p, q in ratios:
+            total += p * (self.denominator // q)
+            self.prefix.append(total)
+
+    def at(self, threshold: float) -> tuple[float, int]:
+        """(truncated mean, number of durations strictly above) at a threshold."""
+        n = self.n
+        k = bisect_right(self.ordered, threshold)
+        p, q = threshold.as_integer_ratio()
+        if q <= self.denominator:
+            numerator = self.prefix[k] + (n - k) * p * (self.denominator // q)
+            denominator = self.denominator
+        else:
+            numerator = self.prefix[k] * (q // self.denominator) + (n - k) * p
+            denominator = q
+        return numerator / denominator / n, n - k
+
+    def empirical_cost(self, threshold: float, config: OptimizationConfig) -> tuple[float, int]:
+        """(``expected_cost`` with empirical probabilities, overruns) at a threshold."""
+        tm, over = self.at(threshold)
+        return _cost(tm, over / self.n, threshold, config), over
+
+
+def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> float:
     cost = tm + config.rerun_count * p * tm
     if config.breakage_probability > 0.0:
-        cost += config.breakage_probability * timeout_seconds * (config.rerun_count + 1)
+        cost += config.breakage_probability * threshold * (config.rerun_count + 1)
     return cost
 
 
@@ -193,14 +245,13 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
     Ties in cost resolve to the smallest timeout.
     """
     n = sample.n
+    kernel = _SortedSample(sample.durations)
     if n < config.min_samples:
         t_units = config.fallback_timeout
-        t_seconds = t_units * config.grid_unit
         if n >= 1:
-            probability = empirical_exceedance(sample, t_seconds)
-            cost = expected_cost(
-                sample, t_seconds, replace(config, probability_method=EMPIRICAL_ECDF)
-            )
+            t_seconds = t_units * config.grid_unit
+            cost, over = kernel.empirical_cost(t_seconds, config)
+            probability = over / n
             lower, upper = search_grid(sample_stats(sample), config.grid_unit)
         else:
             probability = float("nan")
@@ -218,31 +269,23 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
 
     stats = sample_stats(sample)
     lower, upper = search_grid(stats, config.grid_unit)
-
-    def probability_at(threshold: float) -> float:
-        if config.probability_method == EMPIRICAL_ECDF:
-            return empirical_exceedance(sample, threshold)
-        return tolhurst_bound(stats, threshold)
-
-    def cost_at(threshold: float) -> float:
-        tm = truncated_mean(sample, threshold)
-        cost = tm + config.rerun_count * probability_at(threshold) * tm
-        if config.breakage_probability > 0.0:
-            cost += config.breakage_probability * threshold * (config.rerun_count + 1)
-        return cost
-
+    empirical = config.probability_method == EMPIRICAL_ECDF
     best_t = lower
-    best_cost = math.inf
+    best_cost = best_p = math.inf
     for t_units in range(lower, upper + 1):
-        cost = cost_at(t_units * config.grid_unit)
+        threshold = t_units * config.grid_unit
+        tm, over = kernel.at(threshold)
+        p = over / n if empirical else tolhurst_bound(stats, threshold)
+        cost = _cost(tm, p, threshold, config)
         if cost < best_cost:
             best_cost = cost
             best_t = t_units
+            best_p = p
     return OptimizationResult(
         test_id=sample.test_id,
         optimal_timeout=best_t,
         expected_cost_at_optimum=best_cost,
-        timeout_probability_at_optimum=probability_at(best_t * config.grid_unit),
+        timeout_probability_at_optimum=best_p,
         search_range=(lower, upper),
         method_used=config.probability_method,
         fallback_applied=False,
@@ -267,20 +310,17 @@ def static_sweep(
         raise ValueError(f"sweep range must satisfy lo < hi, got ({lo}, {hi})")
     if lo < 1:
         raise ValueError("sweep range must start at a positive grid value")
-    samples = [s for s in dataset.samples.values() if s.n > 0]
-    if not samples:
+    kernels = [_SortedSample(s.durations) for s in dataset.samples.values() if s.n > 0]
+    if not kernels:
         raise ValueError("empty dataset")
-    empirical_config = replace(config, probability_method=EMPIRICAL_ECDF)
 
     points: list[tuple[int, float]] = []
     best_t = lo
     best_cost = math.inf
     for t_units in range(lo, hi + 1):
         t_seconds = t_units * config.grid_unit
-        total = math.fsum(
-            expected_cost(sample, t_seconds, empirical_config) for sample in samples
-        )
-        average = total / len(samples)
+        total = math.fsum(kernel.empirical_cost(t_seconds, config)[0] for kernel in kernels)
+        average = total / len(kernels)
         points.append((t_units, average))
         if average < best_cost:
             best_cost = average

@@ -43,6 +43,28 @@ class TestExitCodes:
     def test_success_is_zero(self, runs_file, capsys):
         assert run(["summarize", "--input", str(runs_file)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--m", "-1"],
+            ["sweep", "--lo", "1", "--hi", "9", "--m", "-1"],
+            ["optimize", "--pb", "2"],
+            ["optimize", "--pb", "nan"],
+            ["evaluate", "--seed", "0", "--k", "1"],
+            ["flakiness", "--revision", "r1", "--step", "0"],
+            ["optimize", "--min-samples", "1"],
+            ["optimize", "--fallback", "0"],
+            ["simulate", "--tests", "1", "--runs", "5", "--seed", "0", "--m", "-1"],
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(self, runs_file, capsys, argv):
+        if argv[0] != "simulate":
+            argv = argv + ["--input", str(runs_file)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --" in captured.err
+
 
 class TestSummarize:
     def test_json_payload(self, runs_file, capsys):
@@ -77,6 +99,23 @@ class TestFlakiness:
         assert payload["report"]["bin_counts"] == [0, 0, 1, 0, 0]
         assert payload["timeout_failure_share"] == 1.0
         assert payload["evolution"]["points"][0][0] == 5
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestCompare:
+    def test_increase_from_zero_rate_is_null_not_infinity(self, tmp_path, capsys):
+        path_a = tmp_path / "a.jsonl"
+        path_b = tmp_path / "b.jsonl"
+        write_executions(verdict_dataset({"t": ["pass"] * 4}), path_a)
+        write_executions(verdict_dataset({"t": ["pass", "fail"] * 2}), path_b)
+        argv = ["compare", "--input-a", str(path_a), "--input-b", str(path_b)]
+        assert run(argv + ["--revision-a", "r1", "--revision-b", "r1"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert payload["absolute_change"] == 1.0
+        assert payload["relative_change"] is None
 
 
 class TestOptimize:

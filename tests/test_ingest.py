@@ -72,6 +72,28 @@ class TestLoadExecutions:
         _, report = load_executions(path)
         assert report.reasons == {reason: 1}
 
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_jsonl_duration_is_bad_duration(self, tmp_path, text):
+        path = tmp_path / "runs.jsonl"
+        line = json.dumps(jsonl_row(duration_seconds=0.5)).replace("0.5", text)
+        path.write_text(json.dumps(jsonl_row()) + "\n" + line + "\n", encoding="utf-8")
+        dataset, report = load_executions(path)
+        assert len(dataset) == 1
+        assert report.reasons == {"bad duration": 1}
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_csv_duration_is_bad_duration(self, tmp_path, text):
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            "test_id,revision_id,started_at,duration_seconds,verdict\n"
+            "t1,r1,2024-01-01T00:00:00Z,60,pass\n"
+            f"t1,r1,2024-01-01T00:01:00Z,{text},pass\n",
+            encoding="utf-8",
+        )
+        dataset, report = load_executions(path, "csv")
+        assert len(dataset) == 1
+        assert report.reasons == {"bad duration": 1}
+
     def test_invalid_json_line_is_not_fatal(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         path.write_text(json.dumps(jsonl_row()) + "\n{broken\n", encoding="utf-8")

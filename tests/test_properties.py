@@ -1,0 +1,196 @@
+"""Property tests: the sorted-sample kernel and the grouping index.
+
+The kernel is checked bit for bit against the ``math.fsum`` reference
+functions, and the grouping index against the brute-force regroup that
+``ExecutionDataset`` and ``make_folds`` used before the index existed.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import warnings
+from datetime import timedelta
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import EPOCH, sample_of
+from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
+from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
+from timeopt.optimize import (
+    EMPIRICAL_ECDF,
+    PROBABILITY_METHODS,
+    OptimizationConfig,
+    _SortedSample,
+    empirical_exceedance,
+    expected_cost,
+    optimize_timeout,
+    truncated_mean,
+)
+
+# Bounded so that fifty of them still sum to a finite float; subnormals,
+# zero and non-integer values are all drawn.
+durations_st = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+samples_st = st.lists(durations_st, min_size=1, max_size=50)
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@PROPERTY
+@given(durations=samples_st, data=st.data())
+def test_kernel_is_bit_equal_to_fsum_reference(durations, data):
+    sample = sample_of(durations)
+    kernel = _SortedSample(sample.durations)
+    thresholds = data.draw(
+        st.lists(st.one_of(durations_st, st.sampled_from(durations)), min_size=1, max_size=10)
+    )
+    for t in thresholds:
+        tm, over = kernel.at(t)
+        assert tm == truncated_mean(sample, t)
+        assert over / sample.n == empirical_exceedance(sample, t)
+        assert over == count_timeouts(sample, t)
+
+
+@PROPERTY
+@given(durations=samples_st, thresholds=st.lists(durations_st, min_size=2, max_size=20))
+def test_kernel_is_monotone_and_bounded_by_the_mean(durations, thresholds):
+    kernel = _SortedSample(durations)
+    mean = math.fsum(durations) / len(durations)
+    curve = [kernel.at(t) for t in sorted(thresholds)]
+    for (tm_a, over_a), (tm_b, over_b) in zip(curve, curve[1:]):
+        assert tm_a <= tm_b
+        assert over_a >= over_b
+    assert all(tm <= mean for tm, _ in curve)
+
+
+def brute_force_argmin(sample: TestSample, config: OptimizationConfig) -> tuple[int, float]:
+    """Criterion 4's naive argmin, scored with the fsum reference cost."""
+    stats = sample_stats(sample)
+    lower = max(1, math.ceil(stats.mean / config.grid_unit))
+    upper = max(lower, math.ceil(2 * stats.max / config.grid_unit))
+    best_t, best_cost = None, None
+    for t_units in range(lower, upper + 1):
+        cost = expected_cost(sample, t_units * config.grid_unit, config)
+        if best_cost is None or cost < best_cost:
+            best_t, best_cost = t_units, cost
+    return best_t, best_cost
+
+
+@PROPERTY
+@given(
+    durations=st.lists(st.floats(min_value=0.0, max_value=3600.0), min_size=2, max_size=60),
+    method=st.sampled_from(PROBABILITY_METHODS),
+    reruns=st.integers(min_value=0, max_value=5),
+    breakage=st.sampled_from([0.0, 0.001, 0.01]),
+)
+def test_optimizer_equals_brute_force_argmin(durations, method, reruns, breakage):
+    config = OptimizationConfig(
+        rerun_count=reruns,
+        breakage_probability=breakage,
+        probability_method=method,
+        min_samples=2,
+    )
+    sample = sample_of(durations)
+    try:
+        expected = brute_force_argmin(sample, config)
+    except ValueError:
+        # The reference cost itself fails, as the Tolhurst bound does on a
+        # spread so small but non-zero that lam ** 2 overflows.
+        with pytest.raises(ValueError):
+            optimize_timeout(sample, config)
+        return
+    result = optimize_timeout(sample, config)
+    assert (result.optimal_timeout, result.expected_cost_at_optimum) == expected
+
+
+record_st = st.builds(
+    ExecutionRecord,
+    test_id=st.sampled_from("abcd"),
+    revision_id=st.sampled_from(["r1", "r2", "r3"]),
+    started_at=st.integers(0, 5).map(lambda minute: EPOCH + timedelta(minutes=minute)),
+    duration=st.floats(min_value=0.0, max_value=1e4),
+    verdict=st.sampled_from(list(Verdict)),
+    interrupted=st.booleans(),
+)
+# Records of a few tests and revisions, in shuffled order, many sharing a
+# start time.
+records_st = st.lists(record_st, max_size=40).flatmap(st.permutations).map(tuple)
+
+
+def regroup(dataset: ExecutionDataset, keep) -> list[tuple[str, str, list[int]]]:
+    """(test, revision, indices) per group of ``keep(record)``, by (started_at, index)."""
+    groups: dict[tuple[str, str], list[tuple[object, int]]] = {}
+    for i, rec in enumerate(dataset.records):
+        groups.setdefault(keep(rec), []).append((rec.started_at, i))
+    return [(*key, [i for _, i in sorted(groups[key])]) for key in sorted(groups)]
+
+
+def as_sample(dataset: ExecutionDataset, test_id: str, revision_id: str, indices) -> TestSample:
+    ordered = [dataset.records[i] for i in indices]
+    return TestSample(
+        test_id=test_id,
+        revision_id=revision_id,
+        durations=tuple(r.duration for r in ordered),
+        verdicts=tuple(r.verdict for r in ordered),
+        censored_count=sum(1 for r in ordered if r.censored),
+    )
+
+
+def brute_force_folds(dataset: ExecutionDataset, k: int, seed: int) -> tuple[dict, list]:
+    rng = random.Random(seed)
+    assignment: dict[int, int] = {}
+    excluded: list[str] = []
+    for test_id, _, indices in regroup(dataset, lambda r: (r.test_id, "*")):
+        if len(indices) < k:
+            excluded.append(test_id)
+            continue
+        rng.shuffle(indices)
+        base, remainder = divmod(len(indices), k)
+        cursor = 0
+        for fold in range(k):
+            size = base + (1 if fold < remainder else 0)
+            for i in indices[cursor : cursor + size]:
+                assignment[i] = fold
+            cursor += size
+    return assignment, excluded
+
+
+@PROPERTY
+@given(records=records_st, k=st.integers(2, 5), seed=st.integers(0, 2**32))
+def test_grouping_index_equals_brute_force_regroup(records, k, seed):
+    dataset = ExecutionDataset(records=records)
+    by_sample = regroup(dataset, lambda r: (r.test_id, r.revision_id))
+    assert list(dataset.samples.items()) == [
+        ((tid, rid), as_sample(dataset, tid, rid, idx)) for tid, rid, idx in by_sample
+    ]
+    for test_id, _, indices in regroup(dataset, lambda r: (r.test_id, "*")):
+        assert dataset.pooled_sample(test_id) == as_sample(dataset, test_id, "*", indices)
+
+    assignment, excluded = brute_force_folds(dataset, k, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        folds = make_folds(dataset, k, seed)
+    assert list(folds.assignment.items()) == list(assignment.items())
+    assert folds.excluded_tests == tuple(excluded)
+
+
+@PROPERTY
+@given(records=records_st, timeouts=st.lists(st.integers(1, 200), min_size=4, max_size=4))
+def test_held_out_scoring_equals_fsum_reference(records, timeouts):
+    assume(records)
+    dataset = ExecutionDataset(records=records)
+    config = OptimizationConfig(rerun_count=2, breakage_probability=0.01, grid_unit=1.0)
+    policy = TimeoutPolicy(kind="original", values=dict(zip("abcd", timeouts)))
+    (totals,) = compare_policies(dataset, [policy], config)
+    empirical = OptimizationConfig(
+        rerun_count=2, breakage_probability=0.01, grid_unit=1.0, probability_method=EMPIRICAL_ECDF
+    )
+    costs = []
+    overruns = 0
+    for sample in dataset.samples.values():
+        t = float(policy.value_for(sample.test_id))
+        costs.append(expected_cost(sample, t, empirical))
+        overruns += count_timeouts(sample, t)
+    assert totals.average_cost == sum(costs) / len(costs)
+    assert totals.flaky_timeout_count == overruns
