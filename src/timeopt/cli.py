@@ -29,6 +29,7 @@ _METHOD_ALIASES = {
     "empirical": op.EMPIRICAL_ECDF,
     "empirical_ecdf": op.EMPIRICAL_ECDF,
 }
+_DEFAULTS = op.OptimizationConfig()  # the one source of every optimizer flag default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +88,8 @@ def _config_from_args(args: argparse.Namespace) -> op.OptimizationConfig:
         rerun_count=args.m,
         breakage_probability=args.pb,
         probability_method=_METHOD_ALIASES[args.method],
-        min_samples=getattr(args, "min_samples", 30),
-        fallback_timeout=getattr(args, "fallback", 120),
+        min_samples=getattr(args, "min_samples", _DEFAULTS.min_samples),
+        fallback_timeout=getattr(args, "fallback", _DEFAULTS.fallback_timeout),
     )
 
 
@@ -173,11 +174,7 @@ def _cmd_timeout_history(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input, args.format)
-    config = _config_from_args(args)
-    results = [
-        op.optimize_timeout(dataset.pooled_sample(test_id), config)
-        for test_id in dataset.test_ids()
-    ]
+    results = op.TimeoutOptimizer(_config_from_args(args)).fit(dataset).results_.values()
     if args.output_format == "csv":
         lines = ["test_id,timeout_minutes"]
         lines += [f"{r.test_id},{r.optimal_timeout}" for r in results]
@@ -232,13 +229,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     sys.stdout.write(_cv_table(report))
 
     # whole-dataset fit for the totals table below the per-fold one
-    fitted = op.TimeoutOptimizer(
-        rerun_count=config.rerun_count,
-        breakage_probability=config.breakage_probability,
-        probability_method=config.probability_method,
-        min_samples=config.min_samples,
-        fallback_timeout=config.fallback_timeout,
-    ).fit(dataset)
+    fitted = op.TimeoutOptimizer(config).fit(dataset)
     all_policies = policies + [
         ev.TimeoutPolicy(kind="optimized", values=fitted.timeouts_)
     ]
@@ -310,16 +301,37 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--m", type=_bounded(int, 0), default=3, help="rerun count per flaky failure"
+        "--m",
+        type=_bounded(int, 0),
+        default=_DEFAULTS.rerun_count,
+        help="rerun count per flaky failure",
     )
     parser.add_argument(
-        "--pb", type=_bounded(float, 0, 1), default=0.0, help="breakage probability"
+        "--pb",
+        type=_bounded(float, 0, 1),
+        default=_DEFAULTS.breakage_probability,
+        help="breakage probability",
     )
     parser.add_argument(
         "--method",
         choices=sorted(_METHOD_ALIASES),
-        default="tolhurst",
+        default=_DEFAULTS.probability_method,
         help="timeout-probability estimator",
+    )
+
+
+def _add_fallback_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--min-samples",
+        type=_bounded(int, 2),
+        default=_DEFAULTS.min_samples,
+        help="smallest sample that gets a data-driven timeout",
+    )
+    parser.add_argument(
+        "--fallback",
+        type=_bounded(int, 1),
+        default=_DEFAULTS.fallback_timeout,
+        help="fallback timeout, minutes",
     )
 
 
@@ -354,10 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="cost-optimal timeout per test")
     _add_io_flags(p)
     _add_cost_flags(p)
-    p.add_argument("--min-samples", type=_bounded(int, 2), default=30)
-    p.add_argument(
-        "--fallback", type=_bounded(int, 1), default=120, help="fallback timeout, minutes"
-    )
+    _add_fallback_flags(p)
     p.add_argument("--output-format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_optimize)
 
@@ -371,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validate timeout policies")
     _add_io_flags(p)
     _add_cost_flags(p)
-    p.add_argument("--min-samples", type=_bounded(int, 2), default=30)
-    p.add_argument("--fallback", type=_bounded(int, 1), default=120)
+    _add_fallback_flags(p)
     p.add_argument("--k", type=_bounded(int, 2), default=5, help="number of folds")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--static", type=int, default=None, help="static baseline, minutes")

@@ -190,9 +190,8 @@ def cross_validate(
             itself labeled "optimized".
     """
     folds = make_folds(dataset, k, seed)
-    included_tests = sorted(
-        {r.test_id for r in dataset.records} - set(folds.excluded_tests)
-    )
+    excluded = set(folds.excluded_tests)
+    included_tests = [tid for tid in dataset.test_ids() if tid not in excluded]
     if not included_tests:
         raise ValueError("no test has enough executions for cross-validation")
 

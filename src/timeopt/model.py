@@ -108,17 +108,24 @@ def sample_stats(sample: TestSample) -> SampleStats:
     """Compute n, mean, unbiased variance, q_n, and extremes of a sample.
 
     Raises:
-        ValueError: for an empty sample.
+        ValueError: for an empty sample, or durations so large that their
+            sum or squared deviations overflow a float.
     """
     n = sample.n
     if n == 0:
         raise ValueError("empty sample")
     durations = sample.durations
-    mean = math.fsum(durations) / n
-    if n == 1:
-        variance = 0.0
-    else:
-        variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
+    try:
+        mean = math.fsum(durations) / n
+        if n == 1:
+            variance = 0.0
+        else:
+            variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
+    except OverflowError:
+        raise ValueError(
+            f"durations of test {sample.test_id!r} are too large: "
+            "their mean or variance overflows a float"
+        ) from None
     q_n = math.sqrt((n + 1) / n * variance)
     return SampleStats(
         n=n,
@@ -211,7 +218,7 @@ class ExecutionDataset:
         return {key: self.subsample(*key, groups[key]) for key in sorted(groups)}
 
     def test_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({r.test_id for r in self.records}))
+        return tuple(sorted(self.test_index))
 
     def revision_ids(self) -> tuple[str, ...]:
         return tuple(sorted({r.revision_id for r in self.records}))

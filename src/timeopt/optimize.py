@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .model import ExecutionDataset, ExecutionRecord, SampleStats, TestSample, sample_stats
+from .model import ExecutionDataset, SampleStats, TestSample, sample_stats
 
 TOLHURST_BOUND = "tolhurst_bound"
 EMPIRICAL_ECDF = "empirical_ecdf"
@@ -128,7 +128,10 @@ def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
     if lam <= 1.0:
         return 1.0
     n = stats.n
-    k_sq = n * lam * lam / (n - 1 + lam * lam)
+    if math.isinf(n * lam * lam):
+        k_sq = n  # the limit of the expression below as lam grows
+    else:
+        k_sq = n * lam * lam / (n - 1 + lam * lam)
     bound = math.floor((n + 1) / (k_sq + 1)) / (n + 1)
     return min(1.0, max(0.0, bound))
 
@@ -332,83 +335,26 @@ def static_sweep(
     )
 
 
-def _as_dataset(data: ExecutionDataset | Iterable[ExecutionRecord]) -> ExecutionDataset:
-    if isinstance(data, ExecutionDataset):
-        return data
-    records = tuple(data)
-    if not all(isinstance(r, ExecutionRecord) for r in records):
-        raise TypeError(
-            "expected an ExecutionDataset or an iterable of ExecutionRecord"
-        )
-    return ExecutionDataset(records=records)
-
-
 class TimeoutOptimizer:
     """Per-test timeout estimator with a fit/predict interface.
 
-    Parameters mirror ``OptimizationConfig``. ``fit`` pools each test's
-    executions across revisions and stores one ``OptimizationResult`` per
-    test; ``predict`` returns learned timeouts (grid units) for test ids.
+    ``fit`` pools each test's executions across revisions and stores one
+    ``OptimizationResult`` per test, in test-id order; ``predict`` returns
+    learned timeouts (grid units) for test ids.
 
-    >>> opt = TimeoutOptimizer(probability_method="empirical_ecdf")
+    >>> opt = TimeoutOptimizer(OptimizationConfig(probability_method="empirical_ecdf"))
     >>> timeouts = opt.fit(dataset).timeouts_
     """
 
-    def __init__(
-        self,
-        rerun_count: int = 3,
-        breakage_probability: float = 0.0,
-        probability_method: str = TOLHURST_BOUND,
-        grid_unit: float = 60.0,
-        min_samples: int = 30,
-        fallback_timeout: int = 120,
-    ) -> None:
-        self.rerun_count = rerun_count
-        self.breakage_probability = breakage_probability
-        self.probability_method = probability_method
-        self.grid_unit = grid_unit
-        self.min_samples = min_samples
-        self.fallback_timeout = fallback_timeout
+    def __init__(self, config: OptimizationConfig = OptimizationConfig()) -> None:
+        self.config = config
 
-    _param_names = (
-        "rerun_count",
-        "breakage_probability",
-        "probability_method",
-        "grid_unit",
-        "min_samples",
-        "fallback_timeout",
-    )
-
-    def get_params(self, deep: bool = True) -> dict[str, object]:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params: object) -> "TimeoutOptimizer":
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(f"invalid parameter {name!r} for TimeoutOptimizer")
-            setattr(self, name, value)
-        return self
-
-    def _config(self) -> OptimizationConfig:
-        return OptimizationConfig(
-            rerun_count=self.rerun_count,
-            breakage_probability=self.breakage_probability,
-            probability_method=self.probability_method,
-            grid_unit=self.grid_unit,
-            min_samples=self.min_samples,
-            fallback_timeout=self.fallback_timeout,
-        )
-
-    def fit(
-        self, X: ExecutionDataset | Iterable[ExecutionRecord], y: None = None
-    ) -> "TimeoutOptimizer":
-        dataset = _as_dataset(X)
-        config = self._config()
-        results: dict[str, OptimizationResult] = {}
-        for test_id in dataset.test_ids():
-            results[test_id] = optimize_timeout(dataset.pooled_sample(test_id), config)
-        self.results_ = results
-        self.timeouts_ = {tid: res.optimal_timeout for tid, res in results.items()}
+    def fit(self, dataset: ExecutionDataset) -> "TimeoutOptimizer":
+        self.results_ = {
+            test_id: optimize_timeout(dataset.pooled_sample(test_id), self.config)
+            for test_id in dataset.test_ids()
+        }
+        self.timeouts_ = {tid: res.optimal_timeout for tid, res in self.results_.items()}
         return self
 
     def _check_fitted(self) -> None:

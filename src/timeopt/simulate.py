@@ -9,10 +9,11 @@ downstream code sees realistic censoring. The hidden ground truth (resolved
 per-test parameters plus exact exceedance probabilities and quantiles) is
 returned for oracle checks.
 
-The rerun simulator replays a dataset under a timeout policy: every initial
-run that overruns its timeout consumes exactly the timeout and triggers the
-full budget of m reruns resampled (with replacement, seeded) from the same
-test's recorded durations, each again capped at the timeout. The change is
+The rerun simulator replays a dataset under a timeout policy, each test's
+runs in start-time order: every initial run that overruns its timeout
+consumes exactly the timeout and triggers the full budget of m reruns
+resampled (with replacement, seeded) from the same test's recorded
+durations, each again capped at the timeout. The change is
 accepted as soon as any rerun succeeds; by default the remaining reruns are
 still charged, which makes the simulated mean cost per initial run converge
 to the cost model's prediction. Pass ``stop_on_success=True`` to stop
@@ -311,9 +312,12 @@ def simulate_rerun_policy(
 ) -> SimulationReport:
     """Replay a dataset's executions under a timeout policy with reruns.
 
-    A run times out when its natural duration exceeds the policy timeout or
-    it is a censored hang record (a hang overruns any timeout); a timed-out
-    run consumes exactly the timeout, other runs their own duration. Each
+    Each test's records are replayed in start-time order (ties in file
+    order), as ``ExecutionDataset.test_index`` holds them, so reordering
+    rows with distinct start times does not change the report. A run times
+    out when its natural duration exceeds the policy timeout or it is a
+    censored hang record (a hang overruns any timeout); a timed-out run
+    consumes exactly the timeout, other runs their own duration. Each
     timed-out initial run triggers m reruns resampled with replacement from
     the same test's records. With ``stop_on_success`` the chain stops at the
     first successful rerun; otherwise all m reruns are charged and the first
@@ -327,14 +331,10 @@ def simulate_rerun_policy(
     if gaps:
         raise ValueError(f"policy {policy.label!r} has no timeout for test {gaps[0]!r}")
 
-    by_test: dict[str, list[ExecutionRecord]] = {tid: [] for tid in test_ids}
-    for record in dataset.records:
-        by_test[record.test_id].append(record)
-
     per_test: list[TestSimulation] = []
     for index, test_id in enumerate(test_ids):
         rng = np.random.default_rng((seed, index))
-        records = by_test[test_id]
+        records = [dataset.records[i] for i in dataset.test_index[test_id]]
         timeout_seconds = policy.value_for(test_id) * grid_unit
 
         def run_once(record: ExecutionRecord) -> tuple[float, bool]:

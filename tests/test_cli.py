@@ -3,8 +3,9 @@ import json
 import pytest
 
 from helpers import MINUTE, dataset_of, sweep_fixture_dataset, verdict_dataset
-from timeopt.cli import run
+from timeopt.cli import _config_from_args, build_parser, run
 from timeopt.ingest import write_executions
+from timeopt.optimize import OptimizationConfig
 
 
 @pytest.fixture
@@ -64,6 +65,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --" in captured.err
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--input", "runs.jsonl"],
+            ["sweep", "--input", "runs.jsonl", "--lo", "1", "--hi", "9"],
+            ["evaluate", "--input", "runs.jsonl", "--seed", "0"],
+        ],
+    )
+    def test_flag_defaults_are_the_config_defaults(self, argv):
+        assert _config_from_args(build_parser().parse_args(argv)) == OptimizationConfig()
+
+
+def _one_test_file(tmp_path, durations):
+    path = tmp_path / "runs.jsonl"
+    write_executions(dataset_of({("t", "r1"): [(d, "pass") for d in durations]}), path)
+    return path
+
+
+class TestExtremeDurations:
+    def test_tiny_spread_gets_a_timeout(self, tmp_path, capsys):
+        path = _one_test_file(tmp_path, [0.0] * 39 + [1e-157])
+        assert run(["optimize", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "test_id,timeout_minutes\nt,1\n"
+
+    @pytest.mark.parametrize("argv", [["optimize"], ["evaluate", "--seed", "0"]])
+    def test_overflowing_variance_is_data_error(self, tmp_path, capsys, argv):
+        path = _one_test_file(tmp_path, [60.0] * 39 + [1e160])
+        assert run(argv + ["--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large" in err
 
 
 class TestSummarize:

@@ -41,6 +41,14 @@ class TestSampleStats:
         with pytest.raises(ValueError, match="empty sample"):
             sample_stats(sample_of([]))
 
+    @pytest.mark.parametrize(
+        "durations",
+        [[60.0] * 39 + [1e160], [1e307] * 40],  # squared deviation, then sum, overflows
+    )
+    def test_overflow_is_a_value_error(self, durations):
+        with pytest.raises(ValueError, match="too large"):
+            sample_stats(sample_of(durations))
+
     def test_permutation_invariant(self):
         rng = random.Random(7)
         for _ in range(50):

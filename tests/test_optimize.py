@@ -87,6 +87,12 @@ class TestTolhurstBound:
             bounds = [tolhurst_bound(stats, t) for t in ts]
             assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
+    def test_overflowing_lam_takes_the_limit(self):
+        # lam is about 4e159, so n * lam * lam overflows; its limit k^2 = n
+        # gives floor((n + 1) / (n + 1)) / (n + 1).
+        stats = sample_stats(sample_of([0.0] * 39 + [1e-157]))
+        assert tolhurst_bound(stats, 60.0) == 1 / 41
+
     def test_bounded_to_unit_interval(self):
         rng = random.Random(29)
         for _ in range(100):
@@ -342,17 +348,6 @@ class TestConfigValidation:
 
 
 class TestTimeoutOptimizerEstimator:
-    def test_get_set_params_round_trip(self):
-        est = TimeoutOptimizer(rerun_count=5, probability_method=EMPIRICAL_ECDF)
-        params = est.get_params()
-        assert params["rerun_count"] == 5
-        clone = TimeoutOptimizer().set_params(**params)
-        assert clone.get_params() == params
-
-    def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError, match="invalid parameter"):
-            TimeoutOptimizer().set_params(turbo=True)
-
     def test_fit_predict(self):
         dataset = dataset_of(
             {
@@ -360,18 +355,12 @@ class TestTimeoutOptimizerEstimator:
                 ("b", "r1"): [(m * MINUTE, "pass") for m in [1, 2, 3, 4, 5] * 8],
             }
         )
-        est = TimeoutOptimizer(probability_method=EMPIRICAL_ECDF, min_samples=2)
-        est.fit(dataset)
+        config = OptimizationConfig(probability_method=EMPIRICAL_ECDF, min_samples=2)
+        est = TimeoutOptimizer(config).fit(dataset)
         assert est.predict(["a"]) == [7]
         assert est.timeouts_["b"] == optimize_timeout(
-            dataset.pooled_sample("b"), est._config()
+            dataset.pooled_sample("b"), config
         ).optimal_timeout
-
-    def test_fit_accepts_record_iterables(self):
-        dataset = dataset_of({("a", "r1"): [(60.0, "pass")] * 5})
-        est = TimeoutOptimizer(min_samples=2, probability_method=EMPIRICAL_ECDF)
-        est.fit(list(dataset.records))
-        assert "a" in est.timeouts_
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
@@ -379,13 +368,9 @@ class TestTimeoutOptimizerEstimator:
 
     def test_predict_unknown_test_raises(self):
         dataset = dataset_of({("a", "r1"): [(60.0, "pass")] * 5})
-        est = TimeoutOptimizer(min_samples=2).fit(dataset)
+        est = TimeoutOptimizer(OptimizationConfig(min_samples=2)).fit(dataset)
         with pytest.raises(ValueError, match="no fitted timeout"):
             est.predict(["zz"])
-
-    def test_fit_rejects_junk(self):
-        with pytest.raises(TypeError):
-            TimeoutOptimizer().fit([1, 2, 3])
 
 
 class TestTimeoutProbabilityDispatch:

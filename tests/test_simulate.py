@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
-from timeopt.model import Verdict
+from timeopt.model import ExecutionDataset, Verdict
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost
 from timeopt.simulate import (
     TestDistribution,
@@ -228,6 +229,17 @@ class TestSimulateRerunPolicy:
         a = simulate_rerun_policy(dataset, policy, rerun_count=3, seed=11)
         b = simulate_rerun_policy(dataset, policy, rerun_count=3, seed=11)
         assert a == b
+
+    def test_replay_ignores_row_order(self):
+        dataset, policy, _ = generate_workload(
+            spec_of(executions_per_test=100, hang_probability=0.05, seed=4)
+        )
+        rows = list(dataset.records)
+        random.Random(9).shuffle(rows)  # start times travel with their rows
+        shuffled = ExecutionDataset(records=tuple(rows))
+        ordered = simulate_rerun_policy(dataset, policy, rerun_count=3, seed=11)
+        assert ordered.timeout_events > 0
+        assert simulate_rerun_policy(shuffled, policy, rerun_count=3, seed=11) == ordered
 
     def test_policy_gap_errors(self):
         dataset, _, _ = generate_workload(spec_of())
