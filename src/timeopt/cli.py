@@ -22,6 +22,7 @@ from . import flakiness as fl
 from . import ingest
 from . import optimize as op
 from . import simulate as sim
+from .model import GRID_SECONDS
 
 _METHOD_ALIASES = {
     "tolhurst": op.TOLHURST_BOUND,
@@ -262,7 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         test_count=args.tests,
         executions_per_test=args.runs,
         base_distribution=args.distribution,
-        scale_seconds=args.scale * 60.0,
+        scale_seconds=args.scale * GRID_SECONDS,
         sigma=args.sigma,
         scale_spread=args.spread,
         outlier_probability=args.outlier_prob,

@@ -16,9 +16,9 @@ import statistics
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .model import ExecutionDataset, TestSample
+from .model import GRID_SECONDS, ExecutionDataset, TestSample
 from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
@@ -59,12 +59,9 @@ class TimeoutPolicy:
             return self.default
         raise ValueError(f"policy {self.label!r} has no timeout for test {test_id!r}")
 
-    def covers(self, test_ids: Sequence[str]) -> list[str]:
-        """Test ids the policy does not cover."""
-        if self.default is not None:
-            return []
-        assert self.values is not None
-        return [tid for tid in test_ids if tid not in self.values]
+    def seconds(self, test_ids: Sequence[str]) -> dict[str, float]:
+        """test_id -> timeout in seconds; ``value_for``'s error on the first gap."""
+        return {tid: self.value_for(tid) * GRID_SECONDS for tid in test_ids}
 
     def median_value(self, test_ids: Sequence[str]) -> float:
         return statistics.median(self.value_for(tid) for tid in test_ids)
@@ -77,9 +74,6 @@ class FoldAssignment:
     k: int
     assignment: Mapping[int, int]
     excluded_tests: tuple[str, ...] = ()
-
-    def indices_in_fold(self, fold: int) -> list[int]:
-        return sorted(i for i, f in self.assignment.items() if f == fold)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,18 +194,13 @@ def cross_validate(
         raise ValueError(f"the label {OPTIMIZED_POLICY!r} is reserved for the fitted policy")
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate policy labels: {labels}")
-    for policy in policies:
-        gaps = policy.covers(included_tests)
-        if gaps:
-            raise ValueError(
-                f"policy {policy.label!r} has no timeout for test {gaps[0]!r}"
-            )
+    baselines = [policy.seconds(included_tests) for policy in policies]
 
     all_labels = labels + [OPTIMIZED_POLICY]
     rows: list[FoldPolicyResult] = []
     for fold in range(k):
         eval_samples: dict[str, _SortedSample] = {}
-        fitted: dict[str, int] = {}
+        fitted: dict[str, float] = {}
         for test_id in included_tests:
             train_idx: list[int] = []
             eval_durations: list[float] = []
@@ -222,23 +211,17 @@ def cross_validate(
                     train_idx.append(i)
             eval_samples[test_id] = _SortedSample(eval_durations)
             train_sample = dataset.subsample(test_id, "*", train_idx)
-            fitted[test_id] = optimize_timeout(train_sample, config).optimal_timeout
-        fitted_policy = TimeoutPolicy(kind="optimized", values=fitted)
+            fitted_units = optimize_timeout(train_sample, config).optimal_timeout
+            fitted[test_id] = fitted_units * GRID_SECONDS
 
-        for label, policy in zip(all_labels, list(policies) + [fitted_policy]):
-            timeouts = 0
-            costs: list[float] = []
-            for test_id in included_tests:
-                t_seconds = policy.value_for(test_id) * config.grid_unit
-                cost, over = eval_samples[test_id].empirical_cost(t_seconds, config)
-                timeouts += over
-                costs.append(cost)
+        for label, seconds in zip(all_labels, baselines + [fitted]):
+            timeouts, average_cost = _score(eval_samples.items(), seconds, config)
             rows.append(
                 FoldPolicyResult(
                     fold=fold,
                     policy=label,
                     flaky_timeout_count=timeouts,
-                    average_cost=sum(costs) / len(costs),
+                    average_cost=average_cost,
                 )
             )
 
@@ -285,34 +268,38 @@ def compare_policies(
     test_ids = dataset.test_ids()
     if not test_ids:
         raise ValueError("empty dataset")
-    for policy in policies:
-        gaps = policy.covers(test_ids)
-        if gaps:
-            raise ValueError(
-                f"policy {policy.label!r} has no timeout for test {gaps[0]!r}"
-            )
+    policy_seconds = [policy.seconds(test_ids) for policy in policies]
 
     totals: list[PolicyTotals] = []
     samples = [
         (s.test_id, _SortedSample(s.durations)) for s in dataset.samples.values() if s.n > 0
     ]
-    for policy in policies:
-        timeouts = 0
-        costs: list[float] = []
-        for test_id, kernel in samples:
-            t_seconds = policy.value_for(test_id) * config.grid_unit
-            cost, over = kernel.empirical_cost(t_seconds, config)
-            timeouts += over
-            costs.append(cost)
+    for policy, seconds in zip(policies, policy_seconds):
+        timeouts, average_cost = _score(samples, seconds, config)
         totals.append(
             PolicyTotals(
                 policy=policy.label,
                 flaky_timeout_count=timeouts,
-                average_cost=sum(costs) / len(costs),
+                average_cost=average_cost,
                 median_timeout=policy.median_value(test_ids),
             )
         )
     return tuple(totals)
+
+
+def _score(
+    kernels: Iterable[tuple[str, _SortedSample]],
+    seconds: Mapping[str, float],
+    config: OptimizationConfig,
+) -> tuple[int, float]:
+    """(overruns, average empirical cost) of per-test timeouts over samples."""
+    overruns = 0
+    costs: list[float] = []
+    for test_id, kernel in kernels:
+        cost, over = kernel.empirical_cost(seconds[test_id], config)
+        overruns += over
+        costs.append(cost)
+    return overruns, sum(costs) / len(costs)
 
 
 def load_timeout_policy(

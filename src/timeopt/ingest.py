@@ -211,14 +211,13 @@ def _iter_rows(path: Path, fmt: str, required: Iterable[str]):
 def load_executions(
     path: str | Path,
     fmt: str = "jsonl",
-    censored_warn_threshold: float = DEFAULT_CENSORED_WARN_THRESHOLD,
 ) -> tuple[ExecutionDataset, ValidationReport]:
     """Load execution records from a JSONL or CSV file.
 
     Rows with a non-finite or negative duration, an unknown verdict, or
     missing ids are rejected and counted per reason. A warning is recorded
-    for every (test, revision) sample whose censored fraction exceeds the
-    threshold.
+    for every (test, revision) sample whose censored fraction exceeds
+    ``DEFAULT_CENSORED_WARN_THRESHOLD``.
 
     Returns:
         The dataset of accepted records and a validation report. Loading the
@@ -250,10 +249,10 @@ def load_executions(
         if sample.n == 0:
             continue
         fraction = sample.censored_count / sample.n
-        if fraction > censored_warn_threshold:
+        if fraction > DEFAULT_CENSORED_WARN_THRESHOLD:
             notes.append(
                 f"test {test_id} revision {revision_id}: censored fraction "
-                f"{fraction:.2f} exceeds {censored_warn_threshold:g}"
+                f"{fraction:.2f} exceeds {DEFAULT_CENSORED_WARN_THRESHOLD:g}"
             )
 
     report = ValidationReport(
@@ -286,8 +285,6 @@ def _change_from_row(row: Mapping[str, Any]) -> TimeoutChangeRecord:
     except (TypeError, ValueError):
         raise ValueError("bad value") from None
 
-    if new_value < 1 or (old_value is not None and old_value < 1):
-        raise ValueError("non-positive value")
     return TimeoutChangeRecord(
         test_id=test_id, changed_at=changed_at, new_value=new_value, old_value=old_value
     )

@@ -15,6 +15,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping, Sequence
 
+GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
+
 
 class Verdict(str, Enum):
     """Outcome of a single test execution."""

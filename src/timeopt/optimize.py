@@ -13,9 +13,9 @@ The cost of running a test with timeout t (seconds) is modeled as
 where tm(t) is the truncated mean (every run capped at t), p(t) the timeout
 probability, and each timeout charges the full rerun budget at the truncated
 mean. The optimal timeout is the exhaustive argmin of cost over the integer
-grid [ceil(mean), ceil(2 * max)] in grid units; candidate timeouts are
-positive integers and ties go to the smallest value so blocked runs are
-interrupted sooner. The search, the static sweep and held-out scoring read
+grid [ceil(mean), ceil(2 * max)] in grid units of ``GRID_SECONDS`` (one
+minute); ties go to the smallest timeout so blocked runs are interrupted
+sooner. The search, the static sweep and held-out scoring read
 tm(t) and the empirical p(t) from one sorted copy of each sample, exactly
 equal to the ``truncated_mean`` and ``empirical_exceedance`` references.
 
@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import ExecutionDataset, SampleStats, TestSample, sample_stats
+from .model import GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats
 
 TOLHURST_BOUND = "tolhurst_bound"
 EMPIRICAL_ECDF = "empirical_ecdf"
@@ -40,16 +40,14 @@ PROBABILITY_METHODS = (TOLHURST_BOUND, EMPIRICAL_ECDF)
 class OptimizationConfig:
     """Knobs of the cost model and the timeout search.
 
-    grid_unit is the duration granularity in seconds (1 minute by default,
-    so timeout values are integer minutes). Samples smaller than
-    ``min_samples`` get the static ``fallback_timeout`` (grid units) instead
-    of an unstable data-driven value.
+    Timeouts are searched in integer grid units of ``GRID_SECONDS``. Samples
+    smaller than ``min_samples`` get the static ``fallback_timeout`` (grid
+    units) instead of an unstable data-driven value.
     """
 
     rerun_count: int = 3
     breakage_probability: float = 0.0
     probability_method: str = TOLHURST_BOUND
-    grid_unit: float = 60.0
     min_samples: int = 30
     fallback_timeout: int = 120
 
@@ -63,8 +61,6 @@ class OptimizationConfig:
                 f"probability_method must be one of {PROBABILITY_METHODS}, "
                 f"got {self.probability_method!r}"
             )
-        if self.grid_unit <= 0:
-            raise ValueError("grid_unit must be positive")
         if self.min_samples < 2:
             raise ValueError("min_samples must be >= 2")
         if self.fallback_timeout < 1:
@@ -232,10 +228,10 @@ def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> 
     return cost
 
 
-def search_grid(stats: SampleStats, grid_unit: float) -> tuple[int, int]:
+def search_grid(stats: SampleStats) -> tuple[int, int]:
     """Integer search range [ceil(mean), ceil(2 * max)] in grid units."""
-    lower = max(1, math.ceil(stats.mean / grid_unit))
-    upper = max(lower, math.ceil(2.0 * stats.max / grid_unit))
+    lower = max(1, math.ceil(stats.mean / GRID_SECONDS))
+    upper = max(lower, math.ceil(2.0 * stats.max / GRID_SECONDS))
     return lower, upper
 
 
@@ -252,10 +248,10 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
     if n < config.min_samples:
         t_units = config.fallback_timeout
         if n >= 1:
-            t_seconds = t_units * config.grid_unit
+            t_seconds = t_units * GRID_SECONDS
             cost, over = kernel.empirical_cost(t_seconds, config)
             probability = over / n
-            lower, upper = search_grid(sample_stats(sample), config.grid_unit)
+            lower, upper = search_grid(sample_stats(sample))
         else:
             probability = float("nan")
             cost = float("nan")
@@ -271,12 +267,12 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
         )
 
     stats = sample_stats(sample)
-    lower, upper = search_grid(stats, config.grid_unit)
+    lower, upper = search_grid(stats)
     empirical = config.probability_method == EMPIRICAL_ECDF
     best_t = lower
     best_cost = best_p = math.inf
     for t_units in range(lower, upper + 1):
-        threshold = t_units * config.grid_unit
+        threshold = t_units * GRID_SECONDS
         tm, over = kernel.at(threshold)
         p = over / n if empirical else tolhurst_bound(stats, threshold)
         cost = _cost(tm, p, threshold, config)
@@ -321,7 +317,7 @@ def static_sweep(
     best_t = lo
     best_cost = math.inf
     for t_units in range(lo, hi + 1):
-        t_seconds = t_units * config.grid_unit
+        t_seconds = t_units * GRID_SECONDS
         total = math.fsum(kernel.empirical_cost(t_seconds, config)[0] for kernel in kernels)
         average = total / len(kernels)
         points.append((t_units, average))

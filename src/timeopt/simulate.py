@@ -13,11 +13,10 @@ The rerun simulator replays a dataset under a timeout policy, each test's
 runs in start-time order: every initial run that overruns its timeout
 consumes exactly the timeout and triggers the full budget of m reruns
 resampled (with replacement, seeded) from the same test's recorded
-durations, each again capped at the timeout. The change is
-accepted as soon as any rerun succeeds; by default the remaining reruns are
-still charged, which makes the simulated mean cost per initial run converge
-to the cost model's prediction. Pass ``stop_on_success=True`` to stop
-charging a chain at its first success instead.
+durations, each again capped at the timeout. The change is accepted as soon
+as any rerun succeeds, but all m reruns are charged, which makes the
+simulated mean cost per initial run converge to the cost model's prediction.
+Policy values are integer grid units of ``GRID_SECONDS``.
 
 Everything is deterministic under a fixed seed.
 """
@@ -32,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .evaluate import TimeoutPolicy
-from .model import ExecutionDataset, ExecutionRecord, Verdict
+from .model import GRID_SECONDS, ExecutionDataset, ExecutionRecord, Verdict
 
 DISTRIBUTIONS = ("lognormal", "exponential", "constant")
 
@@ -52,7 +51,7 @@ class WorkloadSpec:
     ``outlier_probability`` and hangs forever with ``hang_probability``.
     The "developer-set" timeout of each test is placed at the configured
     percentile of the test's true duration distribution, rounded to grid
-    units.
+    units of ``GRID_SECONDS``.
     """
 
     test_count: int
@@ -65,7 +64,6 @@ class WorkloadSpec:
     outlier_factor_range: tuple[float, float] = (2.0, 10.0)
     hang_probability: float = 0.0
     original_timeout_percentile: float = 0.85
-    grid_unit: float = 60.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,8 +88,6 @@ class WorkloadSpec:
             raise ValueError("outlier_factor_range must satisfy 0 < lo <= hi")
         if not 0.0 < self.original_timeout_percentile <= 1.0:
             raise ValueError("original_timeout_percentile must be in (0, 1]")
-        if self.grid_unit <= 0:
-            raise ValueError("grid_unit must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,8 +259,8 @@ def generate_workload(
         truths[test_id] = dist
 
         quantile = dist.quantile(spec.original_timeout_percentile)
-        timeout_units = max(1, round(quantile / spec.grid_unit))
-        timeout_seconds = timeout_units * spec.grid_unit
+        timeout_units = max(1, round(quantile / GRID_SECONDS))
+        timeout_seconds = timeout_units * GRID_SECONDS
         timeouts[test_id] = timeout_units
 
         for j in range(spec.executions_per_test):
@@ -307,8 +303,6 @@ def simulate_rerun_policy(
     policy: TimeoutPolicy,
     rerun_count: int = 3,
     seed: int = 0,
-    grid_unit: float = 60.0,
-    stop_on_success: bool = False,
 ) -> SimulationReport:
     """Replay a dataset's executions under a timeout policy with reruns.
 
@@ -319,23 +313,20 @@ def simulate_rerun_policy(
     censored hang record (a hang overruns any timeout); a timed-out run
     consumes exactly the timeout, other runs their own duration. Each
     timed-out initial run triggers m reruns resampled with replacement from
-    the same test's records. With ``stop_on_success`` the chain stops at the
-    first successful rerun; otherwise all m reruns are charged and the first
-    success still decides acceptance.
+    the same test's records; all m are charged and the first success decides
+    acceptance.
 
     Raises:
         ValueError: when the policy does not cover every test.
     """
     test_ids = dataset.test_ids()
-    gaps = policy.covers(test_ids)
-    if gaps:
-        raise ValueError(f"policy {policy.label!r} has no timeout for test {gaps[0]!r}")
+    policy_seconds = policy.seconds(test_ids)
 
     per_test: list[TestSimulation] = []
     for index, test_id in enumerate(test_ids):
         rng = np.random.default_rng((seed, index))
         records = [dataset.records[i] for i in dataset.test_index[test_id]]
-        timeout_seconds = policy.value_for(test_id) * grid_unit
+        timeout_seconds = policy_seconds[test_id]
 
         def run_once(record: ExecutionRecord) -> tuple[float, bool]:
             """Consumed machine seconds and whether the run timed out."""
@@ -364,8 +355,6 @@ def simulate_rerun_policy(
                 reruns += 1
                 if not rerun_timed_out:
                     chain_succeeded = True
-                    if stop_on_success:
-                        break
             if chain_succeeded:
                 accepted += 1
         per_test.append(

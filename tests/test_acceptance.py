@@ -109,11 +109,11 @@ def test_criterion_4_optimizer_oracle_equivalence():
     def oracle_argmin(sample, config):
         """Independent naive argmin over the full grid with tie-breaking."""
         stats = sample_stats(sample)
-        lower = max(1, math.ceil(stats.mean / config.grid_unit))
-        upper = max(lower, math.ceil(2 * stats.max / config.grid_unit))
+        lower = max(1, math.ceil(stats.mean / 60.0))
+        upper = max(lower, math.ceil(2 * stats.max / 60.0))
         best_t, best_cost = None, None
         for t_units in range(lower, upper + 1):
-            t = t_units * config.grid_unit
+            t = t_units * 60.0
             tm = sum(min(d, t) for d in sample.durations) / sample.n
             if config.probability_method == EMPIRICAL_ECDF:
                 p = len([d for d in sample.durations if d > t]) / sample.n

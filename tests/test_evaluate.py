@@ -15,6 +15,7 @@ from timeopt.evaluate import (
 )
 from timeopt.model import ExecutionDataset
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, empirical_exceedance
+from timeopt.simulate import simulate_rerun_policy
 
 CONFIG = OptimizationConfig(probability_method=EMPIRICAL_ECDF, min_samples=2)
 
@@ -212,11 +213,28 @@ class TestComparePolicies:
             )
 
 
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda dataset, policy: cross_validate(dataset, [policy], CONFIG, k=2),
+        lambda dataset, policy: compare_policies(dataset, [policy], CONFIG),
+        lambda dataset, policy: simulate_rerun_policy(dataset, policy),
+    ],
+    ids=["cross_validate", "compare_policies", "simulate_rerun_policy"],
+)
+def test_uncovered_test_raises_the_policy_error(score):
+    dataset = fleet({"a": [60.0] * 4, "b": [60.0] * 4, "c": [60.0] * 4})
+    policy = TimeoutPolicy(kind="original", values={"a": 5})
+    with pytest.raises(ValueError) as raised:
+        score(dataset, policy)
+    assert str(raised.value) == "policy 'original' has no timeout for test 'b'"
+
+
 class TestTimeoutPolicy:
     def test_static_serves_every_test(self):
         policy = TimeoutPolicy.static(120)
         assert policy.value_for("anything") == 120
-        assert policy.covers(["x", "y"]) == []
+        assert policy.seconds(["x", "y"]) == {"x": 7200.0, "y": 7200.0}
 
     def test_values_must_be_positive(self):
         with pytest.raises(ValueError):

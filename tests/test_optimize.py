@@ -196,11 +196,11 @@ class TestExpectedCost:
 def brute_force_argmin(sample, config):
     """Naive independent re-evaluation over the whole grid."""
     stats = sample_stats(sample)
-    lower = max(1, math.ceil(stats.mean / config.grid_unit))
-    upper = max(lower, math.ceil(2 * stats.max / config.grid_unit))
+    lower = max(1, math.ceil(stats.mean / MINUTE))
+    upper = max(lower, math.ceil(2 * stats.max / MINUTE))
     best_t, best_cost = None, None
     for t_units in range(lower, upper + 1):
-        t = t_units * config.grid_unit
+        t = t_units * MINUTE
         tm = sum(min(d, t) for d in sample.durations) / sample.n
         if config.probability_method == EMPIRICAL_ECDF:
             p = len([d for d in sample.durations if d > t]) / sample.n
@@ -337,7 +337,6 @@ class TestConfigValidation:
             {"rerun_count": -1},
             {"breakage_probability": 1.5},
             {"probability_method": "guesswork"},
-            {"grid_unit": 0.0},
             {"min_samples": 1},
             {"fallback_timeout": 0},
         ],
@@ -383,4 +382,4 @@ class TestTimeoutProbabilityDispatch:
 
     def test_search_grid_shape(self):
         stats = sample_stats(minutes_sample([1, 2, 3, 4, 5]))
-        assert search_grid(stats, 60.0) == (3, 10)
+        assert search_grid(stats) == (3, 10)

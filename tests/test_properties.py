@@ -15,7 +15,7 @@ from datetime import timedelta
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import EPOCH, sample_of
+from helpers import EPOCH, MINUTE, sample_of
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
 from timeopt.optimize import (
@@ -66,11 +66,11 @@ def test_kernel_is_monotone_and_bounded_by_the_mean(durations, thresholds):
 def brute_force_argmin(sample: TestSample, config: OptimizationConfig) -> tuple[int, float]:
     """Criterion 4's naive argmin, scored with the fsum reference cost."""
     stats = sample_stats(sample)
-    lower = max(1, math.ceil(stats.mean / config.grid_unit))
-    upper = max(lower, math.ceil(2 * stats.max / config.grid_unit))
+    lower = max(1, math.ceil(stats.mean / MINUTE))
+    upper = max(lower, math.ceil(2 * stats.max / MINUTE))
     best_t, best_cost = None, None
     for t_units in range(lower, upper + 1):
-        cost = expected_cost(sample, t_units * config.grid_unit, config)
+        cost = expected_cost(sample, t_units * MINUTE, config)
         if best_cost is None or cost < best_cost:
             best_t, best_cost = t_units, cost
     return best_t, best_cost
@@ -173,16 +173,16 @@ def test_grouping_index_equals_brute_force_regroup(records, k, seed):
 def test_held_out_scoring_equals_fsum_reference(records, timeouts):
     assume(records)
     dataset = ExecutionDataset(records=records)
-    config = OptimizationConfig(rerun_count=2, breakage_probability=0.01, grid_unit=1.0)
+    config = OptimizationConfig(rerun_count=2, breakage_probability=0.01)
     policy = TimeoutPolicy(kind="original", values=dict(zip("abcd", timeouts)))
     (totals,) = compare_policies(dataset, [policy], config)
     empirical = OptimizationConfig(
-        rerun_count=2, breakage_probability=0.01, grid_unit=1.0, probability_method=EMPIRICAL_ECDF
+        rerun_count=2, breakage_probability=0.01, probability_method=EMPIRICAL_ECDF
     )
     costs = []
     overruns = 0
     for sample in dataset.samples.values():
-        t = float(policy.value_for(sample.test_id))
+        t = policy.value_for(sample.test_id) * MINUTE
         costs.append(expected_cost(sample, t, empirical))
         overruns += count_timeouts(sample, t)
     assert totals.average_cost == sum(costs) / len(costs)
