@@ -272,7 +272,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         original_timeout_percentile=args.percentile,
         seed=args.seed,
     )
-    dataset, policy, _truth = sim.generate_workload(spec)
+    dataset, policy, _ = sim.generate_workload(spec)
     if args.out:
         ingest.write_executions(dataset, args.out, "jsonl")
     if args.timeouts_out:

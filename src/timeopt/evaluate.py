@@ -271,9 +271,7 @@ def compare_policies(
     policy_seconds = [policy.seconds(test_ids) for policy in policies]
 
     totals: list[PolicyTotals] = []
-    samples = [
-        (s.test_id, _SortedSample(s.durations)) for s in dataset.samples.values() if s.n > 0
-    ]
+    samples = [(s.test_id, _SortedSample(s.durations)) for s in dataset.samples.values()]
     for policy, seconds in zip(policies, policy_seconds):
         timeouts, average_cost = _score(samples, seconds, config)
         totals.append(

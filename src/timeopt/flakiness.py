@@ -130,7 +130,7 @@ def flakiness_evolution(
         flaky = sum(
             1
             for sample in samples.values()
-            if sample.n and is_flaky(sample.verdicts[: min(k, sample.n)])
+            if is_flaky(sample.verdicts[: min(k, sample.n)])
         )
         points.append((k, flaky / unique if unique else 0.0))
         if k >= max_n:
@@ -149,7 +149,7 @@ def timeout_failure_share(dataset: ExecutionDataset) -> float:
     failures = 0
     timeouts = 0
     for sample in dataset.samples.values():
-        if sample.n == 0 or not is_flaky(sample.verdicts):
+        if not is_flaky(sample.verdicts):
             continue
         for verdict in sample.verdicts:
             if verdict.is_failure:

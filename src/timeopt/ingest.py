@@ -246,8 +246,6 @@ def load_executions(
     dataset = ExecutionDataset(records=tuple(records))
     notes: list[str] = []
     for (test_id, revision_id), sample in dataset.samples.items():
-        if sample.n == 0:
-            continue
         fraction = sample.censored_count / sample.n
         if fraction > DEFAULT_CENSORED_WARN_THRESHOLD:
             notes.append(

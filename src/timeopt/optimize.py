@@ -309,7 +309,7 @@ def static_sweep(
         raise ValueError(f"sweep range must satisfy lo < hi, got ({lo}, {hi})")
     if lo < 1:
         raise ValueError("sweep range must start at a positive grid value")
-    kernels = [_SortedSample(s.durations) for s in dataset.samples.values() if s.n > 0]
+    kernels = [_SortedSample(s.durations) for s in dataset.samples.values()]
     if not kernels:
         raise ValueError("empty dataset")
 

@@ -5,20 +5,22 @@ a base duration distribution per test (lognormal, exponential, or constant,
 with an optional per-test scale spread), rare multiplicative outliers, and
 hang runs that would never finish on their own. Hangs are materialized as
 censored records at the enforced timeout (verdict timeout, interrupted), so
-downstream code sees realistic censoring. The hidden ground truth (resolved
-per-test parameters plus exact exceedance probabilities and quantiles) is
-returned for oracle checks.
+downstream code sees realistic censoring. The hidden ground truth, one
+``TestDistribution`` per test with exact exceedance probabilities and
+quantiles, is returned for oracle checks.
 
 The rerun simulator replays a dataset under a timeout policy, each test's
-runs in start-time order: every initial run that overruns its timeout
-consumes exactly the timeout and triggers the full budget of m reruns
-resampled (with replacement, seeded) from the same test's recorded
-durations, each again capped at the timeout. The change is accepted as soon
-as any rerun succeeds, but all m reruns are charged, which makes the
-simulated mean cost per initial run converge to the cost model's prediction.
-Policy values are integer grid units of ``GRID_SECONDS``.
+runs in start-time order, from one outcome table per test: a run that
+overruns its timeout, or is a censored hang, consumes exactly the timeout;
+any other run consumes its duration. Every timed-out initial run triggers
+the full budget of m reruns drawn (with replacement, seeded) from the same
+table. The change is accepted as soon as any rerun succeeds, but all m
+reruns are charged, which makes the simulated mean cost per initial run
+converge to the cost model's prediction. Policy values are integer grid
+units of ``GRID_SECONDS``.
 
-Everything is deterministic under a fixed seed.
+Everything is deterministic under a fixed seed. Only the functions that
+draw or average import numpy, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .evaluate import TimeoutPolicy
 from .model import GRID_SECONDS, ExecutionDataset, ExecutionRecord, Verdict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DISTRIBUTIONS = ("lognormal", "exponential", "constant")
 
@@ -124,6 +127,8 @@ class TestDistribution:
             if hi == lo:
                 tail = self.base_exceedance(t / lo)
             else:
+                import numpy as np
+
                 factors = np.linspace(lo, hi, _OUTLIER_GRID)
                 mids = (factors[:-1] + factors[1:]) / 2.0
                 tail = float(
@@ -136,7 +141,8 @@ class TestDistribution:
         """Smallest t with P(duration <= t) >= p; capped when unreachable.
 
         A percentile above 1 - hang_probability has no finite quantile
-        (hangs never finish) and yields the cap value.
+        (hangs never finish) and yields the cap value. The bisection stops
+        once ``mid`` equals ``lo`` or ``hi``: neither moves after that.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("percentile must be in [0, 1]")
@@ -151,24 +157,13 @@ class TestDistribution:
         lo = 0.0
         for _ in range(200):
             mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break
             if self.exceedance(mid) > target:
                 lo = mid
             else:
                 hi = mid
         return hi
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """True per-test distributions of a generated workload."""
-
-    distributions: Mapping[str, TestDistribution]
-
-    def exceedance(self, test_id: str, t: float) -> float:
-        return self.distributions[test_id].exceedance(t)
-
-    def quantile(self, test_id: str, p: float) -> float:
-        return self.distributions[test_id].quantile(p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,9 +223,10 @@ def _draw_base(dist: TestDistribution, rng: np.random.Generator) -> float:
 
 def generate_workload(
     spec: WorkloadSpec,
-) -> tuple[ExecutionDataset, TimeoutPolicy, GroundTruth]:
+) -> tuple[ExecutionDataset, TimeoutPolicy, Mapping[str, TestDistribution]]:
     """Generate a fleet dataset, its "developer-set" policy, and ground truth.
 
+    The ground truth maps each test id to its true ``TestDistribution``.
     Hang runs are emitted as censored records: duration equal to the
     enforced (original) timeout, verdict timeout, interrupted. Other runs
     keep their natural duration; the verdict is timeout (uninterrupted) when
@@ -238,6 +234,8 @@ def generate_workload(
     the spec seed; each test draws from an independent substream so results
     do not depend on generation order.
     """
+    import numpy as np
+
     records: list[ExecutionRecord] = []
     timeouts: dict[str, int] = {}
     truths: dict[str, TestDistribution] = {}
@@ -264,38 +262,29 @@ def generate_workload(
         timeouts[test_id] = timeout_units
 
         for j in range(spec.executions_per_test):
-            started = _EPOCH + timedelta(minutes=j)
-            if spec.hang_probability > 0 and rng.random() < spec.hang_probability:
-                records.append(
-                    ExecutionRecord(
-                        test_id=test_id,
-                        revision_id="r0",
-                        started_at=started,
-                        duration=timeout_seconds,
-                        verdict=Verdict.TIMEOUT,
-                        interrupted=True,
-                    )
-                )
-                continue
-            duration = _draw_base(dist, rng)
-            if spec.outlier_probability > 0 and rng.random() < spec.outlier_probability:
-                lo, hi = spec.outlier_factor_range
-                duration *= float(rng.uniform(lo, hi))
-            timed_out = duration > timeout_seconds
+            hang = spec.hang_probability > 0 and rng.random() < spec.hang_probability
+            if hang:
+                duration = timeout_seconds
+            else:
+                duration = _draw_base(dist, rng)
+                if spec.outlier_probability > 0 and rng.random() < spec.outlier_probability:
+                    lo, hi = spec.outlier_factor_range
+                    duration *= float(rng.uniform(lo, hi))
+            timed_out = hang or duration > timeout_seconds
             records.append(
                 ExecutionRecord(
                     test_id=test_id,
                     revision_id="r0",
-                    started_at=started,
+                    started_at=_EPOCH + timedelta(minutes=j),
                     duration=duration,
                     verdict=Verdict.TIMEOUT if timed_out else Verdict.PASS,
-                    interrupted=False,
+                    interrupted=hang,
                 )
             )
 
     dataset = ExecutionDataset(records=tuple(records))
     policy = TimeoutPolicy(kind="original", values=timeouts)
-    return dataset, policy, GroundTruth(distributions=truths)
+    return dataset, policy, truths
 
 
 def simulate_rerun_policy(
@@ -308,40 +297,35 @@ def simulate_rerun_policy(
 
     Each test's records are replayed in start-time order (ties in file
     order), as ``ExecutionDataset.test_index`` holds them, so reordering
-    rows with distinct start times does not change the report. A run times
-    out when its natural duration exceeds the policy timeout or it is a
-    censored hang record (a hang overruns any timeout); a timed-out run
-    consumes exactly the timeout, other runs their own duration. Each
-    timed-out initial run triggers m reruns resampled with replacement from
-    the same test's records; all m are charged and the first success decides
-    acceptance.
+    rows with distinct start times does not change the report. Each record
+    becomes one (consumed seconds, timed out) outcome: a run times out when
+    its natural duration exceeds the policy timeout or it is a censored hang
+    record (a hang overruns any timeout), and a timed-out run consumes
+    exactly the timeout, other runs their own duration. Each timed-out
+    initial run triggers m reruns drawn with replacement from the same
+    test's outcomes; all m are charged and any success accepts the change.
 
     Raises:
         ValueError: when the policy does not cover every test.
     """
+    import numpy as np
+
     test_ids = dataset.test_ids()
     policy_seconds = policy.seconds(test_ids)
 
     per_test: list[TestSimulation] = []
     for index, test_id in enumerate(test_ids):
         rng = np.random.default_rng((seed, index))
-        records = [dataset.records[i] for i in dataset.test_index[test_id]]
-        timeout_seconds = policy_seconds[test_id]
-
-        def run_once(record: ExecutionRecord) -> tuple[float, bool]:
-            """Consumed machine seconds and whether the run timed out."""
-            if record.censored:
-                return timeout_seconds, True
-            if record.duration > timeout_seconds:
-                return timeout_seconds, True
-            return record.duration, False
+        t = policy_seconds[test_id]
+        outcomes = [
+            (t, True) if r.censored or r.duration > t else (r.duration, False)
+            for r in (dataset.records[i] for i in dataset.test_index[test_id])
+        ]
 
         timeout_events = 0
-        reruns = 0
         machine_seconds = 0.0
         accepted = 0
-        for record in records:
-            consumed, timed_out = run_once(record)
+        for consumed, timed_out in outcomes:
             machine_seconds += consumed
             if not timed_out:
                 accepted += 1
@@ -349,23 +333,19 @@ def simulate_rerun_policy(
             timeout_events += 1
             chain_succeeded = False
             for _ in range(rerun_count):
-                drawn = records[int(rng.integers(len(records)))]
-                consumed, rerun_timed_out = run_once(drawn)
-                machine_seconds += consumed
-                reruns += 1
-                if not rerun_timed_out:
-                    chain_succeeded = True
-            if chain_succeeded:
-                accepted += 1
+                rerun_seconds, rerun_timed_out = outcomes[int(rng.integers(len(outcomes)))]
+                machine_seconds += rerun_seconds
+                chain_succeeded = chain_succeeded or not rerun_timed_out
+            accepted += chain_succeeded
         per_test.append(
             TestSimulation(
                 test_id=test_id,
-                initial_runs=len(records),
+                initial_runs=len(outcomes),
                 timeout_events=timeout_events,
-                rerun_count=reruns,
+                rerun_count=rerun_count * timeout_events,
                 total_machine_seconds=machine_seconds,
                 accepted=accepted,
-                rejected=len(records) - accepted,
+                rejected=len(outcomes) - accepted,
             )
         )
 

@@ -1,8 +1,9 @@
-"""Property tests: the sorted-sample kernel and the grouping index.
+"""Property tests: the sorted-sample kernel, the grouping index and the replay.
 
 The kernel is checked bit for bit against the ``math.fsum`` reference
-functions, and the grouping index against the brute-force regroup that
-``ExecutionDataset`` and ``make_folds`` used before the index existed.
+functions, the grouping index against the brute-force regroup that
+``ExecutionDataset`` and ``make_folds`` used before the index existed, and
+the rerun simulator against a record-by-record replay.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 import warnings
 from datetime import timedelta
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from timeopt.optimize import (
     optimize_timeout,
     truncated_mean,
 )
+from timeopt.simulate import SimulationReport, TestSimulation, simulate_rerun_policy
 
 # Bounded so that fifty of them still sum to a finite float; subnormals,
 # zero and non-integer values are all drawn.
@@ -187,3 +190,111 @@ def test_held_out_scoring_equals_fsum_reference(records, timeouts):
         overruns += count_timeouts(sample, t)
     assert totals.average_cost == sum(costs) / len(costs)
     assert totals.flaky_timeout_count == overruns
+
+
+# One run: start minute (ties are common), duration (often exactly on a
+# grid value), verdict and interrupted flag (a timeout that was interrupted
+# is a censored hang).
+run_st = st.tuples(
+    st.integers(0, 5),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=900.0), st.integers(1, 10).map(lambda u: u * MINUTE)
+    ),
+    st.sampled_from(list(Verdict)),
+    st.booleans(),
+)
+
+
+@st.composite
+def replay_records_st(draw) -> tuple[ExecutionRecord, ...]:
+    """1-4 tests x 1-30 runs each, in shuffled order."""
+    records = []
+    for test_id in "abcd"[: draw(st.integers(1, 4))]:
+        runs = draw(st.lists(run_st, min_size=1, max_size=30))
+        for minute, duration, verdict, interrupted in runs:
+            records.append(
+                ExecutionRecord(
+                    test_id=test_id,
+                    revision_id="r1",
+                    started_at=EPOCH + timedelta(minutes=minute),
+                    duration=duration,
+                    verdict=verdict,
+                    interrupted=interrupted,
+                )
+            )
+    return tuple(draw(st.permutations(records)))
+
+
+def brute_force_replay(
+    dataset: ExecutionDataset, policy: TimeoutPolicy, m: int, seed: int
+) -> SimulationReport:
+    """The replay before the outcome table: each draw re-judges its record."""
+    per_test = []
+    for index, (test_id, _, indices) in enumerate(regroup(dataset, lambda r: (r.test_id, "*"))):
+        rng = np.random.default_rng((seed, index))
+        records = [dataset.records[i] for i in indices]
+        timeout_seconds = policy.value_for(test_id) * MINUTE
+
+        def run_once(record: ExecutionRecord) -> tuple[float, bool]:
+            if record.censored:
+                return timeout_seconds, True
+            if record.duration > timeout_seconds:
+                return timeout_seconds, True
+            return record.duration, False
+
+        timeout_events = reruns = accepted = 0
+        machine_seconds = 0.0
+        for record in records:
+            consumed, timed_out = run_once(record)
+            machine_seconds += consumed
+            if not timed_out:
+                accepted += 1
+                continue
+            timeout_events += 1
+            chain_succeeded = False
+            for _ in range(m):
+                consumed, rerun_timed_out = run_once(records[int(rng.integers(len(records)))])
+                machine_seconds += consumed
+                reruns += 1
+                if not rerun_timed_out:
+                    chain_succeeded = True
+            if chain_succeeded:
+                accepted += 1
+        per_test.append(
+            TestSimulation(
+                test_id=test_id,
+                initial_runs=len(records),
+                timeout_events=timeout_events,
+                rerun_count=reruns,
+                total_machine_seconds=machine_seconds,
+                accepted=accepted,
+                rejected=len(records) - accepted,
+            )
+        )
+    return SimulationReport(
+        per_test=tuple(per_test),
+        initial_runs=sum(t.initial_runs for t in per_test),
+        timeout_events=sum(t.timeout_events for t in per_test),
+        rerun_count=sum(t.rerun_count for t in per_test),
+        total_machine_seconds=math.fsum(t.total_machine_seconds for t in per_test),
+        accepted=sum(t.accepted for t in per_test),
+        rejected=sum(t.rejected for t in per_test),
+    )
+
+
+@PROPERTY
+@given(
+    records=replay_records_st(),
+    timeouts=st.lists(st.integers(1, 10), min_size=4, max_size=4),
+    m=st.integers(0, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_replay_equals_brute_force_replay(records, timeouts, m, seed):
+    dataset = ExecutionDataset(records=records)
+    policy = TimeoutPolicy(kind="original", values=dict(zip("abcd", timeouts)))
+    report = simulate_rerun_policy(dataset, policy, rerun_count=m, seed=seed)
+    expected = brute_force_replay(dataset, policy, m, seed)
+    for field in SimulationReport.__dataclass_fields__:
+        assert getattr(report, field) == getattr(expected, field), field
+    assert report.rerun_count == m * report.timeout_events
+    assert report.accepted + report.rejected == report.initial_runs

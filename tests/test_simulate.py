@@ -1,13 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import timeopt
 
 from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
 from timeopt.model import ExecutionDataset, Verdict
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost
 from timeopt.simulate import (
+    _QUANTILE_CAP,
     TestDistribution,
     WorkloadSpec,
     generate_workload,
@@ -67,7 +74,7 @@ class TestGenerateWorkload:
     def test_empirical_exceedance_matches_true_median(self):
         spec = spec_of(test_count=1, executions_per_test=10_000, seed=99)
         dataset, _, truth = generate_workload(spec)
-        median = truth.quantile("test-000", 0.5)
+        median = truth["test-000"].quantile(0.5)
         sample = dataset.sample("test-000", "r0")
         observed = sum(1 for d in sample.durations if d > median) / sample.n
         assert observed == pytest.approx(0.5, abs=0.02)
@@ -102,7 +109,7 @@ class TestGenerateWorkload:
 
     def test_scale_spread_varies_tests(self):
         _, policy, truth = generate_workload(spec_of(test_count=8, scale_spread=3.0))
-        scales = {d.scale for d in truth.distributions.values()}
+        scales = {d.scale for d in truth.values()}
         assert len(scales) == 8
         assert len(set(policy.values.values())) > 1
 
@@ -155,6 +162,73 @@ class TestGroundTruth:
         )
         assert dist.exceedance(1e11) >= 0.05
         assert dist.quantile(0.99) >= 1e11
+
+
+def full_bisection(dist: TestDistribution, p: float) -> float:
+    """``quantile`` as it ran before the early stop: always 200 steps."""
+    target = 1.0 - p
+    hi = max(dist.scale, 1.0)
+    while dist.exceedance(hi) > target:
+        hi *= 2.0
+        if hi >= _QUANTILE_CAP:
+            return _QUANTILE_CAP
+    lo = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if dist.exceedance(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def distribution(kind: str, **overrides) -> TestDistribution:
+    fields = dict(
+        kind=kind,
+        scale=300.0,
+        sigma=0.5,
+        outlier_probability=0.0,
+        outlier_factor_range=(2.0, 10.0),
+        hang_probability=0.0,
+    )
+    fields.update(overrides)
+    return TestDistribution(**fields)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        distribution("lognormal", outlier_probability=0.01),
+        distribution("lognormal", scale=1234.5, outlier_probability=0.05, sigma=1.2),
+        distribution("exponential", scale=120.0),
+        distribution("lognormal", hang_probability=0.05),  # p = 0.99 hits the cap
+    ],
+    ids=["lognormal-outliers", "lognormal-wide", "exponential", "hang-cap"],
+)
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.85, 0.99])
+def test_quantile_stops_at_its_fixed_point(monkeypatch, dist, p):
+    expected = full_bisection(dist, p)
+    calls = 0
+    exceedance = TestDistribution.exceedance
+
+    def counted(self, t):
+        nonlocal calls
+        calls += 1
+        return exceedance(self, t)
+
+    monkeypatch.setattr(TestDistribution, "exceedance", counted)
+    assert dist.quantile(p) == expected
+    assert calls < 80
+
+
+@pytest.mark.parametrize("module", ["timeopt", "timeopt.cli"])
+def test_import_does_not_load_numpy(module):
+    src = str(Path(timeopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys, {module}; assert 'numpy' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+    )
 
 
 class TestSimulateRerunPolicy:
