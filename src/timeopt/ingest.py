@@ -105,10 +105,22 @@ def parse_timestamp(raw: Any) -> datetime:
 
 
 def format_timestamp(value: datetime) -> str:
-    """Render a timestamp in the on-disk format (UTC, seconds precision)."""
+    """Render a timestamp in the on-disk UTC format that ``parse_timestamp`` reads.
+
+    Whole seconds are written without a fraction. Otherwise the fraction
+    has 3 digits, or 6 when the microseconds need them: the two widths
+    ``datetime.fromisoformat`` reads on every supported Python.
+    """
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    value = value.astimezone(timezone.utc).replace(tzinfo=None)
+    if not value.microsecond:
+        timespec = "seconds"
+    elif value.microsecond % 1000 == 0:
+        timespec = "milliseconds"
+    else:
+        timespec = "microseconds"
+    return value.isoformat(timespec=timespec) + "Z"
 
 
 def _parse_bool(raw: Any) -> bool:

@@ -18,6 +18,10 @@ minute); ties go to the smallest timeout so blocked runs are interrupted
 sooner. The search, the static sweep and held-out scoring read
 tm(t) and the empirical p(t) from one sorted copy of each sample, exactly
 equal to the ``truncated_mean`` and ``empirical_exceedance`` references.
+The static sweep rescores a sample only while its max is above the
+previous grid point: once the max is at most t, p is 0 and tm is the exact
+mean at every larger t, so the sample's cost changes only through the
+breakage term.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -303,6 +307,13 @@ def static_sweep(
     run counts as timed out whenever its recorded duration exceeds t, even
     if it was never actually interrupted. Returns the averaged curve and the
     grid minimum (smallest timeout on ties).
+
+    Only samples still running past the previous point are rescored. Once a
+    sample's max is at most t it is saturated: its p is 0 and its truncated
+    mean is its exact mean at t and at every larger t, so its cost is left
+    as it is, or, with breakage, recomputed from that mean without the
+    kernel. Each point is the ``fsum`` of all costs in sample order, so the
+    curve is bit-equal to scoring every sample at every point.
     """
     lo, hi = sweep_range
     if lo >= hi:
@@ -313,13 +324,28 @@ def static_sweep(
     if not kernels:
         raise ValueError("empty dataset")
 
+    costs = [0.0] * len(kernels)
+    running = range(len(kernels))
+    saturated: list[tuple[int, float]] = []  # (sample position, mean)
     points: list[tuple[int, float]] = []
     best_t = lo
     best_cost = math.inf
     for t_units in range(lo, hi + 1):
         t_seconds = t_units * GRID_SECONDS
-        total = math.fsum(kernel.empirical_cost(t_seconds, config)[0] for kernel in kernels)
-        average = total / len(kernels)
+        if config.breakage_probability > 0.0:
+            for i, mean in saturated:
+                costs[i] = _cost(mean, 0.0, t_seconds, config)
+        still_running = []
+        for i in running:
+            kernel = kernels[i]
+            tm, over = kernel.at(t_seconds)
+            costs[i] = _cost(tm, over / kernel.n, t_seconds, config)
+            if over:
+                still_running.append(i)
+            else:
+                saturated.append((i, tm))
+        running = still_running
+        average = math.fsum(costs) / len(kernels)
         points.append((t_units, average))
         if average < best_cost:
             best_cost = average

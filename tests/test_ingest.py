@@ -1,5 +1,6 @@
 import json
-from datetime import datetime, timezone
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import EPOCH, dataset_of, record
 from timeopt.ingest import (
     DatasetSummary,
     TimeoutChangeRecord,
+    format_timestamp,
     load_executions,
     load_timeout_changes,
     parse_timestamp,
@@ -139,6 +141,29 @@ class TestLoadExecutions:
         loaded, _ = load_executions(path, "jsonl")
         assert loaded == original
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_sub_second_start_times_survive_a_round_trip(self, tmp_path, fmt):
+        # All three start in the same second, not in file order; dropping
+        # the fractions would tie them and replay them in file order.
+        starts = {10.0: 500_000, 20.0: 0, 30.0: 123_456}
+        original = ExecutionDataset(
+            records=tuple(
+                replace(record("a", duration=d), started_at=EPOCH + timedelta(microseconds=us))
+                for d, us in starts.items()
+            )
+        )
+        path = tmp_path / f"runs.{fmt}"
+        write_executions(original, path, fmt)
+        text = path.read_text(encoding="utf-8")
+        assert "2024-01-01T00:00:00.500Z" in text
+        assert "2024-01-01T00:00:00Z" in text
+        assert "2024-01-01T00:00:00.123456Z" in text
+        loaded, report = load_executions(path, fmt)
+        assert report.rejected == 0
+        assert loaded == original
+        assert [r.started_at.microsecond for r in loaded.records] == [500000, 0, 123456]
+        assert loaded.pooled_sample("a").durations == (20.0, 30.0, 10.0)
+
     def test_malformed_csv_header_is_fatal(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("foo,bar\n1,2\n", encoding="utf-8")
@@ -170,6 +195,20 @@ class TestTimestamps:
     def test_naive_taken_as_utc(self):
         parsed = parse_timestamp("2024-01-01T12:00:00")
         assert parsed.tzinfo == timezone.utc
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (datetime(2024, 1, 1, 12, 30, 45), "2024-01-01T12:30:45Z"),
+            (datetime(2024, 1, 1, 0, 0, 0, 500_000), "2024-01-01T00:00:00.500Z"),
+            (datetime(2024, 1, 1, 0, 0, 0, 1), "2024-01-01T00:00:00.000001Z"),
+            (datetime(999, 12, 31, 23, 59, 59), "0999-12-31T23:59:59Z"),
+        ],
+    )
+    def test_format_is_read_back_exactly(self, value, text):
+        value = value.replace(tzinfo=timezone.utc)
+        assert format_timestamp(value) == text
+        assert parse_timestamp(text) == value
 
 
 class TestLoadTimeoutChanges:

@@ -10,6 +10,7 @@ from timeopt.optimize import (
     TOLHURST_BOUND,
     OptimizationConfig,
     TimeoutOptimizer,
+    _SortedSample,
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
@@ -319,6 +320,29 @@ class TestStaticSweep:
         by_bound = static_sweep(dataset, (5, 20), TOLHURST)
         by_ecdf = static_sweep(dataset, (5, 20), EMPIRICAL)
         assert by_bound.curve == by_ecdf.curve
+
+    @pytest.mark.parametrize("breakage", [0.0, 0.01])
+    def test_scores_only_samples_running_past_the_previous_point(self, monkeypatch, breakage):
+        lo, hi = 75, 130
+        runs = {
+            (f"s{i:03d}", "r1"): [((i % 70 + 1) * MINUTE, "pass"), (lo * MINUTE, "pass")]
+            for i in range(200)
+        }
+        runs[("slow", "r1")] = [(10 * MINUTE, "pass"), (200 * MINUTE, "pass")]
+        dataset = dataset_of(runs)
+        config = OptimizationConfig(breakage_probability=breakage)
+        calls = 0
+        at = _SortedSample.at
+
+        def counting_at(self, threshold):
+            nonlocal calls
+            calls += 1
+            return at(self, threshold)
+
+        monkeypatch.setattr(_SortedSample, "at", counting_at)
+        static_sweep(dataset, (lo, hi), config)
+        # Every sample is scored at lo, where all but "slow" saturate.
+        assert calls <= 201 + 2 * (hi - lo + 1)
 
     def test_invalid_range_and_empty_dataset(self):
         dataset = dataset_of({("a", "r1"): [(60, "pass")]})

@@ -1,9 +1,10 @@
-"""Property tests: the sorted-sample kernel, the grouping index and the replay.
+"""Property tests: the sorted-sample kernel, the sweep, the grouping index and the replay.
 
-The kernel is checked bit for bit against the ``math.fsum`` reference
-functions, the grouping index against the brute-force regroup that
-``ExecutionDataset`` and ``make_folds`` used before the index existed, and
-the rerun simulator against a record-by-record replay.
+The kernel and the static sweep are checked bit for bit against the
+``math.fsum`` reference functions, the grouping index against the
+brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
+the index existed, the folds against their size rule, and the rerun
+simulator against a record-by-record replay.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import EPOCH, MINUTE, sample_of
+from helpers import EPOCH, MINUTE, dataset_of, sample_of
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
 from timeopt.optimize import (
@@ -28,6 +29,7 @@ from timeopt.optimize import (
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
+    static_sweep,
     truncated_mean,
 )
 from timeopt.simulate import SimulationReport, TestSimulation, simulate_rerun_policy
@@ -100,6 +102,50 @@ def test_optimizer_equals_brute_force_argmin(durations, method, reruns, breakage
     )
 
 
+@st.composite
+def sweep_case_st(draw) -> tuple[tuple[int, int], list[list[float]]]:
+    """A sweep range and 1-8 samples of 1-6 durations each.
+
+    Durations sit on grid points of the range and just beyond it, one ulp
+    above them, or anywhere from 0 to one point past the range.
+    """
+    lo = draw(st.integers(1, 5))
+    hi = draw(st.integers(lo + 1, lo + 10))
+    on_grid = st.integers(lo - 1, hi + 1).map(lambda u: u * MINUTE)
+    duration_st = st.one_of(
+        on_grid,
+        on_grid.map(lambda d: math.nextafter(d, math.inf)),
+        st.floats(min_value=0.0, max_value=(hi + 1) * MINUTE),
+    )
+    samples = draw(
+        st.lists(st.lists(duration_st, min_size=1, max_size=6), min_size=1, max_size=8)
+    )
+    return (lo, hi), samples
+
+
+@PROPERTY
+@given(case=sweep_case_st(), m=st.integers(0, 4), pb=st.sampled_from([0.0, 0.01]))
+def test_sweep_is_bit_equal_to_fsum_reference(case, m, pb):
+    (lo, hi), durations = case
+    dataset = dataset_of(
+        {(f"t{i}", "r1"): [(d, "pass") for d in ds] for i, ds in enumerate(durations)}
+    )
+    config = OptimizationConfig(
+        rerun_count=m, breakage_probability=pb, probability_method=EMPIRICAL_ECDF
+    )
+    result = static_sweep(dataset, (lo, hi), config)
+    samples = list(dataset.samples.values())
+    expected = [
+        (t, math.fsum(expected_cost(s, t * MINUTE, config) for s in samples) / len(samples))
+        for t in range(lo, hi + 1)
+    ]
+    assert list(result.curve.points) == expected
+    costs = [cost for _, cost in expected]
+    first_minimum = costs.index(min(costs))
+    assert result.optimal_timeout == lo + first_minimum
+    assert result.average_cost_at_optimum == costs[first_minimum]
+
+
 record_st = st.builds(
     ExecutionRecord,
     test_id=st.sampled_from("abcd"),
@@ -169,6 +215,31 @@ def test_grouping_index_equals_brute_force_regroup(records, k, seed):
         folds = make_folds(dataset, k, seed)
     assert list(folds.assignment.items()) == list(assignment.items())
     assert folds.excluded_tests == tuple(excluded)
+
+
+@PROPERTY
+@given(records=records_st, k=st.integers(2, 5), seed=st.integers(0, 2**32))
+def test_folds_split_every_large_enough_test_evenly(records, k, seed):
+    dataset = ExecutionDataset(records=records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        folds = make_folds(dataset, k, seed)
+    per_test: dict[str, list[int]] = {}
+    for i, rec in enumerate(dataset.records):
+        per_test.setdefault(rec.test_id, []).append(i)
+    small = sorted(t for t, indices in per_test.items() if len(indices) < k)
+    assert list(folds.excluded_tests) == small
+    assert set(folds.assignment.values()) <= set(range(k))
+    assigned = []
+    for test_id, indices in per_test.items():
+        if test_id in small:
+            continue
+        sizes = [0] * k
+        for i in indices:
+            sizes[folds.assignment[i]] += 1
+        assert max(sizes) - min(sizes) <= 1
+        assigned += indices
+    assert sorted(assigned) == sorted(folds.assignment)
 
 
 @PROPERTY
