@@ -206,7 +206,7 @@ def cross_validate(
             eval_durations: list[float] = []
             for i in dataset.test_index[test_id]:
                 if folds.assignment[i] == fold:
-                    eval_durations.append(dataset.records[i].duration)
+                    eval_durations.append(dataset.durations[i])
                 else:
                     train_idx.append(i)
             eval_samples[test_id] = _SortedSample(eval_durations)

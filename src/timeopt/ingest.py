@@ -9,8 +9,12 @@ Two row formats are supported, with identical field names:
 * CSV: the same names as header columns.
 
 Malformed rows are rejected and counted; only an unreadable file or a
-malformed CSV header is fatal. Loading is single-threaded per file; the
-resulting dataset is immutable and shareable.
+malformed CSV header is fatal. Each accepted row's validated values are
+appended straight into the dataset's columns: no per-row record object is
+built, verdict strings map to members through one dict lookup, and repeated
+test and revision ids share one string. Loading groups nothing beyond what
+the censored-fraction warnings count. Loading is single-threaded per file;
+the resulting dataset is immutable and shareable.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .model import ExecutionDataset, ExecutionRecord, Verdict
+from .model import ExecutionDataset, Verdict, verdict_of
 
 EXECUTION_FIELDS = (
     "test_id",
@@ -39,7 +44,6 @@ TIMEOUT_CHANGE_FIELDS = ("test_id", "changed_at", "old_value", "new_value")
 
 DEFAULT_CENSORED_WARN_THRESHOLD = 0.05
 
-_VERDICTS = {v.value for v in Verdict}
 _TRUE_STRINGS = {"true", "1", "yes"}
 _FALSE_STRINGS = {"false", "0", "no", ""}
 
@@ -137,8 +141,11 @@ def _parse_bool(raw: Any) -> bool:
     raise ValueError(f"bad boolean {raw!r}")
 
 
-def _record_from_row(row: Mapping[str, Any]) -> ExecutionRecord:
-    """Build a record from one parsed row; raises ValueError with a reason."""
+def _record_from_row(
+    row: Mapping[str, Any],
+) -> tuple[str, str, datetime, float, Verdict, bool]:
+    """The validated values of one parsed row, in ``ExecutionRecord`` field
+    order; raises ValueError with a reason."""
     test_id = row.get("test_id")
     revision_id = row.get("revision_id")
     if not test_id or not isinstance(test_id, str):
@@ -161,22 +168,16 @@ def _record_from_row(row: Mapping[str, Any]) -> ExecutionRecord:
     if duration < 0:
         raise ValueError("negative duration")
 
-    verdict = row.get("verdict")
-    if not isinstance(verdict, str) or verdict not in _VERDICTS:
-        raise ValueError("unknown verdict")
+    try:
+        verdict = verdict_of(row.get("verdict"))
+    except ValueError:
+        raise ValueError("unknown verdict") from None
 
     try:
         interrupted = _parse_bool(row.get("interrupted"))
     except ValueError:
         raise ValueError("bad boolean") from None
-    return ExecutionRecord(
-        test_id=test_id,
-        revision_id=revision_id,
-        started_at=started_at,
-        duration=duration,
-        verdict=Verdict(verdict),
-        interrupted=interrupted,
-    )
+    return test_id, revision_id, started_at, duration, verdict, interrupted
 
 
 def _iter_jsonl_rows(path: Path) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
@@ -240,7 +241,13 @@ def load_executions(
         ValueError: on a malformed CSV header or unknown format.
     """
     path = Path(path)
-    records: list[ExecutionRecord] = []
+    tests: list[str] = []
+    revisions: list[str] = []
+    started: list[datetime] = []
+    durations: list[float] = []
+    verdicts: list[Verdict] = []
+    interrupted: list[bool] = []
+    ids: dict[str, str] = {}  # one string object per distinct id
     rejected = 0
     reasons: dict[str, int] = {}
 
@@ -250,28 +257,49 @@ def load_executions(
             reasons[row_error] = reasons.get(row_error, 0) + 1
             continue
         try:
-            records.append(_record_from_row(row))
+            test_id, revision_id, started_at, duration, verdict, was_interrupted = (
+                _record_from_row(row)
+            )
         except ValueError as exc:
             rejected += 1
             reasons[str(exc)] = reasons.get(str(exc), 0) + 1
+            continue
+        tests.append(ids.setdefault(test_id, test_id))
+        revisions.append(ids.setdefault(revision_id, revision_id))
+        started.append(started_at)
+        durations.append(duration)
+        verdicts.append(verdict)
+        interrupted.append(was_interrupted)
 
-    dataset = ExecutionDataset(records=tuple(records))
-    notes: list[str] = []
-    for (test_id, revision_id), sample in dataset.samples.items():
-        fraction = sample.censored_count / sample.n
+    dataset = ExecutionDataset.from_columns(
+        tests, revisions, started, durations, verdicts, interrupted
+    )
+    report = ValidationReport(
+        accepted=len(dataset),
+        rejected=rejected,
+        reasons=reasons,
+        warnings=_censored_warnings(dataset),
+    )
+    return dataset, report
+
+
+def _censored_warnings(dataset: ExecutionDataset) -> tuple[str, ...]:
+    """One note per (test, revision) whose censored fraction exceeds the
+    threshold, in key order; counted from the columns, with no samples."""
+    keys = zip(dataset.tests, dataset.revisions)
+    hung = Counter(key for key, censored in zip(keys, dataset.censored) if censored)
+    if not hung:
+        return ()
+    totals = Counter(zip(dataset.tests, dataset.revisions))
+    notes = []
+    for test_id, revision_id in sorted(hung):
+        fraction = hung[test_id, revision_id] / totals[test_id, revision_id]
         if fraction > DEFAULT_CENSORED_WARN_THRESHOLD:
             notes.append(
                 f"test {test_id} revision {revision_id}: censored fraction "
                 f"{fraction:.2f} exceeds {DEFAULT_CENSORED_WARN_THRESHOLD:g}"
             )
-
-    report = ValidationReport(
-        accepted=len(records),
-        rejected=rejected,
-        reasons=reasons,
-        warnings=tuple(notes),
-    )
-    return dataset, report
+    return tuple(notes)
 
 
 def _change_from_row(row: Mapping[str, Any]) -> TimeoutChangeRecord:
@@ -325,32 +353,26 @@ def load_timeout_changes(path: str | Path, fmt: str = "jsonl") -> list[TimeoutCh
 
 def summarize(dataset: ExecutionDataset) -> DatasetSummary:
     """Count distinct tests, executions, revisions, and the censored fraction."""
-    tests: set[str] = set()
-    revisions: set[str] = set()
-    censored = 0
-    for record in dataset.records:
-        tests.add(record.test_id)
-        revisions.add(record.revision_id)
-        if record.censored:
-            censored += 1
-    total = len(dataset.records)
+    total = len(dataset)
     return DatasetSummary(
-        test_count=len(tests),
+        test_count=len(set(dataset.tests)),
         execution_count=total,
-        revision_count=len(revisions),
-        censored_fraction=censored / total if total else 0.0,
+        revision_count=len(set(dataset.revisions)),
+        censored_fraction=sum(dataset.censored) / total if total else 0.0,
     )
 
 
-def record_to_row(record: ExecutionRecord) -> dict[str, Any]:
-    """Serialize a record into the on-disk field names."""
+def record_to_row(row: tuple[str, str, datetime, float, Verdict, bool]) -> dict[str, Any]:
+    """Serialize one dataset row (``ExecutionDataset.rows``) into the on-disk
+    field names."""
+    test_id, revision_id, started_at, duration, verdict, interrupted = row
     return {
-        "test_id": record.test_id,
-        "revision_id": record.revision_id,
-        "started_at": format_timestamp(record.started_at),
-        "duration_seconds": record.duration,
-        "verdict": record.verdict.value,
-        "interrupted": record.interrupted,
+        "test_id": test_id,
+        "revision_id": revision_id,
+        "started_at": format_timestamp(started_at),
+        "duration_seconds": duration,
+        "verdict": verdict.value,
+        "interrupted": interrupted,
     }
 
 
@@ -359,15 +381,15 @@ def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "js
     path = Path(path)
     if fmt == "jsonl":
         with path.open("w", encoding="utf-8") as handle:
-            for record in dataset.records:
-                handle.write(json.dumps(record_to_row(record), sort_keys=True))
+            for row in dataset.rows():
+                handle.write(json.dumps(record_to_row(row), sort_keys=True))
                 handle.write("\n")
         return
     if fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=EXECUTION_FIELDS)
             writer.writeheader()
-            for record in dataset.records:
-                writer.writerow(record_to_row(record))
+            for row in dataset.rows():
+                writer.writerow(record_to_row(row))
         return
     raise ValueError(f"unknown format {fmt!r}; expected 'jsonl' or 'csv'")

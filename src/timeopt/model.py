@@ -1,19 +1,23 @@
 """Core domain types for test-execution analytics.
 
-Execution records, per-(test, revision) samples, and the summary statistics
-that feed the probability and cost machinery. Everything in this module is an
-immutable value and every operation is a pure function, so instances can be
-shared across threads without coordination.
+The execution dataset, per-(test, revision) samples, and the summary
+statistics that feed the probability and cost machinery. The dataset holds
+its runs as parallel columns, one tuple per field, built once at ingest;
+``ExecutionRecord`` is the one-row view that API users and tests build
+datasets from and read them back as. Verdicts given as members or as their
+string values are coerced through one dict lookup. Everything in this module
+is an immutable value and every operation is a pure function, so instances
+can be shared across threads without coordination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
 
@@ -29,6 +33,19 @@ class Verdict(str, Enum):
     def is_failure(self) -> bool:
         """Fail and timeout both count as failures."""
         return self is not Verdict.PASS
+
+
+# A str-valued member hashes and compares equal to its value, so this one
+# dict maps members and strings alike to the member.
+_VERDICT_OF: Mapping[str, Verdict] = {v.value: v for v in Verdict}
+
+
+def verdict_of(value: Any) -> Verdict:
+    """The ``Verdict`` for a member or its string value; ValueError otherwise."""
+    try:
+        return _VERDICT_OF[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"{value!r} is not a valid Verdict") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,8 +92,8 @@ class TestSample:
     censored_count: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "durations", tuple(float(d) for d in self.durations))
-        object.__setattr__(self, "verdicts", tuple(Verdict(v) for v in self.verdicts))
+        object.__setattr__(self, "durations", tuple(map(float, self.durations)))
+        object.__setattr__(self, "verdicts", tuple(map(verdict_of, self.verdicts)))
         if len(self.durations) != len(self.verdicts):
             raise ValueError("durations and verdicts must have equal length")
         if any(d < 0 for d in self.durations):
@@ -149,7 +166,7 @@ def is_flaky(verdicts: Sequence[Verdict]) -> bool:
         raise ValueError("empty verdict list")
     saw_pass = saw_failure = False
     for v in verdicts:
-        if Verdict(v).is_failure:
+        if verdict_of(v).is_failure:
             saw_failure = True
         else:
             saw_pass = True
@@ -162,37 +179,100 @@ def failure_rate(verdicts: Sequence[Verdict]) -> float:
     """Fraction of non-pass verdicts. Raises ValueError on an empty sequence."""
     if not verdicts:
         raise ValueError("empty verdict list")
-    failures = sum(1 for v in verdicts if Verdict(v).is_failure)
+    failures = sum(1 for v in verdicts if verdict_of(v).is_failure)
     return failures / len(verdicts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExecutionDataset:
-    """An immutable collection of execution records, indexed into samples.
+    """An immutable collection of test executions, held as parallel columns.
 
-    Every record belongs to exactly one ``TestSample`` keyed by
-    ``(test_id, revision_id)``; sample sizes sum to the total record count.
+    Row i is the run ``(tests[i], revisions[i], started_at[i], durations[i],
+    verdicts[i], interrupted[i])``, in input order; ``censored[i]`` is derived
+    from the last two. Ingest and the generator fill the columns directly
+    through ``from_columns``, with no per-row object. The constructor,
+    ``ExecutionDataset(records=...)``, is the adapter for
+    ``ExecutionRecord``s and fills the same columns, so both have one
+    grouping path; ``records`` is the reverse view, built only when asked
+    for. Equality compares the columns.
+
+    Every row belongs to exactly one ``TestSample`` keyed by
+    ``(test_id, revision_id)``; sample sizes sum to the row count.
     """
 
-    records: tuple[ExecutionRecord, ...]
+    tests: tuple[str, ...]
+    revisions: tuple[str, ...]
+    started_at: tuple[datetime, ...]
+    durations: tuple[float, ...]  # seconds
+    verdicts: tuple[Verdict, ...]
+    interrupted: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+    def __init__(self, records: Iterable[ExecutionRecord] = ()) -> None:
+        records = tuple(records)
+        self._set_columns(
+            [r.test_id for r in records],
+            [r.revision_id for r in records],
+            [r.started_at for r in records],
+            [r.duration for r in records],
+            [verdict_of(r.verdict) for r in records],
+            [r.interrupted for r in records],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        tests: Iterable[str],
+        revisions: Iterable[str],
+        started_at: Iterable[datetime],
+        durations: Iterable[float],
+        verdicts: Iterable[Verdict],
+        interrupted: Iterable[bool],
+    ) -> "ExecutionDataset":
+        """The dataset of already validated columns: verdicts are members,
+        durations non-negative. Raises ValueError on unequal lengths."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(tests, revisions, started_at, durations, verdicts, interrupted)
+        return dataset
+
+    def _set_columns(self, *columns: Iterable[Any]) -> None:
+        held = [tuple(column) for column in columns]
+        if len({len(column) for column in held}) > 1:
+            raise ValueError("columns must have equal length")
+        for spec, column in zip(fields(self), held):
+            object.__setattr__(self, spec.name, column)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.tests)
+
+    @cached_property
+    def censored(self) -> tuple[bool, ...]:
+        """Per row: the duration was capped by an enforced timeout."""
+        timeout = Verdict.TIMEOUT
+        return tuple(i and v is timeout for i, v in zip(self.interrupted, self.verdicts))
+
+    def rows(self) -> Iterator[tuple[str, str, datetime, float, Verdict, bool]]:
+        """Each row's values in ``ExecutionRecord`` field order, in input order."""
+        return zip(
+            self.tests, self.revisions, self.started_at, self.durations,
+            self.verdicts, self.interrupted,
+        )
+
+    @cached_property
+    def records(self) -> tuple[ExecutionRecord, ...]:
+        """The rows as ``ExecutionRecord``s, built on first use."""
+        return tuple(ExecutionRecord(*row) for row in self.rows())
 
     @cached_property
     def test_index(self) -> Mapping[str, tuple[int, ...]]:
-        """test_id -> indices of its records in (started_at, index) order.
+        """test_id -> indices of its rows in (started_at, index) order.
 
-        The one grouping of the records: samples, pooled samples and
+        The one grouping of the rows: samples, pooled samples and
         cross-validation folds are all read from it.
         """
         groups: dict[str, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            groups.setdefault(rec.test_id, []).append(i)
-        started = [rec.started_at for rec in self.records]
+        for i, test_id in enumerate(self.tests):
+            groups.setdefault(test_id, []).append(i)
+        started = self.started_at
         # a stable sort of ascending indices orders ties by index
         return {
             test_id: tuple(sorted(indices, key=started.__getitem__))
@@ -200,30 +280,31 @@ class ExecutionDataset:
         }
 
     def subsample(self, test_id: str, revision_id: str, indices: Sequence[int]) -> TestSample:
-        """The records at ``indices``, in that order, as one sample."""
-        ordered = [self.records[i] for i in indices]
+        """The rows at ``indices``, in that order, as one sample."""
+        durations, verdicts, censored = self.durations, self.verdicts, self.censored
         return TestSample(
             test_id=test_id,
             revision_id=revision_id,
-            durations=tuple(r.duration for r in ordered),
-            verdicts=tuple(r.verdict for r in ordered),
-            censored_count=sum(1 for r in ordered if r.censored),
+            durations=[durations[i] for i in indices],
+            verdicts=[verdicts[i] for i in indices],
+            censored_count=sum([censored[i] for i in indices]),
         )
 
     @cached_property
     def samples(self) -> Mapping[tuple[str, str], TestSample]:
         """(test_id, revision_id) -> TestSample, durations in start-time order."""
+        revisions = self.revisions
         groups: dict[tuple[str, str], list[int]] = {}
         for test_id, indices in self.test_index.items():
             for i in indices:
-                groups.setdefault((test_id, self.records[i].revision_id), []).append(i)
+                groups.setdefault((test_id, revisions[i]), []).append(i)
         return {key: self.subsample(*key, groups[key]) for key in sorted(groups)}
 
     def test_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.test_index))
 
     def revision_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({r.revision_id for r in self.records}))
+        return tuple(sorted(set(self.revisions)))
 
     def sample(self, test_id: str, revision_id: str) -> TestSample:
         try:

@@ -31,7 +31,7 @@ from datetime import datetime, timedelta, timezone
 from typing import TYPE_CHECKING, Mapping
 
 from .evaluate import TimeoutPolicy
-from .model import GRID_SECONDS, ExecutionDataset, ExecutionRecord, Verdict
+from .model import GRID_SECONDS, ExecutionDataset, Verdict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -236,7 +236,13 @@ def generate_workload(
     """
     import numpy as np
 
-    records: list[ExecutionRecord] = []
+    tests: list[str] = []
+    started: list[datetime] = []
+    durations: list[float] = []
+    verdicts: list[Verdict] = []
+    hangs: list[bool] = []
+    # run j of every test starts j minutes after the epoch: one shared object
+    starts = [_EPOCH + timedelta(minutes=j) for j in range(spec.executions_per_test)]
     timeouts: dict[str, int] = {}
     truths: dict[str, TestDistribution] = {}
 
@@ -271,18 +277,15 @@ def generate_workload(
                     lo, hi = spec.outlier_factor_range
                     duration *= float(rng.uniform(lo, hi))
             timed_out = hang or duration > timeout_seconds
-            records.append(
-                ExecutionRecord(
-                    test_id=test_id,
-                    revision_id="r0",
-                    started_at=_EPOCH + timedelta(minutes=j),
-                    duration=duration,
-                    verdict=Verdict.TIMEOUT if timed_out else Verdict.PASS,
-                    interrupted=hang,
-                )
-            )
+            tests.append(test_id)
+            started.append(starts[j])
+            durations.append(duration)
+            verdicts.append(Verdict.TIMEOUT if timed_out else Verdict.PASS)
+            hangs.append(hang)
 
-    dataset = ExecutionDataset(records=tuple(records))
+    dataset = ExecutionDataset.from_columns(
+        tests, ["r0"] * len(tests), started, durations, verdicts, hangs
+    )
     policy = TimeoutPolicy(kind="original", values=timeouts)
     return dataset, policy, truths
 
@@ -312,14 +315,15 @@ def simulate_rerun_policy(
 
     test_ids = dataset.test_ids()
     policy_seconds = policy.seconds(test_ids)
+    durations, censored = dataset.durations, dataset.censored
 
     per_test: list[TestSimulation] = []
     for index, test_id in enumerate(test_ids):
         rng = np.random.default_rng((seed, index))
         t = policy_seconds[test_id]
         outcomes = [
-            (t, True) if r.censored or r.duration > t else (r.duration, False)
-            for r in (dataset.records[i] for i in dataset.test_index[test_id])
+            (t, True) if censored[i] or durations[i] > t else (durations[i], False)
+            for i in dataset.test_index[test_id]
         ]
 
         timeout_events = 0

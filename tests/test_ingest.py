@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from helpers import EPOCH, dataset_of, record
+from timeopt import cli
 from timeopt.ingest import (
     DatasetSummary,
     TimeoutChangeRecord,
@@ -15,7 +16,7 @@ from timeopt.ingest import (
     summarize,
     write_executions,
 )
-from timeopt.model import ExecutionDataset
+from timeopt.model import ExecutionDataset, ExecutionRecord
 
 
 def jsonl_row(
@@ -66,6 +67,10 @@ class TestLoadExecutions:
             ({"revision_id": "r1"}, "missing id"),
             (jsonl_row(started_at="not a time"), "bad timestamp"),
             (jsonl_row(duration_seconds="soon"), "bad duration"),
+            (jsonl_row(verdict="PASS"), "unknown verdict"),
+            (jsonl_row(verdict=1), "unknown verdict"),
+            (jsonl_row(verdict=["pass"]), "unknown verdict"),
+            (jsonl_row(verdict=None), "unknown verdict"),
         ],
     )
     def test_rejection_reasons(self, tmp_path, row, reason):
@@ -113,6 +118,34 @@ class TestLoadExecutions:
         _, report = load_executions(path)
         assert len(report.warnings) == 1
         assert "censored fraction 0.60 exceeds 0.05" in report.warnings[0]
+
+    def test_censored_fraction_warnings_come_in_key_order(self, tmp_path):
+        # (t2, r1) comes first in the file and (t1, r1) last; keys sort the other way
+        rows = [
+            jsonl_row(test_id="t2", verdict="timeout", interrupted=True),
+            jsonl_row(test_id="t2"),
+            jsonl_row(test_id="t1", revision_id="r9"),
+            jsonl_row(test_id="t1", verdict="timeout", interrupted=True),
+        ]
+        path = tmp_path / "runs.jsonl"
+        write_jsonl(path, rows)
+        _, report = load_executions(path)
+        assert report.warnings == (
+            "test t1 revision r1: censored fraction 1.00 exceeds 0.05",
+            "test t2 revision r1: censored fraction 0.50 exceeds 0.05",
+        )
+
+    def test_loading_groups_no_samples(self, tmp_path):
+        rows = [
+            jsonl_row(started_at=f"2024-01-01T00:{i:02d}:00Z", verdict="timeout", interrupted=True)
+            for i in range(3)
+        ] + [jsonl_row(test_id="t2")]
+        path = tmp_path / "runs.jsonl"
+        write_jsonl(path, rows)
+        dataset, report = load_executions(path)
+        assert len(report.warnings) == 1
+        assert "samples" not in dataset.__dict__
+        assert "records" not in dataset.__dict__
 
     def test_interrupted_defaults_to_false(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -180,6 +213,59 @@ class TestLoadExecutions:
         first, _ = load_executions(path)
         second, _ = load_executions(path)
         assert first == second
+
+
+class TestNoRecordObjects:
+    """No command builds an ``ExecutionRecord``: every one runs on the columns."""
+
+    @pytest.fixture
+    def runs_file(self, tmp_path):
+        rows = []
+        for t, test_id in enumerate(("alpha", "beta")):
+            for i in range(12):
+                hang = i % 5 == t
+                rows.append(
+                    jsonl_row(
+                        test_id=test_id,
+                        revision_id=f"r{i % 2}",
+                        started_at=f"2024-01-01T00:{i:02d}:00Z",
+                        duration_seconds=600.0 if hang else 60.0 * (2 + i % 4),
+                        verdict="timeout" if hang else ("fail" if i % 7 == 3 else "pass"),
+                        interrupted=hang,
+                    )
+                )
+        path = tmp_path / "runs.jsonl"
+        write_jsonl(path, rows)
+        return path
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["optimize"],
+            ["sweep", "--lo", "1", "--hi", "12"],
+            ["evaluate", "--k", "3", "--seed", "1", "--static", "5"],
+            ["flakiness", "--revision", "r0", "--step", "2"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_command_builds_none(self, runs_file, tmp_path, monkeypatch, capsys, args):
+        built = []
+        monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: built.append(self))
+        argv = [*args, "--input", str(runs_file), "--out", str(tmp_path / "out")]
+        assert cli.run(argv) == 0
+        assert "censored fraction" in capsys.readouterr().err
+        assert built == []
+
+    def test_simulate_builds_none(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: built.append(self))
+        argv = [
+            "simulate", "--tests", "2", "--runs", "30", "--hang-prob", "0.2", "--seed", "3",
+            "--out", str(tmp_path / "runs.jsonl"), "--report-out", str(tmp_path / "report.json"),
+        ]
+        assert cli.run(argv) == 0
+        assert '"interrupted": true' in (tmp_path / "runs.jsonl").read_text(encoding="utf-8")
+        assert built == []
 
 
 class TestTimestamps:

@@ -104,6 +104,20 @@ class TestVerdictPredicates:
         with pytest.raises(ValueError):
             failure_rate([])
 
+    def test_members_and_strings_alike(self):
+        assert is_flaky(["pass", Verdict.TIMEOUT]) is True
+        assert failure_rate([Verdict.PASS, "fail", "timeout", "pass"]) == 0.5
+
+    @pytest.mark.parametrize("bad", ["PASS", "skipped", 1, None, ["pass"]])
+    def test_unknown_verdict_is_flaky(self, bad):
+        with pytest.raises(ValueError, match="not a valid Verdict"):
+            is_flaky([bad])
+
+    @pytest.mark.parametrize("bad", ["PASS", "skipped", 1, None, ["pass"]])
+    def test_unknown_verdict_failure_rate(self, bad):
+        with pytest.raises(ValueError, match="not a valid Verdict"):
+            failure_rate(["pass", bad])
+
     def test_flaky_iff_rate_strictly_between_zero_and_one(self):
         rng = random.Random(3)
         choices = ("pass", "fail", "timeout")
@@ -139,6 +153,21 @@ class TestRecordAndSampleValidation:
     def test_sample_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             TestSample("t", "r", durations=(1.0, 2.0), verdicts=(Verdict.PASS,))
+
+    def test_sample_coerces_verdict_strings_to_members(self):
+        sample = TestSample("t", "r", durations=(1, 2.5), verdicts=("timeout", Verdict.PASS))
+        assert sample.verdicts == (Verdict.TIMEOUT, Verdict.PASS)
+        assert all(type(v) is Verdict for v in sample.verdicts)
+        assert all(type(d) is float for d in sample.durations)
+
+    @pytest.mark.parametrize("bad", ["PASS", "skipped", 1, None, ["pass"]])
+    def test_sample_unknown_verdict(self, bad):
+        with pytest.raises(ValueError, match="not a valid Verdict"):
+            TestSample("t", "r", durations=(1.0, 2.0), verdicts=(Verdict.PASS, bad))
+
+    def test_sample_negative_duration(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TestSample("t", "r", durations=(1.0, -2.0), verdicts=("pass", "pass"))
 
     def test_censored_count_bounds(self):
         with pytest.raises(ValueError, match="censored_count"):
@@ -195,3 +224,63 @@ class TestExecutionDataset:
         )
         dataset = ExecutionDataset(records=records)
         assert dataset.sample("a", "r1").censored_count == 1
+
+    def test_columns_hold_the_rows_in_input_order(self):
+        records = (
+            record("a", "r2", minute=3, duration=5.0, verdict="timeout", interrupted=True),
+            record("b", "r1", minute=1, duration=7.0, verdict="fail"),
+            record("a", "r1", minute=2, duration=9.0, verdict="timeout"),
+        )
+        dataset = ExecutionDataset(records=records)
+        assert dataset.tests == ("a", "b", "a")
+        assert dataset.revisions == ("r2", "r1", "r1")
+        assert dataset.started_at == tuple(r.started_at for r in records)
+        assert dataset.durations == (5.0, 7.0, 9.0)
+        assert dataset.verdicts == (Verdict.TIMEOUT, Verdict.FAIL, Verdict.TIMEOUT)
+        assert dataset.interrupted == (True, False, False)
+        assert dataset.censored == (True, False, False)
+        assert list(dataset.rows()) == [
+            (r.test_id, r.revision_id, r.started_at, r.duration, r.verdict, r.interrupted)
+            for r in records
+        ]
+
+    def test_from_columns_equals_the_record_adapter(self):
+        records = (
+            record("a", "r1", minute=1, duration=4.0, verdict="pass"),
+            record("a", "r1", minute=0, duration=6.0, verdict="timeout", interrupted=True),
+        )
+        columns = ExecutionDataset.from_columns(
+            ["a", "a"],
+            ["r1", "r1"],
+            [r.started_at for r in records],
+            [4.0, 6.0],
+            [Verdict.PASS, Verdict.TIMEOUT],
+            [False, True],
+        )
+        adapted = ExecutionDataset(records=records)
+        assert columns == adapted
+        assert hash(columns) == hash(adapted)
+        assert columns.test_index == adapted.test_index == {"a": (1, 0)}
+        assert columns.samples == adapted.samples
+        assert columns.pooled_sample("a") == adapted.pooled_sample("a")
+
+    def test_equality_compares_every_column(self):
+        base = dataset_of({("a", "r1"): [(10, "pass"), (20, "fail")]})
+        changed = ExecutionDataset(records=[*base.records[:1], record("a", "r1", 1, 20, "pass")])
+        assert base == ExecutionDataset(records=base.records)
+        assert base != changed
+
+    def test_records_view_is_built_on_demand(self):
+        dataset = ExecutionDataset.from_columns(
+            ["a"], ["r1"], [EPOCH], [3.0], [Verdict.FAIL], [False]
+        )
+        assert "records" not in dataset.__dict__
+        assert dataset.records == (record("a", "r1", 0, 3.0, "fail"),)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            ExecutionDataset.from_columns(["a", "b"], ["r1"], [EPOCH], [1.0], [Verdict.PASS], [False])
+
+    def test_adapter_rejects_unknown_verdict(self):
+        with pytest.raises(ValueError, match="not a valid Verdict"):
+            ExecutionDataset(records=[ExecutionRecord("a", "r1", EPOCH, 1.0, "skipped")])

@@ -1,17 +1,21 @@
-"""Property tests: the sorted-sample kernel, the sweep, the grouping index and the replay.
+"""Property tests: the sorted-sample kernel, the sweep, the grouping index,
+the replay and the file round trip.
 
 The kernel and the static sweep are checked bit for bit against the
 ``math.fsum`` reference functions, the grouping index against the
 brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
-the index existed, the folds against their size rule, and the rerun
-simulator against a record-by-record replay.
+the index existed, the folds against their size rule, the rerun
+simulator against a record-by-record replay, and a write and reload, in
+both file formats, against the record adapter.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import tempfile
 import warnings
+from pathlib import Path
 from datetime import timedelta
 
 import numpy as np
@@ -19,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import EPOCH, MINUTE, dataset_of, sample_of
+from timeopt.ingest import load_executions, write_executions
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
 from timeopt.optimize import (
@@ -369,3 +374,41 @@ def test_replay_equals_brute_force_replay(records, timeouts, m, seed):
         assert getattr(report, field) == getattr(expected, field), field
     assert report.rerun_count == m * report.timeout_events
     assert report.accepted + report.rejected == report.initial_runs
+
+
+# Start times on a few whole seconds, many tied, with whole-second,
+# millisecond and microsecond fractions; censored hangs, uninterrupted
+# timeouts and interrupted passes all occur.
+round_trip_record_st = st.builds(
+    ExecutionRecord,
+    test_id=st.sampled_from(["a", "b", "c,d"]),
+    revision_id=st.sampled_from(["r1", "r2", "r3"]),
+    started_at=st.builds(
+        lambda second, micros: EPOCH + timedelta(seconds=second, microseconds=micros),
+        st.integers(0, 3),
+        st.sampled_from([0, 0, 1_000, 500_000, 123_456, 999_999]),
+    ),
+    duration=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    verdict=st.sampled_from(list(Verdict)),
+    interrupted=st.booleans(),
+)
+
+
+@PROPERTY
+@given(
+    records=st.lists(round_trip_record_st, max_size=30).map(tuple),
+    fmt=st.sampled_from(["jsonl", "csv"]),
+)
+def test_write_then_load_equals_the_record_adapter(records, fmt):
+    original = ExecutionDataset(records=records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"runs.{fmt}"
+        write_executions(original, path, fmt)
+        loaded, report = load_executions(path, fmt)
+    assert (report.accepted, report.rejected) == (len(records), 0)
+    assert loaded == original
+    assert loaded.censored == original.censored
+    assert loaded.test_index == original.test_index
+    assert loaded.samples == original.samples
+    for test_id in original.test_ids():
+        assert loaded.pooled_sample(test_id) == original.pooled_sample(test_id)
