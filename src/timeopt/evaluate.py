@@ -196,23 +196,24 @@ def cross_validate(
         raise ValueError(f"duplicate policy labels: {labels}")
     baselines = [policy.seconds(included_tests) for policy in policies]
 
+    # Each test's rows sorted by duration once (the kernel's own sort of a
+    # sorted list is one linear pass); every fold filters that order.
+    durations = dataset.durations
+    by_test: list[tuple[str, _SortedSample, list[int]]] = []
+    for test_id in included_tests:
+        order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
+        kernel = _SortedSample([durations[i] for i in order], test_id)
+        by_test.append((test_id, kernel, [folds.assignment[i] for i in order]))
+
     all_labels = labels + [OPTIMIZED_POLICY]
     rows: list[FoldPolicyResult] = []
     for fold in range(k):
         eval_samples: dict[str, _SortedSample] = {}
         fitted: dict[str, float] = {}
-        for test_id in included_tests:
-            train_idx: list[int] = []
-            eval_durations: list[float] = []
-            for i in dataset.test_index[test_id]:
-                if folds.assignment[i] == fold:
-                    eval_durations.append(dataset.durations[i])
-                else:
-                    train_idx.append(i)
-            eval_samples[test_id] = _SortedSample(eval_durations)
-            train_sample = dataset.subsample(test_id, "*", train_idx)
-            fitted_units = optimize_timeout(train_sample, config).optimal_timeout
-            fitted[test_id] = fitted_units * GRID_SECONDS
+        for test_id, kernel, fold_of in by_test:
+            held_out, train = kernel.split([f == fold for f in fold_of])
+            eval_samples[test_id] = held_out
+            fitted[test_id] = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
 
         for label, seconds in zip(all_labels, baselines + [fitted]):
             timeouts, average_cost = _score(eval_samples.items(), seconds, config)

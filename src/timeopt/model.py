@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
 
@@ -101,6 +101,16 @@ class TestSample:
         if not 0 <= self.censored_count <= len(self.durations):
             raise ValueError("censored_count must be between 0 and the sample size")
 
+    @classmethod
+    def _of_checked(cls, *values: Any) -> "TestSample":
+        """The sample of field values, in field order, that a dataset's
+        columns already hold checked: float durations and ``Verdict``
+        members in tuples of equal length. Skips the constructor's coercions
+        and checks; the result is ``==`` to what the constructor builds."""
+        sample = object.__new__(cls)
+        sample.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return sample
+
     @property
     def n(self) -> int:
         return len(self.durations)
@@ -130,30 +140,38 @@ def sample_stats(sample: TestSample) -> SampleStats:
         ValueError: for an empty sample, or durations so large that their
             sum or squared deviations overflow a float.
     """
-    n = sample.n
-    if n == 0:
-        raise ValueError("empty sample")
     durations = sample.durations
+    if not durations:
+        raise ValueError("empty sample")
+    return stats_of(
+        sample.test_id, durations, lambda: math.fsum(durations), min(durations), max(durations)
+    )
+
+
+def stats_of(
+    test_id: str, durations: Sequence[float], total: Callable[[], float], low: float, high: float
+) -> SampleStats:
+    """``SampleStats`` of non-empty durations, given their correctly rounded
+    sum (called once) and their extremes. The variance is an ``fsum``, so
+    the order of ``durations`` does not change it.
+
+    Raises:
+        ValueError: when the sum or the squared deviations overflow a float.
+    """
+    n = len(durations)
     try:
-        mean = math.fsum(durations) / n
+        mean = total() / n
         if n == 1:
             variance = 0.0
         else:
             variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
     except OverflowError:
         raise ValueError(
-            f"durations of test {sample.test_id!r} are too large: "
+            f"durations of test {test_id!r} are too large: "
             "their mean or variance overflows a float"
         ) from None
     q_n = math.sqrt((n + 1) / n * variance)
-    return SampleStats(
-        n=n,
-        mean=mean,
-        variance=variance,
-        q_n=q_n,
-        max=max(durations),
-        min=min(durations),
-    )
+    return SampleStats(n=n, mean=mean, variance=variance, q_n=q_n, max=high, min=low)
 
 
 def is_flaky(verdicts: Sequence[Verdict]) -> bool:
@@ -213,7 +231,7 @@ class ExecutionDataset:
             [r.test_id for r in records],
             [r.revision_id for r in records],
             [r.started_at for r in records],
-            [r.duration for r in records],
+            [float(r.duration) for r in records],
             [verdict_of(r.verdict) for r in records],
             [r.interrupted for r in records],
         )
@@ -229,7 +247,7 @@ class ExecutionDataset:
         interrupted: Iterable[bool],
     ) -> "ExecutionDataset":
         """The dataset of already validated columns: verdicts are members,
-        durations non-negative. Raises ValueError on unequal lengths."""
+        durations non-negative floats. Raises ValueError on unequal lengths."""
         dataset = cls.__new__(cls)
         dataset._set_columns(tests, revisions, started_at, durations, verdicts, interrupted)
         return dataset
@@ -282,12 +300,12 @@ class ExecutionDataset:
     def subsample(self, test_id: str, revision_id: str, indices: Sequence[int]) -> TestSample:
         """The rows at ``indices``, in that order, as one sample."""
         durations, verdicts, censored = self.durations, self.verdicts, self.censored
-        return TestSample(
-            test_id=test_id,
-            revision_id=revision_id,
-            durations=[durations[i] for i in indices],
-            verdicts=[verdicts[i] for i in indices],
-            censored_count=sum([censored[i] for i in indices]),
+        return TestSample._of_checked(
+            test_id,
+            revision_id,
+            tuple([durations[i] for i in indices]),
+            tuple([verdicts[i] for i in indices]),
+            sum([censored[i] for i in indices]),
         )
 
     @cached_property

@@ -12,16 +12,26 @@ The cost of running a test with timeout t (seconds) is modeled as
 
 where tm(t) is the truncated mean (every run capped at t), p(t) the timeout
 probability, and each timeout charges the full rerun budget at the truncated
-mean. The optimal timeout is the exhaustive argmin of cost over the integer
-grid [ceil(mean), ceil(2 * max)] in grid units of ``GRID_SECONDS`` (one
-minute); ties go to the smallest timeout so blocked runs are interrupted
-sooner. The search, the static sweep and held-out scoring read
-tm(t) and the empirical p(t) from one sorted copy of each sample, exactly
-equal to the ``truncated_mean`` and ``empirical_exceedance`` references.
+mean. The optimal timeout is the argmin of cost over the integer grid
+[ceil(mean), ceil(2 * max)] in grid units of ``GRID_SECONDS`` (one minute);
+ties go to the smallest timeout so blocked runs are interrupted sooner.
+Only the candidate timeouts are scored: the first grid point of each run of
+equal p. Along such a run the float cost never falls as t grows, since
+tm(t) is the correctly rounded value of a non-decreasing exact function and
+every float operation of the cost is monotone in tm and t. So scanning the
+candidates in increasing order, keeping a strictly smaller cost, returns
+the exhaustive argmin, ties included. Empirically the candidates are the
+lower end and the first grid point at or above each duration, at most
+n + 1 however far the grid reaches; for the Tolhurst bound they are the
+points around each of its steps. The search, the static sweep and held-out
+scoring read the sample statistics, tm(t) and the empirical p(t) from one
+sorted copy of each sample, exactly equal to the ``sample_stats``,
+``truncated_mean`` and ``empirical_exceedance`` references.
 The static sweep rescores a sample only while its max is above the
 previous grid point: once the max is at most t, p is 0 and tm is the exact
 mean at every larger t, so the sample's cost changes only through the
-breakage term.
+breakage term. A sample already saturated at the first point gets no
+kernel at all, only its ``fsum`` mean.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -31,9 +41,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate, compress
+from typing import Iterable, Sequence
 
-from .model import GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats
+from .model import GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats, stats_of
 
 TOLHURST_BOUND = "tolhurst_bound"
 EMPIRICAL_ECDF = "empirical_ecdf"
@@ -181,7 +192,7 @@ def expected_cost(
 
 
 class _SortedSample:
-    """One sample's durations sorted once, for O(log n) scoring of any timeout.
+    """One sample sorted once: its statistics, and O(log n) scoring of any timeout.
 
     Durations are kept as exact integer prefix sums over a common
     power-of-two denominator (every finite float is an integer over a power
@@ -189,22 +200,59 @@ class _SortedSample:
     sum is the integer (prefix[k] + (n - k) * t) over that denominator, and
     Python's int / int division rounds it correctly, exactly as math.fsum
     rounds the same sum. So ``at`` returns what ``truncated_mean`` and
-    ``empirical_exceedance`` return, bit for bit. Durations must be finite,
-    and ``at`` needs at least one.
+    ``empirical_exceedance`` return, bit for bit, and ``stats`` what
+    ``sample_stats`` returns: the mean is prefix[n] / denominator / n, the
+    variance an ``fsum``, which no order changes, and the extremes are the
+    two ends. Durations must be finite, and ``at`` and ``stats`` need at
+    least one.
     """
 
-    __slots__ = ("ordered", "n", "prefix", "denominator")
+    __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats")
 
-    def __init__(self, durations: Sequence[float]) -> None:
-        self.ordered = sorted(durations)
-        self.n = len(self.ordered)
-        ratios = [d.as_integer_ratio() for d in self.ordered]
-        self.denominator = max((q for _, q in ratios), default=1)
-        self.prefix = [0]
-        total = 0
-        for p, q in ratios:
-            total += p * (self.denominator // q)
-            self.prefix.append(total)
+    def __init__(self, durations: Iterable[float], test_id: str = "") -> None:
+        ordered = sorted(durations)
+        ratios = [d.as_integer_ratio() for d in ordered]
+        denominator = max((q for _, q in ratios), default=1)
+        self._fill(test_id, ordered, [p * (denominator // q) for p, q in ratios], denominator)
+
+    def _fill(
+        self, test_id: str, ordered: list[float], scaled: list[int], denominator: int
+    ) -> None:
+        self.test_id = test_id
+        self.ordered = ordered
+        self.n = len(ordered)
+        self.scaled = scaled  # each duration times the denominator
+        self.prefix = list(accumulate(scaled, initial=0))
+        self.denominator = denominator
+        self._stats: SampleStats | None = None
+
+    def split(self, keep: Sequence[bool]) -> tuple["_SortedSample", "_SortedSample"]:
+        """(kept, rest): kernels of the durations whose position in
+        ``ordered`` is true, or false, in ``keep``; no sort, no float
+        conversion."""
+        return self._subset(keep), self._subset([not k for k in keep])
+
+    def _subset(self, mask: Sequence[bool]) -> "_SortedSample":
+        part = _SortedSample.__new__(_SortedSample)
+        ordered, scaled = compress(self.ordered, mask), compress(self.scaled, mask)
+        part._fill(self.test_id, list(ordered), list(scaled), self.denominator)
+        return part
+
+    @property
+    def stats(self) -> SampleStats:
+        """``sample_stats`` of the sample, bit for bit, with its ValueErrors."""
+        if self._stats is None:
+            if not self.n:
+                raise ValueError("empty sample")
+            ordered = self.ordered
+            self._stats = stats_of(
+                self.test_id,
+                ordered,
+                lambda: self.prefix[-1] / self.denominator,
+                ordered[0],
+                ordered[-1],
+            )
+        return self._stats
 
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, number of durations strictly above) at a threshold."""
@@ -239,29 +287,41 @@ def search_grid(stats: SampleStats) -> tuple[int, int]:
     return lower, upper
 
 
-def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> OptimizationResult:
-    """Exhaustively search the timeout grid for the smallest expected cost.
+def optimize_timeout(
+    sample: TestSample | _SortedSample, config: OptimizationConfig
+) -> OptimizationResult:
+    """The grid timeout of smallest expected cost, found among the candidates.
+
+    The sample may be a ``TestSample`` or an already sorted kernel; either
+    way it is sorted once and its statistics come from the kernel. The
+    candidates are ``lower`` and every grid point where p can change
+    (``_candidates``); between two candidates the cost never falls, so
+    scanning them in increasing order and keeping a strictly smaller cost
+    returns the exhaustive argmin of the search range, ties going to the
+    smallest timeout.
 
     Samples with fewer than ``config.min_samples`` executions receive the
     static fallback timeout instead; their reported cost and probability are
     empirical diagnostics at the fallback value (NaN for an empty sample).
-    Ties in cost resolve to the smallest timeout.
     """
-    n = sample.n
-    kernel = _SortedSample(sample.durations)
+    if isinstance(sample, _SortedSample):
+        kernel = sample
+    else:
+        kernel = _SortedSample(sample.durations, sample.test_id)
+    n = kernel.n
     if n < config.min_samples:
         t_units = config.fallback_timeout
         if n >= 1:
             t_seconds = t_units * GRID_SECONDS
             cost, over = kernel.empirical_cost(t_seconds, config)
             probability = over / n
-            lower, upper = search_grid(sample_stats(sample))
+            lower, upper = search_grid(kernel.stats)
         else:
             probability = float("nan")
             cost = float("nan")
             lower = upper = t_units
         return OptimizationResult(
-            test_id=sample.test_id,
+            test_id=kernel.test_id,
             optimal_timeout=t_units,
             expected_cost_at_optimum=cost,
             timeout_probability_at_optimum=probability,
@@ -270,12 +330,12 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
             fallback_applied=True,
         )
 
-    stats = sample_stats(sample)
+    stats = kernel.stats
     lower, upper = search_grid(stats)
     empirical = config.probability_method == EMPIRICAL_ECDF
     best_t = lower
     best_cost = best_p = math.inf
-    for t_units in range(lower, upper + 1):
+    for t_units in _candidates(kernel, lower, upper, empirical):
         threshold = t_units * GRID_SECONDS
         tm, over = kernel.at(threshold)
         p = over / n if empirical else tolhurst_bound(stats, threshold)
@@ -285,7 +345,7 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
             best_t = t_units
             best_p = p
     return OptimizationResult(
-        test_id=sample.test_id,
+        test_id=kernel.test_id,
         optimal_timeout=best_t,
         expected_cost_at_optimum=best_cost,
         timeout_probability_at_optimum=best_p,
@@ -293,6 +353,94 @@ def optimize_timeout(sample: TestSample, config: OptimizationConfig) -> Optimiza
         method_used=config.probability_method,
         fallback_applied=False,
     )
+
+
+def _candidates(
+    kernel: _SortedSample, lower: int, upper: int, empirical: bool
+) -> Sequence[int]:
+    """Increasing grid units: ``lower`` and every unit in (lower, upper]
+    whose float p may differ from the unit before's; the whole grid when
+    that is no shorter."""
+    grid, size = range(lower, upper + 1), upper - lower + 1  # len() stops at 2^63
+    if empirical:
+        # over(u) falls at the first unit whose threshold reaches a duration
+        ordered = kernel.ordered
+        above = ordered[bisect_right(ordered, lower * GRID_SECONDS) :]
+        if len(above) >= size:
+            return grid
+        steps: Iterable[int] = map(_unit_at_least, above)
+    else:
+        tolhurst = _tolhurst_steps(kernel.stats, size, upper)
+        if tolhurst is None:
+            return grid
+        steps = tolhurst
+    chosen = sorted({u for u in steps if lower < u <= upper})
+    return grid if len(chosen) >= size - 1 else [lower, *chosen]
+
+
+def _tolhurst_steps(stats: SampleStats, grid_size: int, upper: int) -> list[int] | None:
+    """Grid units around every step of the float ``tolhurst_bound``, or
+    None when the whole grid is to be scanned.
+
+    Past lam = 1 the bound is j / (n + 1) with j = floor((n + 1) / (k^2 + 1)),
+    and j >= J exactly when k^2 <= K = (n + 1) / J - 1, that is when
+    lam^2 <= K (n - 1) / (n - K). So the bound steps at lam = 1 and at these
+    lam_J for J = 2 .. (n + 1) // 2, and it is constant between steps. Each
+    exact threshold mean + lam_J * q_n is computed in floats, and the units
+    u - 1, u, u + 1 around u = ceil(threshold / GRID_SECONDS) are kept.
+
+    Why one unit either side suffices: every float operation in the bound
+    and in the threshold formula has a relative error of at most 2^-53. At a
+    step with J >= 2, the elasticity of (n + 1) / (k^2 + 1) in lam is at
+    least 1/2, so these errors move the place where the float bound steps,
+    and the computed threshold, by less than 2^-45 of its size in seconds.
+    While every grid point is below 2^40 s (35,000 years), that is under
+    1/32 s, far inside one 60 s grid unit, so the float bound changes only
+    at the kept units. Above it, or when there are at least as many steps
+    as grid points, the whole grid is scanned.
+
+    The float bound also steps where the exact one does not: far past the
+    last step, k^2 is n (n - 1) / (n - 1 + lam^2) short of n, and once that
+    gap is within rounding (lam^2 near (n - 1) 2^49) the computed k^2 can
+    reach n, and the bound flips between 1 / (n + 1) and 0 from one grid
+    point to the next. A grid that reaches lam^2 >= (n - 1) 2^46, which
+    takes a spread of well under a second, is scanned whole too.
+    """
+    mean, q_n, n = stats.mean, stats.q_n, stats.n
+    if q_n == 0.0:
+        # the bound is 1 up to the mean and 0 past it
+        return [_unit_at_least(math.nextafter(mean, math.inf))]
+    top = (n + 1) // 2
+    end = upper * GRID_SECONDS
+    if top >= grid_size or end > 2.0**40 or end >= mean + q_n * math.sqrt(n - 1) * 2.0**23:
+        return None
+    thresholds = [mean + q_n]
+    for j in range(2, top + 1):
+        k_sq = (n + 1) / j - 1
+        thresholds.append(mean + q_n * math.sqrt(k_sq * (n - 1) / (n - k_sq)))
+    return [u + d for u in (math.ceil(t / GRID_SECONDS) for t in thresholds) for d in (-1, 0, 1)]
+
+
+def _unit_at_least(seconds: float) -> int:
+    """The smallest grid unit u with u * GRID_SECONDS >= seconds, exactly.
+
+    ceil(seconds / GRID_SECONDS) is the answer or one short of it while
+    u * GRID_SECONDS is exact (u below 2^53 / 60); above that the product
+    rounds, and the answer lies further off. u * GRID_SECONDS never falls as
+    u grows, so bracket the answer by doubling steps from the estimate,
+    then bisect.
+    """
+    guess = math.ceil(seconds / GRID_SECONDS)
+    low, high, step = guess - 1, guess, 1
+    while low * GRID_SECONDS >= seconds or high * GRID_SECONDS < seconds:
+        low, high, step = low - step, high + step, step * 2
+    while high - low > 1:  # low * GRID_SECONDS < seconds <= high * GRID_SECONDS
+        middle = (low + high) // 2
+        if middle * GRID_SECONDS >= seconds:
+            high = middle
+        else:
+            low = middle
+    return high
 
 
 def static_sweep(
@@ -312,21 +460,33 @@ def static_sweep(
     sample's max is at most t it is saturated: its p is 0 and its truncated
     mean is its exact mean at t and at every larger t, so its cost is left
     as it is, or, with breakage, recomputed from that mean without the
-    kernel. Each point is the ``fsum`` of all costs in sample order, so the
-    curve is bit-equal to scoring every sample at every point.
+    kernel. A sample saturated at lo is never sorted into a kernel. Each
+    point is the ``fsum`` of all costs in sample order, so the curve is
+    bit-equal to scoring every sample at every point.
     """
     lo, hi = sweep_range
     if lo >= hi:
         raise ValueError(f"sweep range must satisfy lo < hi, got ({lo}, {hi})")
     if lo < 1:
         raise ValueError("sweep range must start at a positive grid value")
-    kernels = [_SortedSample(s.durations) for s in dataset.samples.values()]
-    if not kernels:
+    samples = list(dataset.samples.values())
+    if not samples:
         raise ValueError("empty dataset")
 
-    costs = [0.0] * len(kernels)
-    running = range(len(kernels))
+    # A sample saturated at lo needs only its mean, which is the kernel's
+    # truncated mean there: fsum / n, both rounding the exact sum once.
+    lo_seconds = lo * GRID_SECONDS
+    costs = [0.0] * len(samples)
+    running: list[tuple[int, _SortedSample]] = []
     saturated: list[tuple[int, float]] = []  # (sample position, mean)
+    for i, sample in enumerate(samples):
+        durations = sample.durations
+        if max(durations) <= lo_seconds:
+            mean = math.fsum(durations) / len(durations)
+            saturated.append((i, mean))
+            costs[i] = _cost(mean, 0.0, lo_seconds, config)
+        else:
+            running.append((i, _SortedSample(durations)))
     points: list[tuple[int, float]] = []
     best_t = lo
     best_cost = math.inf
@@ -336,16 +496,15 @@ def static_sweep(
             for i, mean in saturated:
                 costs[i] = _cost(mean, 0.0, t_seconds, config)
         still_running = []
-        for i in running:
-            kernel = kernels[i]
+        for i, kernel in running:
             tm, over = kernel.at(t_seconds)
             costs[i] = _cost(tm, over / kernel.n, t_seconds, config)
             if over:
-                still_running.append(i)
+                still_running.append((i, kernel))
             else:
                 saturated.append((i, tm))
         running = still_running
-        average = math.fsum(costs) / len(kernels)
+        average = math.fsum(costs) / len(samples)
         points.append((t_units, average))
         if average < best_cost:
             best_cost = average

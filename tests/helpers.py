@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
+from timeopt.evaluate import (
+    CvReport,
+    FoldPolicyResult,
+    TimeoutPolicy,
+    count_timeouts,
+    make_folds,
+)
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict
+from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost, optimize_timeout
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -95,3 +104,44 @@ def sweep_fixture_dataset() -> ExecutionDataset:
             ("quick", "r1"): [(2 * MINUTE, "pass")] * 20,
         }
     )
+
+
+def reference_cross_validate(
+    dataset: ExecutionDataset,
+    policies: Sequence[TimeoutPolicy],
+    config: OptimizationConfig,
+    k: int,
+    seed: int,
+) -> CvReport:
+    """``cross_validate`` the straightforward way: per fold and test, the
+    training and held-out rows go through ``subsample``, the training sample
+    is fitted by ``optimize_timeout``, and every policy is scored with the
+    ``fsum`` reference cost."""
+    folds = make_folds(dataset, k, seed)
+    included = [tid for tid in dataset.test_ids() if tid not in folds.excluded_tests]
+    empirical = replace(config, probability_method=EMPIRICAL_ECDF)
+    labels = [policy.label for policy in policies] + ["optimized"]
+    rows = []
+    for fold in range(k):
+        held_out: dict[str, TestSample] = {}
+        fitted: dict[str, float] = {}
+        for test_id in included:
+            indices = dataset.test_index[test_id]
+            train = [i for i in indices if folds.assignment[i] != fold]
+            held = [i for i in indices if folds.assignment[i] == fold]
+            held_out[test_id] = dataset.subsample(test_id, "*", held)
+            fit = optimize_timeout(dataset.subsample(test_id, "*", train), config)
+            fitted[test_id] = fit.optimal_timeout * MINUTE
+        every_seconds = [policy.seconds(included) for policy in policies] + [fitted]
+        for label, seconds in zip(labels, every_seconds):
+            costs = [expected_cost(s, seconds[tid], empirical) for tid, s in held_out.items()]
+            count = sum(count_timeouts(s, seconds[tid]) for tid, s in held_out.items())
+            rows.append(FoldPolicyResult(fold, label, count, sum(costs) / len(costs)))
+    counts = {(row.fold, row.policy): row.flaky_timeout_count for row in rows}
+    reduction: dict[str, dict[str, float | None]] = {}
+    for a in labels:
+        reduction[a] = {}
+        for b in labels:
+            ratios = [1.0 - counts[f, a] / counts[f, b] for f in range(k) if counts[f, b] > 0]
+            reduction[a][b] = 0.0 if a == b else (sum(ratios) / len(ratios) if ratios else None)
+    return CvReport(k, seed, tuple(labels), tuple(rows), reduction, folds.excluded_tests)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,13 @@ class TestExtremeDurations:
         path = _one_test_file(tmp_path, [0.0] * 39 + [1e-157])
         assert run(["optimize", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "test_id,timeout_minutes\nt,1\n"
+
+    def test_one_huge_run_ends_the_empirical_search(self, tmp_path, capsys):
+        # the grid reaches ceil(2e150 / 60) units; the candidates are two
+        path = _one_test_file(tmp_path, [60.0] * 39 + [1e150])
+        assert run(["optimize", "--method", "empirical", "--input", str(path)]) == 0
+        mean = (60.0 * 39 + 1e150) / 40
+        assert capsys.readouterr().out == f"test_id,timeout_minutes\nt,{math.ceil(mean / 60)}\n"
 
     @pytest.mark.parametrize("argv", [["optimize"], ["evaluate", "--seed", "0"]])
     def test_overflowing_variance_is_data_error(self, tmp_path, capsys, argv):

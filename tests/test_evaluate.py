@@ -1,9 +1,17 @@
 import random
+import warnings
 from collections import Counter
 
 import pytest
 
-from helpers import MINUTE, dataset_of, minutes_sample, record, sample_of
+from helpers import (
+    MINUTE,
+    dataset_of,
+    minutes_sample,
+    record,
+    reference_cross_validate,
+    sample_of,
+)
 from timeopt.evaluate import (
     TimeoutPolicy,
     compare_policies,
@@ -14,7 +22,12 @@ from timeopt.evaluate import (
     write_timeout_policy,
 )
 from timeopt.model import ExecutionDataset
-from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, empirical_exceedance
+from timeopt.optimize import (
+    EMPIRICAL_ECDF,
+    TOLHURST_BOUND,
+    OptimizationConfig,
+    empirical_exceedance,
+)
 from timeopt.simulate import simulate_rerun_policy
 
 CONFIG = OptimizationConfig(probability_method=EMPIRICAL_ECDF, min_samples=2)
@@ -169,6 +182,56 @@ class TestCrossValidate:
             baseline = report.row(fold, "original").flaky_timeout_count
             assert optimized < baseline
         assert report.timeout_reduction["optimized"]["original"] > 0
+
+
+def reference_fixture() -> ExecutionDataset:
+    """Ties, censored hangs, two revisions and tests too small for the folds."""
+    rng = random.Random(5)
+    records = []
+    minute = 0
+
+    def add(test_id, duration, verdict="pass", interrupted=False, revision="r1"):
+        nonlocal minute
+        records.append(record(test_id, revision, minute % 7, duration, verdict, interrupted))
+        minute += 1
+
+    for duration in [60.0] * 12 + [120.0] * 10 + [180.0] * 8 + [61.0, 59.0, 900.0]:
+        add("tied", duration)
+    for _ in range(36):
+        add("hung", rng.lognormvariate(6.0, 0.5), revision=rng.choice(["r1", "r2"]))
+    for _ in range(4):
+        add("hung", 1200.0, "timeout", interrupted=True)
+        add("hung", 1500.0, "timeout", interrupted=False)
+    for _ in range(45):
+        add("spread", rng.uniform(10.0, 4000.0), rng.choice(["pass", "fail"]))
+    for duration in (30.0, 45.0):
+        add("tiny", duration)
+    add("single", 5.0)
+    return ExecutionDataset(records=records)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        OptimizationConfig(),
+        OptimizationConfig(probability_method=EMPIRICAL_ECDF),
+        OptimizationConfig(rerun_count=5, breakage_probability=0.01, min_samples=2),
+        OptimizationConfig(
+            rerun_count=1, probability_method=EMPIRICAL_ECDF, min_samples=2, fallback_timeout=3
+        ),
+        OptimizationConfig(probability_method=TOLHURST_BOUND, min_samples=25),
+    ],
+)
+@pytest.mark.parametrize("k, seed", [(5, 0), (3, 11), (4, 7)])
+def test_cross_validate_equals_the_subsample_reference(config, k, seed):
+    dataset = reference_fixture()
+    policies = [TimeoutPolicy.static(3), TimeoutPolicy.static(20, name="loose")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = cross_validate(dataset, policies, config, k=k, seed=seed)
+        expected = reference_cross_validate(dataset, policies, config, k, seed)
+    assert report.excluded_tests == ("single", "tiny")
+    assert report == expected
 
 
 class TestComparePolicies:

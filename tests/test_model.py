@@ -225,6 +225,34 @@ class TestExecutionDataset:
         dataset = ExecutionDataset(records=records)
         assert dataset.sample("a", "r1").censored_count == 1
 
+    def test_subsample_equals_the_public_constructor(self):
+        records = (
+            record("a", "r1", minute=2, duration=90.5, verdict="timeout", interrupted=True),
+            record("a", "r2", minute=0, duration=0.0, verdict="fail"),
+            record("a", "r1", minute=1, duration=60.0, verdict="pass"),
+            ExecutionRecord("a", "r1", EPOCH, 7, Verdict.TIMEOUT),  # an int duration
+        )
+        dataset = ExecutionDataset(records=records)
+        sample = dataset.subsample("a", "*", [0, 3, 1, 2])
+        expected = TestSample(
+            test_id="a",
+            revision_id="*",
+            durations=(90.5, 7, 0.0, 60.0),
+            verdicts=("timeout", "timeout", "fail", "pass"),
+            censored_count=1,
+        )
+        assert sample == expected
+        assert all(type(d) is float for d in sample.durations)
+        assert all(type(v) is Verdict for v in sample.verdicts)
+        assert dataset.pooled_sample("a") == TestSample(
+            "a", "*", (0.0, 7.0, 60.0, 90.5), ("fail", "timeout", "pass", "timeout"), 1
+        )
+        # the public constructor keeps every check the columns skip
+        with pytest.raises(ValueError, match="non-negative"):
+            TestSample("a", "*", durations=(1.0, -0.5), verdicts=("pass", "pass"))
+        with pytest.raises(ValueError, match="not a valid Verdict"):
+            TestSample("a", "*", durations=(1.0,), verdicts=("skipped",))
+
     def test_columns_hold_the_rows_in_input_order(self):
         records = (
             record("a", "r2", minute=3, duration=5.0, verdict="timeout", interrupted=True),

@@ -11,6 +11,7 @@ from timeopt.optimize import (
     OptimizationConfig,
     TimeoutOptimizer,
     _SortedSample,
+    _unit_at_least,
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
@@ -281,6 +282,62 @@ class TestOptimizeTimeout:
             assert result.expected_cost_at_optimum >= floor - 1e-9
 
 
+class TestCandidateSearch:
+    """Only the first grid point of each run of equal p is scored."""
+
+    @staticmethod
+    def exhaustive(kernel, config):
+        """The whole-grid scan, with the kernel: (timeout, cost)."""
+        stats = kernel.stats
+        lower, upper = search_grid(stats)
+        best_t, best_cost = lower, math.inf
+        for t_units in range(lower, upper + 1):
+            t = t_units * MINUTE
+            tm, over = kernel.at(t)
+            p = over / kernel.n if config == EMPIRICAL else tolhurst_bound(stats, t)
+            cost = tm + config.rerun_count * p * tm
+            if cost < best_cost:
+                best_t, best_cost = t_units, cost
+        return best_t, best_cost
+
+    @pytest.mark.parametrize("config", [EMPIRICAL, TOLHURST])
+    def test_one_huge_run_costs_a_few_kernel_calls(self, monkeypatch, config):
+        durations = [60.0] * 39 + [1e7]  # a grid of 329,167 points
+        expected = self.exhaustive(_SortedSample(durations), config)
+        calls = 0
+        at = _SortedSample.at
+
+        def counting_at(self, threshold):
+            nonlocal calls
+            calls += 1
+            return at(self, threshold)
+
+        monkeypatch.setattr(_SortedSample, "at", counting_at)
+        result = optimize_timeout(sample_of(durations), config)
+        assert (result.optimal_timeout, result.expected_cost_at_optimum) == expected
+        n = len(durations)
+        # empirical: lower plus one per duration; Tolhurst: three per step
+        assert calls <= (n + 1 if config == EMPIRICAL else 3 * ((n + 1) // 2) + 1)
+
+    @pytest.mark.parametrize(
+        "seconds",
+        [0.0, 5e-324, 59.9, 60.0, math.nextafter(60.0, math.inf), 1e7, 2.0**53 * 60,
+         math.nextafter(2.0**60, math.inf), 1e150, 1e300],
+    )
+    def test_unit_at_least_is_exact(self, seconds):
+        u = _unit_at_least(seconds)
+        assert u * MINUTE >= seconds
+        assert (u - 1) * MINUTE < seconds or u == 0
+
+    def test_kernel_in_kernel_out(self):
+        durations = [55.0, 61.0, 120.0] * 12
+        kernel = _SortedSample(durations, "k")
+        for config in (EMPIRICAL, TOLHURST):
+            by_kernel = optimize_timeout(kernel, config)
+            assert by_kernel == optimize_timeout(sample_of(durations, test_id="k"), config)
+            assert by_kernel.test_id == "k"
+
+
 class TestStaticSweep:
     def test_flat_curve_ties_to_smallest(self):
         dataset = dataset_of({("a", "r1"): [(10 * MINUTE, "pass")]})
@@ -343,6 +400,22 @@ class TestStaticSweep:
         static_sweep(dataset, (lo, hi), config)
         # Every sample is scored at lo, where all but "slow" saturate.
         assert calls <= 201 + 2 * (hi - lo + 1)
+
+    def test_samples_saturated_at_lo_get_no_kernel(self, monkeypatch):
+        lo = 10
+        runs = {(f"s{i}", "r1"): [(i * MINUTE, "pass"), (lo * MINUTE, "pass")] for i in range(8)}
+        runs[("slow", "r1")] = [(5 * MINUTE, "pass"), (math.nextafter(lo * MINUTE, 1e9), "pass")]
+        dataset = dataset_of(runs)
+        built = []
+        init = _SortedSample.__init__
+
+        def counting_init(self, durations, *args, **kwargs):
+            built.append(tuple(durations))
+            init(self, durations, *args, **kwargs)
+
+        monkeypatch.setattr(_SortedSample, "__init__", counting_init)
+        static_sweep(dataset, (lo, 20), EMPIRICAL)
+        assert built == [dataset.sample("slow", "r1").durations]
 
     def test_invalid_range_and_empty_dataset(self):
         dataset = dataset_of({("a", "r1"): [(60, "pass")]})

@@ -1,8 +1,9 @@
-"""Property tests: the sorted-sample kernel, the sweep, the grouping index,
-the replay and the file round trip.
+"""Property tests: the sorted-sample kernel, the candidate search, the
+sweep, the grouping index, the replay and the file round trip.
 
-The kernel and the static sweep are checked bit for bit against the
-``math.fsum`` reference functions, the grouping index against the
+The kernel, its statistics and the static sweep are checked bit for bit
+against the ``math.fsum`` reference functions, the candidate search
+against the brute-force scan of the whole grid, the grouping index against the
 brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
 the index existed, the folds against their size rule, the rerun
 simulator against a record-by-record replay, and a write and reload, in
@@ -13,12 +14,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tempfile
 import warnings
 from pathlib import Path
 from datetime import timedelta
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,10 +34,12 @@ from timeopt.optimize import (
     PROBABILITY_METHODS,
     OptimizationConfig,
     _SortedSample,
+    _candidates,
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
     static_sweep,
+    timeout_probability,
     truncated_mean,
 )
 from timeopt.simulate import SimulationReport, TestSimulation, simulate_rerun_policy
@@ -105,6 +110,87 @@ def test_optimizer_equals_brute_force_argmin(durations, method, reruns, breakage
     assert (result.optimal_timeout, result.expected_cost_at_optimum) == brute_force_argmin(
         sample, config
     )
+
+
+def tolhurst_thresholds(durations: list[float]) -> list[float]:
+    """Seconds where the exact Tolhurst bound steps: lam = 1, then lam_J."""
+    stats = sample_stats(sample_of(durations))
+    n, thresholds = stats.n, [stats.mean + stats.q_n]
+    for j in range(2, (n + 1) // 2 + 1):
+        k_sq = (n + 1) / j - 1
+        thresholds.append(stats.mean + stats.q_n * math.sqrt(k_sq * (n - 1) / (n - k_sq)))
+    return thresholds
+
+
+@st.composite
+def candidate_case_st(draw) -> list[float]:
+    """2-300 durations of up to 40 minutes: anywhere, on grid points, one ulp
+    above them, all equal, or shifted so that a Tolhurst step threshold
+    lands on a grid point or one ulp to either side of it."""
+    n = draw(st.one_of(st.integers(2, 8), st.integers(2, 300)))
+    on_grid = st.integers(0, 40).map(lambda u: u * MINUTE)
+    duration_st = st.one_of(
+        st.floats(min_value=0.0, max_value=40 * MINUTE),
+        on_grid,
+        on_grid.map(lambda d: math.nextafter(d, math.inf)),
+    )
+    shape = draw(st.sampled_from(["zero spread", "as drawn", "shifted", "shifted"]))
+    if shape == "zero spread":
+        return [draw(duration_st)] * n
+    durations = draw(st.lists(duration_st, min_size=n, max_size=n))
+    if shape == "shifted":
+        nudge = draw(st.sampled_from([-math.inf, 0.0, math.inf]))
+        last = len(tolhurst_thresholds(durations)) - 1
+        j = draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)))
+        for _ in range(3):  # the shift moves the mean, and so the threshold
+            threshold = tolhurst_thresholds(durations)[j]
+            target = math.ceil(threshold / MINUTE) * MINUTE
+            if nudge:
+                target = math.nextafter(target, nudge)
+            durations = [max(0.0, d + (target - threshold)) for d in durations]
+    return durations
+
+
+@PROPERTY
+@given(
+    durations=candidate_case_st(),
+    method=st.sampled_from(PROBABILITY_METHODS),
+    reruns=st.integers(0, 5),
+    breakage=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+)
+def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, breakage):
+    config = OptimizationConfig(
+        rerun_count=reruns,
+        breakage_probability=breakage,
+        probability_method=method,
+        min_samples=2,
+    )
+    sample = sample_of(durations)
+    result = optimize_timeout(sample, config)
+    assert (result.optimal_timeout, result.expected_cost_at_optimum) == brute_force_argmin(
+        sample, config
+    )
+    # The candidates hold every grid point where the float p changes.
+    lower, upper = result.search_range
+    kernel = _SortedSample(durations)
+    candidates = _candidates(kernel, lower, upper, method == EMPIRICAL_ECDF)
+    p = [timeout_probability(sample, u * MINUTE, config) for u in range(lower, upper + 1)]
+    steps = [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
+    assert candidates[0] == lower
+    assert set(steps) <= set(candidates)
+
+
+@PROPERTY
+@given(durations=st.lists(durations_st, min_size=1, max_size=50))
+def test_kernel_stats_equal_sample_stats(durations):
+    sample = sample_of(durations, test_id="x")
+    try:
+        expected = sample_stats(sample)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            _SortedSample(durations, "x").stats
+    else:
+        assert _SortedSample(durations, "x").stats == expected
 
 
 @st.composite
