@@ -88,7 +88,7 @@ def _config_from_args(args: argparse.Namespace) -> op.OptimizationConfig:
     return op.OptimizationConfig(
         rerun_count=args.m,
         breakage_probability=args.pb,
-        probability_method=_METHOD_ALIASES[args.method],
+        probability_method=_METHOD_ALIASES[getattr(args, "method", _DEFAULTS.probability_method)],
         min_samples=getattr(args, "min_samples", _DEFAULTS.min_samples),
         fallback_timeout=getattr(args, "fallback", _DEFAULTS.fallback_timeout),
     )
@@ -313,15 +313,16 @@ def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
         default=_DEFAULTS.breakage_probability,
         help="breakage probability",
     )
+
+
+def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the per-test fit; the static sweep is always empirical."""
     parser.add_argument(
         "--method",
         choices=sorted(_METHOD_ALIASES),
         default=_DEFAULTS.probability_method,
         help="timeout-probability estimator",
     )
-
-
-def _add_fallback_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--min-samples",
         type=_bounded(int, 2),
@@ -367,38 +368,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="cost-optimal timeout per test")
     _add_io_flags(p)
     _add_cost_flags(p)
-    _add_fallback_flags(p)
+    _add_fit_flags(p)
     p.add_argument("--output-format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="average cost of static global timeouts")
     _add_io_flags(p)
     _add_cost_flags(p)
-    p.add_argument("--lo", type=int, required=True, help="sweep start, minutes")
-    p.add_argument("--hi", type=int, required=True, help="sweep end, minutes")
+    p.add_argument("--lo", type=_bounded(int, 1), required=True, help="sweep start, minutes")
+    p.add_argument("--hi", type=_bounded(int, 1), required=True, help="sweep end, minutes")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("evaluate", help="cross-validate timeout policies")
     _add_io_flags(p)
     _add_cost_flags(p)
-    _add_fallback_flags(p)
+    _add_fit_flags(p)
     p.add_argument("--k", type=_bounded(int, 2), default=5, help="number of folds")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--static", type=int, default=None, help="static baseline, minutes")
+    p.add_argument("--static", type=_bounded(int, 1), help="static baseline, minutes")
     p.add_argument("--timeouts", default=None, help="CSV of original per-test timeouts")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="generate a synthetic fleet and replay reruns")
-    p.add_argument("--tests", type=int, required=True)
-    p.add_argument("--runs", type=int, required=True, help="executions per test")
+    p.add_argument("--tests", type=_bounded(int, 1), required=True)
+    p.add_argument("--runs", type=_bounded(int, 1), required=True, help="executions per test")
     p.add_argument("--distribution", choices=sim.DISTRIBUTIONS, default="lognormal")
     p.add_argument("--scale", type=float, default=5.0, help="scale (median/mean), minutes")
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--sigma", type=_bounded(float, 0), default=0.5)
     p.add_argument("--spread", type=float, default=1.0, help="per-test scale spread")
-    p.add_argument("--outlier-prob", type=float, default=0.0)
+    p.add_argument("--outlier-prob", type=_bounded(float, 0, 1), default=0.0)
     p.add_argument("--outlier-lo", type=float, default=2.0)
     p.add_argument("--outlier-hi", type=float, default=10.0)
-    p.add_argument("--hang-prob", type=float, default=0.0)
+    p.add_argument("--hang-prob", type=_bounded(float, 0, 1), default=0.0)
     p.add_argument("--percentile", type=float, default=0.85)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=_bounded(int, 0), default=3)

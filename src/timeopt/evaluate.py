@@ -272,7 +272,11 @@ def compare_policies(
     policy_seconds = [policy.seconds(test_ids) for policy in policies]
 
     totals: list[PolicyTotals] = []
-    samples = [(s.test_id, _SortedSample(s.durations)) for s in dataset.samples.values()]
+    durations = dataset.durations
+    samples = [
+        (test_id, _SortedSample([durations[i] for i in rows]))
+        for (test_id, _), rows in dataset.sample_index.items()
+    ]
     for policy, seconds in zip(policies, policy_seconds):
         timeouts, average_cost = _score(samples, seconds, config)
         totals.append(

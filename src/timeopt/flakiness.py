@@ -121,17 +121,14 @@ def flakiness_evolution(
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    samples = dataset.samples_for_revision(revision_id)
-    unique = len(samples)
-    max_n = max(sample.n for sample in samples.values())
+    column = dataset.verdicts
+    runs = [[column[i] for i in rows] for rows in dataset.revision_rows(revision_id).values()]
+    unique = len(runs)
+    max_n = max(map(len, runs))
     points: list[tuple[int, float]] = []
     k = step
     while True:
-        flaky = sum(
-            1
-            for sample in samples.values()
-            if is_flaky(sample.verdicts[: min(k, sample.n)])
-        )
+        flaky = sum(1 for verdicts in runs if is_flaky(verdicts[:k]))
         points.append((k, flaky / unique if unique else 0.0))
         if k >= max_n:
             break
@@ -146,12 +143,14 @@ def timeout_failure_share(dataset: ExecutionDataset) -> float:
     and returns the share with a timeout verdict. Returns 0.0 with a warning
     when the dataset contains no flaky failures at all.
     """
+    column = dataset.verdicts
     failures = 0
     timeouts = 0
-    for sample in dataset.samples.values():
-        if not is_flaky(sample.verdicts):
+    for rows in dataset.sample_index.values():
+        verdicts = [column[i] for i in rows]
+        if not is_flaky(verdicts):
             continue
-        for verdict in sample.verdicts:
+        for verdict in verdicts:
             if verdict.is_failure:
                 failures += 1
                 if verdict is Verdict.TIMEOUT:

@@ -4,10 +4,12 @@ The execution dataset, per-(test, revision) samples, and the summary
 statistics that feed the probability and cost machinery. The dataset holds
 its runs as parallel columns, one tuple per field, built once at ingest;
 ``ExecutionRecord`` is the one-row view that API users and tests build
-datasets from and read them back as. Verdicts given as members or as their
-string values are coerced through one dict lookup. Everything in this module
-is an immutable value and every operation is a pure function, so instances
-can be shared across threads without coordination.
+datasets from and read them back as. Commands read the columns through the
+dataset's grouping index; a ``TestSample`` is built only when asked for.
+Verdicts given as members or as their string values are coerced through one
+dict lookup. Everything in this module is an immutable value and every
+operation is a pure function, so instances can be shared across threads
+without coordination.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
 
@@ -81,6 +83,8 @@ class TestSample:
     The unit of statistical analysis: durations and verdicts are parallel
     sequences of equal length. ``censored_count`` is the number of runs whose
     duration was capped by an enforced timeout rather than ending naturally.
+    Its constructor, which coerces and checks every field, is the one way in;
+    of the commands only ``flakiness`` builds samples, for one revision.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -100,16 +104,6 @@ class TestSample:
             raise ValueError("durations must be non-negative")
         if not 0 <= self.censored_count <= len(self.durations):
             raise ValueError("censored_count must be between 0 and the sample size")
-
-    @classmethod
-    def _of_checked(cls, *values: Any) -> "TestSample":
-        """The sample of field values, in field order, that a dataset's
-        columns already hold checked: float durations and ``Verdict``
-        members in tuples of equal length. Skips the constructor's coercions
-        and checks; the result is ``==`` to what the constructor builds."""
-        sample = object.__new__(cls)
-        sample.__dict__.update(zip(cls.__dataclass_fields__, values))
-        return sample
 
     @property
     def n(self) -> int:
@@ -140,27 +134,23 @@ def sample_stats(sample: TestSample) -> SampleStats:
         ValueError: for an empty sample, or durations so large that their
             sum or squared deviations overflow a float.
     """
-    durations = sample.durations
-    if not durations:
-        raise ValueError("empty sample")
-    return stats_of(
-        sample.test_id, durations, lambda: math.fsum(durations), min(durations), max(durations)
-    )
+    return stats_of(sample.test_id, sample.durations)
 
 
-def stats_of(
-    test_id: str, durations: Sequence[float], total: Callable[[], float], low: float, high: float
-) -> SampleStats:
-    """``SampleStats`` of non-empty durations, given their correctly rounded
-    sum (called once) and their extremes. The variance is an ``fsum``, so
-    the order of ``durations`` does not change it.
+def stats_of(test_id: str, durations: Sequence[float]) -> SampleStats:
+    """``SampleStats`` of durations in any order. The mean and the variance
+    are ``fsum``s, which round the exact sum once, so no order of
+    ``durations`` changes them.
 
     Raises:
-        ValueError: when the sum or the squared deviations overflow a float.
+        ValueError: for no durations, or when the sum or the squared
+            deviations overflow a float.
     """
     n = len(durations)
+    if not n:
+        raise ValueError("empty sample")
     try:
-        mean = total() / n
+        mean = math.fsum(durations) / n
         if n == 1:
             variance = 0.0
         else:
@@ -171,7 +161,7 @@ def stats_of(
             "their mean or variance overflows a float"
         ) from None
     q_n = math.sqrt((n + 1) / n * variance)
-    return SampleStats(n=n, mean=mean, variance=variance, q_n=q_n, max=high, min=low)
+    return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
 
 
 def is_flaky(verdicts: Sequence[Verdict]) -> bool:
@@ -214,8 +204,8 @@ class ExecutionDataset:
     grouping path; ``records`` is the reverse view, built only when asked
     for. Equality compares the columns.
 
-    Every row belongs to exactly one ``TestSample`` keyed by
-    ``(test_id, revision_id)``; sample sizes sum to the row count.
+    Every row belongs to exactly one ``(test_id, revision_id)`` group of
+    ``sample_index``; group sizes sum to the row count.
     """
 
     tests: tuple[str, ...]
@@ -284,8 +274,8 @@ class ExecutionDataset:
     def test_index(self) -> Mapping[str, tuple[int, ...]]:
         """test_id -> indices of its rows in (started_at, index) order.
 
-        The one grouping of the rows: samples, pooled samples and
-        cross-validation folds are all read from it.
+        The one grouping of the rows: the fit, pooled samples,
+        cross-validation folds and ``sample_index`` are all read from it.
         """
         groups: dict[str, list[int]] = {}
         for i, test_id in enumerate(self.tests):
@@ -297,10 +287,22 @@ class ExecutionDataset:
             for test_id, indices in groups.items()
         }
 
+    @cached_property
+    def sample_index(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
+        """(test_id, revision_id) -> row indices in (started_at, index) order,
+        keys sorted: ``test_index`` refined by revision. The sweep, policy
+        totals and flakiness read the columns through it."""
+        revisions = self.revisions
+        groups: dict[tuple[str, str], list[int]] = {}
+        for test_id, indices in self.test_index.items():
+            for i in indices:
+                groups.setdefault((test_id, revisions[i]), []).append(i)
+        return {key: tuple(groups[key]) for key in sorted(groups)}
+
     def subsample(self, test_id: str, revision_id: str, indices: Sequence[int]) -> TestSample:
         """The rows at ``indices``, in that order, as one sample."""
         durations, verdicts, censored = self.durations, self.verdicts, self.censored
-        return TestSample._of_checked(
+        return TestSample(
             test_id,
             revision_id,
             tuple([durations[i] for i in indices]),
@@ -311,12 +313,7 @@ class ExecutionDataset:
     @cached_property
     def samples(self) -> Mapping[tuple[str, str], TestSample]:
         """(test_id, revision_id) -> TestSample, durations in start-time order."""
-        revisions = self.revisions
-        groups: dict[tuple[str, str], list[int]] = {}
-        for test_id, indices in self.test_index.items():
-            for i in indices:
-                groups.setdefault((test_id, revisions[i]), []).append(i)
-        return {key: self.subsample(*key, groups[key]) for key in sorted(groups)}
+        return {key: self.subsample(*key, rows) for key, rows in self.sample_index.items()}
 
     def test_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.test_index))
@@ -332,16 +329,21 @@ class ExecutionDataset:
                 f"no sample for test {test_id!r} on revision {revision_id!r}"
             ) from None
 
-    def samples_for_revision(self, revision_id: str) -> Mapping[str, TestSample]:
-        """test_id -> TestSample for one revision; error on unknown revision."""
-        found = {
-            tid: sample
-            for (tid, rid), sample in self.samples.items()
-            if rid == revision_id
-        }
+    def revision_rows(self, revision_id: str) -> Mapping[str, tuple[int, ...]]:
+        """test_id -> its ``sample_index`` rows on one revision, test ids
+        sorted; error on unknown revision."""
+        found = {tid: rows for (tid, rid), rows in self.sample_index.items() if rid == revision_id}
         if not found:
             raise ValueError(f"unknown revision {revision_id!r}")
         return found
+
+    def samples_for_revision(self, revision_id: str) -> Mapping[str, TestSample]:
+        """test_id -> TestSample for one revision, building that revision's
+        samples only; error on unknown revision."""
+        return {
+            tid: self.subsample(tid, revision_id, rows)
+            for tid, rows in self.revision_rows(revision_id).items()
+        }
 
     def pooled_sample(self, test_id: str) -> TestSample:
         """All executions of one test pooled across revisions, by start time."""

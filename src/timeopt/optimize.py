@@ -200,11 +200,9 @@ class _SortedSample:
     sum is the integer (prefix[k] + (n - k) * t) over that denominator, and
     Python's int / int division rounds it correctly, exactly as math.fsum
     rounds the same sum. So ``at`` returns what ``truncated_mean`` and
-    ``empirical_exceedance`` return, bit for bit, and ``stats`` what
-    ``sample_stats`` returns: the mean is prefix[n] / denominator / n, the
-    variance an ``fsum``, which no order changes, and the extremes are the
-    two ends. Durations must be finite, and ``at`` and ``stats`` need at
-    least one.
+    ``empirical_exceedance`` return, bit for bit, and ``stats`` is
+    ``stats_of`` the sorted durations, which no order changes. Durations
+    must be finite, and ``at`` and ``stats`` need at least one.
     """
 
     __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats")
@@ -242,16 +240,7 @@ class _SortedSample:
     def stats(self) -> SampleStats:
         """``sample_stats`` of the sample, bit for bit, with its ValueErrors."""
         if self._stats is None:
-            if not self.n:
-                raise ValueError("empty sample")
-            ordered = self.ordered
-            self._stats = stats_of(
-                self.test_id,
-                ordered,
-                lambda: self.prefix[-1] / self.denominator,
-                ordered[0],
-                ordered[-1],
-            )
+            self._stats = stats_of(self.test_id, self.ordered)
         return self._stats
 
     def at(self, threshold: float) -> tuple[float, int]:
@@ -469,7 +458,8 @@ def static_sweep(
         raise ValueError(f"sweep range must satisfy lo < hi, got ({lo}, {hi})")
     if lo < 1:
         raise ValueError("sweep range must start at a positive grid value")
-    samples = list(dataset.samples.values())
+    column = dataset.durations
+    samples = [[column[i] for i in rows] for rows in dataset.sample_index.values()]
     if not samples:
         raise ValueError("empty dataset")
 
@@ -479,8 +469,7 @@ def static_sweep(
     costs = [0.0] * len(samples)
     running: list[tuple[int, _SortedSample]] = []
     saturated: list[tuple[int, float]] = []  # (sample position, mean)
-    for i, sample in enumerate(samples):
-        durations = sample.durations
+    for i, durations in enumerate(samples):
         if max(durations) <= lo_seconds:
             mean = math.fsum(durations) / len(durations)
             saturated.append((i, mean))
@@ -531,10 +520,9 @@ class TimeoutOptimizer:
         self.config = config
 
     def fit(self, dataset: ExecutionDataset) -> "TimeoutOptimizer":
-        self.results_ = {
-            test_id: optimize_timeout(dataset.pooled_sample(test_id), self.config)
-            for test_id in dataset.test_ids()
-        }
+        durations, index = dataset.durations, dataset.test_index
+        kernels = (_SortedSample([durations[i] for i in index[t]], t) for t in dataset.test_ids())
+        self.results_ = {k.test_id: optimize_timeout(k, self.config) for k in kernels}
         self.timeouts_ = {tid: res.optimal_timeout for tid, res in self.results_.items()}
         return self
 

@@ -57,6 +57,14 @@ class TestExitCodes:
             ["optimize", "--min-samples", "1"],
             ["optimize", "--fallback", "0"],
             ["simulate", "--tests", "1", "--runs", "5", "--seed", "0", "--m", "-1"],
+            ["evaluate", "--seed", "0", "--static", "0"],
+            ["sweep", "--lo", "0", "--hi", "9"],
+            ["sweep", "--lo", "1", "--hi", "0"],
+            ["simulate", "--tests", "0", "--runs", "5", "--seed", "0"],
+            ["simulate", "--tests", "1", "--runs", "0", "--seed", "0"],
+            ["simulate", "--tests", "1", "--runs", "5", "--seed", "0", "--hang-prob", "1.5"],
+            ["simulate", "--tests", "1", "--runs", "5", "--seed", "0", "--outlier-prob", "-0.1"],
+            ["simulate", "--tests", "1", "--runs", "5", "--seed", "0", "--sigma", "-1"],
         ],
     )
     def test_out_of_range_number_is_usage_error(self, runs_file, capsys, argv):
@@ -66,6 +74,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --" in captured.err
+
+
+    def test_sweep_has_no_method_flag(self, runs_file, capsys):
+        argv = ["sweep", "--lo", "1", "--hi", "9", "--method", "empirical"]
+        assert run([*argv, "--input", str(runs_file)]) == 1
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 class TestFlagDefaults:

@@ -215,39 +215,44 @@ class TestLoadExecutions:
         assert first == second
 
 
+@pytest.fixture
+def runs_file(tmp_path):
+    """Two tests on two revisions with hangs, fails and passes."""
+    rows = []
+    for t, test_id in enumerate(("alpha", "beta")):
+        for i in range(12):
+            hang = i % 5 == t
+            rows.append(
+                jsonl_row(
+                    test_id=test_id,
+                    revision_id=f"r{i % 2}",
+                    started_at=f"2024-01-01T00:{i:02d}:00Z",
+                    duration_seconds=600.0 if hang else 60.0 * (2 + i % 4),
+                    verdict="timeout" if hang else ("fail" if i % 7 == 3 else "pass"),
+                    interrupted=hang,
+                )
+            )
+    path = tmp_path / "runs.jsonl"
+    write_jsonl(path, rows)
+    return path
+
+
+COMMANDS = pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize"],
+        ["sweep", "--lo", "1", "--hi", "12"],
+        ["evaluate", "--k", "3", "--seed", "1", "--static", "5"],
+        ["flakiness", "--revision", "r0", "--step", "2"],
+    ],
+    ids=lambda args: args[0],
+)
+
+
 class TestNoRecordObjects:
     """No command builds an ``ExecutionRecord``: every one runs on the columns."""
 
-    @pytest.fixture
-    def runs_file(self, tmp_path):
-        rows = []
-        for t, test_id in enumerate(("alpha", "beta")):
-            for i in range(12):
-                hang = i % 5 == t
-                rows.append(
-                    jsonl_row(
-                        test_id=test_id,
-                        revision_id=f"r{i % 2}",
-                        started_at=f"2024-01-01T00:{i:02d}:00Z",
-                        duration_seconds=600.0 if hang else 60.0 * (2 + i % 4),
-                        verdict="timeout" if hang else ("fail" if i % 7 == 3 else "pass"),
-                        interrupted=hang,
-                    )
-                )
-        path = tmp_path / "runs.jsonl"
-        write_jsonl(path, rows)
-        return path
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["optimize"],
-            ["sweep", "--lo", "1", "--hi", "12"],
-            ["evaluate", "--k", "3", "--seed", "1", "--static", "5"],
-            ["flakiness", "--revision", "r0", "--step", "2"],
-        ],
-        ids=lambda args: args[0],
-    )
+    @COMMANDS
     def test_command_builds_none(self, runs_file, tmp_path, monkeypatch, capsys, args):
         built = []
         monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: built.append(self))
@@ -266,6 +271,26 @@ class TestNoRecordObjects:
         assert cli.run(argv) == 0
         assert '"interrupted": true' in (tmp_path / "runs.jsonl").read_text(encoding="utf-8")
         assert built == []
+
+
+class TestSamplesOnlyOnRequest:
+    """Commands read the columns through the grouping index: only
+    ``flakiness`` builds ``TestSample``s, for its one revision."""
+
+    @COMMANDS
+    def test_command_subsamples(self, runs_file, tmp_path, monkeypatch, capsys, args):
+        subsample = ExecutionDataset.subsample
+        built = []
+
+        def counting(self, test_id, revision_id, indices):
+            built.append((test_id, revision_id))
+            return subsample(self, test_id, revision_id, indices)
+
+        monkeypatch.setattr(ExecutionDataset, "subsample", counting)
+        argv = [*args, "--input", str(runs_file), "--out", str(tmp_path / "out")]
+        assert cli.run(argv) == 0
+        expected = [("alpha", "r0"), ("beta", "r0")] if args[0] == "flakiness" else []
+        assert sorted(built) == expected
 
 
 class TestTimestamps:

@@ -294,6 +294,9 @@ def brute_force_folds(dataset: ExecutionDataset, k: int, seed: int) -> tuple[dic
 def test_grouping_index_equals_brute_force_regroup(records, k, seed):
     dataset = ExecutionDataset(records=records)
     by_sample = regroup(dataset, lambda r: (r.test_id, r.revision_id))
+    assert list(dataset.sample_index.items()) == [
+        ((tid, rid), tuple(idx)) for tid, rid, idx in by_sample
+    ]
     assert list(dataset.samples.items()) == [
         ((tid, rid), as_sample(dataset, tid, rid, idx)) for tid, rid, idx in by_sample
     ]
