@@ -376,14 +376,46 @@ def record_to_row(row: tuple[str, str, datetime, float, Verdict, bool]) -> dict[
     }
 
 
+_VERDICT_JSON = {verdict: json.dumps(verdict.value) for verdict in Verdict}
+
+
+def _jsonl_lines(dataset: ExecutionDataset) -> Iterator[str]:
+    """Each row as ``json.dumps(record_to_row(row), sort_keys=True)`` writes
+    it, plus a newline, from one template with the keys in sorted order.
+
+    Every distinct id and start time is encoded once. Start times are keyed
+    by value, so equal instants in different zones share one entry: the
+    output is UTC either way. A finite float's JSON text is its ``repr``.
+    """
+    quoted = {value: json.dumps(value) for value in {*dataset.tests, *dataset.revisions}}
+    stamps = {value: json.dumps(format_timestamp(value)) for value in set(dataset.started_at)}
+    number = float.__repr__
+    for test_id, revision_id, started_at, duration, verdict, interrupted in dataset.rows():
+        yield (
+            f'{{"duration_seconds": {number(duration)}, '
+            f'"interrupted": {"true" if interrupted else "false"}, '
+            f'"revision_id": {quoted[revision_id]}, "started_at": {stamps[started_at]}, '
+            f'"test_id": {quoted[test_id]}, "verdict": {_VERDICT_JSON[verdict]}}}\n'
+        )
+
+
 def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "jsonl") -> None:
-    """Write a dataset in the standard JSONL or CSV format."""
+    """Write a dataset in the standard JSONL or CSV format.
+
+    Raises:
+        ValueError: before opening the file, when a duration is not finite
+            (neither format could be loaded back), or on an unknown format.
+    """
     path = Path(path)
+    if not all(map(math.isfinite, dataset.durations)):
+        index = next(i for i, d in enumerate(dataset.durations) if not math.isfinite(d))
+        raise ValueError(
+            f"cannot write duration {dataset.durations[index]} of test "
+            f"{dataset.tests[index]}: durations must be finite"
+        )
     if fmt == "jsonl":
         with path.open("w", encoding="utf-8") as handle:
-            for row in dataset.rows():
-                handle.write(json.dumps(record_to_row(row), sort_keys=True))
-                handle.write("\n")
+            handle.writelines(_jsonl_lines(dataset))
         return
     if fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:

@@ -223,7 +223,7 @@ class ExecutionDataset:
             [r.started_at for r in records],
             [float(r.duration) for r in records],
             [verdict_of(r.verdict) for r in records],
-            [r.interrupted for r in records],
+            [bool(r.interrupted) for r in records],
         )
 
     @classmethod

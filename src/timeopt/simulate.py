@@ -19,6 +19,12 @@ reruns are charged, which makes the simulated mean cost per initial run
 converge to the cost model's prediction. Policy values are integer grid
 units of ``GRID_SECONDS``.
 
+Each test's "developer-set" timeout is ``TestDistribution.quantile_units``:
+the quantile's bisection, stopped as soon as both ends of its bracket round
+to the same grid unit, since no later step can change that unit. The
+``simulate`` command writes the dataset with ``ingest.write_executions``,
+which fills one JSONL line template per row.
+
 Everything is deterministic under a fixed seed. Only the functions that
 draw or average import numpy, so importing this module does not load it.
 """
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .evaluate import TimeoutPolicy
 from .model import GRID_SECONDS, ExecutionDataset, Verdict
@@ -74,6 +80,15 @@ class WorkloadSpec:
             raise ValueError("test_count and executions_per_test must be >= 1")
         if self.base_distribution not in DISTRIBUTIONS:
             raise ValueError(f"base_distribution must be one of {DISTRIBUTIONS}")
+        lo, hi = self.outlier_factor_range
+        for value, label in (
+            (self.scale_seconds, "scale_seconds"),
+            (self.scale_spread, "scale_spread"),
+            (lo, "outlier_factor_range"),
+            (hi, "outlier_factor_range"),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
         if self.scale_seconds <= 0:
             raise ValueError("scale_seconds must be positive")
         if self.sigma < 0:
@@ -86,7 +101,6 @@ class WorkloadSpec:
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1]")
-        lo, hi = self.outlier_factor_range
         if not 0 < lo <= hi:
             raise ValueError("outlier_factor_range must satisfy 0 < lo <= hi")
         if not 0.0 < self.original_timeout_percentile <= 1.0:
@@ -144,6 +158,21 @@ class TestDistribution:
         (hangs never finish) and yields the cap value. The bisection stops
         once ``mid`` equals ``lo`` or ``hi``: neither moves after that.
         """
+        return self._bisect(p, lambda lo, hi: False)
+
+    def quantile_units(self, p: float) -> int:
+        """``max(1, round(quantile(p) / GRID_SECONDS))``, searched only to the grid.
+
+        The point ``quantile`` would return always lies in ``(lo, hi]`` of the
+        bisection's bracket, and ``_grid_units`` is monotone, so once both ends
+        round to the same unit no later step can change the answer.
+        """
+        return _grid_units(
+            self._bisect(p, lambda lo, hi: _grid_units(lo) == _grid_units(hi))
+        )
+
+    def _bisect(self, p: float, settled: Callable[[float, float], bool]) -> float:
+        """``quantile``'s search, ending early once ``settled(lo, hi)`` holds."""
         if not 0.0 <= p <= 1.0:
             raise ValueError("percentile must be in [0, 1]")
         if p == 0.0:
@@ -157,7 +186,7 @@ class TestDistribution:
         lo = 0.0
         for _ in range(200):
             mid = (lo + hi) / 2.0
-            if mid == lo or mid == hi:
+            if mid == lo or mid == hi or settled(lo, hi):
                 break
             if self.exceedance(mid) > target:
                 lo = mid
@@ -206,6 +235,11 @@ class SimulationReport:
     @property
     def final_verdicts(self) -> Mapping[str, int]:
         return {"accepted": self.accepted, "rejected": self.rejected}
+
+
+def _grid_units(seconds: float) -> int:
+    """A quantile in whole grid units, at least one: the generator's timeout."""
+    return max(1, round(seconds / GRID_SECONDS))
 
 
 def _test_ids(count: int) -> list[str]:
@@ -262,8 +296,7 @@ def generate_workload(
         )
         truths[test_id] = dist
 
-        quantile = dist.quantile(spec.original_timeout_percentile)
-        timeout_units = max(1, round(quantile / GRID_SECONDS))
+        timeout_units = dist.quantile_units(spec.original_timeout_percentile)
         timeout_seconds = timeout_units * GRID_SECONDS
         timeouts[test_id] = timeout_units
 

@@ -331,6 +331,33 @@ class TestSimulate:
     def test_requires_seed(self, capsys):
         assert run(["simulate", "--tests", "2", "--runs", "5"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scale", "inf"],
+            ["--scale", "1e307"],  # finite minutes, infinite seconds
+            ["--scale", "nan"],
+            ["--spread", "inf"],
+            ["--outlier-prob", "0.5", "--outlier-hi", "inf"],
+        ],
+    )
+    def test_non_finite_flag_is_data_error(self, capsys, flags):
+        assert run(["simulate", "--tests", "2", "--runs", "5", "--seed", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
+    def test_infinite_duration_is_not_written(self, tmp_path, capsys):
+        out = tmp_path / "fleet.jsonl"
+        argv = ["simulate", "--tests", "1", "--runs", "50", "--outlier-prob", "1"]
+        argv += ["--outlier-lo", "1e306", "--outlier-hi", "1e308", "--seed", "1"]
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "durations must be finite" in err
+        assert not out.exists()
+
     def test_seeded_runs_are_byte_identical(self, tmp_path, capsys):
         argv = ["simulate", "--tests", "2", "--runs", "30", "--seed", "3"]
         assert run(argv) == 0

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -173,6 +174,24 @@ class TestLoadExecutions:
         write_executions(original, path, "jsonl")
         loaded, _ = load_executions(path, "jsonl")
         assert loaded == original
+
+    def test_truthy_interrupted_of_a_record_round_trips(self, tmp_path):
+        original = ExecutionDataset(records=[record("a", verdict="timeout", interrupted=1)])
+        assert original.interrupted == (True,)
+        path = tmp_path / "runs.jsonl"
+        write_executions(original, path, "jsonl")
+        loaded, report = load_executions(path, "jsonl")
+        assert (report.accepted, report.rejected) == (1, 0)
+        assert loaded == original
+        assert loaded.censored == (True,)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_non_finite_duration_is_not_written(self, tmp_path, fmt):
+        original = ExecutionDataset(records=[record("a"), record("b", duration=math.inf)])
+        path = tmp_path / f"runs.{fmt}"
+        with pytest.raises(ValueError, match="durations must be finite"):
+            write_executions(original, path, fmt)
+        assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_sub_second_start_times_survive_a_round_trip(self, tmp_path, fmt):

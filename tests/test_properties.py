@@ -6,19 +6,21 @@ against the ``math.fsum`` reference functions, the candidate search
 against the brute-force scan of the whole grid, the grouping index against the
 brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
 the index existed, the folds against their size rule, the rerun
-simulator against a record-by-record replay, and a write and reload, in
-both file formats, against the record adapter.
+simulator against a record-by-record replay, a write and reload, in
+both file formats, against the record adapter, and the JSONL writer's
+bytes against ``json.dumps`` of each row.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
 import tempfile
 import warnings
 from pathlib import Path
-from datetime import timedelta
+from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import EPOCH, MINUTE, dataset_of, sample_of
-from timeopt.ingest import load_executions, write_executions
+from timeopt.ingest import load_executions, record_to_row, write_executions
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
 from timeopt.optimize import (
@@ -501,3 +503,49 @@ def test_write_then_load_equals_the_record_adapter(records, fmt):
     assert loaded.samples == original.samples
     for test_id in original.test_ids():
         assert loaded.pooled_sample(test_id) == original.pooled_sample(test_id)
+
+
+# Ids that json must escape (quotes, backslashes, control characters,
+# non-ASCII text); start times drawn from a small pool of objects, so the
+# same object repeats and one instant appears in several zones.
+writer_id_st = st.one_of(
+    st.sampled_from(['a"b', "c\\d", "e\x00\n\x1f\x7f", "é", "日本", " ", "😀"]),
+    st.text(min_size=1, max_size=6),
+)
+writer_duration_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-309, 1e300]),
+    durations_st,
+)
+writer_instant_st = st.builds(
+    lambda second, micros, zone: (EPOCH + timedelta(seconds=second, microseconds=micros)).astimezone(
+        timezone(timedelta(minutes=zone))
+    ),
+    st.integers(0, 2),
+    st.sampled_from([0, 1_000, 500_000, 123_456]),
+    st.sampled_from([0, 330, -480]),
+)
+
+
+@PROPERTY
+@given(data=st.data(), pool=st.lists(writer_instant_st, min_size=1, max_size=6))
+def test_jsonl_writer_equals_json_dumps_of_each_row(data, pool):
+    records = data.draw(
+        st.lists(
+            st.builds(
+                ExecutionRecord,
+                test_id=writer_id_st,
+                revision_id=writer_id_st,
+                started_at=st.sampled_from(pool),
+                duration=writer_duration_st,
+                verdict=st.sampled_from(list(Verdict)),
+                interrupted=st.booleans(),
+            ),
+            max_size=20,
+        )
+    )
+    dataset = ExecutionDataset(records=records)
+    expected = "".join(json.dumps(record_to_row(r), sort_keys=True) + "\n" for r in dataset.rows())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        write_executions(dataset, path, "jsonl")
+        assert path.read_bytes() == expected.encode("utf-8")

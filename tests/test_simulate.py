@@ -11,7 +11,7 @@ import timeopt
 
 from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
-from timeopt.model import ExecutionDataset, Verdict
+from timeopt.model import GRID_SECONDS, ExecutionDataset, Verdict
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost
 from timeopt.simulate import (
     _QUANTILE_CAP,
@@ -53,6 +53,21 @@ class TestWorkloadSpecValidation:
     )
     def test_rejects_bad_specs(self, overrides):
         with pytest.raises(ValueError):
+            spec_of(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("scale_seconds", {"scale_seconds": math.inf}),
+            ("scale_seconds", {"scale_seconds": math.nan}),
+            ("scale_spread", {"scale_spread": math.inf}),
+            ("scale_spread", {"scale_spread": math.nan}),
+            ("outlier_factor_range", {"outlier_factor_range": (2.0, math.inf)}),
+            ("outlier_factor_range", {"outlier_factor_range": (math.inf, math.inf)}),
+        ],
+    )
+    def test_rejects_non_finite_values_by_name(self, field, overrides):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             spec_of(**overrides)
 
 
@@ -219,6 +234,56 @@ def test_quantile_stops_at_its_fixed_point(monkeypatch, dist, p):
     monkeypatch.setattr(TestDistribution, "exceedance", counted)
     assert dist.quantile(p) == expected
     assert calls < 80
+
+
+@pytest.mark.parametrize(
+    "dist, p",
+    [
+        *(
+            (dist, p)
+            for dist in (
+                distribution("lognormal", outlier_probability=0.01),
+                distribution("lognormal", scale=1234.5, outlier_probability=0.05, sigma=1.2),
+                distribution("exponential", scale=120.0),
+                distribution("lognormal", hang_probability=0.05),
+            )
+            for p in (0.1, 0.5, 0.85, 0.99)
+        ),
+        # quantiles of 1.5 and 2.5 units: exactly on round()'s half-unit ties
+        (distribution("constant", scale=90.0), 0.85),
+        (distribution("constant", scale=150.0), 0.85),
+        (distribution("lognormal"), 0.0),
+        (distribution("lognormal", hang_probability=0.05), 1.0),  # the cap
+    ],
+)
+def test_quantile_units_is_the_rounded_quantile(dist, p):
+    assert dist.quantile_units(p) == max(1, round(dist.quantile(p) / GRID_SECONDS))
+
+
+def test_hang_storm_timeouts_stop_searching_at_the_grid(monkeypatch):
+    # the benchmark's hang-storm simulate fleet; the full bisection makes 886 probes
+    spec = WorkloadSpec(
+        test_count=16,
+        executions_per_test=500,
+        base_distribution="exponential",
+        scale_seconds=3 * GRID_SECONDS,
+        scale_spread=4.0,
+        outlier_probability=0.05,
+        hang_probability=0.03,
+        original_timeout_percentile=0.6,
+        seed=7,
+    )
+    calls = 0
+    exceedance = TestDistribution.exceedance
+
+    def counted(self, t):
+        nonlocal calls
+        calls += 1
+        return exceedance(self, t)
+
+    monkeypatch.setattr(TestDistribution, "exceedance", counted)
+    generate_workload(spec)
+    assert calls <= 150
 
 
 @pytest.mark.parametrize("module", ["timeopt", "timeopt.cli"])
