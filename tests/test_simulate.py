@@ -261,7 +261,7 @@ def test_quantile_units_is_the_rounded_quantile(dist, p):
 
 
 def test_hang_storm_timeouts_stop_searching_at_the_grid(monkeypatch):
-    # the benchmark's hang-storm simulate fleet; the full bisection makes 886 probes
+    # perfbench's hang-storm simulate fleet; the full bisection makes 886 probes
     spec = WorkloadSpec(
         test_count=16,
         executions_per_test=500,
