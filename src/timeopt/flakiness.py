@@ -92,17 +92,18 @@ def flakiness_report(dataset: ExecutionDataset, revision_id: str) -> FlakinessRe
     ``repetition_count`` is the largest per-test execution count observed on
     the revision. Raises ValueError for an unknown revision.
     """
-    samples = dataset.samples_for_revision(revision_id)
-    unique = len(samples)
+    column = dataset.verdicts
+    runs = [[column[i] for i in rows] for rows in dataset.revision_rows(revision_id).values()]
+    unique = len(runs)
     flaky = 0
     bins = [0, 0, 0, 0, 0]
-    for sample in samples.values():
-        if is_flaky(sample.verdicts):
+    for verdicts in runs:
+        if is_flaky(verdicts):
             flaky += 1
-            bins[bin_index(failure_rate(sample.verdicts))] += 1
+            bins[bin_index(failure_rate(verdicts))] += 1
     return FlakinessReport(
         revision_id=revision_id,
-        repetition_count=max(sample.n for sample in samples.values()),
+        repetition_count=max(map(len, runs)),
         unique_tests=unique,
         flaky_tests=flaky,
         flakiness_rate=flaky / unique if unique else 0.0,

@@ -9,12 +9,16 @@ Two row formats are supported, with identical field names:
 * CSV: the same names as header columns.
 
 Malformed rows are rejected and counted; only an unreadable file or a
-malformed CSV header is fatal. Each accepted row's validated values are
-appended straight into the dataset's columns: no per-row record object is
-built, verdict strings map to members through one dict lookup, and repeated
-test and revision ids share one string. Loading groups nothing beyond what
-the censored-fraction warnings count. Loading is single-threaded per file;
-the resulting dataset is immutable and shareable.
+malformed CSV header is fatal, and no input line crashes the loader. Each
+JSONL line is decoded by one ``raw_decode`` call. A row in the writer's
+canonical shape (``_typed_values``) goes straight into the dataset's
+columns; every other row, each CSV row included, goes through
+``_record_from_row``, which alone decides whether a row is rejected and
+why. No per-row record object is built, verdict strings map to members
+through one dict lookup, and repeated test and revision ids share one
+string. Loading groups nothing beyond what the censored-fraction warnings
+count. Loading is single-threaded per file; the resulting dataset is
+immutable and shareable.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .model import ExecutionDataset, Verdict, verdict_of
+from .model import _VERDICT_OF, ExecutionDataset, Verdict, verdict_of
 
 EXECUTION_FIELDS = (
     "test_id",
@@ -161,7 +165,7 @@ def _record_from_row(
     raw_duration = row.get("duration_seconds")
     try:
         duration = float(raw_duration)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int past the float range
         raise ValueError("bad duration") from None
     if not math.isfinite(duration):
         raise ValueError("bad duration")
@@ -180,18 +184,67 @@ def _record_from_row(
     return test_id, revision_id, started_at, duration, verdict, interrupted
 
 
+def _typed_values(
+    row: Mapping[str, Any],
+) -> tuple[str, str, datetime, float, Verdict, bool] | None:
+    """``_record_from_row(row)`` for a row in the canonical shape, else None.
+
+    The shape: non-empty ``str`` ids, a ``float`` duration that is finite
+    and >= 0, a verdict string in ``_VERDICT_OF``, ``interrupted`` absent or
+    a bool, and a stamp that ``datetime.fromisoformat`` reads with
+    ``timezone.utc`` as its zone; ``parse_timestamp``'s strip, ``Z`` rewrite
+    and ``astimezone`` give such a stamp the same value, and a property test
+    pins the two paths together. None rejects nothing: the row takes the
+    full check.
+    """
+    try:
+        test_id = row["test_id"]
+        revision_id = row["revision_id"]
+        stamp = row["started_at"]
+        duration = row["duration_seconds"]
+        verdict = _VERDICT_OF[row["verdict"]]
+    except (KeyError, TypeError):
+        return None
+    interrupted = row.get("interrupted", False)
+    if not (
+        type(test_id) is str
+        and test_id
+        and type(revision_id) is str
+        and revision_id
+        and type(duration) is float
+        and 0.0 <= duration < math.inf
+        and type(stamp) is str
+        and (interrupted is True or interrupted is False)
+    ):
+        return None
+    try:
+        started_at = datetime.fromisoformat(stamp)
+    except ValueError:
+        return None
+    if started_at.tzinfo is not timezone.utc:
+        return None
+    return test_id, revision_id, started_at, duration, verdict, interrupted
+
+
+_DECODE = json.JSONDecoder().raw_decode
+
+
 def _iter_jsonl_rows(path: Path) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
+    """Each non-blank line's object. On a stripped line, one ``raw_decode``
+    that must end at the line's end accepts exactly what ``json.loads``
+    does. An integer literal past Python's digit limit (ValueError) or
+    nesting past the recursion limit counts as invalid JSON."""
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
+                obj, end = _DECODE(line)
+            except (ValueError, RecursionError):
                 yield None, "invalid json"
                 continue
-            if not isinstance(obj, dict):
+            if end != len(line) or not isinstance(obj, dict):
                 yield None, "invalid json"
                 continue
             yield obj, None
@@ -256,14 +309,15 @@ def load_executions(
             rejected += 1
             reasons[row_error] = reasons.get(row_error, 0) + 1
             continue
-        try:
-            test_id, revision_id, started_at, duration, verdict, was_interrupted = (
-                _record_from_row(row)
-            )
-        except ValueError as exc:
-            rejected += 1
-            reasons[str(exc)] = reasons.get(str(exc), 0) + 1
-            continue
+        values = _typed_values(row)
+        if values is None:
+            try:
+                values = _record_from_row(row)
+            except ValueError as exc:
+                rejected += 1
+                reasons[str(exc)] = reasons.get(str(exc), 0) + 1
+                continue
+        test_id, revision_id, started_at, duration, verdict, was_interrupted = values
         tests.append(ids.setdefault(test_id, test_id))
         revisions.append(ids.setdefault(revision_id, revision_id))
         started.append(started_at)
@@ -314,13 +368,13 @@ def _change_from_row(row: Mapping[str, Any]) -> TimeoutChangeRecord:
     else:
         try:
             old_value = int(raw_old)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
             raise ValueError("bad value") from None
 
     raw_new = row.get("new_value")
     try:
         new_value = int(raw_new)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("bad value") from None
 
     return TimeoutChangeRecord(

@@ -84,7 +84,7 @@ class TestSample:
     sequences of equal length. ``censored_count`` is the number of runs whose
     duration was capped by an enforced timeout rather than ending naturally.
     Its constructor, which coerces and checks every field, is the one way in;
-    of the commands only ``flakiness`` builds samples, for one revision.
+    no command builds a sample.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -336,14 +336,6 @@ class ExecutionDataset:
         if not found:
             raise ValueError(f"unknown revision {revision_id!r}")
         return found
-
-    def samples_for_revision(self, revision_id: str) -> Mapping[str, TestSample]:
-        """test_id -> TestSample for one revision, building that revision's
-        samples only; error on unknown revision."""
-        return {
-            tid: self.subsample(tid, revision_id, rows)
-            for tid, rows in self.revision_rows(revision_id).items()
-        }
 
     def pooled_sample(self, test_id: str) -> TestSample:
         """All executions of one test pooled across revisions, by start time."""

@@ -83,6 +83,7 @@ class WorkloadSpec:
         lo, hi = self.outlier_factor_range
         for value, label in (
             (self.scale_seconds, "scale_seconds"),
+            (self.sigma, "sigma"),
             (self.scale_spread, "scale_spread"),
             (lo, "outlier_factor_range"),
             (hi, "outlier_factor_range"),
@@ -144,7 +145,8 @@ class TestDistribution:
                 import numpy as np
 
                 factors = np.linspace(lo, hi, _OUTLIER_GRID)
-                mids = (factors[:-1] + factors[1:]) / 2.0
+                # halving a normal float is exact, and the sum cannot overflow
+                mids = factors[:-1] / 2.0 + factors[1:] / 2.0
                 tail = float(
                     np.mean([self.base_exceedance(t / f) for f in mids])
                 )
@@ -249,7 +251,12 @@ def _test_ids(count: int) -> list[str]:
 
 def _draw_base(dist: TestDistribution, rng: np.random.Generator) -> float:
     if dist.kind == "lognormal":
-        return dist.scale * math.exp(dist.sigma * rng.standard_normal())
+        try:
+            return dist.scale * math.exp(dist.sigma * rng.standard_normal())
+        except OverflowError:
+            raise ValueError(
+                f"sigma {dist.sigma:g} is too large: a drawn duration overflows"
+            ) from None
     if dist.kind == "exponential":
         return float(rng.exponential(dist.scale))
     return dist.scale

@@ -339,6 +339,7 @@ class TestSimulate:
             ["--scale", "nan"],
             ["--spread", "inf"],
             ["--outlier-prob", "0.5", "--outlier-hi", "inf"],
+            ["--sigma", "inf"],
         ],
     )
     def test_non_finite_flag_is_data_error(self, capsys, flags):
@@ -347,6 +348,13 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite" in err
+
+    def test_overflowing_sigma_is_data_error(self, capsys):
+        argv = ["simulate", "--tests", "2", "--runs", "5", "--seed", "1", "--sigma", "1e308"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: sigma ") and err.count("\n") == 1
 
     def test_infinite_duration_is_not_written(self, tmp_path, capsys):
         out = tmp_path / "fleet.jsonl"

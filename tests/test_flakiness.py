@@ -112,7 +112,10 @@ class TestFlakinessEvolution:
         step = 2
         series = flakiness_evolution(dataset, "r1", step=step)
 
-        samples = dataset.samples_for_revision("r1")
+        samples = {
+            tid: dataset.subsample(tid, "r1", rows)
+            for tid, rows in dataset.revision_rows("r1").items()
+        }
         expected = []
         k = step
         max_n = max(s.n for s in samples.values())

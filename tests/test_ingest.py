@@ -109,6 +109,39 @@ class TestLoadExecutions:
         assert len(dataset) == 1
         assert report.reasons == {"invalid json": 1}
 
+    @pytest.mark.parametrize(
+        "line", ['{} {}', '{"a": 1}x', '{"a": 1}]', "[]", '"text"', "NaN", "{'a': 1}"]
+    )
+    def test_a_line_that_is_not_one_json_object_is_invalid_json(self, tmp_path, line):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(jsonl_row()) + "\n  " + line + "\t\n", encoding="utf-8")
+        dataset, report = load_executions(path)
+        assert len(dataset) == 1
+        assert report.reasons == {"invalid json": 1}
+
+    def test_duration_past_the_float_range_is_bad_duration(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        line = json.dumps(jsonl_row(duration_seconds=0.5)).replace("0.5", "1" + "0" * 400)
+        path.write_text(json.dumps(jsonl_row()) + "\n" + line + "\n", encoding="utf-8")
+        dataset, report = load_executions(path)
+        assert len(dataset) == 1
+        assert report.reasons == {"bad duration": 1}
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        line = json.dumps(jsonl_row(duration_seconds=0.5)).replace("0.5", "7" * 5_000)
+        path.write_text(line + "\n" + json.dumps(jsonl_row()) + "\n", encoding="utf-8")
+        dataset, report = load_executions(path)
+        assert len(dataset) == 1
+        assert report.reasons == {"invalid json": 1}
+
+    def test_deep_nesting_is_invalid_json(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text("[" * 100_000 + "\n" + json.dumps(jsonl_row()) + "\n", encoding="utf-8")
+        dataset, report = load_executions(path)
+        assert len(dataset) == 1
+        assert report.reasons == {"invalid json": 1}
+
     def test_censored_fraction_warning(self, tmp_path):
         rows = [
             jsonl_row(started_at=f"2024-01-01T00:{i:02d}:00Z", verdict="timeout", interrupted=True)
@@ -293,8 +326,8 @@ class TestNoRecordObjects:
 
 
 class TestSamplesOnlyOnRequest:
-    """Commands read the columns through the grouping index: only
-    ``flakiness`` builds ``TestSample``s, for its one revision."""
+    """Commands read the columns through the grouping index: none builds a
+    ``TestSample``."""
 
     @COMMANDS
     def test_command_subsamples(self, runs_file, tmp_path, monkeypatch, capsys, args):
@@ -308,8 +341,7 @@ class TestSamplesOnlyOnRequest:
         monkeypatch.setattr(ExecutionDataset, "subsample", counting)
         argv = [*args, "--input", str(runs_file), "--out", str(tmp_path / "out")]
         assert cli.run(argv) == 0
-        expected = [("alpha", "r0"), ("beta", "r0")] if args[0] == "flakiness" else []
-        assert sorted(built) == expected
+        assert built == []
 
 
 class TestTimestamps:
@@ -362,6 +394,20 @@ class TestLoadTimeoutChanges:
             path,
             [
                 {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "new_value": 0},
+                {"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10},
+            ],
+        )
+        with pytest.warns(UserWarning, match="rejected 1"):
+            changes = load_timeout_changes(path)
+        assert [c.test_id for c in changes] == ["B"]
+
+    @pytest.mark.parametrize("field", ["new_value", "old_value"])
+    def test_infinite_value_rejected(self, tmp_path, field):
+        path = tmp_path / "changes.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "new_value": 3, field: math.inf},
                 {"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10},
             ],
         )

@@ -212,7 +212,7 @@ class TestExecutionDataset:
         with pytest.raises(ValueError, match="no sample"):
             dataset.sample("a", "nope")
         with pytest.raises(ValueError, match="unknown revision"):
-            dataset.samples_for_revision("nope")
+            dataset.revision_rows("nope")
         with pytest.raises(ValueError, match="unknown test"):
             dataset.pooled_sample("nope")
 

@@ -7,8 +7,9 @@ against the brute-force scan of the whole grid, the grouping index against the
 brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
 the index existed, the folds against their size rule, the rerun
 simulator against a record-by-record replay, a write and reload, in
-both file formats, against the record adapter, and the JSONL writer's
-bytes against ``json.dumps`` of each row.
+both file formats, against the record adapter, the JSONL writer's
+bytes against ``json.dumps`` of each row, and the loader's typed path
+against its full row check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import EPOCH, MINUTE, dataset_of, sample_of
-from timeopt.ingest import load_executions, record_to_row, write_executions
+from timeopt.ingest import (
+    _record_from_row,
+    _typed_values,
+    format_timestamp,
+    load_executions,
+    record_to_row,
+    write_executions,
+)
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
 from timeopt.optimize import (
@@ -549,3 +557,95 @@ def test_jsonl_writer_equals_json_dumps_of_each_row(data, pool):
         path = Path(tmp) / "runs.jsonl"
         write_executions(dataset, path, "jsonl")
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+# Rows for the loader's two paths: a canonical row (what the writer
+# produces), then some fields replaced by values only the full check
+# handles, or deleted. A stamp is a canonical UTC stamp with its ``Z``
+# kept, spelled "+00:00", dropped (naive) or replaced by another offset,
+# optionally padded, or one of a few odd spellings.
+_ABSENT = object()
+row_id_st = st.one_of(writer_id_st, st.just(" t "))
+bad_id_st = st.sampled_from(["", None, 7, True, ["t1"], _ABSENT])
+canonical_stamp_st = writer_instant_st.map(format_timestamp)
+stamp_st = st.one_of(
+    st.builds(
+        lambda stamp, zone, pad: pad + stamp[:-1] + zone + pad,
+        canonical_stamp_st,
+        st.sampled_from(["Z", "+00:00", "-00:00", "", "+05:30", "-08:00", " Z"]),
+        st.sampled_from(["", "", " ", "\t"]),
+    ),
+    st.sampled_from(
+        [
+            "2024-01-06Z", "2024-01-06", "2024-01-06+00:00", "2024-01-01T12Z",
+            "2024-01-01T00:00:00z", "2024-01-01T24:00:00Z", "not a time", "",
+            0, None, ["2024-01-01T00:00:00Z"], _ABSENT,
+        ]
+    ),
+)
+bad_duration_st = st.one_of(
+    st.sampled_from(
+        [
+            math.nan, math.inf, -math.inf, -0.0, -1.5, 0, 60, -3, 10**400, True, False,
+            "60", " 60 ", "1e999", "soon", None, [60.0], _ABSENT,
+        ]
+    ),
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+)
+bad_verdict_st = st.sampled_from(["PASS", " pass", "skipped", 1, None, True, ["pass"], _ABSENT])
+interrupted_st = st.sampled_from([_ABSENT, True, False])
+bad_interrupted_st = st.sampled_from([None, 1, 0, 1.0, "yes", "no", "true", "", "maybe", []])
+ROW_MUTATIONS = {
+    "test_id": bad_id_st,
+    "revision_id": bad_id_st,
+    "started_at": stamp_st,
+    "duration_seconds": bad_duration_st,
+    "verdict": bad_verdict_st,
+    "interrupted": bad_interrupted_st,
+}
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    mutated=st.sets(st.sampled_from(sorted(ROW_MUTATIONS)), max_size=3),
+    pad=st.tuples(*[st.sampled_from(["", " ", "\t ", "\u2003"])] * 2),
+)
+def test_typed_path_equals_the_full_check(data, mutated, pad):
+    row = {
+        "test_id": data.draw(row_id_st),
+        "revision_id": data.draw(row_id_st),
+        "started_at": data.draw(canonical_stamp_st),
+        "duration_seconds": data.draw(writer_duration_st),
+        "verdict": data.draw(st.sampled_from([v.value for v in Verdict])),
+        "interrupted": data.draw(interrupted_st),
+    }
+    for name in sorted(mutated):
+        row[name] = data.draw(ROW_MUTATIONS[name], label=name)
+    row = {key: value for key, value in row.items() if value is not _ABSENT}
+    try:
+        expected = _record_from_row(row)
+    except ValueError as exc:
+        expected = str(exc)
+
+    typed = _typed_values(row)
+    if not mutated:
+        assert typed is not None  # the canonical shape takes the typed path
+    if typed is not None:
+        assert typed == expected
+        assert typed[2].tzinfo is expected[2].tzinfo
+        assert repr(typed[3]) == repr(expected[3])
+
+    # the loader, through one raw_decode per padded line, agrees too
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        path.write_text(pad[0] + json.dumps(row) + pad[1] + "\n", encoding="utf-8")
+        dataset, report = load_executions(path)
+    if isinstance(expected, str):
+        assert (len(dataset), report.reasons) == (0, {expected: 1})
+    else:
+        (loaded,) = dataset.rows()
+        assert loaded == expected
+        assert loaded[2].tzinfo is expected[2].tzinfo
+        assert repr(loaded[3]) == repr(expected[3])

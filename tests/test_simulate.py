@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,8 @@ class TestWorkloadSpecValidation:
             ("scale_spread", {"scale_spread": math.nan}),
             ("outlier_factor_range", {"outlier_factor_range": (2.0, math.inf)}),
             ("outlier_factor_range", {"outlier_factor_range": (math.inf, math.inf)}),
+            ("sigma", {"sigma": math.inf}),
+            ("sigma", {"sigma": math.nan}),
         ],
     )
     def test_rejects_non_finite_values_by_name(self, field, overrides):
@@ -177,6 +180,21 @@ class TestGroundTruth:
         )
         assert dist.exceedance(1e11) >= 0.05
         assert dist.quantile(0.99) >= 1e11
+
+    def test_outlier_midpoints_near_the_float_limit_stay_finite(self):
+        dist = TestDistribution(
+            kind="lognormal",
+            scale=1.0,
+            sigma=0.5,
+            outlier_probability=1.0,
+            outlier_factor_range=(1e306, 1e308),
+            hang_probability=0.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = dist.exceedance(1e308)
+        # every finite midpoint is at most 1e308, so t / mid >= the median
+        assert 0.0 < tail <= 0.5
 
 
 def full_bisection(dist: TestDistribution, p: float) -> float:
