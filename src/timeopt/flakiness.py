@@ -86,14 +86,20 @@ def bin_index(rate: float) -> int:
     return 4
 
 
+def _revision_verdicts(dataset: ExecutionDataset, revision_id: str) -> list[list[Verdict]]:
+    """Each test's verdicts on the revision, in start-time order; raises
+    ValueError for an unknown revision."""
+    column = dataset.verdicts
+    return [[column[i] for i in rows] for rows in dataset.revision_rows(revision_id).values()]
+
+
 def flakiness_report(dataset: ExecutionDataset, revision_id: str) -> FlakinessReport:
     """Per-revision flakiness rate and failure-rate bin counts.
 
     ``repetition_count`` is the largest per-test execution count observed on
     the revision. Raises ValueError for an unknown revision.
     """
-    column = dataset.verdicts
-    runs = [[column[i] for i in rows] for rows in dataset.revision_rows(revision_id).values()]
+    runs = _revision_verdicts(dataset, revision_id)
     unique = len(runs)
     flaky = 0
     bins = [0, 0, 0, 0, 0]
@@ -122,8 +128,7 @@ def flakiness_evolution(
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    column = dataset.verdicts
-    runs = [[column[i] for i in rows] for rows in dataset.revision_rows(revision_id).values()]
+    runs = _revision_verdicts(dataset, revision_id)
     unique = len(runs)
     max_n = max(map(len, runs))
     points: list[tuple[int, float]] = []

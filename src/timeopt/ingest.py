@@ -10,9 +10,9 @@ Two row formats are supported, with identical field names:
 
 Malformed rows are rejected and counted; only an unreadable file or a
 malformed CSV header is fatal, and no input line crashes the loader. Each
-JSONL line is decoded by one ``raw_decode`` call. A row in the writer's
-canonical shape (``_typed_values``) goes straight into the dataset's
-columns; every other row, each CSV row included, goes through
+JSONL line is decoded by one ``raw_decode`` call. A JSONL row in the
+writer's canonical shape (``_typed_values``) goes straight into the
+dataset's columns; every other row, each CSV row included, goes through
 ``_record_from_row``, which alone decides whether a row is rejected and
 why. No per-row record object is built, verdict strings map to members
 through one dict lookup, and repeated test and revision ids share one
@@ -192,10 +192,11 @@ def _typed_values(
     The shape: non-empty ``str`` ids, a ``float`` duration that is finite
     and >= 0, a verdict string in ``_VERDICT_OF``, ``interrupted`` absent or
     a bool, and a stamp that ``datetime.fromisoformat`` reads with
-    ``timezone.utc`` as its zone; ``parse_timestamp``'s strip, ``Z`` rewrite
-    and ``astimezone`` give such a stamp the same value, and a property test
+    ``timezone.utc`` as its zone once a trailing ``Z`` is spelled
+    ``+00:00``; ``parse_timestamp``'s strip, ``Z`` rewrite and
+    ``astimezone`` give such a stamp the same value, and a property test
     pins the two paths together. None rejects nothing: the row takes the
-    full check.
+    full check. CSV rows, whose values are all strings, never come here.
     """
     try:
         test_id = row["test_id"]
@@ -217,6 +218,8 @@ def _typed_values(
         and (interrupted is True or interrupted is False)
     ):
         return None
+    if stamp[-1:] == "Z":  # as parse_timestamp does; fromisoformat reads no Z before 3.11
+        stamp = stamp[:-1] + "+00:00"
     try:
         started_at = datetime.fromisoformat(stamp)
     except ValueError:
@@ -303,13 +306,14 @@ def load_executions(
     ids: dict[str, str] = {}  # one string object per distinct id
     rejected = 0
     reasons: dict[str, int] = {}
+    jsonl = fmt == "jsonl"  # a CSV value is always a str: only the full check can take it
 
     for row, row_error in _iter_rows(path, fmt, ("test_id", "revision_id", "started_at", "duration_seconds", "verdict")):
         if row_error is not None:
             rejected += 1
             reasons[row_error] = reasons.get(row_error, 0) + 1
             continue
-        values = _typed_values(row)
+        values = _typed_values(row) if jsonl else None
         if values is None:
             try:
                 values = _record_from_row(row)

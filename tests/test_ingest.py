@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from helpers import EPOCH, dataset_of, record
-from timeopt import cli
+from timeopt import cli, ingest
 from timeopt.ingest import (
     DatasetSummary,
     TimeoutChangeRecord,
@@ -342,6 +342,43 @@ class TestSamplesOnlyOnRequest:
         argv = [*args, "--input", str(runs_file), "--out", str(tmp_path / "out")]
         assert cli.run(argv) == 0
         assert built == []
+
+
+class TestTypedPath:
+    """Which rows skip the full check; ``test_properties`` pins the typed
+    path's values to the full check's."""
+
+    @staticmethod
+    def must_not_run(row):
+        raise AssertionError(f"unexpected call on {row}")
+
+    def test_writer_rows_take_it_where_fromisoformat_reads_no_z(
+        self, runs_file, monkeypatch
+    ):
+        # Python 3.10's fromisoformat rejects a trailing "Z"
+        class NoZ(datetime):
+            @classmethod
+            def fromisoformat(cls, text):
+                if text.endswith("Z"):
+                    raise ValueError(f"Invalid isoformat string: {text!r}")
+                return datetime.fromisoformat(text)
+
+        expected, _ = load_executions(runs_file)
+        monkeypatch.setattr(ingest, "datetime", NoZ)
+        monkeypatch.setattr(ingest, "_record_from_row", self.must_not_run)
+        dataset, report = load_executions(runs_file)
+        assert report.accepted == 24
+        assert dataset.started_at == expected.started_at
+        assert all(stamp.tzinfo is timezone.utc for stamp in dataset.started_at)
+
+    def test_csv_rows_never_try_it(self, runs_file, tmp_path, monkeypatch):
+        expected, _ = load_executions(runs_file)
+        path = tmp_path / "runs.csv"
+        write_executions(expected, path, "csv")
+        monkeypatch.setattr(ingest, "_typed_values", self.must_not_run)
+        dataset, report = load_executions(path, "csv")
+        assert dataset == expected
+        assert report.rejected == 0
 
 
 class TestTimestamps:
