@@ -1,115 +1,57 @@
-"""Test-execution analytics and cost-optimal timeout tuning for flaky CI suites."""
+"""Test-execution analytics and cost-optimal timeout tuning for flaky CI suites.
 
-from .evaluate import (
-    CvReport,
-    FoldAssignment,
-    PolicyTotals,
-    TimeoutPolicy,
-    compare_policies,
-    count_timeouts,
-    cross_validate,
-    make_folds,
-)
-from .flakiness import (
-    EvolutionSeries,
-    FlakinessComparison,
-    FlakinessReport,
-    TimeoutChangeStats,
-    compare_flakiness,
-    flakiness_evolution,
-    flakiness_report,
-    timeout_change_stats,
-    timeout_failure_share,
-)
-from .ingest import (
-    DatasetSummary,
-    TimeoutChangeRecord,
-    ValidationReport,
-    load_executions,
-    load_timeout_changes,
-    summarize,
-    write_executions,
-)
-from .model import (
-    GRID_SECONDS,
-    ExecutionDataset,
-    ExecutionRecord,
-    SampleStats,
-    TestSample,
-    Verdict,
-    failure_rate,
-    is_flaky,
-    sample_stats,
-)
-from .optimize import (
-    CostCurve,
-    OptimizationConfig,
-    OptimizationResult,
-    SweepResult,
-    TimeoutOptimizer,
-    empirical_exceedance,
-    expected_cost,
-    optimize_timeout,
-    static_sweep,
-    tolhurst_bound,
-    truncated_mean,
-)
-from .simulate import (
-    SimulationReport,
-    WorkloadSpec,
-    generate_workload,
-    simulate_rerun_policy,
-)
+Public names resolve on first use (PEP 562): ``import timeopt`` loads no
+submodule, and reading a name imports only the module that defines it.
+"""
+
+from typing import Any
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CostCurve",
-    "CvReport",
-    "DatasetSummary",
-    "EvolutionSeries",
-    "ExecutionDataset",
-    "ExecutionRecord",
-    "FlakinessComparison",
-    "FlakinessReport",
-    "FoldAssignment",
-    "GRID_SECONDS",
-    "OptimizationConfig",
-    "OptimizationResult",
-    "PolicyTotals",
-    "SampleStats",
-    "SimulationReport",
-    "SweepResult",
-    "TestSample",
-    "TimeoutChangeRecord",
-    "TimeoutChangeStats",
-    "TimeoutOptimizer",
-    "TimeoutPolicy",
-    "ValidationReport",
-    "Verdict",
-    "WorkloadSpec",
-    "compare_flakiness",
-    "compare_policies",
-    "count_timeouts",
-    "cross_validate",
-    "empirical_exceedance",
-    "expected_cost",
-    "failure_rate",
-    "flakiness_evolution",
-    "flakiness_report",
-    "generate_workload",
-    "is_flaky",
-    "load_executions",
-    "load_timeout_changes",
-    "make_folds",
-    "optimize_timeout",
-    "sample_stats",
-    "simulate_rerun_policy",
-    "static_sweep",
-    "summarize",
-    "timeout_change_stats",
-    "timeout_failure_share",
-    "tolhurst_bound",
-    "truncated_mean",
-    "write_executions",
-]
+_EXPORTS = {
+    "evaluate": (
+        "CvReport", "FoldAssignment", "PolicyTotals", "TimeoutPolicy", "compare_policies",
+        "count_timeouts", "cross_validate", "make_folds",
+    ),
+    "flakiness": (
+        "EvolutionSeries", "FlakinessComparison", "FlakinessReport", "TimeoutChangeStats",
+        "compare_flakiness", "flakiness_evolution", "flakiness_report",
+        "timeout_change_stats", "timeout_failure_share",
+    ),
+    "ingest": (
+        "DatasetSummary", "TimeoutChangeRecord", "ValidationReport", "load_executions",
+        "load_timeout_changes", "summarize", "write_executions",
+    ),
+    "model": (
+        "GRID_SECONDS", "ExecutionDataset", "ExecutionRecord", "SampleStats", "TestSample",
+        "Verdict", "failure_rate", "is_flaky", "sample_stats",
+    ),
+    "optimize": (
+        "CostCurve", "OptimizationConfig", "OptimizationResult", "SweepResult",
+        "TimeoutOptimizer", "empirical_exceedance", "expected_cost", "optimize_timeout",
+        "static_sweep", "tolhurst_bound", "truncated_mean",
+    ),
+    "simulate": (
+        "SimulationReport", "WorkloadSpec", "generate_workload", "simulate_rerun_policy",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> Any:
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ binds the submodule here and, unlike importlib.import_module,
+    # shows in ``python -X importtime``
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
+    if name != module:
+        value = globals()[name] = getattr(value, name)  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -5,6 +5,10 @@ identical to calling the operation directly. Durations on the command line
 are minutes (one grid unit); internally everything is seconds. Randomized
 subcommands require an explicit --seed and produce byte-identical output
 across invocations. Exit codes: 0 success, 1 usage error, 2 data error.
+
+Each subcommand imports only the modules it runs: this module loads
+ingest, model and optimize, and a handler imports evaluate, flakiness or
+simulate itself when it needs them.
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import evaluate as ev
-from . import flakiness as fl
 from . import ingest
 from . import optimize as op
-from . import simulate as sim
-from .model import GRID_SECONDS
+from .model import DISTRIBUTIONS, GRID_SECONDS
+
+if TYPE_CHECKING:
+    from .evaluate import CvReport
+    from .flakiness import FlakinessReport
 
 _METHOD_ALIASES = {
     "tolhurst": op.TOLHURST_BOUND,
@@ -104,7 +109,7 @@ def _result_record(result: op.OptimizationResult) -> dict[str, Any]:
     }
 
 
-def _report_dict(report: fl.FlakinessReport) -> dict[str, Any]:
+def _report_dict(report: FlakinessReport) -> dict[str, Any]:
     data = asdict(report)
     data["bin_counts"] = list(report.bin_counts)
     return data
@@ -122,6 +127,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_flakiness(args: argparse.Namespace) -> int:
+    from . import flakiness as fl
     dataset = _load_dataset(args.input, args.format)
     report = fl.flakiness_report(dataset, args.revision)
     evolution = fl.flakiness_evolution(dataset, args.revision, args.step)
@@ -141,6 +147,7 @@ def _cmd_flakiness(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import flakiness as fl
     dataset_a = _load_dataset(args.input_a, args.format)
     dataset_b = _load_dataset(args.input_b, args.format)
     comparison = fl.compare_flakiness(
@@ -161,6 +168,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeout_history(args: argparse.Namespace) -> int:
+    from . import flakiness as fl
     changes = ingest.load_timeout_changes(
         args.input, _infer_format(args.input, args.format)
     )
@@ -200,7 +208,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cv_table(report: ev.CvReport) -> str:
+def _cv_table(report: CvReport) -> str:
     lines = [f"{'fold':>4}  {'policy':<12} {'flaky_timeouts':>14} {'avg_cost_s':>12}"]
     for row in report.rows:
         lines.append(
@@ -217,6 +225,7 @@ def _cv_table(report: ev.CvReport) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import evaluate as ev
     dataset = _load_dataset(args.input, args.format)
     config = _config_from_args(args)
     policies: list[ev.TimeoutPolicy] = []
@@ -259,6 +268,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import evaluate as ev, simulate as sim
     spec = sim.WorkloadSpec(
         test_count=args.tests,
         executions_per_test=args.runs,
@@ -392,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic fleet and replay reruns")
     p.add_argument("--tests", type=_bounded(int, 1), required=True)
     p.add_argument("--runs", type=_bounded(int, 1), required=True, help="executions per test")
-    p.add_argument("--distribution", choices=sim.DISTRIBUTIONS, default="lognormal")
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default="lognormal")
     p.add_argument("--scale", type=float, default=5.0, help="scale (median/mean), minutes")
     p.add_argument("--sigma", type=_bounded(float, 0), default=0.5)
     p.add_argument("--spread", type=float, default=1.0, help="per-test scale spread")

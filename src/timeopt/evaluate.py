@@ -11,6 +11,7 @@ whole report is deterministic given (dataset, seed, config).
 from __future__ import annotations
 
 import csv
+import math
 import random
 import statistics
 import warnings
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample
-from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
+from .optimize import OptimizationConfig, _cost, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
 OPTIMIZED_POLICY = "optimized"
@@ -271,12 +272,18 @@ def compare_policies(
         raise ValueError("empty dataset")
     policy_seconds = [policy.seconds(test_ids) for policy in policies]
 
-    totals: list[PolicyTotals] = []
+    # A sample that no policy cuts costs its fsum mean with p = 0 under each
+    # of them, the kernel's value bit for bit (as in static_sweep): no kernel.
     durations = dataset.durations
-    samples = [
-        (test_id, _SortedSample([durations[i] for i in rows]))
-        for (test_id, _), rows in dataset.sample_index.items()
-    ]
+    samples: list[tuple[str, _SortedSample | float]] = []
+    for (test_id, _), rows in dataset.sample_index.items():
+        values = [durations[i] for i in rows]
+        top = max(values)
+        if all(top <= seconds[test_id] for seconds in policy_seconds):
+            samples.append((test_id, math.fsum(values) / len(values)))
+        else:
+            samples.append((test_id, _SortedSample(values)))
+    totals: list[PolicyTotals] = []
     for policy, seconds in zip(policies, policy_seconds):
         timeouts, average_cost = _score(samples, seconds, config)
         totals.append(
@@ -291,15 +298,19 @@ def compare_policies(
 
 
 def _score(
-    kernels: Iterable[tuple[str, _SortedSample]],
+    samples: Iterable[tuple[str, _SortedSample | float]],
     seconds: Mapping[str, float],
     config: OptimizationConfig,
 ) -> tuple[int, float]:
-    """(overruns, average empirical cost) of per-test timeouts over samples."""
+    """(overruns, average empirical cost) of per-test timeouts over samples,
+    each a kernel or, for a sample that no timeout cuts, its mean."""
     overruns = 0
     costs: list[float] = []
-    for test_id, kernel in kernels:
-        cost, over = kernel.empirical_cost(seconds[test_id], config)
+    for test_id, sample in samples:
+        if isinstance(sample, float):
+            cost, over = _cost(sample, 0.0, seconds[test_id], config), 0
+        else:
+            cost, over = sample.empirical_cost(seconds[test_id], config)
         overruns += over
         costs.append(cost)
     return overruns, sum(costs) / len(costs)

@@ -258,15 +258,24 @@ def _iter_csv_rows(
 ) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        try:
+            header = reader.fieldnames
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"malformed header: {exc}") from None
         missing = [name for name in required if header is None or name not in header]
         if missing:
             raise ValueError(f"malformed header: missing columns {missing}")
-        for row in reader:
-            if None in row or any(value is None for value in row.values()):
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error:  # an over-long field; the reader resumes at the next line
+                row = None
+            if row is None or None in row or any(value is None for value in row.values()):
                 yield None, "malformed row"
-                continue
-            yield row, None
+            else:
+                yield row, None
 
 
 def _iter_rows(path: Path, fmt: str, required: Iterable[str]):

@@ -22,6 +22,8 @@ from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
+# simulate's base duration shapes, kept here so the CLI parser needs no simulate import
+DISTRIBUTIONS = ("lognormal", "exponential", "constant")
 
 
 class Verdict(str, Enum):

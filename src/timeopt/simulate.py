@@ -37,12 +37,10 @@ from datetime import datetime, timedelta, timezone
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .evaluate import TimeoutPolicy
-from .model import GRID_SECONDS, ExecutionDataset, Verdict
+from .model import DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, Verdict
 
 if TYPE_CHECKING:
     import numpy as np
-
-DISTRIBUTIONS = ("lognormal", "exponential", "constant")
 
 _EPOCH = datetime(2024, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
 _QUANTILE_CAP = 1e12  # stand-in for an unreachable quantile, seconds

@@ -12,6 +12,7 @@ from helpers import (
     reference_cross_validate,
     sample_of,
 )
+from timeopt import evaluate
 from timeopt.evaluate import (
     TimeoutPolicy,
     compare_policies,
@@ -267,6 +268,28 @@ class TestComparePolicies:
             t2.average_cost,
             t2.median_timeout,
         )
+
+    def test_kernels_only_for_samples_a_policy_cuts(self, monkeypatch):
+        dataset = fleet({"a": [60.0] * 3, "b": [60.0, 400.0], "c": [500.0, 700.0]})
+        policies = [
+            TimeoutPolicy(kind="original", values={"a": 1, "b": 5, "c": 20}, name="one"),
+            TimeoutPolicy(kind="original", values={"a": 2, "b": 10, "c": 20}, name="two"),
+        ]
+        kernel = evaluate._SortedSample
+        built = []
+        monkeypatch.setattr(
+            evaluate, "_SortedSample", lambda values: built.append(values) or kernel(values)
+        )
+        totals = compare_policies(dataset, policies, CONFIG)
+        assert built == [[60.0, 400.0]]
+        every_kernel = [
+            (tid, kernel([dataset.durations[i] for i in rows]))
+            for (tid, _), rows in dataset.sample_index.items()
+        ]
+        for policy, row in zip(policies, totals):
+            seconds = policy.seconds(dataset.test_ids())
+            expected = evaluate._score(every_kernel, seconds, CONFIG)
+            assert (row.flaky_timeout_count, row.average_cost) == expected
 
     def test_coverage_gap_errors(self):
         dataset = fleet({"a": [60.0], "b": [60.0]})

@@ -255,6 +255,23 @@ class TestLoadExecutions:
         with pytest.raises(ValueError, match="malformed header"):
             load_executions(path, "csv")
 
+    def test_over_long_csv_field_rejects_its_row(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        write_executions(dataset_of({("a", "r1"): [(10.0, "pass")] * 3}), path, "csv")
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        long_row = "x" * 200_000 + first[first.index(",") :]
+        path.write_text("".join([header, first, long_row, *rest]), encoding="utf-8")
+        dataset, report = load_executions(path, "csv")
+        assert (report.accepted, report.rejected) == (3, 1)
+        assert report.reasons == {"malformed row": 1}
+        assert dataset.test_ids() == ("a",)
+
+    def test_over_long_csv_header_is_fatal(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("x" * 200_000 + ",bar\n1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed header"):
+            load_executions(path, "csv")
+
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
             load_executions(tmp_path / "absent.jsonl")

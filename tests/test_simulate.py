@@ -304,14 +304,60 @@ def test_hang_storm_timeouts_stop_searching_at_the_grid(monkeypatch):
     assert calls <= 150
 
 
-@pytest.mark.parametrize("module", ["timeopt", "timeopt.cli"])
-def test_import_does_not_load_numpy(module):
+def run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's timeopt."""
     src = str(Path(timeopt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, {module}; assert 'numpy' not in sys.modules"
     subprocess.run(
         [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+@pytest.mark.parametrize("module", ["timeopt", "timeopt.cli"])
+def test_import_does_not_load_numpy(module):
+    run_python(f"import sys, {module}; assert 'numpy' not in sys.modules")
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('timeopt.'))"
+
+
+class TestImportGraph:
+    """Each command imports only what it runs: names resolve on first use."""
+
+    def test_package_loads_no_submodule(self):
+        run_python(f"import sys, timeopt; assert {LOADED} == [], {LOADED}")
+
+    def test_cli_loads_only_what_optimize_and_sweep_run(self):
+        expected = ["timeopt.cli", "timeopt.ingest", "timeopt.model", "timeopt.optimize"]
+        run_python(f"import sys, timeopt.cli; assert {LOADED} == {expected}, {LOADED}")
+
+    def test_public_names_are_their_modules_objects(self):
+        run_python(
+            "import importlib, timeopt\n"
+            "for module, names in timeopt._EXPORTS.items():\n"
+            "    owner = importlib.import_module(f'timeopt.{module}')\n"
+            "    for name in names:\n"
+            "        assert getattr(timeopt, name) is getattr(owner, name), name\n"
+        )
+
+    def test_dir_covers_all(self):
+        run_python("import timeopt; assert set(timeopt.__all__) <= set(dir(timeopt))")
+
+    def test_star_import(self):
+        run_python(
+            "import timeopt\n"
+            "namespace = {}\n"
+            "exec('from timeopt import *', namespace)\n"
+            "assert set(timeopt.__all__) <= set(namespace), set(timeopt.__all__) - set(namespace)\n"
+            "assert namespace['TimeoutOptimizer'] is timeopt.optimize.TimeoutOptimizer\n"
+        )
+
+    def test_submodule_attribute_imports_it(self):
+        run_python("import timeopt; assert timeopt.evaluate.make_folds is timeopt.make_folds")
+
+    def test_unknown_attribute_raises(self):
+        # hasattr is False only on AttributeError; any other error propagates
+        run_python("import timeopt; assert not hasattr(timeopt, 'no_such_name')")
 
 
 class TestSimulateRerunPolicy:
