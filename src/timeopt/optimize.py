@@ -20,13 +20,14 @@ equal p. Along such a run the float cost never falls as t grows, since
 tm(t) is the correctly rounded value of a non-decreasing exact function and
 every float operation of the cost is monotone in tm and t. So scanning the
 candidates in increasing order, keeping a strictly smaller cost, returns
-the exhaustive argmin, ties included. Empirically the candidates are the
-lower end and the first grid point at or above each duration, at most
-n + 1 however far the grid reaches; for the Tolhurst bound they are the
-points around each of its steps. The search, the static sweep and held-out
-scoring read the sample statistics, tm(t) and the empirical p(t) from one
-sorted copy of each sample, exactly equal to the ``sample_stats``,
-``truncated_mean`` and ``empirical_exceedance`` references.
+the exhaustive argmin, ties included. The candidates are the lower end
+and the first grid point of each step of p: empirically, the first point
+at or above each duration, at most n + 1; for the Tolhurst bound, whose
+steps are found in exact integers, at most (n + 1) // 2 + 1, however far
+the grid reaches. The search, the static sweep and held-out scoring read
+the sample statistics, tm(t) and the empirical p(t) from one sorted copy
+of each sample, exactly equal to the ``sample_stats``, ``truncated_mean``
+and ``empirical_exceedance`` references.
 The static sweep rescores a sample only while its max is above the
 previous grid point: once the max is at most t, p is 0 and tm is the exact
 mean at every larger t, so the sample's cost changes only through the
@@ -42,7 +43,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats, stats_of
 
@@ -124,27 +125,69 @@ def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
         floor((n + 1) / (k^2 + 1)) / (n + 1),  k^2 = n lam^2 / (n - 1 + lam^2)
 
     valid for n >= 2 and lam > 1; it approaches Cantelli's 1 / (1 + lam^2)
-    as n grows. Outside the validity region (lam <= 1, or a degenerate
-    zero-spread sample with threshold <= mean) the trivial bound 1.0 is
-    returned; a zero-spread sample with threshold > mean yields 0.0.
+    as n grows. For lam <= 1 the trivial bound 1.0 is returned. The floor is
+    exact (``_TolhurstSteps``), so the bound never rises as the threshold
+    grows, and for q_n > 0 it is never 0: it ends at 1 / (n + 1). A
+    zero-spread sample yields 1.0 up to its mean and 0.0 past it.
 
     Raises:
         ValueError: if stats.n < 2.
     """
     if stats.n < 2:
         raise ValueError("insufficient sample: the bound requires n >= 2")
-    if stats.q_n == 0.0:
-        return 0.0 if threshold > stats.mean else 1.0
-    lam = (threshold - stats.mean) / stats.q_n
-    if lam <= 1.0:
-        return 1.0
-    n = stats.n
-    if math.isinf(n * lam * lam):
-        k_sq = n  # the limit of the expression below as lam grows
-    else:
-        k_sq = n * lam * lam / (n - 1 + lam * lam)
-    bound = math.floor((n + 1) / (k_sq + 1)) / (n + 1)
-    return min(1.0, max(0.0, bound))
+    return _TolhurstSteps(stats).index(threshold) / (stats.n + 1)
+
+
+class _TolhurstSteps:
+    """The numerator j of ``tolhurst_bound`` for one sample, in integers.
+
+    Every finite float is an integer over a power of two, so the mean and
+    q_n are put over one denominator once, and the gap threshold - mean
+    over the threshold's as well. Up to lam = 1 (gap <= q_n), j = n + 1.
+    Past it, with D = gap^2 and A = (n - 1) q_n^2,
+
+        (n + 1) / (k^2 + 1) = (n + 1) (A + D) / ((n + 1) D + A),
+
+    which falls as D grows and stays above 1 for q_n > 0. So its floor j
+    never rises and never reaches 0, and j < J >= 2 exactly when gap > q_n
+    and D (J - 1) (n + 1) > A (n + 1 - J).
+    """
+
+    __slots__ = ("n", "scale", "mean", "q_n", "a")
+
+    def __init__(self, stats: SampleStats) -> None:
+        mean, mean_denominator = stats.mean.as_integer_ratio()
+        q_n, q_n_denominator = stats.q_n.as_integer_ratio()
+        self.n = stats.n
+        self.scale = max(mean_denominator, q_n_denominator)
+        self.mean = mean * (self.scale // mean_denominator)
+        self.q_n = q_n * (self.scale // q_n_denominator)
+        self.a = (stats.n - 1) * self.q_n * self.q_n
+
+    def index(self, threshold: float) -> int:
+        n = self.n
+        t, denominator = threshold.as_integer_ratio()
+        gap, q_n = t * self.scale - self.mean * denominator, self.q_n * denominator
+        if gap <= q_n:
+            return n + 1
+        if not q_n:
+            return 0
+        d, a = gap * gap, self.a * denominator * denominator
+        return (n + 1) * (a + d) // ((n + 1) * d + a)
+
+    def end(self, j: int) -> float:
+        """The least float threshold in whole seconds whose j is below j >= 2.
+
+        Grid points are whole seconds, where the gap is an integer. The least
+        integer gap past the step is g = max(q_n, isqrt(A (n + 1 - j) //
+        ((j - 1) (n + 1)))) + 1; (mean + g) / scale is rounded up to whole
+        seconds, then to a float.
+        """
+        n = self.n
+        g = max(self.q_n, math.isqrt(self.a * (n + 1 - j) // ((j - 1) * (n + 1)))) + 1
+        whole = -(-(self.mean + g) // self.scale)
+        seconds = float(whole)
+        return seconds if seconds >= whole else math.nextafter(seconds, math.inf)
 
 
 def empirical_exceedance(sample: TestSample, threshold: float) -> float:
@@ -283,11 +326,10 @@ def optimize_timeout(
 
     The sample may be a ``TestSample`` or an already sorted kernel; either
     way it is sorted once and its statistics come from the kernel. The
-    candidates are ``lower`` and every grid point where p can change
-    (``_candidates``); between two candidates the cost never falls, so
-    scanning them in increasing order and keeping a strictly smaller cost
-    returns the exhaustive argmin of the search range, ties going to the
-    smallest timeout.
+    candidates are ``lower`` and every grid point where p falls, visited in
+    one walk from step to step (``_walk``); between two candidates the cost
+    never falls, so keeping a strictly smaller cost returns the exhaustive
+    argmin of the search range, ties going to the smallest timeout.
 
     Samples with fewer than ``config.min_samples`` executions receive the
     static fallback timeout instead; their reported cost and probability are
@@ -319,20 +361,13 @@ def optimize_timeout(
             fallback_applied=True,
         )
 
-    stats = kernel.stats
-    lower, upper = search_grid(stats)
+    lower, upper = search_grid(kernel.stats)
     empirical = config.probability_method == EMPIRICAL_ECDF
-    best_t = lower
-    best_cost = best_p = math.inf
-    for t_units in _candidates(kernel, lower, upper, empirical):
-        threshold = t_units * GRID_SECONDS
-        tm, over = kernel.at(threshold)
-        p = over / n if empirical else tolhurst_bound(stats, threshold)
+    best_t, best_cost, best_p = lower, math.inf, math.inf
+    for t_units, threshold, tm, p in _walk(kernel, lower, upper, empirical):
         cost = _cost(tm, p, threshold, config)
         if cost < best_cost:
-            best_cost = cost
-            best_t = t_units
-            best_p = p
+            best_t, best_cost, best_p = t_units, cost, p
     return OptimizationResult(
         test_id=kernel.test_id,
         optimal_timeout=best_t,
@@ -344,70 +379,33 @@ def optimize_timeout(
     )
 
 
-def _candidates(
+def _walk(
     kernel: _SortedSample, lower: int, upper: int, empirical: bool
-) -> Sequence[int]:
-    """Increasing grid units: ``lower`` and every unit in (lower, upper]
-    whose float p may differ from the unit before's; the whole grid when
-    that is no shorter."""
-    grid, size = range(lower, upper + 1), upper - lower + 1  # len() stops at 2^63
-    if empirical:
-        # over(u) falls at the first unit whose threshold reaches a duration
-        ordered = kernel.ordered
-        above = ordered[bisect_right(ordered, lower * GRID_SECONDS) :]
-        if len(above) >= size:
-            return grid
-        steps: Iterable[int] = map(_unit_at_least, above)
-    else:
-        tolhurst = _tolhurst_steps(kernel.stats, size, upper)
-        if tolhurst is None:
-            return grid
-        steps = tolhurst
-    chosen = sorted({u for u in steps if lower < u <= upper})
-    return grid if len(chosen) >= size - 1 else [lower, *chosen]
+) -> Iterator[tuple[int, float, float, float]]:
+    """(unit, threshold, tm, p) at ``lower`` and at every later unit up to
+    ``upper`` where p falls, in increasing order.
 
-
-def _tolhurst_steps(stats: SampleStats, grid_size: int, upper: int) -> list[int] | None:
-    """Grid units around every step of the float ``tolhurst_bound``, or
-    None when the whole grid is to be scanned.
-
-    Past lam = 1 the bound is j / (n + 1) with j = floor((n + 1) / (k^2 + 1)),
-    and j >= J exactly when k^2 <= K = (n + 1) / J - 1, that is when
-    lam^2 <= K (n - 1) / (n - K). So the bound steps at lam = 1 and at these
-    lam_J for J = 2 .. (n + 1) // 2, and it is constant between steps. Each
-    exact threshold mean + lam_J * q_n is computed in floats, and the units
-    u - 1, u, u + 1 around u = ceil(threshold / GRID_SECONDS) are kept.
-
-    Why one unit either side suffices: every float operation in the bound
-    and in the threshold formula has a relative error of at most 2^-53. At a
-    step with J >= 2, the elasticity of (n + 1) / (k^2 + 1) in lam is at
-    least 1/2, so these errors move the place where the float bound steps,
-    and the computed threshold, by less than 2^-45 of its size in seconds.
-    While every grid point is below 2^40 s (35,000 years), that is under
-    1/32 s, far inside one 60 s grid unit, so the float bound changes only
-    at the kept units. Above it, or when there are at least as many steps
-    as grid points, the whole grid is scanned.
-
-    The float bound also steps where the exact one does not: far past the
-    last step, k^2 is n (n - 1) / (n - 1 + lam^2) short of n, and once that
-    gap is within rounding (lam^2 near (n - 1) 2^49) the computed k^2 can
-    reach n, and the bound flips between 1 / (n + 1) and 0 from one grid
-    point to the next. A grid that reaches lam^2 >= (n - 1) 2^46, which
-    takes a spread of well under a second, is scanned whole too.
+    Each next unit is the first at or above where p falls: the smallest
+    duration above the threshold, or the end of the Tolhurst step j. The
+    walk ends where p reaches its floor: no duration above, or j <= 1.
     """
-    mean, q_n, n = stats.mean, stats.q_n, stats.n
-    if q_n == 0.0:
-        # the bound is 1 up to the mean and 0 past it
-        return [_unit_at_least(math.nextafter(mean, math.inf))]
-    top = (n + 1) // 2
-    end = upper * GRID_SECONDS
-    if top >= grid_size or end > 2.0**40 or end >= mean + q_n * math.sqrt(n - 1) * 2.0**23:
-        return None
-    thresholds = [mean + q_n]
-    for j in range(2, top + 1):
-        k_sq = (n + 1) / j - 1
-        thresholds.append(mean + q_n * math.sqrt(k_sq * (n - 1) / (n - k_sq)))
-    return [u + d for u in (math.ceil(t / GRID_SECONDS) for t in thresholds) for d in (-1, 0, 1)]
+    n, ordered = kernel.n, kernel.ordered
+    steps = None if empirical else _TolhurstSteps(kernel.stats)
+    u = lower
+    while u <= upper:
+        threshold = u * GRID_SECONDS
+        tm, over = kernel.at(threshold)
+        if steps is None:
+            yield u, threshold, tm, over / n
+            if not over:
+                return
+            u = _unit_at_least(ordered[n - over])
+        else:
+            j = steps.index(threshold)
+            yield u, threshold, tm, j / (n + 1)
+            if j <= 1:
+                return
+            u = _unit_at_least(steps.end(j))
 
 
 def _unit_at_least(seconds: float) -> int:

@@ -107,10 +107,12 @@ class TestExtremeDurations:
         assert run(["optimize", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "test_id,timeout_minutes\nt,1\n"
 
-    def test_one_huge_run_ends_the_empirical_search(self, tmp_path, capsys):
-        # the grid reaches ceil(2e150 / 60) units; the candidates are two
+    @pytest.mark.parametrize("method", ["empirical", "tolhurst"])
+    def test_one_huge_run_ends_the_search(self, tmp_path, capsys, method):
+        # the grid reaches ceil(2e150 / 60) units; the empirical candidates
+        # are two, the Tolhurst ones one per step of the bound
         path = _one_test_file(tmp_path, [60.0] * 39 + [1e150])
-        assert run(["optimize", "--method", "empirical", "--input", str(path)]) == 0
+        assert run(["optimize", "--method", method, "--input", str(path)]) == 0
         mean = (60.0 * 39 + 1e150) / 40
         assert capsys.readouterr().out == f"test_id,timeout_minutes\nt,{math.ceil(mean / 60)}\n"
 

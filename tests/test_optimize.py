@@ -90,10 +90,18 @@ class TestTolhurstBound:
             assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_overflowing_lam_takes_the_limit(self):
-        # lam is about 4e159, so n * lam * lam overflows; its limit k^2 = n
-        # gives floor((n + 1) / (n + 1)) / (n + 1).
+        # lam is about 4e159, so n * lam * lam overflows a float; the bound
+        # there is its floor 1 / (n + 1), the limit as lam grows.
         stats = sample_stats(sample_of([0.0] * 39 + [1e-157]))
         assert tolhurst_bound(stats, 60.0) == 1 / 41
+
+    def test_never_rises_or_reads_zero_far_past_the_last_step(self):
+        # q_n is 7e-14, so lam^2 passes (n - 1) 2^49 within a unit of the
+        # mean, where a float k^2 cannot tell n from just below it.
+        stats = sample_stats(sample_of([501.62329724800196] * 5))
+        bounds = [tolhurst_bound(stats, u * MINUTE) for u in range(1, 20_001)]
+        assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+        assert 0.0 not in bounds
 
     def test_bounded_to_unit_interval(self):
         rng = random.Random(29)
@@ -300,10 +308,18 @@ class TestCandidateSearch:
                 best_t, best_cost = t_units, cost
         return best_t, best_cost
 
+    @pytest.mark.parametrize("huge", [1e7, 1e150], ids=["1e7", "1e150"])
     @pytest.mark.parametrize("config", [EMPIRICAL, TOLHURST])
-    def test_one_huge_run_costs_a_few_kernel_calls(self, monkeypatch, config):
-        durations = [60.0] * 39 + [1e7]  # a grid of 329,167 points
-        expected = self.exhaustive(_SortedSample(durations), config)
+    def test_one_huge_run_costs_a_few_kernel_calls(self, monkeypatch, config, huge):
+        durations = [60.0] * 39 + [huge]  # a grid of 329,167 or 3e148 points
+        if huge == 1e7:
+            expected = self.exhaustive(_SortedSample(durations), config)
+        else:  # too far to scan; past the lower end tm alone exceeds its cost
+            kernel = _SortedSample(durations)
+            lower = search_grid(kernel.stats)[0]
+            tm, over = kernel.at(lower * MINUTE)
+            p = over / kernel.n if config == EMPIRICAL else 1.0
+            expected = (lower, tm + config.rerun_count * p * tm)
         calls = 0
         at = _SortedSample.at
 
@@ -316,8 +332,8 @@ class TestCandidateSearch:
         result = optimize_timeout(sample_of(durations), config)
         assert (result.optimal_timeout, result.expected_cost_at_optimum) == expected
         n = len(durations)
-        # empirical: lower plus one per duration; Tolhurst: three per step
-        assert calls <= (n + 1 if config == EMPIRICAL else 3 * ((n + 1) // 2) + 1)
+        # empirical: lower plus one per duration; Tolhurst: one per step
+        assert calls <= (n + 1 if config == EMPIRICAL else (n + 1) // 2 + 1)
 
     @pytest.mark.parametrize(
         "seconds",

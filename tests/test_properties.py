@@ -3,7 +3,8 @@ sweep, the grouping index, the replay and the file round trip.
 
 The kernel, its statistics and the static sweep are checked bit for bit
 against the ``math.fsum`` reference functions, the candidate search
-against the brute-force scan of the whole grid, the grouping index against the
+against the brute-force scan of the whole grid, the Tolhurst bound for
+monotonicity and a positive floor, the grouping index against the
 brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
 the index existed, the folds against their size rule, the rerun
 simulator against a record-by-record replay, a write and reload, in
@@ -44,12 +45,13 @@ from timeopt.optimize import (
     PROBABILITY_METHODS,
     OptimizationConfig,
     _SortedSample,
-    _candidates,
+    _walk,
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
     static_sweep,
     timeout_probability,
+    tolhurst_bound,
     truncated_mean,
 )
 from timeopt.simulate import SimulationReport, TestSimulation, simulate_rerun_policy
@@ -180,14 +182,40 @@ def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, b
     assert (result.optimal_timeout, result.expected_cost_at_optimum) == brute_force_argmin(
         sample, config
     )
-    # The candidates hold every grid point where the float p changes.
+    # The walk scores lower and exactly the grid points where p changes,
+    # with p there.
     lower, upper = result.search_range
-    kernel = _SortedSample(durations)
-    candidates = _candidates(kernel, lower, upper, method == EMPIRICAL_ECDF)
+    walk = _walk(_SortedSample(durations), lower, upper, method == EMPIRICAL_ECDF)
     p = [timeout_probability(sample, u * MINUTE, config) for u in range(lower, upper + 1)]
-    steps = [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
-    assert candidates[0] == lower
-    assert set(steps) <= set(candidates)
+    steps = [lower] + [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
+    assert [(u, q) for u, _, _, q in walk] == [(u, p[u - lower]) for u in steps]
+
+
+@st.composite
+def near_equal_durations_st(draw) -> list[float]:
+    """2-60 durations that are all equal, or equal but for a few one ulp
+    above: a spread tiny beside the mean, so that lam grows huge."""
+    base = draw(st.floats(min_value=0.0, max_value=1e6))
+    equal, above = draw(st.integers(2, 60)), draw(st.integers(0, 3))
+    return [base] * equal + [math.nextafter(base, math.inf)] * above
+
+
+@PROPERTY
+@given(
+    durations=st.one_of(
+        st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=60),
+        near_equal_durations_st(),
+    ),
+    thresholds=st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=2e6), durations_st), min_size=2, max_size=30
+    ),
+)
+def test_tolhurst_bound_never_rises_and_is_positive_with_spread(durations, thresholds):
+    stats = sample_stats(sample_of(durations))
+    bounds = [tolhurst_bound(stats, t) for t in sorted(thresholds)]
+    assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+    if stats.q_n > 0:
+        assert min(bounds) >= 1 / (stats.n + 1)
 
 
 @PROPERTY
