@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-import statistics
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +64,8 @@ class TimeoutPolicy:
         return {tid: self.value_for(tid) * GRID_SECONDS for tid in test_ids}
 
     def median_value(self, test_ids: Sequence[str]) -> float:
+        import statistics  # loads fractions and decimal; simulate never calls this
+
         return statistics.median(self.value_for(tid) for tid in test_ids)
 
 

@@ -23,7 +23,15 @@ Each test's "developer-set" timeout is ``TestDistribution.quantile_units``:
 the quantile's bisection, stopped as soon as both ends of its bracket round
 to the same grid unit, since no later step can change that unit. The
 ``simulate`` command writes the dataset with ``ingest.write_executions``,
-which fills one JSONL line template per row.
+which fills one JSONL line template per row and writes them in chunks.
+
+Draws are made in bulk where the scalar draws would be back to back: a
+test's rerun picks, and its base durations when it has no hangs or
+outliers. numpy fills an array by calling the scalar draw's own routine
+once per element on the same generator state (bounded integers below 2**32
+from the generator's buffered 32-bit stream), so one array draw gives the
+values, and leaves the state, of the same number of scalar draws; a test
+pins this.
 
 Everything is deterministic under a fixed seed. Only the functions that
 draw or average import numpy, so importing this module does not load it.
@@ -34,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .evaluate import TimeoutPolicy
@@ -45,6 +54,7 @@ if TYPE_CHECKING:
 _EPOCH = datetime(2024, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
 _QUANTILE_CAP = 1e12  # stand-in for an unreachable quantile, seconds
 _OUTLIER_GRID = 512
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,16 +131,20 @@ class TestDistribution:
 
     def base_exceedance(self, t: float) -> float:
         """P(X > t) for the base distribution, before outliers and hangs."""
-        if t <= 0:
-            return 1.0
-        if self.kind == "lognormal":
-            if self.sigma == 0:
-                return 1.0 if t < self.scale else 0.0
-            z = math.log(t / self.scale) / self.sigma
-            return 0.5 * math.erfc(z / math.sqrt(2.0))
+        return self._base_exceedances([t])[0]
+
+    def _base_exceedances(self, ts: list[float]) -> list[float]:
+        """``base_exceedance`` of each of ``ts``, with no call per value."""
+        scale, sigma = self.scale, self.sigma
+        if self.kind == "lognormal" and sigma != 0:
+            return [
+                1.0 if t <= 0 else 0.5 * math.erfc(math.log(t / scale) / sigma / _SQRT2)
+                for t in ts
+            ]
         if self.kind == "exponential":
-            return math.exp(-t / self.scale)
-        return 1.0 if t < self.scale else 0.0
+            return [1.0 if t <= 0 else math.exp(-t / scale) for t in ts]
+        # constant, or lognormal with no spread: a step at the scale, which is > 0
+        return [1.0 if t < scale else 0.0 for t in ts]
 
     def exceedance(self, t: float) -> float:
         """P(natural duration > t) including outliers; hangs exceed any t."""
@@ -143,11 +157,10 @@ class TestDistribution:
                 import numpy as np
 
                 factors = np.linspace(lo, hi, _OUTLIER_GRID)
-                # halving a normal float is exact, and the sum cannot overflow
-                mids = factors[:-1] / 2.0 + factors[1:] / 2.0
-                tail = float(
-                    np.mean([self.base_exceedance(t / f) for f in mids])
-                )
+                # halving a normal float is exact, and the sum cannot overflow;
+                # as Python floats the midpoints divide as float64 scalars do
+                mids = (factors[:-1] / 2.0 + factors[1:] / 2.0).tolist()
+                tail = float(np.mean(self._base_exceedances([t / f for f in mids])))
             base = (1 - self.outlier_probability) * base + self.outlier_probability * tail
         return self.hang_probability + (1 - self.hang_probability) * base
 
@@ -247,17 +260,32 @@ def _test_ids(count: int) -> list[str]:
     return [f"test-{i:0{width}d}" for i in range(count)]
 
 
+def _sigma_overflow(dist: TestDistribution) -> ValueError:
+    return ValueError(f"sigma {dist.sigma:g} is too large: a drawn duration overflows")
+
+
 def _draw_base(dist: TestDistribution, rng: np.random.Generator) -> float:
     if dist.kind == "lognormal":
         try:
             return dist.scale * math.exp(dist.sigma * rng.standard_normal())
         except OverflowError:
-            raise ValueError(
-                f"sigma {dist.sigma:g} is too large: a drawn duration overflows"
-            ) from None
+            raise _sigma_overflow(dist) from None
     if dist.kind == "exponential":
         return float(rng.exponential(dist.scale))
     return dist.scale
+
+
+def _draw_bases(dist: TestDistribution, rng: np.random.Generator, count: int) -> list[float]:
+    """``count`` successive ``_draw_base`` values, from one array draw."""
+    if dist.kind == "lognormal":
+        normals = rng.standard_normal(count).tolist()
+        try:
+            return [dist.scale * math.exp(dist.sigma * z) for z in normals]
+        except OverflowError:
+            raise _sigma_overflow(dist) from None
+    if dist.kind == "exponential":
+        return rng.exponential(dist.scale, count).tolist()
+    return [dist.scale] * count
 
 
 def generate_workload(
@@ -271,7 +299,9 @@ def generate_workload(
     keep their natural duration; the verdict is timeout (uninterrupted) when
     it overruns the original timeout and pass otherwise. Deterministic given
     the spec seed; each test draws from an independent substream so results
-    do not depend on generation order.
+    do not depend on generation order. A spec with no hang and no outlier
+    probability draws nothing between base durations, so each test takes
+    them from one array draw, equal to the scalar draws of the other specs.
     """
     import numpy as np
 
@@ -280,10 +310,15 @@ def generate_workload(
     durations: list[float] = []
     verdicts: list[Verdict] = []
     hangs: list[bool] = []
+    runs = spec.executions_per_test
     # run j of every test starts j minutes after the epoch: one shared object
-    starts = [_EPOCH + timedelta(minutes=j) for j in range(spec.executions_per_test)]
+    starts = [_EPOCH + timedelta(minutes=j) for j in range(runs)]
     timeouts: dict[str, int] = {}
     truths: dict[str, TestDistribution] = {}
+    hang_p, outlier_p = spec.hang_probability, spec.outlier_probability
+    verdict_timeout, verdict_pass = Verdict.TIMEOUT, Verdict.PASS
+    lo, hi = spec.outlier_factor_range
+    bulk = hang_p == 0 and outlier_p == 0
 
     for index, test_id in enumerate(_test_ids(spec.test_count)):
         rng = np.random.default_rng((spec.seed, index))
@@ -305,21 +340,25 @@ def generate_workload(
         timeout_seconds = timeout_units * GRID_SECONDS
         timeouts[test_id] = timeout_units
 
-        for j in range(spec.executions_per_test):
-            hang = spec.hang_probability > 0 and rng.random() < spec.hang_probability
+        if bulk:
+            next_base = iter(_draw_bases(dist, rng, runs)).__next__
+        else:
+            next_base = partial(_draw_base, dist, rng)
+        for _ in range(runs):
+            hang = hang_p > 0 and rng.random() < hang_p
             if hang:
                 duration = timeout_seconds
             else:
-                duration = _draw_base(dist, rng)
-                if spec.outlier_probability > 0 and rng.random() < spec.outlier_probability:
-                    lo, hi = spec.outlier_factor_range
+                duration = next_base()
+                if outlier_p > 0 and rng.random() < outlier_p:
                     duration *= float(rng.uniform(lo, hi))
-            timed_out = hang or duration > timeout_seconds
-            tests.append(test_id)
-            started.append(starts[j])
             durations.append(duration)
-            verdicts.append(Verdict.TIMEOUT if timed_out else Verdict.PASS)
+            verdicts.append(
+                verdict_timeout if hang or duration > timeout_seconds else verdict_pass
+            )
             hangs.append(hang)
+        tests += [test_id] * runs
+        started += starts
 
     dataset = ExecutionDataset.from_columns(
         tests, ["r0"] * len(tests), started, durations, verdicts, hangs
@@ -346,6 +385,12 @@ def simulate_rerun_policy(
     initial run triggers m reruns drawn with replacement from the same
     test's outcomes; all m are charged and any success accepts the change.
 
+    The outcome table fixes a test's timeout events before any draw, so its
+    m × events rerun picks come from one ``rng.integers`` array call: numpy
+    serves a bounded draw below 2**32 from the generator's buffered 32-bit
+    stream whether it is drawn alone or in an array, so the picks are those
+    of m × events successive scalar draws, used in the same order.
+
     Raises:
         ValueError: when the policy does not cover every test.
     """
@@ -364,7 +409,8 @@ def simulate_rerun_policy(
             for i in dataset.test_index[test_id]
         ]
 
-        timeout_events = 0
+        timeout_events = sum(timed_out for _, timed_out in outcomes)
+        picks = iter(rng.integers(len(outcomes), size=rerun_count * timeout_events).tolist())
         machine_seconds = 0.0
         accepted = 0
         for consumed, timed_out in outcomes:
@@ -372,10 +418,9 @@ def simulate_rerun_policy(
             if not timed_out:
                 accepted += 1
                 continue
-            timeout_events += 1
             chain_succeeded = False
             for _ in range(rerun_count):
-                rerun_seconds, rerun_timed_out = outcomes[int(rng.integers(len(outcomes)))]
+                rerun_seconds, rerun_timed_out = outcomes[next(picks)]
                 machine_seconds += rerun_seconds
                 chain_succeeded = chain_succeeded or not rerun_timed_out
             accepted += chain_succeeded

@@ -203,6 +203,18 @@ class TestOptimize:
         assert set(rows) == {"alpha", "beta"}
         assert rows["beta"] == "7"
 
+    def test_lone_surrogate_id_is_rejected_not_written(self, runs_file, tmp_path, capsys):
+        line = runs_file.read_text(encoding="utf-8").splitlines()[0]
+        bad = line.replace('"alpha"', '"t\\udc80"')
+        with runs_file.open("a", encoding="utf-8") as handle:
+            handle.write(bad + "\n")
+        out = tmp_path / "timeouts.csv"
+        code = run(["optimize", "--input", str(runs_file), "--min-samples", "2", "--out", str(out)])
+        assert code == 0
+        assert "{'bad id': 1}" in capsys.readouterr().err
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["alpha", "beta"]
+
     def test_json_records(self, runs_file, capsys):
         code = run(
             [

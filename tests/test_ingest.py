@@ -142,6 +142,36 @@ class TestLoadExecutions:
         assert len(dataset) == 1
         assert report.reasons == {"invalid json": 1}
 
+    def test_undecodable_bytes_reject_only_their_jsonl_rows(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        good = json.dumps(jsonl_row()).encode()
+        path.write_bytes(
+            b"\xff\xfe" + good + b"\n"  # a UTF-16 byte-order mark
+            + good.replace(b'"t1"', b'"t\xff"') + b"\n"
+            + good.replace(b'"r1"', b'"r\\udc80"') + b"\n"
+            + good.replace(b'"t1"', b'"t\\ud800"') + b"\n"
+            + good + b"\n"
+        )
+        dataset, report = load_executions(path)
+        assert (report.accepted, report.rejected) == (1, 4)
+        assert report.reasons == {"invalid json": 1, "bad id": 3}
+        assert dataset.test_ids() == ("t1",)
+
+    def test_undecodable_bytes_reject_only_their_csv_rows(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(
+            b"test_id,revision_id,started_at,duration_seconds,verdict\n"
+            b"t1,r1,2024-01-01T00:00:00Z,60,pass\n"
+            b"t\xff,r1,2024-01-01T00:01:00Z,60,pass\n"
+            b"t1,r\xc3,2024-01-01T00:02:00Z,60,pass\n"
+            b"t1,r1,2024-01-01T00:03:00Z,60,pass\xff\n"
+            b"t1,r1,2024-01-01T00:04:00Z,60,pass\n"
+        )
+        dataset, report = load_executions(path, "csv")
+        assert (report.accepted, report.rejected) == (2, 3)
+        assert report.reasons == {"bad id": 2, "unknown verdict": 1}
+        assert dataset.test_ids() == ("t1",)
+
     def test_censored_fraction_warning(self, tmp_path):
         rows = [
             jsonl_row(started_at=f"2024-01-01T00:{i:02d}:00Z", verdict="timeout", interrupted=True)
@@ -387,6 +417,24 @@ class TestTypedPath:
         assert report.accepted == 24
         assert dataset.started_at == expected.started_at
         assert all(stamp.tzinfo is timezone.utc for stamp in dataset.started_at)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_each_distinct_id_is_checked_once(self, runs_file, tmp_path, monkeypatch, fmt):
+        expected, _ = load_executions(runs_file)
+        path = tmp_path / f"runs.{fmt}"
+        write_executions(expected, path, fmt)
+        checked = []
+        shared = ingest._shared_id
+
+        def shared_id(value, ids):
+            if value not in ids:
+                checked.append(value)
+            return shared(value, ids)
+
+        monkeypatch.setattr(ingest, "_shared_id", shared_id)
+        dataset, _ = load_executions(path, fmt)
+        assert dataset == expected
+        assert sorted(checked) == sorted({*expected.tests, *expected.revisions})
 
     def test_csv_rows_never_try_it(self, runs_file, tmp_path, monkeypatch):
         expected, _ = load_executions(runs_file)

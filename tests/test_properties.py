@@ -594,7 +594,7 @@ def test_jsonl_writer_equals_json_dumps_of_each_row(data, pool):
 # optionally padded, or one of a few odd spellings.
 _ABSENT = object()
 row_id_st = st.one_of(writer_id_st, st.just(" t "))
-bad_id_st = st.sampled_from(["", None, 7, True, ["t1"], _ABSENT])
+bad_id_st = st.sampled_from(["", None, 7, True, ["t1"], "t\udc80", _ABSENT])
 canonical_stamp_st = writer_instant_st.map(format_timestamp)
 stamp_st = st.one_of(
     st.builds(
@@ -653,11 +653,11 @@ def test_typed_path_equals_the_full_check(data, mutated, pad):
         row[name] = data.draw(ROW_MUTATIONS[name], label=name)
     row = {key: value for key, value in row.items() if value is not _ABSENT}
     try:
-        expected = _record_from_row(row)
+        expected = _record_from_row(row, {})
     except ValueError as exc:
         expected = str(exc)
 
-    typed = _typed_values(row)
+    typed = _typed_values(row, {})
     if not mutated:
         assert typed is not None  # the canonical shape takes the typed path
     if typed is not None:

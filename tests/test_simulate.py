@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -6,10 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import timeopt
 
+from timeopt import cli
 from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
 from timeopt.model import GRID_SECONDS, ExecutionDataset, Verdict
@@ -197,6 +200,54 @@ class TestGroundTruth:
         assert 0.0 < tail <= 0.5
 
 
+def reference_exceedance(dist: TestDistribution, t: float) -> float:
+    """``exceedance`` one value and one call at a time, over numpy midpoints."""
+
+    def base(x):
+        if x <= 0:
+            return 1.0
+        if dist.kind == "lognormal":
+            if dist.sigma == 0:
+                return 1.0 if x < dist.scale else 0.0
+            z = math.log(x / dist.scale) / dist.sigma
+            return 0.5 * math.erfc(z / math.sqrt(2.0))
+        if dist.kind == "exponential":
+            return math.exp(-x / dist.scale)
+        return 1.0 if x < dist.scale else 0.0
+
+    value = base(t)
+    if dist.outlier_probability > 0:
+        lo, hi = dist.outlier_factor_range
+        if hi == lo:
+            tail = base(t / lo)
+        else:
+            factors = np.linspace(lo, hi, 512)
+            mids = factors[:-1] / 2.0 + factors[1:] / 2.0
+            tail = float(np.mean([base(t / f) for f in mids]))
+        value = (1 - dist.outlier_probability) * value + dist.outlier_probability * tail
+    return dist.hang_probability + (1 - dist.hang_probability) * value
+
+
+@pytest.mark.parametrize(
+    "kind, sigma, outliers, factors, hangs",
+    [
+        ("lognormal", 0.5, 0.0, (2.0, 10.0), 0.0),
+        ("lognormal", 0.5, 0.05, (2.0, 10.0), 0.03),
+        ("lognormal", 0.0, 0.05, (2.0, 10.0), 0.0),
+        ("lognormal", 1.5, 0.2, (3.0, 3.0), 0.01),
+        ("exponential", 0.5, 0.05, (2.0, 10.0), 0.03),
+        ("exponential", 0.5, 1.0, (1.5, 1e300), 0.0),
+        ("constant", 0.0, 0.1, (2.0, 10.0), 0.0),
+    ],
+)
+def test_exceedance_equals_the_per_value_reference(kind, sigma, outliers, factors, hangs):
+    dist = TestDistribution(kind, 180.0, sigma, outliers, factors, hangs)
+    probes = [-1.0, 0.0, 1e-300, 0.5, 59.9, 180.0, 360.0, 1234.5678, 1e7, 1e300]
+    probes += [float(t) for t in np.geomspace(1.0, 1e5, 200)]
+    for t in probes:
+        assert repr(dist.exceedance(t)) == repr(reference_exceedance(dist, t)), t
+
+
 def full_bisection(dist: TestDistribution, p: float) -> float:
     """``quantile`` as it ran before the early stop: always 200 steps."""
     target = 1.0 - p
@@ -331,6 +382,19 @@ class TestImportGraph:
         expected = ["timeopt.cli", "timeopt.ingest", "timeopt.model", "timeopt.optimize"]
         run_python(f"import sys, timeopt.cli; assert {LOADED} == {expected}, {LOADED}")
 
+    def test_simulate_loads_no_statistics(self, tmp_path):
+        # evaluate is imported for TimeoutPolicy alone; statistics pulls in
+        # fractions and decimal
+        report = tmp_path / "report.json"
+        run_python(
+            "import sys, timeopt.cli\n"
+            "assert timeopt.cli.run(['simulate', '--tests', '2', '--runs', '20',"
+            f" '--seed', '1', '--report-out', {str(report)!r}]) == 0\n"
+            "assert 'timeopt.evaluate' in sys.modules\n"
+            "loaded = [m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]\n"
+            "assert loaded == [], loaded\n"
+        )
+
     def test_public_names_are_their_modules_objects(self):
         run_python(
             "import importlib, timeopt\n"
@@ -449,3 +513,87 @@ class TestSimulateRerunPolicy:
         assert report.total_machine_seconds == pytest.approx(
             4 * 3 * (policy.value_for("test-000") + 22) * 60.0
         )
+
+
+# The first 16 hex digits of the sha256 of ``simulate --out`` and ``--report-out``
+# for ``--tests 4 --runs 150 --spread 2 --m 2``, recorded before the generator
+# and the replay drew in bulk: bulk draws must reproduce the scalar ones.
+SIMULATE_DIGESTS = [
+    ("lognormal", "plain", 3, "30721ef724706547", "1e08cd89ab415853"),
+    ("lognormal", "plain", 8, "75fceb0035aca31d", "8435d6d763d20f27"),
+    ("lognormal", "hangs", 3, "ee86be96fd4f6a39", "229e542f14657599"),
+    ("lognormal", "hangs", 8, "5debba999d040559", "ddafb77ca3a67862"),
+    ("lognormal", "outliers", 3, "81df4bfb0bf39bfd", "44cdb4f9ab491d7f"),
+    ("lognormal", "outliers", 8, "eae7168e1498bb62", "cfc9ad288d18b9a8"),
+    ("lognormal", "both", 3, "2bb1d12c9ce78222", "4b931eb5c16d0a0d"),
+    ("lognormal", "both", 8, "d757460b462061d0", "c48fc22090c42cf8"),
+    ("exponential", "plain", 3, "020ebca9487ae270", "b65e982d63b93a53"),
+    ("exponential", "plain", 8, "f16043b1168e7431", "31348580d6bac4f5"),
+    ("exponential", "hangs", 3, "a856c52bf732841a", "0df85abf72c88e07"),
+    ("exponential", "hangs", 8, "c0f5e4206df84b70", "2558235882d84389"),
+    ("exponential", "outliers", 3, "c180138d87f2d96b", "cb38014d9764c99f"),
+    ("exponential", "outliers", 8, "a21f22e2d7096089", "2ea773a36cc91332"),
+    ("exponential", "both", 3, "3eed96c7a055a0e0", "7ae147109222799d"),
+    ("exponential", "both", 8, "18edc53fcad15d2b", "6ffcf4f031de058c"),
+    ("constant", "plain", 3, "04941ed886a9bd02", "43d0589b5e737042"),
+    ("constant", "plain", 8, "0d045f5a45110089", "fe66bdeccd58100d"),
+    ("constant", "hangs", 3, "a3926fdfd21f4efd", "b8f9b2cab8cafa54"),
+    ("constant", "hangs", 8, "9c0a2a9cef15a3b1", "e7932fee628ac272"),
+    ("constant", "outliers", 3, "a8d8bc03f0d34048", "9d93c1acfaae9f84"),
+    ("constant", "outliers", 8, "4b45b2e0881c5072", "a7789c026b347be2"),
+    ("constant", "both", 3, "498710af884f58c7", "b3dce1b621cff5d6"),
+    ("constant", "both", 8, "eb1e314ed5655f86", "5f803d6c78426582"),
+]
+SIMULATE_VARIANTS = {
+    "plain": [],
+    "hangs": ["--hang-prob", "0.04"],
+    "outliers": ["--outlier-prob", "0.08"],
+    "both": ["--hang-prob", "0.04", "--outlier-prob", "0.08"],
+}
+
+
+@pytest.mark.parametrize(
+    "distribution, variant, seed, dataset_digest, report_digest",
+    SIMULATE_DIGESTS,
+    ids=[f"{dist}-{variant}-{seed}" for dist, variant, seed, *_ in SIMULATE_DIGESTS],
+)
+def test_simulate_outputs_are_pinned(
+    tmp_path, distribution, variant, seed, dataset_digest, report_digest
+):
+    out, report = tmp_path / "runs.jsonl", tmp_path / "report.json"
+    argv = ["simulate", "--tests", "4", "--runs", "150", "--spread", "2", "--m", "2"]
+    argv += ["--distribution", distribution, *SIMULATE_VARIANTS[variant], "--seed", str(seed)]
+    assert cli.run([*argv, "--out", str(out), "--report-out", str(report)]) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in (out, report)]
+    assert digests == [dataset_digest, report_digest]
+
+
+class TestArrayDrawsEqualScalarDraws:
+    """The numpy property behind the bulk draws of ``generate_workload`` and
+    ``simulate_rerun_policy``: one array draw gives the values of, and leaves
+    the generator where, the same number of successive scalar draws would."""
+
+    def test_bounded_integers(self):
+        for bound in range(1, 3001):
+            scalar = np.random.default_rng((5, bound))
+            array = np.random.default_rng((5, bound))
+            draws = [int(scalar.integers(bound)) for _ in range(7)]
+            assert array.integers(bound, size=7).tolist() == draws, bound
+            assert array.bit_generator.state == scalar.bit_generator.state, bound
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, size: rng.standard_normal(size),
+            lambda rng, size: rng.exponential(180.0, size),
+        ],
+        ids=["standard_normal", "exponential"],
+    )
+    def test_floats(self, draw):
+        for seed in range(20):
+            scalar = np.random.default_rng((seed, 1))
+            array = np.random.default_rng((seed, 1))
+            draws = [draw(scalar, None) for _ in range(500)]
+            assert all(type(value) is float for value in draws)
+            assert draw(array, 500).tolist() == draws, seed
+            assert array.bit_generator.state == scalar.bit_generator.state, seed
