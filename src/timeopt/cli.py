@@ -23,11 +23,10 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from . import ingest
 from . import optimize as op
-from .model import DISTRIBUTIONS, GRID_SECONDS
+from .model import DISTRIBUTIONS, GRID_SECONDS, valid_minutes
 
 if TYPE_CHECKING:
     from .evaluate import CvReport
-    from .flakiness import FlakinessReport
 
 _METHOD_ALIASES = {
     "tolhurst": op.TOLHURST_BOUND,
@@ -75,18 +74,24 @@ def _emit_json(payload: Any, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
-def _bounded(kind: type, low: float, high: float | None = None):
-    """An argparse type: a ``kind`` value in [low, high], else a usage error."""
+def _bounded(kind: type, low: float, high: float | None = None, minutes: bool = False):
+    """An argparse type: a ``kind`` value in [low, high], and one that
+    ``valid_minutes`` takes if ``minutes``; else a usage error."""
 
     def parse(text: str):
         value = kind(text)
         if not (low <= value and (high is None or value <= high)):
             bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        if minutes and not valid_minutes(value):
+            raise argparse.ArgumentTypeError(f"must be finite in seconds, got {text} minutes")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
+
+
+_MINUTES = _bounded(int, 1, minutes=True)  # the type of every flag in minutes
 
 
 def _config_from_args(args: argparse.Namespace) -> op.OptimizationConfig:
@@ -109,12 +114,6 @@ def _result_record(result: op.OptimizationResult) -> dict[str, Any]:
     }
 
 
-def _report_dict(report: FlakinessReport) -> dict[str, Any]:
-    data = asdict(report)
-    data["bin_counts"] = list(report.bin_counts)
-    return data
-
-
 def _cmd_summarize(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input, args.format)
     summary = ingest.summarize(dataset)
@@ -134,11 +133,8 @@ def _cmd_flakiness(args: argparse.Namespace) -> int:
     share = fl.timeout_failure_share(dataset)
     _emit_json(
         {
-            "report": _report_dict(report),
-            "evolution": {
-                "revision_id": evolution.revision_id,
-                "points": [[k, rate] for k, rate in evolution.points],
-            },
+            "report": asdict(report),
+            "evolution": asdict(evolution),
             "timeout_failure_share": share,
         },
         args.out,
@@ -156,11 +152,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     relative = comparison.relative_change  # infinite for a rise from a zero rate
     _emit_json(
         {
-            "report_a": _report_dict(comparison.report_a),
-            "report_b": _report_dict(comparison.report_b),
+            "report_a": asdict(comparison.report_a),
+            "report_b": asdict(comparison.report_b),
             "absolute_change": comparison.absolute_change,
             "relative_change": relative if math.isfinite(relative) else None,
-            "warnings": list(comparison.warnings),
+            "warnings": comparison.warnings,
         },
         args.out,
     )
@@ -172,12 +168,7 @@ def _cmd_timeout_history(args: argparse.Namespace) -> int:
     changes = ingest.load_timeout_changes(
         args.input, _infer_format(args.input, args.format)
     )
-    stats = fl.timeout_change_stats(changes)
-    payload = asdict(stats)
-    for key in ("increase_ratios", "decrease_ratios"):
-        if payload[key] is not None:
-            payload[key] = list(payload[key])
-    _emit_json(payload, args.out)
+    _emit_json(asdict(fl.timeout_change_stats(changes)), args.out)
     return 0
 
 
@@ -201,7 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         {
             "optimal_timeout_minutes": result.optimal_timeout,
             "average_cost_seconds": result.average_cost_at_optimum,
-            "curve": [[t, cost] for t, cost in result.curve.points],
+            "curve": result.curve.points,
         },
         args.out,
     )
@@ -255,12 +246,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         payload = {
             "k": report.k,
             "seed": report.seed,
-            "policies": list(report.policies),
+            "policies": report.policies,
             "folds": [asdict(row) for row in report.rows],
-            "timeout_reduction": {
-                a: dict(b) for a, b in report.timeout_reduction.items()
-            },
-            "excluded_tests": list(report.excluded_tests),
+            "timeout_reduction": report.timeout_reduction,
+            "excluded_tests": report.excluded_tests,
             "totals": totals,
         }
         _emit_json(payload, args.out)
@@ -297,7 +286,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "rerun_count": report.rerun_count,
             "total_machine_seconds": report.total_machine_seconds,
             "mean_cost_per_initial_run_seconds": report.mean_cost_per_initial_run,
-            "final_verdicts": dict(report.final_verdicts),
+            "final_verdicts": report.final_verdicts,
         },
         args.report_out,
     )
@@ -341,7 +330,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fallback",
-        type=_bounded(int, 1),
+        type=_MINUTES,
         default=_DEFAULTS.fallback_timeout,
         help="fallback timeout, minutes",
     )
@@ -385,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="average cost of static global timeouts")
     _add_io_flags(p)
     _add_cost_flags(p)
-    p.add_argument("--lo", type=_bounded(int, 1), required=True, help="sweep start, minutes")
-    p.add_argument("--hi", type=_bounded(int, 1), required=True, help="sweep end, minutes")
+    p.add_argument("--lo", type=_MINUTES, required=True, help="sweep start, minutes")
+    p.add_argument("--hi", type=_MINUTES, required=True, help="sweep end, minutes")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("evaluate", help="cross-validate timeout policies")
@@ -395,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.add_argument("--k", type=_bounded(int, 2), default=5, help="number of folds")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--static", type=_bounded(int, 1), help="static baseline, minutes")
+    p.add_argument("--static", type=_MINUTES, help="static baseline, minutes")
     p.add_argument("--timeouts", default=None, help="CSV of original per-test timeouts")
     p.set_defaults(func=_cmd_evaluate)
 

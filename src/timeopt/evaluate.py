@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import GRID_SECONDS, ExecutionDataset, TestSample
+from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
 from .optimize import OptimizationConfig, _cost, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
@@ -39,10 +39,10 @@ class TimeoutPolicy:
             raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
         if self.values is None and self.default is None:
             raise ValueError("policy needs per-test values or a default")
-        if self.values is not None and any(v < 1 for v in self.values.values()):
-            raise ValueError("timeout values must be >= 1")
-        if self.default is not None and self.default < 1:
-            raise ValueError("default timeout must be >= 1")
+        if self.values is not None and not all(map(valid_minutes, self.values.values())):
+            raise ValueError("timeout values must be >= 1 and finite in seconds")
+        if self.default is not None and not valid_minutes(self.default):
+            raise ValueError("default timeout must be >= 1 and finite in seconds")
 
     @property
     def label(self) -> str:
@@ -323,15 +323,16 @@ def load_timeout_policy(
     """Read a two-column CSV (test_id, timeout_minutes) as a policy."""
     values: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError("malformed header: expected test_id,timeout_minutes")
-        start = [] if header[0].strip() == "test_id" else [header]
-        for row in start + list(reader):
-            if len(row) < 2:
-                raise ValueError(f"malformed policy row: {row!r}")
-            values[row[0]] = int(row[1])
+        try:
+            rows = list(csv.reader(handle))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"malformed policy file: {exc}") from None
+    if not rows or len(rows[0]) < 2:
+        raise ValueError("malformed header: expected test_id,timeout_minutes")
+    for row in rows[1:] if rows[0][0].strip() == "test_id" else rows:
+        if len(row) < 2:
+            raise ValueError(f"malformed policy row: {row!r}")
+        values[row[0]] = int(row[1])
     return TimeoutPolicy(kind=kind, values=values, name=name)
 
 

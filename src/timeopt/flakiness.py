@@ -112,7 +112,7 @@ def flakiness_report(dataset: ExecutionDataset, revision_id: str) -> FlakinessRe
         repetition_count=max(map(len, runs)),
         unique_tests=unique,
         flaky_tests=flaky,
-        flakiness_rate=flaky / unique if unique else 0.0,
+        flakiness_rate=flaky / unique,
         bin_counts=tuple(bins),
     )
 
@@ -135,7 +135,7 @@ def flakiness_evolution(
     k = step
     while True:
         flaky = sum(1 for verdicts in runs if is_flaky(verdicts[:k]))
-        points.append((k, flaky / unique if unique else 0.0))
+        points.append((k, flaky / unique))
         if k >= max_n:
             break
         k += step

@@ -33,11 +33,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .model import _VERDICT_OF, ExecutionDataset, Verdict, verdict_of
+from .model import _VERDICT_OF, ExecutionDataset, Verdict, valid_minutes, verdict_of
 
 EXECUTION_FIELDS = (
     "test_id",
@@ -47,8 +46,6 @@ EXECUTION_FIELDS = (
     "verdict",
     "interrupted",
 )
-
-TIMEOUT_CHANGE_FIELDS = ("test_id", "changed_at", "old_value", "new_value")
 
 DEFAULT_CENSORED_WARN_THRESHOLD = 0.05
 
@@ -398,27 +395,25 @@ def _censored_warnings(dataset: ExecutionDataset) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def _minutes_value(raw: Any) -> int:
+    """A change row's value as int minutes that ``valid_minutes`` takes, else "bad value"."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
+        raise ValueError("bad value") from None
+    if not valid_minutes(value):
+        raise ValueError("bad value")
+    return value
+
+
 def _change_from_row(row: Mapping[str, Any]) -> TimeoutChangeRecord:
     test_id = row.get("test_id")
     if not test_id or not isinstance(test_id, str):
         raise ValueError("missing id")
     changed_at = parse_timestamp(row.get("changed_at"))
-
     raw_old = row.get("old_value")
-    if raw_old in (None, ""):
-        old_value = None
-    else:
-        try:
-            old_value = int(raw_old)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
-            raise ValueError("bad value") from None
-
-    raw_new = row.get("new_value")
-    try:
-        new_value = int(raw_new)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("bad value") from None
-
+    old_value = None if raw_old in (None, "") else _minutes_value(raw_old)
+    new_value = _minutes_value(row.get("new_value"))
     return TimeoutChangeRecord(
         test_id=test_id, changed_at=changed_at, new_value=new_value, old_value=old_value
     )
@@ -473,7 +468,6 @@ def record_to_row(row: tuple[str, str, datetime, float, Verdict, bool]) -> dict[
 
 
 _VERDICT_JSON = {verdict: json.dumps(verdict.value) for verdict in Verdict}
-_WRITE_CHUNK_LINES = 4096
 
 
 def _jsonl_lines(dataset: ExecutionDataset) -> Iterator[str]:
@@ -499,10 +493,6 @@ def _jsonl_lines(dataset: ExecutionDataset) -> Iterator[str]:
 def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "jsonl") -> None:
     """Write a dataset in the standard JSONL or CSV format.
 
-    JSONL lines are joined and written ``_WRITE_CHUNK_LINES`` at a time: the
-    text is the same as one write per line, with a few thousand times fewer
-    calls into the file object.
-
     Raises:
         ValueError: before opening the file, when a duration is not finite
             (neither format could be loaded back), or on an unknown format.
@@ -515,10 +505,8 @@ def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "js
             f"{dataset.tests[index]}: durations must be finite"
         )
     if fmt == "jsonl":
-        lines = _jsonl_lines(dataset)
         with path.open("w", encoding="utf-8") as handle:
-            while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
-                handle.write(chunk)
+            handle.writelines(_jsonl_lines(dataset))
         return
     if fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:

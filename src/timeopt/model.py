@@ -26,6 +26,16 @@ GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
 DISTRIBUTIONS = ("lognormal", "exponential", "constant")
 
 
+def valid_minutes(minutes: float) -> bool:
+    """Whether a timeout in grid units is valid: at least 1, and
+    ``minutes * GRID_SECONDS`` a finite float (an int past the float range
+    is not)."""
+    try:
+        return minutes >= 1 and math.isfinite(minutes * GRID_SECONDS)
+    except OverflowError:
+        return False
+
+
 class Verdict(str, Enum):
     """Outcome of a single test execution."""
 

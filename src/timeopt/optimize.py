@@ -45,7 +45,9 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
-from .model import GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats, stats_of
+from .model import (
+    GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats, stats_of, valid_minutes,
+)
 
 TOLHURST_BOUND = "tolhurst_bound"
 EMPIRICAL_ECDF = "empirical_ecdf"
@@ -79,8 +81,8 @@ class OptimizationConfig:
             )
         if self.min_samples < 2:
             raise ValueError("min_samples must be >= 2")
-        if self.fallback_timeout < 1:
-            raise ValueError("fallback_timeout must be >= 1")
+        if not valid_minutes(self.fallback_timeout):
+            raise ValueError("fallback_timeout must be >= 1 and finite in seconds")
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,8 +241,8 @@ class _SortedSample:
 
     Durations are kept as exact integer prefix sums over a common
     power-of-two denominator (every finite float is an integer over a power
-    of two). At threshold t, with k = bisect_right(sorted, t), the capped
-    sum is the integer (prefix[k] + (n - k) * t) over that denominator, and
+    of two). At threshold t = p / q, with k = bisect_right(sorted, t), the
+    capped sum is (prefix[k] q + (n - k) p denominator) / (denominator q), and
     Python's int / int division rounds it correctly, exactly as math.fsum
     rounds the same sum. So ``at`` returns what ``truncated_mean`` and
     ``empirical_exceedance`` return, bit for bit, and ``stats`` is
@@ -291,13 +293,8 @@ class _SortedSample:
         n = self.n
         k = bisect_right(self.ordered, threshold)
         p, q = threshold.as_integer_ratio()
-        if q <= self.denominator:
-            numerator = self.prefix[k] + (n - k) * p * (self.denominator // q)
-            denominator = self.denominator
-        else:
-            numerator = self.prefix[k] * (q // self.denominator) + (n - k) * p
-            denominator = q
-        return numerator / denominator / n, n - k
+        denominator = self.denominator
+        return (self.prefix[k] * q + (n - k) * p * denominator) / (denominator * q) / n, n - k
 
     def empirical_cost(self, threshold: float, config: OptimizationConfig) -> tuple[float, int]:
         """(``expected_cost`` with empirical probabilities, overruns) at a threshold."""
@@ -341,41 +338,30 @@ def optimize_timeout(
         kernel = _SortedSample(sample.durations, sample.test_id)
     n = kernel.n
     if n < config.min_samples:
-        t_units = config.fallback_timeout
-        if n >= 1:
-            t_seconds = t_units * GRID_SECONDS
-            cost, over = kernel.empirical_cost(t_seconds, config)
-            probability = over / n
+        t = config.fallback_timeout
+        if n:
+            cost, over = kernel.empirical_cost(t * GRID_SECONDS, config)
+            p = over / n
             lower, upper = search_grid(kernel.stats)
         else:
-            probability = float("nan")
-            cost = float("nan")
-            lower = upper = t_units
-        return OptimizationResult(
-            test_id=kernel.test_id,
-            optimal_timeout=t_units,
-            expected_cost_at_optimum=cost,
-            timeout_probability_at_optimum=probability,
-            search_range=(lower, upper),
-            method_used=config.probability_method,
-            fallback_applied=True,
-        )
-
-    lower, upper = search_grid(kernel.stats)
-    empirical = config.probability_method == EMPIRICAL_ECDF
-    best_t, best_cost, best_p = lower, math.inf, math.inf
-    for t_units, threshold, tm, p in _walk(kernel, lower, upper, empirical):
-        cost = _cost(tm, p, threshold, config)
-        if cost < best_cost:
-            best_t, best_cost, best_p = t_units, cost, p
+            cost = p = math.nan
+            lower = upper = t
+    else:
+        lower, upper = search_grid(kernel.stats)
+        empirical = config.probability_method == EMPIRICAL_ECDF
+        t, cost, p = lower, math.inf, math.inf
+        for unit, threshold, tm, unit_p in _walk(kernel, lower, upper, empirical):
+            unit_cost = _cost(tm, unit_p, threshold, config)
+            if unit_cost < cost:
+                t, cost, p = unit, unit_cost, unit_p
     return OptimizationResult(
         test_id=kernel.test_id,
-        optimal_timeout=best_t,
-        expected_cost_at_optimum=best_cost,
-        timeout_probability_at_optimum=best_p,
+        optimal_timeout=t,
+        expected_cost_at_optimum=cost,
+        timeout_probability_at_optimum=p,
         search_range=(lower, upper),
         method_used=config.probability_method,
-        fallback_applied=False,
+        fallback_applied=n < config.min_samples,
     )
 
 

@@ -23,7 +23,7 @@ Each test's "developer-set" timeout is ``TestDistribution.quantile_units``:
 the quantile's bisection, stopped as soon as both ends of its bracket round
 to the same grid unit, since no later step can change that unit. The
 ``simulate`` command writes the dataset with ``ingest.write_executions``,
-which fills one JSONL line template per row and writes them in chunks.
+which fills one JSONL line template per row.
 
 Draws are made in bulk where the scalar draws would be back to back: a
 test's rerun picks, and its base durations when it has no hangs or

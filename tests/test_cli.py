@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -389,6 +391,56 @@ class TestSimulate:
         assert first == second
 
 
+_DIGITS_401 = "9" * 401  # an int past the float range
+
+
+class TestOverLargeMinutes:
+    """A timeout in minutes whose seconds are not a finite float ends in one
+    error line, or costs only its row."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--seed", "1", "--static", "1" + "0" * 307],
+            ["optimize", "--min-samples", "1000", "--fallback", _DIGITS_401],
+            ["sweep", "--lo", _DIGITS_401, "--hi", _DIGITS_401 + "9"],
+        ],
+        ids=["evaluate-static", "optimize-fallback", "sweep-lo"],
+    )
+    def test_flag_is_usage_error(self, runs_file, capsys, argv):
+        assert run(argv + ["--input", str(runs_file)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"timeopt {argv[0]}: error: argument --")
+        assert err.splitlines()[-1].endswith(" minutes")
+
+    @pytest.mark.parametrize(
+        "body",
+        ["alpha,4\n" + "t" * 200_000 + ",7\n", f"alpha,{_DIGITS_401}\nbeta,7\n"],
+        ids=["long-id", "large-value"],
+    )
+    def test_policy_file_is_data_error(self, runs_file, tmp_path, capsys, body):
+        timeouts = tmp_path / "orig.csv"
+        timeouts.write_text("test_id,timeout_minutes\n" + body)
+        argv = ["evaluate", "--input", str(runs_file), "--seed", "1", "--timeouts", str(timeouts)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_history_row_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "changes.jsonl"
+        rows = [
+            {"test_id": "a", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": int(_DIGITS_401)},
+            {"test_id": "b", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": 10},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.warns(UserWarning, match="rejected 1"):
+            assert run(["timeout-history", "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tests_with_changes"] == 1
+        assert payload["increase_ratios"] == [2.0, 2.0, 2.0]
+
+
 class TestTimeoutHistory:
     def test_history_stats(self, tmp_path, capsys):
         path = tmp_path / "changes.jsonl"
@@ -404,3 +456,84 @@ class TestTimeoutHistory:
         assert payload["increase_count"] == 1
         assert payload["decrease_count"] == 1
         assert payload["decrease_ratios"][1] == 0.5
+
+
+def _flakiness_argv(tmp_path):
+    path = tmp_path / "flaky.jsonl"
+    verdicts = {"a": ["pass", "timeout"] * 10, "b": ["pass"] * 20, "c": ["fail", "pass", "pass"] * 6}
+    write_executions(verdict_dataset(verdicts), path)
+    return ["flakiness", "--input", str(path), "--revision", "r1", "--step", "5"]
+
+
+def _compare_argv(tmp_path, rise_from_zero):
+    path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first = ["pass"] * 4 if rise_from_zero else ["pass", "fail", "pass"] * 3
+    write_executions(verdict_dataset({"t": first, "u": ["pass"] * 4}), path_a)
+    write_executions(verdict_dataset({"t": ["pass", "fail"] * 2, "u": ["fail", "pass"] * 3}), path_b)
+    argv = ["compare", "--input-a", str(path_a), "--input-b", str(path_b)]
+    return argv + ["--revision-a", "r1", "--revision-b", "r1"]
+
+
+def _history_argv(tmp_path, with_decrease):
+    path = tmp_path / "changes.jsonl"
+    rows = [
+        {"test_id": "a", "changed_at": "2021-01-01T00:00:00Z", "new_value": 15},
+        {"test_id": "a", "changed_at": "2021-02-01T00:00:00Z", "old_value": 15, "new_value": 25},
+        {"test_id": "a", "changed_at": "2021-03-01T00:00:00Z", "old_value": 25, "new_value": 70},
+        {"test_id": "b", "changed_at": "2021-03-01T00:00:00Z", "old_value": 30, "new_value": 15},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows[: 4 if with_decrease else 3]) + "\n")
+    return ["timeout-history", "--input", str(path)]
+
+
+def _sweep_argv(tmp_path):
+    path = tmp_path / "fleet.jsonl"
+    write_executions(sweep_fixture_dataset(), path)
+    return ["sweep", "--input", str(path), "--lo", "75", "--hi", "180", "--pb", "0.001"]
+
+
+def _evaluate_argv(tmp_path, runs_file):
+    timeouts = tmp_path / "orig.csv"
+    timeouts.write_text("test_id,timeout_minutes\nalpha,4\nbeta,7\n")
+    argv = ["evaluate", "--input", str(runs_file), "--k", "4", "--seed", "1", "--static", "3"]
+    return argv + ["--timeouts", str(timeouts), "--min-samples", "2"]
+
+
+def _simulate_argv():
+    argv = ["simulate", "--tests", "3", "--runs", "50", "--seed", "11", "--hang-prob", "0.05"]
+    return argv + ["--outlier-prob", "0.1"]
+
+
+# The first 16 hex digits of the sha256 of each command's JSON output, recorded
+# from the code that re-wrapped tuples with list() and dict() before json.dumps.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        pytest.param(lambda tmp, _: _flakiness_argv(tmp), "4cb74efae3f2ab62", id="flakiness"),
+        pytest.param(
+            lambda tmp, _: _compare_argv(tmp, True), "e10f725ba25e95a5", id="compare-rise-from-zero"
+        ),
+        pytest.param(
+            lambda tmp, _: _compare_argv(tmp, False),
+            "dbc3d785a0727726",
+            id="compare-unequal-repetitions",
+        ),
+        pytest.param(lambda tmp, _: _history_argv(tmp, True), "8826723d5428b67a", id="timeout-history"),
+        pytest.param(
+            lambda tmp, _: _history_argv(tmp, False),
+            "034179ca5c835b03",
+            id="timeout-history-no-decrease",
+        ),
+        pytest.param(lambda tmp, _: _sweep_argv(tmp), "5d25115790d9347d", id="sweep"),
+        pytest.param(_evaluate_argv, "af000518dda7ae42", id="evaluate"),
+        pytest.param(lambda tmp, _: _simulate_argv(), "5947f26cb5e7bf61", id="simulate"),
+    ],
+)
+def test_json_outputs_are_pinned(build, digest, runs_file, tmp_path, capsys):
+    argv = build(tmp_path, runs_file)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(argv + ["--report-out" if argv[0] == "simulate" else "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest

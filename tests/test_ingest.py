@@ -10,6 +10,7 @@ from timeopt import cli, ingest
 from timeopt.ingest import (
     DatasetSummary,
     TimeoutChangeRecord,
+    _change_from_row,
     format_timestamp,
     load_executions,
     load_timeout_changes,
@@ -513,6 +514,18 @@ class TestLoadTimeoutChanges:
                 {"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10},
             ],
         )
+        with pytest.warns(UserWarning, match="rejected 1"):
+            changes = load_timeout_changes(path)
+        assert [c.test_id for c in changes] == ["B"]
+
+    @pytest.mark.parametrize("value", [10**400, 10**307], ids=["past-float-range", "inf-seconds"])
+    @pytest.mark.parametrize("field", ["new_value", "old_value"])
+    def test_over_large_value_rejected(self, tmp_path, field, value):
+        path = tmp_path / "changes.jsonl"
+        row = {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": 7}
+        write_jsonl(path, [{**row, field: value}, {**row, "test_id": "B"}])
+        with pytest.raises(ValueError, match="bad value"):
+            _change_from_row({**row, field: value})
         with pytest.warns(UserWarning, match="rejected 1"):
             changes = load_timeout_changes(path)
         assert [c.test_id for c in changes] == ["B"]

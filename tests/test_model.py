@@ -12,7 +12,26 @@ from timeopt.model import (
     failure_rate,
     is_flaky,
     sample_stats,
+    valid_minutes,
 )
+from timeopt.evaluate import TimeoutPolicy
+from timeopt.optimize import OptimizationConfig
+
+
+@pytest.mark.parametrize(
+    "minutes, valid",
+    [(1, True), (10**300, True), (0, False), (0.5, False), (10**307, False), (10**400, False), (math.nan, False)],
+)
+def test_valid_minutes_is_the_rule_of_every_timeout(minutes, valid):
+    assert valid_minutes(minutes) is valid
+    if valid:
+        assert math.isfinite(TimeoutPolicy.static(minutes).default * 60.0)
+    else:
+        for build in (TimeoutPolicy.static, lambda m: TimeoutPolicy("original", {"t": m})):
+            with pytest.raises(ValueError, match="finite in seconds"):
+                build(minutes)
+        with pytest.raises(ValueError, match="finite in seconds"):
+            OptimizationConfig(fallback_timeout=minutes)
 
 
 class TestSampleStats:

@@ -264,6 +264,14 @@ class TestOptimizeTimeout:
         assert result.optimal_timeout == config.fallback_timeout
         assert result.timeout_probability_at_optimum == 0.0
 
+    @pytest.mark.parametrize("n, fallback", [(29, True), (30, False)])
+    def test_fallback_starts_below_min_samples(self, n, fallback):
+        config = OptimizationConfig(probability_method=EMPIRICAL_ECDF, min_samples=30)
+        result = optimize_timeout(minutes_sample(([5, 6, 7] * 10)[:n]), config)
+        assert result.fallback_applied is fallback
+        assert result.optimal_timeout == (config.fallback_timeout if fallback else 7)
+        assert result.search_range == (6, 14)
+
     def test_empty_sample_falls_back_with_nan_diagnostics(self):
         result = optimize_timeout(sample_of([]), EMPIRICAL)
         assert result.fallback_applied is True
