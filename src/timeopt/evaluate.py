@@ -11,7 +11,6 @@ whole report is deterministic given (dataset, seed, config).
 from __future__ import annotations
 
 import csv
-import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
-from .optimize import OptimizationConfig, _cost, _SortedSample, optimize_timeout
+from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
 OPTIMIZED_POLICY = "optimized"
@@ -263,7 +262,9 @@ def compare_policies(
     """Whole-dataset totals per policy: timeouts, average cost, median value.
 
     No cross-validation: each (test, revision) sample is scored at the
-    policy's timeout for its test, with empirical probabilities.
+    policy's timeout for its test, with empirical probabilities, through one
+    kernel per sample. A kernel is sorted only when some policy cuts its
+    sample; below that, it scores the ``fsum`` mean with no overrun.
 
     Raises:
         ValueError: when a policy misses a test present in the dataset.
@@ -273,17 +274,11 @@ def compare_policies(
         raise ValueError("empty dataset")
     policy_seconds = [policy.seconds(test_ids) for policy in policies]
 
-    # A sample that no policy cuts costs its fsum mean with p = 0 under each
-    # of them, the kernel's value bit for bit (as in static_sweep): no kernel.
     durations = dataset.durations
-    samples: list[tuple[str, _SortedSample | float]] = []
-    for (test_id, _), rows in dataset.sample_index.items():
-        values = [durations[i] for i in rows]
-        top = max(values)
-        if all(top <= seconds[test_id] for seconds in policy_seconds):
-            samples.append((test_id, math.fsum(values) / len(values)))
-        else:
-            samples.append((test_id, _SortedSample(values)))
+    samples = [
+        (test_id, _SortedSample([durations[i] for i in rows]))
+        for (test_id, _), rows in dataset.sample_index.items()
+    ]
     totals: list[PolicyTotals] = []
     for policy, seconds in zip(policies, policy_seconds):
         timeouts, average_cost = _score(samples, seconds, config)
@@ -299,19 +294,16 @@ def compare_policies(
 
 
 def _score(
-    samples: Iterable[tuple[str, _SortedSample | float]],
+    samples: Iterable[tuple[str, _SortedSample]],
     seconds: Mapping[str, float],
     config: OptimizationConfig,
 ) -> tuple[int, float]:
-    """(overruns, average empirical cost) of per-test timeouts over samples,
-    each a kernel or, for a sample that no timeout cuts, its mean."""
+    """(overruns, average empirical cost) of per-test timeouts over the
+    samples' kernels."""
     overruns = 0
     costs: list[float] = []
-    for test_id, sample in samples:
-        if isinstance(sample, float):
-            cost, over = _cost(sample, 0.0, seconds[test_id], config), 0
-        else:
-            cost, over = sample.empirical_cost(seconds[test_id], config)
+    for test_id, kernel in samples:
+        cost, over = kernel.empirical_cost(seconds[test_id], config)
         overruns += over
         costs.append(cost)
     return overruns, sum(costs) / len(costs)

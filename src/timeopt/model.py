@@ -92,11 +92,11 @@ class ExecutionRecord:
 class TestSample:
     """All executions of one test on one revision, in start-time order.
 
-    The unit of statistical analysis: durations and verdicts are parallel
-    sequences of equal length. ``censored_count`` is the number of runs whose
-    duration was capped by an enforced timeout rather than ending naturally.
-    Its constructor, which coerces and checks every field, is the one way in;
-    no command builds a sample.
+    The unit of statistical analysis: durations, verdicts and censored flags
+    are parallel sequences of equal length. ``censored[i]`` says run i's
+    duration was capped by an enforced timeout rather than ending naturally;
+    left out, no run was. Its constructor, which coerces and checks every
+    field, is the one way in; no command builds a sample.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -105,21 +105,27 @@ class TestSample:
     revision_id: str
     durations: tuple[float, ...]
     verdicts: tuple[Verdict, ...]
-    censored_count: int = 0
+    censored: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "durations", tuple(map(float, self.durations)))
+        durations = tuple(map(float, self.durations))
+        censored = (False,) * len(durations) if self.censored is None else self.censored
+        object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "verdicts", tuple(map(verdict_of, self.verdicts)))
-        if len(self.durations) != len(self.verdicts):
-            raise ValueError("durations and verdicts must have equal length")
+        object.__setattr__(self, "censored", tuple(map(bool, censored)))
+        if not len(self.durations) == len(self.verdicts) == len(self.censored):
+            raise ValueError("durations, verdicts and censored flags must have equal length")
         if any(d < 0 for d in self.durations):
             raise ValueError("durations must be non-negative")
-        if not 0 <= self.censored_count <= len(self.durations):
-            raise ValueError("censored_count must be between 0 and the sample size")
 
     @property
     def n(self) -> int:
         return len(self.durations)
+
+    @property
+    def censored_count(self) -> int:
+        """The number of runs capped by an enforced timeout."""
+        return sum(self.censored)
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,7 +325,7 @@ class ExecutionDataset:
             revision_id,
             tuple([durations[i] for i in indices]),
             tuple([verdicts[i] for i in indices]),
-            sum([censored[i] for i in indices]),
+            tuple([censored[i] for i in indices]),
         )
 
     @cached_property
@@ -334,12 +340,14 @@ class ExecutionDataset:
         return tuple(sorted(set(self.revisions)))
 
     def sample(self, test_id: str, revision_id: str) -> TestSample:
+        """The one (test_id, revision_id) group of ``sample_index`` as a sample."""
         try:
-            return self.samples[(test_id, revision_id)]
+            rows = self.sample_index[(test_id, revision_id)]
         except KeyError:
             raise ValueError(
                 f"no sample for test {test_id!r} on revision {revision_id!r}"
             ) from None
+        return self.subsample(test_id, revision_id, rows)
 
     def revision_rows(self, revision_id: str) -> Mapping[str, tuple[int, ...]]:
         """test_id -> its ``sample_index`` rows on one revision, test ids

@@ -25,14 +25,13 @@ and the first grid point of each step of p: empirically, the first point
 at or above each duration, at most n + 1; for the Tolhurst bound, whose
 steps are found in exact integers, at most (n + 1) // 2 + 1, however far
 the grid reaches. The search, the static sweep and held-out scoring read
-the sample statistics, tm(t) and the empirical p(t) from one sorted copy
-of each sample, exactly equal to the ``sample_stats``, ``truncated_mean``
-and ``empirical_exceedance`` references.
-The static sweep rescores a sample only while its max is above the
-previous grid point: once the max is at most t, p is 0 and tm is the exact
-mean at every larger t, so the sample's cost changes only through the
-breakage term. A sample already saturated at the first point gets no
-kernel at all, only its ``fsum`` mean.
+the sample statistics, tm(t) and the empirical p(t) from one kernel per
+sample, exactly equal to the ``sample_stats``, ``truncated_mean`` and
+``empirical_exceedance`` references. The kernel alone decides saturation:
+at a t at or above the sample's max, p is 0 and tm is the exact ``fsum``
+mean, and a kernel only ever asked such thresholds is never sorted. The
+static sweep rescores a sample only until its kernel reports no overrun;
+past that, its cost changes only through the breakage term.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -237,48 +236,52 @@ def expected_cost(
 
 
 class _SortedSample:
-    """One sample sorted once: its statistics, and O(log n) scoring of any timeout.
+    """One sample's kernel: its statistics, and O(log n) scoring of any timeout.
 
-    Durations are kept as exact integer prefix sums over a common
+    The kernel alone decides saturation: until a threshold below the max is
+    asked for, the durations stay unsorted and ``at`` returns the ``fsum``
+    mean and no overrun. The first threshold below the max, or a ``split``,
+    sorts them once into exact integer prefix sums over a common
     power-of-two denominator (every finite float is an integer over a power
     of two). At threshold t = p / q, with k = bisect_right(sorted, t), the
     capped sum is (prefix[k] q + (n - k) p denominator) / (denominator q), and
     Python's int / int division rounds it correctly, exactly as math.fsum
     rounds the same sum. So ``at`` returns what ``truncated_mean`` and
-    ``empirical_exceedance`` return, bit for bit, and ``stats`` is
-    ``stats_of`` the sorted durations, which no order changes. Durations
-    must be finite, and ``at`` and ``stats`` need at least one.
+    ``empirical_exceedance`` return, bit for bit, in any order of thresholds,
+    and ``stats`` is ``stats_of`` the durations, which no order changes.
+    Durations must be finite, and ``at`` and ``stats`` need at least one.
     """
 
     __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats")
 
     def __init__(self, durations: Iterable[float], test_id: str = "") -> None:
-        ordered = sorted(durations)
-        ratios = [d.as_integer_ratio() for d in ordered]
-        denominator = max((q for _, q in ratios), default=1)
-        self._fill(test_id, ordered, [p * (denominator // q) for p, q in ratios], denominator)
-
-    def _fill(
-        self, test_id: str, ordered: list[float], scaled: list[int], denominator: int
-    ) -> None:
         self.test_id = test_id
-        self.ordered = ordered
-        self.n = len(ordered)
-        self.scaled = scaled  # each duration times the denominator
-        self.prefix = list(accumulate(scaled, initial=0))
-        self.denominator = denominator
+        self.ordered = list(durations)  # in input order until _sort
+        self.n = len(self.ordered)
+        self.prefix: list[int] | None = None
         self._stats: SampleStats | None = None
 
+    def _sort(self) -> None:
+        self.ordered.sort()
+        ratios = [d.as_integer_ratio() for d in self.ordered]
+        denominator = max((q for _, q in ratios), default=1)
+        self._fill([p * (denominator // q) for p, q in ratios], denominator)
+
+    def _fill(self, scaled: list[int], denominator: int) -> None:
+        self.scaled = scaled  # each sorted duration times the denominator
+        self.prefix = list(accumulate(scaled, initial=0))
+        self.denominator = denominator
+
     def split(self, keep: Sequence[bool]) -> tuple["_SortedSample", "_SortedSample"]:
-        """(kept, rest): kernels of the durations whose position in
-        ``ordered`` is true, or false, in ``keep``; no sort, no float
-        conversion."""
+        """(kept, rest): kernels of the durations whose position in sorted
+        order is true, or false, in ``keep``; the parts are born sorted."""
+        if self.prefix is None:
+            self._sort()
         return self._subset(keep), self._subset([not k for k in keep])
 
     def _subset(self, mask: Sequence[bool]) -> "_SortedSample":
-        part = _SortedSample.__new__(_SortedSample)
-        ordered, scaled = compress(self.ordered, mask), compress(self.scaled, mask)
-        part._fill(self.test_id, list(ordered), list(scaled), self.denominator)
+        part = _SortedSample(compress(self.ordered, mask), self.test_id)
+        part._fill(list(compress(self.scaled, mask)), self.denominator)
         return part
 
     @property
@@ -291,6 +294,11 @@ class _SortedSample:
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, number of durations strictly above) at a threshold."""
         n = self.n
+        if self.prefix is None:  # a search has usually read the max already
+            top = max(self.ordered) if self._stats is None else self._stats.max
+            if threshold >= top:
+                return math.fsum(self.ordered) / n, 0
+            self._sort()
         k = bisect_right(self.ordered, threshold)
         p, q = threshold.as_integer_ratio()
         denominator = self.denominator
@@ -321,12 +329,12 @@ def optimize_timeout(
 ) -> OptimizationResult:
     """The grid timeout of smallest expected cost, found among the candidates.
 
-    The sample may be a ``TestSample`` or an already sorted kernel; either
-    way it is sorted once and its statistics come from the kernel. The
-    candidates are ``lower`` and every grid point where p falls, visited in
-    one walk from step to step (``_walk``); between two candidates the cost
-    never falls, so keeping a strictly smaller cost returns the exhaustive
-    argmin of the search range, ties going to the smallest timeout.
+    The sample may be a ``TestSample`` or a kernel; its statistics come from
+    the kernel. The candidates are ``lower`` and every grid point where p
+    falls, visited in one walk from step to step (``_walk``); between two
+    candidates the cost never falls, so keeping a strictly smaller cost
+    returns the exhaustive argmin of the search range, ties going to the
+    smallest timeout.
 
     Samples with fewer than ``config.min_samples`` executions receive the
     static fallback timeout instead; their reported cost and probability are
@@ -375,7 +383,7 @@ def _walk(
     duration above the threshold, or the end of the Tolhurst step j. The
     walk ends where p reaches its floor: no duration above, or j <= 1.
     """
-    n, ordered = kernel.n, kernel.ordered
+    n = kernel.n
     steps = None if empirical else _TolhurstSteps(kernel.stats)
     u = lower
     while u <= upper:
@@ -385,7 +393,7 @@ def _walk(
             yield u, threshold, tm, over / n
             if not over:
                 return
-            u = _unit_at_least(ordered[n - over])
+            u = _unit_at_least(kernel.ordered[n - over])  # sorted: over > 0
         else:
             j = steps.index(threshold)
             yield u, threshold, tm, j / (n + 1)
@@ -429,11 +437,12 @@ def static_sweep(
     if it was never actually interrupted. Returns the averaged curve and the
     grid minimum (smallest timeout on ties).
 
-    Only samples still running past the previous point are rescored. Once a
-    sample's max is at most t it is saturated: its p is 0 and its truncated
-    mean is its exact mean at t and at every larger t, so its cost is left
-    as it is, or, with breakage, recomputed from that mean without the
-    kernel. A sample saturated at lo is never sorted into a kernel. Each
+    Every sample gets a kernel, and only samples still running past the
+    previous point are rescored. Once the kernel reports no overrun at t
+    the sample is saturated: its p is 0 and its truncated mean is its exact
+    mean at t and at every larger t, so its cost is left as it is, or, with
+    breakage, recomputed from that mean without the kernel. The kernel
+    decides saturation, so a sample saturated at lo is never sorted. Each
     point is the ``fsum`` of all costs in sample order, so the curve is
     bit-equal to scoring every sample at every point.
     """
@@ -443,23 +452,13 @@ def static_sweep(
     if lo < 1:
         raise ValueError("sweep range must start at a positive grid value")
     column = dataset.durations
-    samples = [[column[i] for i in rows] for rows in dataset.sample_index.values()]
-    if not samples:
+    kernels = [_SortedSample([column[i] for i in rows]) for rows in dataset.sample_index.values()]
+    if not kernels:
         raise ValueError("empty dataset")
 
-    # A sample saturated at lo needs only its mean, which is the kernel's
-    # truncated mean there: fsum / n, both rounding the exact sum once.
-    lo_seconds = lo * GRID_SECONDS
-    costs = [0.0] * len(samples)
-    running: list[tuple[int, _SortedSample]] = []
+    costs = [0.0] * len(kernels)
+    running = list(enumerate(kernels))
     saturated: list[tuple[int, float]] = []  # (sample position, mean)
-    for i, durations in enumerate(samples):
-        if max(durations) <= lo_seconds:
-            mean = math.fsum(durations) / len(durations)
-            saturated.append((i, mean))
-            costs[i] = _cost(mean, 0.0, lo_seconds, config)
-        else:
-            running.append((i, _SortedSample(durations)))
     points: list[tuple[int, float]] = []
     best_t = lo
     best_cost = math.inf
@@ -477,7 +476,7 @@ def static_sweep(
             else:
                 saturated.append((i, tm))
         running = still_running
-        average = math.fsum(costs) / len(samples)
+        average = math.fsum(costs) / len(kernels)
         points.append((t_units, average))
         if average < best_cost:
             best_cost = average

@@ -44,7 +44,7 @@ def sample_of(
     verdicts: Sequence[str] | None = None,
     test_id: str = "t1",
     revision_id: str = "r1",
-    censored: int = 0,
+    censored: Sequence[bool] | None = None,
 ) -> TestSample:
     if verdicts is None:
         verdicts = ("pass",) * len(durations)
@@ -53,7 +53,7 @@ def sample_of(
         revision_id=revision_id,
         durations=tuple(float(d) for d in durations),
         verdicts=tuple(Verdict(v) for v in verdicts),
-        censored_count=censored,
+        censored=censored,
     )
 
 

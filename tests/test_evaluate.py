@@ -276,10 +276,15 @@ class TestComparePolicies:
             TimeoutPolicy(kind="original", values={"a": 2, "b": 10, "c": 20}, name="two"),
         ]
         kernel = evaluate._SortedSample
+        sort = kernel._sort
         built = []
-        monkeypatch.setattr(
-            evaluate, "_SortedSample", lambda values: built.append(values) or kernel(values)
-        )
+
+        def counting_sort(self):
+            built.append(list(self.ordered))
+            sort(self)
+
+        # every sample gets a kernel; only the one that a policy cuts is sorted
+        monkeypatch.setattr(kernel, "_sort", counting_sort)
         totals = compare_policies(dataset, policies, CONFIG)
         assert built == [[60.0, 400.0]]
         every_kernel = [

@@ -189,8 +189,19 @@ class TestRecordAndSampleValidation:
             TestSample("t", "r", durations=(1.0, -2.0), verdicts=("pass", "pass"))
 
     def test_censored_count_bounds(self):
-        with pytest.raises(ValueError, match="censored_count"):
-            sample_of([1.0], censored=2)
+        # flags of another length than the durations are rejected, so the
+        # count is always between 0 and the sample size
+        with pytest.raises(ValueError, match="censored flags"):
+            sample_of([1.0], censored=(True, True))
+        with pytest.raises(ValueError, match="censored flags"):
+            sample_of([1.0, 2.0], censored=(True,))
+
+    def test_censored_count_is_the_number_of_flags(self):
+        sample = sample_of([1.0, 2.0, 3.0], censored=(True, False, 1))
+        assert sample.censored == (True, False, True)
+        assert sample.censored_count == sum(sample.censored) == 2
+        assert sample_of([1.0, 2.0]).censored == (False, False)
+        assert sample_of([]).censored_count == 0
 
 
 class TestExecutionDataset:
@@ -235,6 +246,28 @@ class TestExecutionDataset:
         with pytest.raises(ValueError, match="unknown test"):
             dataset.pooled_sample("nope")
 
+    def test_sample_builds_one_subsample(self, monkeypatch):
+        dataset = dataset_of(
+            {
+                ("a", "r1"): [(10, "pass"), (20, "timeout")],
+                ("a", "r2"): [(30, "pass")],
+                ("b", "r1"): [(40, "fail")],
+            }
+        )
+        subsample = ExecutionDataset.subsample
+        built = []
+
+        def counting(self, test_id, revision_id, indices):
+            built.append((test_id, revision_id))
+            return subsample(self, test_id, revision_id, indices)
+
+        monkeypatch.setattr(ExecutionDataset, "subsample", counting)
+        assert dataset.sample("a", "r2") == TestSample("a", "r2", (30.0,), ("pass",))
+        assert built == [("a", "r2")]
+        with pytest.raises(ValueError, match="no sample"):
+            dataset.sample("b", "r2")
+        assert built == [("a", "r2")]
+
     def test_censored_count_from_records(self):
         records = (
             record("a", "r1", minute=0, verdict="timeout", interrupted=True),
@@ -258,13 +291,14 @@ class TestExecutionDataset:
             revision_id="*",
             durations=(90.5, 7, 0.0, 60.0),
             verdicts=("timeout", "timeout", "fail", "pass"),
-            censored_count=1,
+            censored=(True, False, False, False),
         )
         assert sample == expected
         assert all(type(d) is float for d in sample.durations)
         assert all(type(v) is Verdict for v in sample.verdicts)
         assert dataset.pooled_sample("a") == TestSample(
-            "a", "*", (0.0, 7.0, 60.0, 90.5), ("fail", "timeout", "pass", "timeout"), 1
+            "a", "*", (0.0, 7.0, 60.0, 90.5), ("fail", "timeout", "pass", "timeout"),
+            (False, False, False, True),
         )
         # the public constructor keeps every check the columns skip
         with pytest.raises(ValueError, match="non-negative"):

@@ -431,13 +431,14 @@ class TestStaticSweep:
         runs[("slow", "r1")] = [(5 * MINUTE, "pass"), (math.nextafter(lo * MINUTE, 1e9), "pass")]
         dataset = dataset_of(runs)
         built = []
-        init = _SortedSample.__init__
+        sort = _SortedSample._sort
 
-        def counting_init(self, durations, *args, **kwargs):
-            built.append(tuple(durations))
-            init(self, durations, *args, **kwargs)
+        def counting_sort(self):
+            built.append(tuple(self.ordered))
+            sort(self)
 
-        monkeypatch.setattr(_SortedSample, "__init__", counting_init)
+        # every sample gets a kernel; only the one that lo cuts is sorted
+        monkeypatch.setattr(_SortedSample, "_sort", counting_sort)
         static_sweep(dataset, (lo, 20), EMPIRICAL)
         assert built == [dataset.sample("slow", "r1").durations]
 

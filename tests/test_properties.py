@@ -39,7 +39,9 @@ from timeopt.ingest import (
     write_executions,
 )
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
-from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict, sample_stats
+from timeopt.model import (
+    ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict, sample_stats,
+)
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     PROBABILITY_METHODS,
@@ -76,6 +78,69 @@ def test_kernel_is_bit_equal_to_fsum_reference(durations, data):
         assert tm == truncated_mean(sample, t)
         assert over / sample.n == empirical_exceedance(sample, t)
         assert over == count_timeouts(sample, t)
+
+
+def reference_answers(sample: TestSample, thresholds) -> tuple[list, SampleStats | None]:
+    """(truncated mean, overruns) at each threshold and the statistics (None
+    where they overflow), from the ``fsum`` references."""
+    try:
+        stats = sample_stats(sample)
+    except ValueError:
+        stats = None
+    return [(truncated_mean(sample, t), count_timeouts(sample, t)) for t in thresholds], stats
+
+
+def kernel_answers(kernel: _SortedSample, thresholds) -> tuple[list, SampleStats | None]:
+    try:
+        stats = kernel.stats
+    except ValueError:
+        stats = None
+    return [kernel.at(t) for t in thresholds], stats
+
+
+@PROPERTY
+@given(durations=samples_st, data=st.data())
+def test_kernel_answers_do_not_depend_on_threshold_order(durations, data):
+    # Thresholds at or above the max leave a kernel unsorted; the first one
+    # below sorts it. Either way, in any order, the answers are the fsum
+    # references, and so are the statistics, read before or after.
+    sample = sample_of(durations)
+    top = max(sample.durations)
+    drawn = data.draw(st.lists(st.one_of(durations_st, st.sampled_from(durations)), max_size=8))
+    high = [top] + [t for t in drawn if t >= top]
+    low = [t for t in drawn if t < top]
+    for thresholds in (high + low, low + high):
+        expected_at, expected_stats = reference_answers(sample, thresholds)
+        stats_first = _SortedSample(durations)
+        assert kernel_answers(stats_first, [])[1] == expected_stats
+        assert kernel_answers(stats_first, thresholds) == (expected_at, expected_stats)
+        assert kernel_answers(_SortedSample(durations), thresholds) == (
+            expected_at,
+            expected_stats,
+        )
+
+
+@PROPERTY
+@given(durations=samples_st, data=st.data())
+def test_split_of_a_never_sorted_kernel(durations, data):
+    # The mask reads positions in sorted order, whether the kernel was
+    # sorted before the split or by it; the parts are the fsum references
+    # of the durations kept.
+    n = len(durations)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    thresholds = data.draw(
+        st.lists(st.one_of(durations_st, st.sampled_from(durations)), min_size=1, max_size=6)
+    )
+    ordered = sorted(durations)
+    kernel = _SortedSample(durations)
+    for _ in range(2):  # never sorted, then sorted by the first split
+        for part, side in zip(kernel.split(keep), (True, False)):
+            kept = [d for d, k in zip(ordered, keep) if k is side]
+            assert part.n == len(kept)
+            if kept:
+                assert kernel_answers(part, thresholds) == reference_answers(
+                    sample_of(kept), thresholds
+                )
 
 
 @PROPERTY
@@ -304,7 +369,7 @@ def as_sample(dataset: ExecutionDataset, test_id: str, revision_id: str, indices
         revision_id=revision_id,
         durations=tuple(r.duration for r in ordered),
         verdicts=tuple(r.verdict for r in ordered),
-        censored_count=sum(1 for r in ordered if r.censored),
+        censored=tuple(r.censored for r in ordered),
     )
 
 
@@ -340,6 +405,15 @@ def test_grouping_index_equals_brute_force_regroup(records, k, seed):
     ]
     for test_id, _, indices in regroup(dataset, lambda r: (r.test_id, "*")):
         assert dataset.pooled_sample(test_id) == as_sample(dataset, test_id, "*", indices)
+    censored = dataset.censored
+    for (test_id, revision_id), rows in dataset.sample_index.items():
+        sample = dataset.sample(test_id, revision_id)
+        assert sample.censored == tuple(censored[i] for i in rows)
+        assert sample.censored_count == sum(sample.censored)
+    for test_id, rows in dataset.test_index.items():
+        assert dataset.pooled_sample(test_id).censored == tuple(censored[i] for i in rows)
+    picked = list(range(len(dataset)))[::-2]
+    assert dataset.subsample("*", "*", picked).censored == tuple(censored[i] for i in picked)
 
     assignment, excluded = brute_force_folds(dataset, k, seed)
     with warnings.catch_warnings():
