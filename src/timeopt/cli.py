@@ -8,7 +8,8 @@ across invocations. Exit codes: 0 success, 1 usage error, 2 data error.
 
 Each subcommand imports only the modules it runs: this module loads
 ingest, model and optimize, and a handler imports evaluate, flakiness or
-simulate itself when it needs them.
+simulate itself when it needs them. Library operations return their
+diagnostics as notes, and only ``_warn`` writes them, one line each.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import ingest
 from . import optimize as op
@@ -51,16 +52,19 @@ def _infer_format(path: str, explicit: str | None) -> str:
     return "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
 
 
-def _load_dataset(path: str, fmt: str | None):
-    dataset, report = ingest.load_executions(path, _infer_format(path, fmt))
-    for note in report.warnings:
-        print(f"warning: {note}", file=sys.stderr)
+def _warn(*notes: str) -> None:
+    sys.stderr.writelines(f"warning: {note}\n" for note in notes)
+
+
+def _load(path: str, fmt: str | None, loader: Callable | None = None) -> Any:
+    """What ``loader`` reads from ``path``, once its report's notes and rejections
+    are warned. The default, ``ingest.load_executions``, is looked up at each
+    call, so a wrapper patched into the module (the benchmark's tracer) is used."""
+    result, report = (loader or ingest.load_executions)(path, _infer_format(path, fmt))
+    _warn(*report.warnings)
     if report.rejected:
-        print(
-            f"warning: rejected {report.rejected} rows: {dict(report.reasons)}",
-            file=sys.stderr,
-        )
-    return dataset
+        _warn(f"rejected {report.rejected} rows: {dict(report.reasons)}")
+    return result
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -115,7 +119,7 @@ def _result_record(result: op.OptimizationResult) -> dict[str, Any]:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.input, args.format)
+    dataset = _load(args.input, args.format)
     summary = ingest.summarize(dataset)
     if args.output_format == "table":
         lines = [f"{name:<18} {value}" for name, value in asdict(summary).items()]
@@ -127,10 +131,11 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 def _cmd_flakiness(args: argparse.Namespace) -> int:
     from . import flakiness as fl
-    dataset = _load_dataset(args.input, args.format)
+    dataset = _load(args.input, args.format)
     report = fl.flakiness_report(dataset, args.revision)
     evolution = fl.flakiness_evolution(dataset, args.revision, args.step)
-    share = fl.timeout_failure_share(dataset)
+    share, notes = fl.timeout_failure_share(dataset)
+    _warn(*notes)
     _emit_json(
         {
             "report": asdict(report),
@@ -144,11 +149,12 @@ def _cmd_flakiness(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from . import flakiness as fl
-    dataset_a = _load_dataset(args.input_a, args.format)
-    dataset_b = _load_dataset(args.input_b, args.format)
+    dataset_a = _load(args.input_a, args.format)
+    dataset_b = _load(args.input_b, args.format)
     comparison = fl.compare_flakiness(
         dataset_a, dataset_b, args.revision_a, args.revision_b
     )
+    _warn(*comparison.warnings)
     relative = comparison.relative_change  # infinite for a rise from a zero rate
     _emit_json(
         {
@@ -165,15 +171,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_timeout_history(args: argparse.Namespace) -> int:
     from . import flakiness as fl
-    changes = ingest.load_timeout_changes(
-        args.input, _infer_format(args.input, args.format)
-    )
+    changes = _load(args.input, args.format, ingest.load_timeout_changes)
     _emit_json(asdict(fl.timeout_change_stats(changes)), args.out)
     return 0
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.input, args.format)
+    dataset = _load(args.input, args.format)
     results = op.TimeoutOptimizer(_config_from_args(args)).fit(dataset).results_.values()
     if args.output_format == "csv":
         lines = ["test_id,timeout_minutes"]
@@ -185,7 +189,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.input, args.format)
+    dataset = _load(args.input, args.format)
     config = _config_from_args(args)
     result = op.static_sweep(dataset, (args.lo, args.hi), config)
     _emit_json(
@@ -217,7 +221,7 @@ def _cv_table(report: CvReport) -> str:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from . import evaluate as ev
-    dataset = _load_dataset(args.input, args.format)
+    dataset = _load(args.input, args.format)
     config = _config_from_args(args)
     policies: list[ev.TimeoutPolicy] = []
     if args.timeouts:
@@ -227,6 +231,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not policies:
         policies.append(ev.TimeoutPolicy.static(120))
     report = ev.cross_validate(dataset, policies, config, k=args.k, seed=args.seed)
+    if excluded := report.excluded_tests:
+        _warn(
+            f"excluded {len(excluded)} tests with fewer than {report.k} executions: "
+            f"{list(excluded[:5])}{'...' if len(excluded) > 5 else ''}"
+        )
     sys.stdout.write(_cv_table(report))
 
     # whole-dataset fit for the totals table below the per-fold one

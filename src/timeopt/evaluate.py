@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import random
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -135,7 +134,8 @@ def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:
     Each test's executions (pooled across revisions) are shuffled with the
     seed and split so per-test fold sizes differ by at most one, which
     guarantees every test has training data in every split. Tests with fewer
-    than k executions are excluded with a warning. Deterministic given seed.
+    than k executions are left out and listed in ``excluded_tests``.
+    Deterministic given seed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -156,12 +156,6 @@ def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:
             for i in indices[cursor : cursor + size]:
                 assignment[i] = fold
             cursor += size
-    if excluded:
-        warnings.warn(
-            f"excluded {len(excluded)} tests with fewer than {k} executions: "
-            f"{excluded[:5]}{'...' if len(excluded) > 5 else ''}",
-            stacklevel=2,
-        )
     return FoldAssignment(k=k, assignment=assignment, excluded_tests=tuple(excluded))
 
 

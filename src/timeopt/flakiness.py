@@ -12,7 +12,6 @@ All functions are pure and safe to run in parallel across revisions.
 from __future__ import annotations
 
 import statistics
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,12 +141,12 @@ def flakiness_evolution(
     return EvolutionSeries(revision_id=revision_id, points=tuple(points))
 
 
-def timeout_failure_share(dataset: ExecutionDataset) -> float:
-    """Fraction of flaky failures that are timeouts.
+def timeout_failure_share(dataset: ExecutionDataset) -> tuple[float, tuple[str, ...]]:
+    """Fraction of flaky failures that are timeouts, and its notes.
 
     Counts non-pass executions belonging to flaky (test, revision) samples
-    and returns the share with a timeout verdict. Returns 0.0 with a warning
-    when the dataset contains no flaky failures at all.
+    and returns the share with a timeout verdict. The share is 0.0, with a
+    note saying so, when the dataset contains no flaky failures at all.
     """
     column = dataset.verdicts
     failures = 0
@@ -162,9 +161,8 @@ def timeout_failure_share(dataset: ExecutionDataset) -> float:
                 if verdict is Verdict.TIMEOUT:
                     timeouts += 1
     if failures == 0:
-        warnings.warn("dataset contains no flaky failures; share is 0.0", stacklevel=2)
-        return 0.0
-    return timeouts / failures
+        return 0.0, ("dataset contains no flaky failures; share is 0.0",)
+    return timeouts / failures, ()
 
 
 def compare_flakiness(
@@ -175,19 +173,17 @@ def compare_flakiness(
 ) -> FlakinessComparison:
     """Compare flakiness of two revisions, possibly across datasets.
 
-    Warns when the repetition counts differ: rates measured with different
-    repetition counts are not meaningfully comparable.
+    Notes in ``warnings`` when the repetition counts differ: rates measured
+    with different repetition counts are not meaningfully comparable.
     """
     report_a = flakiness_report(dataset_a, revision_a)
     report_b = flakiness_report(dataset_b, revision_b)
     notes: list[str] = []
     if report_a.repetition_count != report_b.repetition_count:
-        message = (
+        notes.append(
             f"repetition counts differ ({report_a.repetition_count} vs "
             f"{report_b.repetition_count}); flakiness rates are not comparable"
         )
-        notes.append(message)
-        warnings.warn(message, stacklevel=2)
     absolute = report_b.flakiness_rate - report_a.flakiness_rate
     if report_a.flakiness_rate > 0:
         relative = absolute / report_a.flakiness_rate

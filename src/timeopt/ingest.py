@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -98,16 +97,16 @@ class ValidationReport:
 
 
 def parse_timestamp(raw: Any) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 timestamp, naive as UTC; else ValueError("bad timestamp")."""
     if not isinstance(raw, str) or not raw:
-        raise ValueError(f"bad timestamp {raw!r}")
+        raise ValueError("bad timestamp")
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
         parsed = datetime.fromisoformat(text)
     except ValueError:
-        raise ValueError(f"bad timestamp {raw!r}") from None
+        raise ValueError("bad timestamp") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed.astimezone(timezone.utc)
@@ -178,10 +177,7 @@ def _record_from_row(
     if not (test_id and revision_id):
         raise ValueError("bad id")
 
-    try:
-        started_at = parse_timestamp(row.get("started_at"))
-    except ValueError:
-        raise ValueError("bad timestamp") from None
+    started_at = parse_timestamp(row.get("started_at"))
 
     raw_duration = row.get("duration_seconds")
     try:
@@ -396,10 +392,13 @@ def _censored_warnings(dataset: ExecutionDataset) -> tuple[str, ...]:
 
 
 def _minutes_value(raw: Any) -> int:
-    """A change row's value as int minutes that ``valid_minutes`` takes, else "bad value"."""
+    """A change row's value as int minutes that ``valid_minutes`` takes, else "bad
+    value": a bool, a float with a fraction and non-integer text are not."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError("bad value")  # is_integer is False for inf and nan too
     try:
         value = int(raw)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
+    except (TypeError, ValueError):
         raise ValueError("bad value") from None
     if not valid_minutes(value):
         raise ValueError("bad value")
@@ -419,27 +418,27 @@ def _change_from_row(row: Mapping[str, Any]) -> TimeoutChangeRecord:
     )
 
 
-def load_timeout_changes(path: str | Path, fmt: str = "jsonl") -> list[TimeoutChangeRecord]:
+def load_timeout_changes(
+    path: str | Path, fmt: str = "jsonl"
+) -> tuple[list[TimeoutChangeRecord], ValidationReport]:
     """Load pre-extracted timeout-change records, sorted by (test, time).
 
-    Rows with non-positive values or unparseable fields are dropped; a single
-    summary warning is emitted when anything was rejected.
+    Returns the accepted changes and a validation report: rows with
+    non-positive values or unparseable fields are rejected and counted per
+    reason, as ``load_executions`` counts them.
     """
-    path = Path(path)
     changes: list[TimeoutChangeRecord] = []
-    dropped = 0
-    for row, row_error in _iter_rows(path, fmt, ("test_id", "changed_at", "new_value")):
-        if row_error is not None:
-            dropped += 1
-            continue
-        try:
-            changes.append(_change_from_row(row))
-        except ValueError:
-            dropped += 1
-    if dropped:
-        warnings.warn(f"rejected {dropped} timeout-change rows from {path}", stacklevel=2)
+    reasons: dict[str, int] = {}
+    for row, reason in _iter_rows(Path(path), fmt, ("test_id", "changed_at", "new_value")):
+        if reason is None:
+            try:
+                changes.append(_change_from_row(row))
+                continue
+            except ValueError as exc:
+                reason = str(exc)
+        reasons[reason] = reasons.get(reason, 0) + 1
     changes.sort(key=lambda c: (c.test_id, c.changed_at))
-    return changes
+    return changes, ValidationReport(len(changes), sum(reasons.values()), reasons)
 
 
 def summarize(dataset: ExecutionDataset) -> DatasetSummary:

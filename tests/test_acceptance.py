@@ -239,7 +239,9 @@ def test_criterion_7_flakiness_brute_force_equivalence():
     assert report.flaky_tests == naive_flaky == 4
     assert report.flakiness_rate == naive_flaky / 6
     assert list(report.bin_counts) == naive_bins == [2, 0, 1, 0, 1]
-    assert timeout_failure_share(dataset) == naive_timeouts / naive_failures == 8 / 17
+    share, notes = timeout_failure_share(dataset)
+    assert share == naive_timeouts / naive_failures == 8 / 17
+    assert notes == ()
 
     step = 3
     series = flakiness_evolution(dataset, "r1", step=step)

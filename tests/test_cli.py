@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
-import warnings
+import re
 
 import pytest
 
 from helpers import MINUTE, dataset_of, sweep_fixture_dataset, verdict_dataset
 from timeopt.cli import _config_from_args, build_parser, run
+from timeopt import ingest
 from timeopt.ingest import write_executions
 from timeopt.optimize import OptimizationConfig
 
@@ -434,11 +435,22 @@ class TestOverLargeMinutes:
             {"test_id": "b", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": 10},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        with pytest.warns(UserWarning, match="rejected 1"):
-            assert run(["timeout-history", "--input", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert run(["timeout-history", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert re.search("rejected 1", captured.err)
+        payload = json.loads(captured.out)
         assert payload["tests_with_changes"] == 1
         assert payload["increase_ratios"] == [2.0, 2.0, 2.0]
+
+
+def test_commands_load_through_the_module_attribute(runs_file, monkeypatch, capsys):
+    # The benchmark's tracer wraps ingest.load_executions in place, so every
+    # command must call what the module holds when the command runs.
+    calls = []
+    original = ingest.load_executions
+    monkeypatch.setattr(ingest, "load_executions", lambda *args: calls.append(args) or original(*args))
+    assert run(["summarize", "--input", str(runs_file)]) == 0
+    assert calls == [(str(runs_file), "jsonl")]
 
 
 class TestTimeoutHistory:
@@ -532,8 +544,62 @@ def _simulate_argv():
 def test_json_outputs_are_pinned(build, digest, runs_file, tmp_path, capsys):
     argv = build(tmp_path, runs_file)
     out = tmp_path / "out.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run(argv + ["--report-out" if argv[0] == "simulate" else "--out", str(out)]) == 0
+    assert run(argv + ["--report-out" if argv[0] == "simulate" else "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+def _rejecting_history_argv(tmp_path):
+    path = tmp_path / "changes.jsonl"
+    rows = [
+        {"test_id": "a", "changed_at": "2021-01-01T00:00:00Z", "new_value": 0},
+        {"test_id": "a", "changed_at": "not a time", "new_value": 15},
+        {"test_id": "b", "changed_at": "2021-03-01T00:00:00Z", "old_value": 30, "new_value": 15},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return ["timeout-history", "--input", str(path)]
+
+
+def _excluding_evaluate_argv(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    runs = {("alpha", "r1"): [(m * MINUTE, "pass") for m in [1, 2, 3, 4, 5] * 8]}
+    write_executions(dataset_of({**runs, ("tiny", "r1"): [(2 * MINUTE, "pass")] * 3}), path)
+    return ["evaluate", "--input", str(path), "--seed", "1"]
+
+
+def _all_pass_flakiness_argv(tmp_path):
+    path = tmp_path / "passing.jsonl"
+    write_executions(verdict_dataset({"a": ["pass"] * 4, "b": ["pass"] * 4}), path)
+    return ["flakiness", "--input", str(path), "--revision", "r1"]
+
+
+# Every diagnostic is one "warning: " line on stderr, with no path, line
+# number or warning category: the same bytes on every install.
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(
+            lambda tmp: _compare_argv(tmp, True),
+            "warning: repetition counts differ (4 vs 6); flakiness rates are not comparable\n",
+            id="compare-unequal-repetitions",
+        ),
+        pytest.param(
+            _rejecting_history_argv,
+            "warning: rejected 2 rows: {'bad value': 1, 'bad timestamp': 1}\n",
+            id="timeout-history-rejections",
+        ),
+        pytest.param(
+            _excluding_evaluate_argv,
+            "warning: excluded 1 tests with fewer than 5 executions: ['tiny']\n",
+            id="evaluate-excluded-test",
+        ),
+        pytest.param(
+            _all_pass_flakiness_argv,
+            "warning: dataset contains no flaky failures; share is 0.0\n",
+            id="flakiness-no-flaky-failures",
+        ),
+    ],
+)
+def test_stderr_is_pinned(build, expected, tmp_path, capsys):
+    assert run(build(tmp_path)) == 0
+    assert capsys.readouterr().err == expected

@@ -1,5 +1,4 @@
 import random
-import warnings
 from collections import Counter
 
 import pytest
@@ -96,8 +95,7 @@ class TestMakeFolds:
 
     def test_small_tests_excluded_with_warning(self):
         dataset = fleet({"a": [1.0] * 10, "tiny": [2.0] * 3})
-        with pytest.warns(UserWarning, match="excluded 1 tests"):
-            folds = make_folds(dataset, k=5, seed=1)
+        folds = make_folds(dataset, k=5, seed=1)
         assert folds.excluded_tests == ("tiny",)
         tiny_indices = [
             i for i, r in enumerate(dataset.records) if r.test_id == "tiny"
@@ -227,10 +225,8 @@ def reference_fixture() -> ExecutionDataset:
 def test_cross_validate_equals_the_subsample_reference(config, k, seed):
     dataset = reference_fixture()
     policies = [TimeoutPolicy.static(3), TimeoutPolicy.static(20, name="loose")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = cross_validate(dataset, policies, config, k=k, seed=seed)
-        expected = reference_cross_validate(dataset, policies, config, k, seed)
+    report = cross_validate(dataset, policies, config, k=k, seed=seed)
+    expected = reference_cross_validate(dataset, policies, config, k, seed)
     assert report.excluded_tests == ("single", "tiny")
     assert report == expected
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -156,29 +157,30 @@ class TestTimeoutFailureShare:
             verdicts[f"to{i}"] = ["pass", "timeout"]
         for i in range(30):
             verdicts[f"ff{i}"] = ["pass", "fail"]
-        assert timeout_failure_share(verdict_dataset(verdicts)) == pytest.approx(0.70)
+        assert timeout_failure_share(verdict_dataset(verdicts)) == (pytest.approx(0.70), ())
 
     def test_plain_fail_flakiness(self):
         dataset = verdict_dataset({"a": ["pass", "fail", "fail"]})
-        assert timeout_failure_share(dataset) == 0.0
+        assert timeout_failure_share(dataset) == (0.0, ())
 
     def test_three_timeouts_one_fail(self):
         dataset = verdict_dataset(
             {"a": ["pass", "timeout", "timeout", "timeout", "fail"]}
         )
-        assert timeout_failure_share(dataset) == pytest.approx(0.75)
+        assert timeout_failure_share(dataset) == (pytest.approx(0.75), ())
 
     def test_non_flaky_failures_do_not_count(self):
         # The always-failing test contributes nothing; only the flaky one does.
         dataset = verdict_dataset(
             {"always": ["fail", "fail"], "flaky": ["pass", "timeout"]}
         )
-        assert timeout_failure_share(dataset) == 1.0
+        assert timeout_failure_share(dataset) == (1.0, ())
 
     def test_no_flaky_failures_warns_and_returns_zero(self):
         dataset = verdict_dataset({"a": ["pass", "pass"]})
-        with pytest.warns(UserWarning, match="no flaky failures"):
-            assert timeout_failure_share(dataset) == 0.0
+        share, notes = timeout_failure_share(dataset)
+        assert share == 0.0
+        assert len(notes) == 1 and re.search("no flaky failures", notes[0])
 
 
 class TestCompareFlakiness:
@@ -208,9 +210,9 @@ class TestCompareFlakiness:
     def test_differing_repetition_counts_warn(self):
         dataset_a = self.build(2, 4, runs=100)
         dataset_b = self.build(2, 4, runs=150)
-        with pytest.warns(UserWarning, match="repetition counts differ"):
-            cmp = compare_flakiness(dataset_a, dataset_b, "r1", "r1")
+        cmp = compare_flakiness(dataset_a, dataset_b, "r1", "r1")
         assert len(cmp.warnings) == 1
+        assert re.search("repetition counts differ", cmp.warnings[0])
         assert "100 vs 150" in cmp.warnings[0]
 
 

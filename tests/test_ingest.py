@@ -486,7 +486,8 @@ class TestLoadTimeoutChanges:
                 {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "new_value": 15},
             ],
         )
-        changes = load_timeout_changes(path)
+        changes, report = load_timeout_changes(path)
+        assert (report.accepted, report.rejected, report.reasons) == (2, 0, {})
         assert [c.is_creation for c in changes] == [True, False]
         assert changes[0].new_value == 15
         assert changes[1].old_value == 15
@@ -500,8 +501,8 @@ class TestLoadTimeoutChanges:
                 {"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10},
             ],
         )
-        with pytest.warns(UserWarning, match="rejected 1"):
-            changes = load_timeout_changes(path)
+        changes, report = load_timeout_changes(path)
+        assert report.rejected == 1 and report.reasons == {"bad value": 1}
         assert [c.test_id for c in changes] == ["B"]
 
     @pytest.mark.parametrize("field", ["new_value", "old_value"])
@@ -514,8 +515,8 @@ class TestLoadTimeoutChanges:
                 {"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10},
             ],
         )
-        with pytest.warns(UserWarning, match="rejected 1"):
-            changes = load_timeout_changes(path)
+        changes, report = load_timeout_changes(path)
+        assert report.rejected == 1 and report.reasons == {"bad value": 1}
         assert [c.test_id for c in changes] == ["B"]
 
     @pytest.mark.parametrize("value", [10**400, 10**307], ids=["past-float-range", "inf-seconds"])
@@ -526,9 +527,39 @@ class TestLoadTimeoutChanges:
         write_jsonl(path, [{**row, field: value}, {**row, "test_id": "B"}])
         with pytest.raises(ValueError, match="bad value"):
             _change_from_row({**row, field: value})
-        with pytest.warns(UserWarning, match="rejected 1"):
-            changes = load_timeout_changes(path)
+        changes, report = load_timeout_changes(path)
+        assert report.rejected == 1 and report.reasons == {"bad value": 1}
         assert [c.test_id for c in changes] == ["B"]
+
+    @pytest.mark.parametrize("value", [True, 5.9, "10.0"], ids=["bool", "fraction", "float-text"])
+    @pytest.mark.parametrize("field", ["new_value", "old_value"])
+    def test_bool_or_fractional_value_rejected(self, tmp_path, field, value):
+        path = tmp_path / "changes.jsonl"
+        row = {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": 7}
+        write_jsonl(path, [{**row, field: value}, {**row, "test_id": "B"}])
+        with pytest.raises(ValueError, match="bad value"):
+            _change_from_row({**row, field: value})
+        changes, report = load_timeout_changes(path)
+        assert report.rejected == 1 and report.reasons == {"bad value": 1}
+        assert [c.test_id for c in changes] == ["B"]
+
+    def test_integral_float_value_parses(self, tmp_path):
+        path = tmp_path / "changes.jsonl"
+        write_jsonl(path, [{"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5.0, "new_value": 10.0}])
+        (change,), report = load_timeout_changes(path)
+        assert report.rejected == 0
+        assert (change.old_value, change.new_value) == (5, 10)
+        assert type(change.old_value) is int and type(change.new_value) is int
+
+    def test_rejections_are_counted_per_reason(self, tmp_path):
+        path = tmp_path / "changes.jsonl"
+        row = {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "new_value": 7}
+        write_jsonl(path, [row, {**row, "changed_at": "soon"}, {**row, "test_id": ""}, {**row, "new_value": 0}])
+        path.write_text(path.read_text() + "not json\n")
+        changes, report = load_timeout_changes(path)
+        assert [c.test_id for c in changes] == ["A"]
+        assert (report.accepted, report.rejected, report.warnings) == (1, 4, ())
+        assert report.reasons == {"bad timestamp": 1, "missing id": 1, "bad value": 1, "invalid json": 1}
 
     def test_unsorted_input_sorted_output(self, tmp_path):
         path = tmp_path / "changes.jsonl"
@@ -540,7 +571,7 @@ class TestLoadTimeoutChanges:
                 {"test_id": "A", "changed_at": "2021-05-01T00:00:00Z", "new_value": 5},
             ],
         )
-        changes = load_timeout_changes(path)
+        changes, _ = load_timeout_changes(path)
         assert [(c.test_id, c.new_value) for c in changes] == [("A", 5), ("A", 7), ("B", 9)]
 
     def test_validation_in_constructor(self):

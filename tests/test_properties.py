@@ -20,7 +20,6 @@ import math
 import random
 import re
 import tempfile
-import warnings
 from pathlib import Path
 from datetime import timedelta, timezone
 
@@ -416,9 +415,7 @@ def test_grouping_index_equals_brute_force_regroup(records, k, seed):
     assert dataset.subsample("*", "*", picked).censored == tuple(censored[i] for i in picked)
 
     assignment, excluded = brute_force_folds(dataset, k, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        folds = make_folds(dataset, k, seed)
+    folds = make_folds(dataset, k, seed)
     assert list(folds.assignment.items()) == list(assignment.items())
     assert folds.excluded_tests == tuple(excluded)
 
@@ -427,9 +424,7 @@ def test_grouping_index_equals_brute_force_regroup(records, k, seed):
 @given(records=records_st, k=st.integers(2, 5), seed=st.integers(0, 2**32))
 def test_folds_split_every_large_enough_test_evenly(records, k, seed):
     dataset = ExecutionDataset(records=records)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        folds = make_folds(dataset, k, seed)
+    folds = make_folds(dataset, k, seed)
     per_test: dict[str, list[int]] = {}
     for i, rec in enumerate(dataset.records):
         per_test.setdefault(rec.test_id, []).append(i)
