@@ -58,12 +58,13 @@ def _warn(*notes: str) -> None:
 
 def _load(path: str, fmt: str | None, loader: Callable | None = None) -> Any:
     """What ``loader`` reads from ``path``, once its report's notes and rejections
-    are warned. The default, ``ingest.load_executions``, is looked up at each
-    call, so a wrapper patched into the module (the benchmark's tracer) is used."""
+    are warned after the path as given. The default, ``ingest.load_executions``, is
+    looked up at each call, so a wrapper patched in its place (the benchmark's tracer) is used."""
     result, report = (loader or ingest.load_executions)(path, _infer_format(path, fmt))
-    _warn(*report.warnings)
+    notes = list(report.warnings)
     if report.rejected:
-        _warn(f"rejected {report.rejected} rows: {dict(report.reasons)}")
+        notes.append(f"rejected {report.rejected} rows: {dict(report.reasons)}")
+    _warn(*(f"{path}: {note}" for note in notes))
     return result
 
 

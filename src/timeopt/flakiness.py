@@ -6,17 +6,22 @@ tests are binned by failure rate into five intervals: (0, 0.2], (0.2, 0.4],
 (0.4, 0.6], (0.6, 0.8] and the open (0.8, 1.0). A failure rate of exactly 1.0
 means the test is not flaky and is counted in no bin.
 
+Each function reads every (test, revision) group of ``sample_index`` once,
+into one tally: runs, failures, timeouts and ``mixed_at``, the length of the
+shortest prefix (in start-time order) that holds a pass and a failure, or 0.
+A group is flaky when ``mixed_at > 0``, and its first k runs when ``0 < mixed_at <= k``.
+
 All functions are pure and safe to run in parallel across revisions.
 """
 
 from __future__ import annotations
 
-import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ingest import TimeoutChangeRecord
-from .model import ExecutionDataset, Verdict, failure_rate, is_flaky
+from .model import ExecutionDataset, Verdict
 
 BIN_UPPER_EDGES = (0.2, 0.4, 0.6, 0.8)
 BIN_LABELS = ("(0.0,0.2]", "(0.2,0.4]", "(0.4,0.6]", "(0.6,0.8]", "(0.8,1.0)")
@@ -79,17 +84,25 @@ def bin_index(rate: float) -> int:
     """Index of the failure-rate bin for a flaky test's rate in (0, 1)."""
     if not 0.0 < rate < 1.0:
         raise ValueError(f"failure rate {rate} is outside (0, 1); not a flaky test")
-    for i, edge in enumerate(BIN_UPPER_EDGES):
-        if rate <= edge:
-            return i
-    return 4
+    return bisect_left(BIN_UPPER_EDGES, rate)
 
 
-def _revision_verdicts(dataset: ExecutionDataset, revision_id: str) -> list[list[Verdict]]:
-    """Each test's verdicts on the revision, in start-time order; raises
-    ValueError for an unknown revision."""
-    column = dataset.verdicts
-    return [[column[i] for i in rows] for rows in dataset.revision_rows(revision_id).values()]
+def _tallies(
+    column: Sequence[Verdict], groups: Iterable[Sequence[int]]
+) -> list[tuple[int, int, int, int]]:
+    """(runs, failures, timeouts, mixed_at) of each group of rows, whose verdicts
+    are read from the column once. The column holds ``Verdict`` members."""
+    tallies = []
+    for rows in groups:
+        verdicts = [column[i] for i in rows]
+        runs, passes = len(verdicts), verdicts.count(Verdict.PASS)
+        mixed_at = 0
+        if 0 < passes < runs:  # mixed at the first run that passed unlike the first
+            first_passed = verdicts[0] is Verdict.PASS
+            unlike = (n for n, v in enumerate(verdicts, 1) if (v is Verdict.PASS) != first_passed)
+            mixed_at = next(unlike)
+        tallies.append((runs, runs - passes, verdicts.count(Verdict.TIMEOUT), mixed_at))
+    return tallies
 
 
 def flakiness_report(dataset: ExecutionDataset, revision_id: str) -> FlakinessReport:
@@ -98,20 +111,18 @@ def flakiness_report(dataset: ExecutionDataset, revision_id: str) -> FlakinessRe
     ``repetition_count`` is the largest per-test execution count observed on
     the revision. Raises ValueError for an unknown revision.
     """
-    runs = _revision_verdicts(dataset, revision_id)
-    unique = len(runs)
-    flaky = 0
+    tallies = _tallies(dataset.verdicts, dataset.revision_rows(revision_id).values())
     bins = [0, 0, 0, 0, 0]
-    for verdicts in runs:
-        if is_flaky(verdicts):
-            flaky += 1
-            bins[bin_index(failure_rate(verdicts))] += 1
+    for runs, failures, _, mixed_at in tallies:
+        if mixed_at:
+            bins[bin_index(failures / runs)] += 1
+    flaky = sum(bins)
     return FlakinessReport(
         revision_id=revision_id,
-        repetition_count=max(map(len, runs)),
-        unique_tests=unique,
+        repetition_count=max(runs for runs, *_ in tallies),
+        unique_tests=len(tallies),
         flaky_tests=flaky,
-        flakiness_rate=flaky / unique,
+        flakiness_rate=flaky / len(tallies),
         bin_counts=tuple(bins),
     )
 
@@ -127,17 +138,11 @@ def flakiness_evolution(
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    runs = _revision_verdicts(dataset, revision_id)
-    unique = len(runs)
-    max_n = max(map(len, runs))
-    points: list[tuple[int, float]] = []
-    k = step
-    while True:
-        flaky = sum(1 for verdicts in runs if is_flaky(verdicts[:k]))
-        points.append((k, flaky / unique))
-        if k >= max_n:
-            break
-        k += step
+    tallies = _tallies(dataset.verdicts, dataset.revision_rows(revision_id).values())
+    unique = len(tallies)
+    max_n = max(runs for runs, *_ in tallies)
+    mixed = sorted(mixed_at for *_, mixed_at in tallies if mixed_at)
+    points = ((k, bisect_right(mixed, k) / unique) for k in range(step, max_n + step, step))
     return EvolutionSeries(revision_id=revision_id, points=tuple(points))
 
 
@@ -148,18 +153,9 @@ def timeout_failure_share(dataset: ExecutionDataset) -> tuple[float, tuple[str, 
     and returns the share with a timeout verdict. The share is 0.0, with a
     note saying so, when the dataset contains no flaky failures at all.
     """
-    column = dataset.verdicts
-    failures = 0
-    timeouts = 0
-    for rows in dataset.sample_index.values():
-        verdicts = [column[i] for i in rows]
-        if not is_flaky(verdicts):
-            continue
-        for verdict in verdicts:
-            if verdict.is_failure:
-                failures += 1
-                if verdict is Verdict.TIMEOUT:
-                    timeouts += 1
+    tallies = _tallies(dataset.verdicts, dataset.sample_index.values())
+    failures = sum(failed for _, failed, _, mixed_at in tallies if mixed_at)
+    timeouts = sum(timed_out for _, _, timed_out, mixed_at in tallies if mixed_at)
     if failures == 0:
         return 0.0, ("dataset contains no flaky failures; share is 0.0",)
     return timeouts / failures, ()
@@ -205,6 +201,7 @@ def _quartiles(values: Sequence[float]) -> tuple[float, float, float] | None:
     if len(ordered) == 1:
         only = ordered[0]
         return (only, only, only)
+    import statistics  # loads fractions and decimal; flakiness and compare never call this
     q1, q2, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
     return (q1, q2, q3)
 
@@ -216,6 +213,7 @@ def timeout_change_stats(changes: Sequence[TimeoutChangeRecord]) -> TimeoutChang
     ratio new/old partitions them into increases (> 1) and decreases (< 1),
     and ratios exactly 1 are ignored. Quartiles use linear interpolation.
     """
+    import statistics  # loads fractions and decimal; flakiness and compare never call this
     per_test: dict[str, int] = {}
     increases: list[float] = []
     decreases: list[float] = []

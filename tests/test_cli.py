@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 
 import pytest
@@ -523,6 +524,11 @@ def _simulate_argv():
     [
         pytest.param(lambda tmp, _: _flakiness_argv(tmp), "4cb74efae3f2ab62", id="flakiness"),
         pytest.param(
+            lambda tmp, _: _flakiness_argv(tmp)[:-1] + ["1"],
+            "3a6506c1dd512eb0",
+            id="flakiness-step-1",
+        ),
+        pytest.param(
             lambda tmp, _: _compare_argv(tmp, True), "e10f725ba25e95a5", id="compare-rise-from-zero"
         ),
         pytest.param(
@@ -567,14 +573,24 @@ def _excluding_evaluate_argv(tmp_path):
     return ["evaluate", "--input", str(path), "--seed", "1"]
 
 
+def _rejecting_compare_argv(tmp_path):
+    argv = _compare_argv(tmp_path, True)
+    path_a = tmp_path / "a.jsonl"
+    row = json.loads(path_a.read_text(encoding="utf-8").splitlines()[0])
+    with path_a.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps({**row, "started_at": "x"}) + "\n")
+    return argv
+
+
 def _all_pass_flakiness_argv(tmp_path):
     path = tmp_path / "passing.jsonl"
     write_executions(verdict_dataset({"a": ["pass"] * 4, "b": ["pass"] * 4}), path)
     return ["flakiness", "--input", str(path), "--revision", "r1"]
 
 
-# Every diagnostic is one "warning: " line on stderr, with no path, line
-# number or warning category: the same bytes on every install.
+# Every diagnostic is one "warning: " line on stderr, with no source path, line
+# number or warning category: the same bytes on every install. A loader's note
+# names its input file, written here as <tmp>/ for the test's directory.
 @pytest.mark.parametrize(
     "build, expected",
     [
@@ -585,8 +601,15 @@ def _all_pass_flakiness_argv(tmp_path):
         ),
         pytest.param(
             _rejecting_history_argv,
-            "warning: rejected 2 rows: {'bad value': 1, 'bad timestamp': 1}\n",
+            "warning: <tmp>/changes.jsonl: "
+            "rejected 2 rows: {'bad value': 1, 'bad timestamp': 1}\n",
             id="timeout-history-rejections",
+        ),
+        pytest.param(
+            _rejecting_compare_argv,
+            "warning: <tmp>/a.jsonl: rejected 1 rows: {'bad timestamp': 1}\n"
+            "warning: repetition counts differ (4 vs 6); flakiness rates are not comparable\n",
+            id="compare-rejection-in-input-a",
         ),
         pytest.param(
             _excluding_evaluate_argv,
@@ -602,4 +625,4 @@ def _all_pass_flakiness_argv(tmp_path):
 )
 def test_stderr_is_pinned(build, expected, tmp_path, capsys):
     assert run(build(tmp_path)) == 0
-    assert capsys.readouterr().err == expected
+    assert capsys.readouterr().err == expected.replace("<tmp>/", f"{tmp_path}{os.sep}")

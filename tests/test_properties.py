@@ -1,12 +1,14 @@
 """Property tests: the sorted-sample kernel, the candidate search, the
-sweep, the grouping index, the replay and the file round trip.
+sweep, the grouping index, flakiness, the replay and the file round trip.
 
 The kernel, its statistics and the static sweep are checked bit for bit
 against the ``math.fsum`` reference functions, the candidate search
 against the brute-force scan of the whole grid, the Tolhurst bound for
 monotonicity and a positive floor, the grouping index against the
 brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
-the index existed, the folds against their size rule, the rerun
+the index existed, the folds against their size rule, the flakiness
+report, evolution and timeout share against ``is_flaky`` of every prefix
+and ``failure_rate`` of each regrouped sample, the rerun
 simulator against a record-by-record replay, a write and reload, in
 both file formats, against the record adapter, the JSONL writer's
 bytes against ``json.dumps`` of each row, and the loader's typed path
@@ -38,8 +40,12 @@ from timeopt.ingest import (
     write_executions,
 )
 from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
+from timeopt.flakiness import (
+    FlakinessReport, flakiness_evolution, flakiness_report, timeout_failure_share,
+)
 from timeopt.model import (
-    ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict, sample_stats,
+    ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict, failure_rate, is_flaky,
+    sample_stats,
 )
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
@@ -441,6 +447,59 @@ def test_folds_split_every_large_enough_test_evenly(records, k, seed):
         assert max(sizes) - min(sizes) <= 1
         assigned += indices
     assert sorted(assigned) == sorted(folds.assignment)
+
+
+# Few (test, revision) groups, so groups run long enough for a pass and a
+# failure to first meet late; start times tie often.
+flaky_records_st = st.lists(
+    st.builds(
+        ExecutionRecord,
+        test_id=st.sampled_from("abc"),
+        revision_id=st.sampled_from(["r1", "r2"]),
+        started_at=st.integers(0, 5).map(lambda minute: EPOCH + timedelta(minutes=minute)),
+        duration=st.just(60.0),
+        verdict=st.sampled_from([Verdict.PASS, Verdict.PASS, Verdict.FAIL, Verdict.TIMEOUT]),
+        interrupted=st.just(False),
+    ),
+    min_size=1,
+    max_size=80,
+).map(tuple)
+
+
+@PROPERTY
+@given(records=flaky_records_st, step=st.integers(1, 90))
+def test_flakiness_equals_prefix_brute_force(records, step):
+    dataset = ExecutionDataset(records=records)
+    groups = [
+        (rid, dataset.subsample(tid, rid, idx).verdicts)
+        for tid, rid, idx in regroup(dataset, lambda r: (r.test_id, r.revision_id))
+    ]
+    for revision_id in dataset.revision_ids():
+        runs = [verdicts for rid, verdicts in groups if rid == revision_id]
+        flaky = [verdicts for verdicts in runs if is_flaky(verdicts)]
+        bins = [0] * 5
+        for verdicts in flaky:  # bin i holds rates above i of the upper edges
+            bins[sum(failure_rate(verdicts) > edge for edge in (0.2, 0.4, 0.6, 0.8))] += 1
+        assert flakiness_report(dataset, revision_id) == FlakinessReport(
+            revision_id=revision_id,
+            repetition_count=max(map(len, runs)),
+            unique_tests=len(runs),
+            flaky_tests=len(flaky),
+            flakiness_rate=len(flaky) / len(runs),
+            bin_counts=tuple(bins),
+        )
+        points, k = [], step
+        while True:
+            points.append((k, sum(is_flaky(verdicts[:k]) for verdicts in runs) / len(runs)))
+            if k >= max(map(len, runs)):
+                break
+            k += step
+        assert flakiness_evolution(dataset, revision_id, step).points == tuple(points)
+    failures = [v for _, verdicts in groups if is_flaky(verdicts) for v in verdicts if v.is_failure]
+    timeouts = sum(v is Verdict.TIMEOUT for v in failures)
+    share, notes = timeout_failure_share(dataset)
+    assert share == (timeouts / len(failures) if failures else 0.0)
+    assert bool(notes) == (not failures)
 
 
 @PROPERTY

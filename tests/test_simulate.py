@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import timeopt
+from helpers import verdict_dataset
 
 from timeopt import cli
 from timeopt.evaluate import TimeoutPolicy
@@ -391,6 +392,21 @@ class TestImportGraph:
             "assert timeopt.cli.run(['simulate', '--tests', '2', '--runs', '20',"
             f" '--seed', '1', '--report-out', {str(report)!r}]) == 0\n"
             "assert 'timeopt.evaluate' in sys.modules\n"
+            "loaded = [m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]\n"
+            "assert loaded == [], loaded\n"
+        )
+
+    def test_flakiness_and_compare_load_no_statistics(self, tmp_path):
+        # only timeout-history's quartiles and median need statistics
+        path = str(tmp_path / "runs.jsonl")
+        write_executions(verdict_dataset({"a": ["pass", "fail"] * 3, "b": ["pass"] * 6}), path)
+        run_python(
+            "import sys, timeopt.cli\n"
+            f"assert timeopt.cli.run(['flakiness', '--input', {path!r}, '--revision', 'r1',"
+            f" '--step', '1', '--out', {path + '.flaky'!r}]) == 0\n"
+            f"assert timeopt.cli.run(['compare', '--input-a', {path!r}, '--input-b', {path!r},"
+            f" '--revision-a', 'r1', '--revision-b', 'r1', '--out', {path + '.cmp'!r}]) == 0\n"
+            "assert 'timeopt.flakiness' in sys.modules\n"
             "loaded = [m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]\n"
             "assert loaded == [], loaded\n"
         )
