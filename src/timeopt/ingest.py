@@ -12,16 +12,16 @@ Malformed rows are rejected and counted; only an unreadable file or a
 malformed CSV header is fatal, and no input line crashes the loader. Files
 are read as UTF-8 with ``surrogateescape``, so an undecodable byte costs
 only its row: a test or revision id that holds a lone surrogate (such a
-byte, or a ``\\udcXX`` JSON escape) is rejected, since no UTF-8 output
-could hold it. Each JSONL line is decoded by one ``raw_decode`` call. A
-JSONL row in the writer's canonical shape (``_typed_values``) goes straight
-into the dataset's columns; every other row, each CSV row included, goes
-through ``_record_from_row``, which alone decides whether a row is rejected
-and why. No per-row record object is built, verdict strings map to members
-through one dict lookup, and repeated test and revision ids share one
-string, checked once. Loading groups nothing beyond what the censored-fraction warnings
-count. Loading is single-threaded per file; the resulting dataset is
-immutable and shareable.
+byte, or a ``\\udcXX`` JSON escape) is rejected, since no UTF-8 output could
+hold it. A JSONL line as the writer spells it (``_WRITER_LINE``) is read by
+one regex match; any other line is decoded by one ``raw_decode``, and a row
+in the canonical shape (``_typed_values``) goes straight into the columns.
+Both share ``_typed_row``'s checks; every other row, each CSV row included,
+goes through ``_record_from_row``, which alone decides whether a row is
+rejected and why. No per-row record object is built, verdict strings map to
+members through one dict lookup, and repeated ids share one string, checked
+once. Loading groups nothing beyond what the censored-fraction warnings count
+and is single-threaded per file; the dataset is immutable and shareable.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -146,8 +148,8 @@ def _parse_bool(raw: Any) -> bool:
 
 
 def _shared_id(value: str, ids: dict[str, str]) -> str:
-    """The entry of non-empty id ``value`` in ``ids``, added on first sight:
-    ``value`` itself, or "" when it holds a lone surrogate (UTF-8 cannot
+    """The entry of id ``value`` in ``ids``, added on first sight: ``value``
+    itself, or "" when it is empty or holds a lone surrogate (UTF-8 cannot
     encode it). So each distinct id is checked once per load."""
     shared = ids.get(value)
     if shared is None:
@@ -206,13 +208,9 @@ def _typed_values(
 ) -> tuple[str, str, datetime, float, Verdict, bool] | None:
     """``_record_from_row(row, ids)`` for a row in the canonical shape, else None.
 
-    The shape: non-empty ``str`` ids with no lone surrogate, a ``float``
-    duration that is finite and >= 0, a verdict string in ``_VERDICT_OF``,
-    ``interrupted`` absent or a bool, and a stamp that
-    ``datetime.fromisoformat`` reads with ``timezone.utc`` as its zone once
-    a trailing ``Z`` is spelled ``+00:00``; ``parse_timestamp``'s strip,
-    ``Z`` rewrite and ``astimezone`` give such a stamp the same value, and a
-    property test pins the two paths together. None rejects nothing: the row takes the
+    The shape: ``str`` ids, a ``float`` duration, a verdict string in
+    ``_VERDICT_OF``, ``interrupted`` absent or a bool, a ``str`` stamp, and
+    values that pass ``_typed_row``. None rejects nothing: the row takes the
     full check. CSV rows, whose values are all strings, never come here.
     """
     try:
@@ -226,14 +224,24 @@ def _typed_values(
     interrupted = row.get("interrupted", False)
     if not (
         type(test_id) is str
-        and test_id
         and type(revision_id) is str
-        and revision_id
         and type(duration) is float
-        and 0.0 <= duration < math.inf
         and type(stamp) is str
         and (interrupted is True or interrupted is False)
     ):
+        return None
+    return _typed_row(test_id, revision_id, stamp, duration, verdict, interrupted, ids)
+
+
+def _typed_row(
+    test_id: str, revision_id: str, stamp: str, duration: float, verdict: Verdict,
+    interrupted: bool, ids: dict[str, str],
+) -> tuple[str, str, datetime, float, Verdict, bool] | None:
+    """The checks both fast paths share: the values in field order, ids shared through
+    ``ids``, if both ids are non-empty with no lone surrogate, the duration is finite and
+    >= 0, and ``fromisoformat`` reads the stamp, a trailing ``Z`` spelled ``+00:00``, with
+    ``timezone.utc`` as its zone (``parse_timestamp`` gives it the same value); else None."""
+    if not 0.0 <= duration < math.inf:
         return None
     # one dict lookup per known id; _shared_id runs on first sight only
     test_id = ids.get(test_id) or _shared_id(test_id, ids)
@@ -252,27 +260,39 @@ def _typed_values(
 
 
 _DECODE = json.JSONDecoder().raw_decode
+# The line ``json.dumps(row, sort_keys=True)`` writes (``_jsonl_lines``) with an unsigned
+# float in ASCII digits, as JSON requires, and strings with no escape: each text is its value.
+_TEXT = r'"([^"\\\x00-\x1f]+)"'
+_WRITER_LINE = re.compile(
+    r'\{"duration_seconds": ((?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)), '
+    rf'"interrupted": (true|false), "revision_id": {_TEXT}, "started_at": {_TEXT}, '
+    rf'"test_id": {_TEXT}, "verdict": "({"|".join(_VERDICT_OF)})"\}}\n?'
+)
+
+
+def _jsonl_row(line: str) -> tuple[Mapping[str, Any] | None, str | None] | None:
+    """A line's object, or None for a blank line. On the stripped line, one
+    ``raw_decode`` that must end at the line's end accepts exactly what
+    ``json.loads`` does. An integer literal past Python's digit limit
+    (ValueError) or nesting past the recursion limit counts as invalid JSON."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj, end = _DECODE(line)
+    except (ValueError, RecursionError):
+        return None, "invalid json"
+    if end != len(line) or not isinstance(obj, dict):
+        return None, "invalid json"
+    return obj, None
 
 
 def _iter_jsonl_rows(path: Path) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
-    """Each non-blank line's object. On a stripped line, one ``raw_decode``
-    that must end at the line's end accepts exactly what ``json.loads``
-    does. An integer literal past Python's digit limit (ValueError) or
-    nesting past the recursion limit counts as invalid JSON."""
+    """Each non-blank line's ``_jsonl_row`` (``load_executions`` reads lines itself)."""
     with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _DECODE(line)
-            except (ValueError, RecursionError):
-                yield None, "invalid json"
-                continue
-            if end != len(line) or not isinstance(obj, dict):
-                yield None, "invalid json"
-                continue
-            yield obj, None
+            if not line.isspace():
+                yield _jsonl_row(line)
 
 
 def _iter_csv_rows(
@@ -335,37 +355,52 @@ def load_executions(
     verdicts: list[Verdict] = []
     interrupted: list[bool] = []
     ids: dict[str, str] = {}  # each distinct id -> its one shared string, "" if rejected
-    rejected = 0
     reasons: dict[str, int] = {}
     jsonl = fmt == "jsonl"  # a CSV value is always a str: only the full check can take it
+    required = ("test_id", "revision_id", "started_at", "duration_seconds", "verdict")
 
-    for row, row_error in _iter_rows(path, fmt, ("test_id", "revision_id", "started_at", "duration_seconds", "verdict")):
-        if row_error is not None:
-            rejected += 1
-            reasons[row_error] = reasons.get(row_error, 0) + 1
-            continue
-        values = _typed_values(row, ids) if jsonl else None
-        if values is None:
-            try:
-                values = _record_from_row(row, ids)
-            except ValueError as exc:
-                rejected += 1
-                reasons[str(exc)] = reasons.get(str(exc), 0) + 1
-                continue
-        test_id, revision_id, started_at, duration, verdict, was_interrupted = values
-        tests.append(test_id)
-        revisions.append(revision_id)
-        started.append(started_at)
-        durations.append(duration)
-        verdicts.append(verdict)
-        interrupted.append(was_interrupted)
+    # JSONL is read here line by line: a writer's line needs no JSON decode
+    opened = path.open("r", encoding="utf-8", errors="surrogateescape") if jsonl else None
+    writer_line = _WRITER_LINE.fullmatch
+    with opened or nullcontext() as handle:
+        for item in handle if jsonl else _iter_rows(path, fmt, required):
+            values = None
+            if jsonl:
+                match = writer_line(item)
+                if match is not None:
+                    duration, flag, revision_id, stamp, test_id, verdict = match.groups()
+                    values = _typed_row(test_id, revision_id, stamp, float(duration),
+                                        _VERDICT_OF[verdict], flag == "true", ids)
+                if values is None:
+                    item = _jsonl_row(item)
+                    if item is None:  # a blank line
+                        continue
+            if values is None:
+                row, reason = item
+                if reason is None:
+                    values = _typed_values(row, ids) if jsonl else None
+                    if values is None:
+                        try:
+                            values = _record_from_row(row, ids)
+                        except ValueError as exc:
+                            reason = str(exc)
+                if reason is not None:
+                    reasons[reason] = reasons.get(reason, 0) + 1
+                    continue
+            test_id, revision_id, started_at, duration, verdict, was_interrupted = values
+            tests.append(test_id)
+            revisions.append(revision_id)
+            started.append(started_at)
+            durations.append(duration)
+            verdicts.append(verdict)
+            interrupted.append(was_interrupted)
 
     dataset = ExecutionDataset.from_columns(
         tests, revisions, started, durations, verdicts, interrupted
     )
     report = ValidationReport(
         accepted=len(dataset),
-        rejected=rejected,
+        rejected=sum(reasons.values()),
         reasons=reasons,
         warnings=_censored_warnings(dataset),
     )

@@ -240,11 +240,11 @@ class _SortedSample:
 
     The kernel alone decides saturation: until a threshold below the max is
     asked for, the durations stay unsorted and ``at`` returns the ``fsum``
-    mean and no overrun. The first threshold below the max, or a ``split``,
-    sorts them once into exact integer prefix sums over a common
-    power-of-two denominator (every finite float is an integer over a power
-    of two). At threshold t = p / q, with k = bisect_right(sorted, t), the
-    capped sum is (prefix[k] q + (n - k) p denominator) / (denominator q), and
+    mean, computed once, and no overrun. The first threshold below the max, or
+    a ``split``, sorts them once into exact integer prefix sums over a common
+    power-of-two denominator (every finite float is an integer over a power of
+    two). At threshold t = p / q, with k = bisect_right(sorted, t), the capped
+    sum is (prefix[k] q + (n - k) p denominator) / (denominator q), and
     Python's int / int division rounds it correctly, exactly as math.fsum
     rounds the same sum. So ``at`` returns what ``truncated_mean`` and
     ``empirical_exceedance`` return, bit for bit, in any order of thresholds,
@@ -252,7 +252,8 @@ class _SortedSample:
     Durations must be finite, and ``at`` and ``stats`` need at least one.
     """
 
-    __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats")
+    __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats", "_top",
+                 "_mean")
 
     def __init__(self, durations: Iterable[float], test_id: str = "") -> None:
         self.test_id = test_id
@@ -260,6 +261,7 @@ class _SortedSample:
         self.n = len(self.ordered)
         self.prefix: list[int] | None = None
         self._stats: SampleStats | None = None
+        self._top = self._mean = None  # max and fsum mean, each kept once read while unsorted
 
     def _sort(self) -> None:
         self.ordered.sort()
@@ -294,10 +296,13 @@ class _SortedSample:
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, number of durations strictly above) at a threshold."""
         n = self.n
-        if self.prefix is None:  # a search has usually read the max already
-            top = max(self.ordered) if self._stats is None else self._stats.max
-            if threshold >= top:
-                return math.fsum(self.ordered) / n, 0
+        if self.prefix is None:
+            if self._top is None:  # a search has usually read the max already
+                self._top = max(self.ordered) if self._stats is None else self._stats.max
+            if threshold >= self._top:
+                if self._mean is None:
+                    self._mean = math.fsum(self.ordered) / n
+                return self._mean, 0
             self._sort()
         k = bisect_right(self.ordered, threshold)
         p, q = threshold.as_integer_ratio()

@@ -392,6 +392,16 @@ class TestSamplesOnlyOnRequest:
         assert built == []
 
 
+class NoZ(datetime):
+    """``datetime`` as on Python 3.10, whose fromisoformat rejects a trailing "Z"."""
+
+    @classmethod
+    def fromisoformat(cls, text):
+        if text.endswith("Z"):
+            raise ValueError(f"Invalid isoformat string: {text!r}")
+        return datetime.fromisoformat(text)
+
+
 class TestTypedPath:
     """Which rows skip the full check; ``test_properties`` pins the typed
     path's values to the full check's."""
@@ -403,14 +413,6 @@ class TestTypedPath:
     def test_writer_rows_take_it_where_fromisoformat_reads_no_z(
         self, runs_file, monkeypatch
     ):
-        # Python 3.10's fromisoformat rejects a trailing "Z"
-        class NoZ(datetime):
-            @classmethod
-            def fromisoformat(cls, text):
-                if text.endswith("Z"):
-                    raise ValueError(f"Invalid isoformat string: {text!r}")
-                return datetime.fromisoformat(text)
-
         expected, _ = load_executions(runs_file)
         monkeypatch.setattr(ingest, "datetime", NoZ)
         monkeypatch.setattr(ingest, "_record_from_row", self.must_not_run)
@@ -445,6 +447,46 @@ class TestTypedPath:
         dataset, report = load_executions(path, "csv")
         assert dataset == expected
         assert report.rejected == 0
+
+
+class TestWriterLinePath:
+    """Every line this program writes is read by one regex match, with no
+    JSON decode; ``test_properties`` pins that path to the full check."""
+
+    @staticmethod
+    def no_decode(line):
+        raise AssertionError(f"unexpected JSON decode of {line!r}")
+
+    def load_without_decode(self, path, monkeypatch, no_z):
+        expected, expected_report = load_executions(path)
+        if no_z:
+            monkeypatch.setattr(ingest, "datetime", NoZ)
+        monkeypatch.setattr(ingest, "_DECODE", self.no_decode)
+        dataset, report = load_executions(path)
+        assert (report.accepted, report.rejected, report.reasons) == (len(expected), 0, {})
+        assert report.warnings == expected_report.warnings
+        assert dataset == expected
+        assert [repr(d) for d in dataset.durations] == [repr(d) for d in expected.durations]
+        assert all(stamp.tzinfo is timezone.utc for stamp in dataset.started_at)
+        return dataset
+
+    @pytest.mark.parametrize("no_z", [False, True], ids=["fromisoformat", "no-z"])
+    def test_write_executions_lines_take_it(self, runs_file, tmp_path, monkeypatch, no_z):
+        written, _ = load_executions(runs_file)
+        path = tmp_path / "written.jsonl"
+        write_executions(written, path)
+        assert self.load_without_decode(path, monkeypatch, no_z) == written
+
+    @pytest.mark.parametrize("no_z", [False, True], ids=["fromisoformat", "no-z"])
+    def test_simulate_out_lines_take_it(self, tmp_path, monkeypatch, no_z):
+        path = tmp_path / "runs.jsonl"
+        argv = [
+            "simulate", "--tests", "3", "--runs", "40", "--hang-prob", "0.2",
+            "--outlier-prob", "0.1", "--seed", "5", "--out", str(path),
+        ]
+        assert cli.run(argv) == 0
+        dataset = self.load_without_decode(path, monkeypatch, no_z)
+        assert len(dataset) == 120 and any(dataset.censored)
 
 
 class TestTimestamps:

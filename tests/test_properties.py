@@ -11,19 +11,22 @@ report, evolution and timeout share against ``is_flaky`` of every prefix
 and ``failure_rate`` of each regrouped sample, the rerun
 simulator against a record-by-record replay, a write and reload, in
 both file formats, against the record adapter, the JSONL writer's
-bytes against ``json.dumps`` of each row, and the loader's typed path
-against its full row check.
+bytes against ``json.dumps`` of each row, and the loader's writer-line
+and typed paths against ``json.loads`` of each line and its full row check.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 import re
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 from datetime import timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import EPOCH, MINUTE, dataset_of, sample_of
+from timeopt import ingest
 from timeopt.ingest import (
     _record_from_row,
     _typed_values,
@@ -762,13 +766,64 @@ ROW_MUTATIONS = {
 }
 
 
+def _no_decode(line):
+    raise AssertionError(f"unexpected JSON decode of {line!r}")
+
+
+def _load_text(text, decode=True):
+    """``load_executions`` of a file holding ``text``, each lone surrogate
+    written as the undecodable byte it stands for; with ``decode`` false,
+    any JSON decode fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with nullcontext() if decode else mock.patch.object(ingest, "_DECODE", _no_decode):
+            return load_executions(path)
+
+
+def _full_check(text):
+    """(values, reasons) the loader must give for a file holding ``text``:
+    each non-blank line, split as a text file splits it, through
+    ``json.loads`` and ``_record_from_row``."""
+    values, reasons, ids = [], {}, {}
+    for line in io.StringIO(text, newline=None):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line.strip())
+        except ValueError:
+            row = None
+        if not isinstance(row, dict):
+            reasons["invalid json"] = reasons.get("invalid json", 0) + 1
+            continue
+        try:
+            values.append(_record_from_row(row, ids))
+        except ValueError as exc:
+            reasons[str(exc)] = reasons.get(str(exc), 0) + 1
+    return values, reasons
+
+
+def _assert_loads_as_full_check(text, decode=True):
+    values, reasons = _full_check(text)
+    dataset, report = _load_text(text, decode)
+    assert (report.accepted, report.rejected, report.reasons) == (
+        len(values), sum(reasons.values()), reasons
+    )
+    assert list(dataset.rows()) == values
+    for loaded, expected in zip(dataset.rows(), values):
+        assert loaded[2].tzinfo is expected[2].tzinfo
+        assert repr(loaded[3]) == repr(expected[3])
+    return values, reasons
+
+
 @PROPERTY
 @given(
     data=st.data(),
     mutated=st.sets(st.sampled_from(sorted(ROW_MUTATIONS)), max_size=3),
     pad=st.tuples(*[st.sampled_from(["", " ", "\t ", "\u2003"])] * 2),
+    ending=st.sampled_from(["\n", "\r\n", ""]),
 )
-def test_typed_path_equals_the_full_check(data, mutated, pad):
+def test_typed_path_equals_the_full_check(data, mutated, pad, ending):
     row = {
         "test_id": data.draw(row_id_st),
         "revision_id": data.draw(row_id_st),
@@ -793,15 +848,74 @@ def test_typed_path_equals_the_full_check(data, mutated, pad):
         assert typed[2].tzinfo is expected[2].tzinfo
         assert repr(typed[3]) == repr(expected[3])
 
-    # the loader, through one raw_decode per padded line, agrees too
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "runs.jsonl"
-        path.write_text(pad[0] + json.dumps(row) + pad[1] + "\n", encoding="utf-8")
-        dataset, report = load_executions(path)
-    if isinstance(expected, str):
-        assert (len(dataset), report.reasons) == (0, {expected: 1})
-    else:
-        (loaded,) = dataset.rows()
-        assert loaded == expected
-        assert loaded[2].tzinfo is expected[2].tzinfo
-        assert repr(loaded[3]) == repr(expected[3])
+    # the loader agrees, on the row in the writer's sorted layout and in
+    # insertion order, each padded and ended as drawn
+    sorted_line = json.dumps(row, sort_keys=True)
+    for line in (sorted_line, json.dumps(row)):
+        values, reasons = _assert_loads_as_full_check(pad[0] + line + pad[1] + ending)
+        assert (values, reasons) == (([], {expected: 1}) if isinstance(expected, str) else ([expected], {}))
+    # a row the writer would write so is read with no JSON decode: the
+    # writer escapes quotes, backslashes, control and non-ASCII characters
+    if (
+        not mutated
+        and "interrupted" in row
+        and "\\" not in sorted_line
+        and math.copysign(1.0, row["duration_seconds"]) > 0
+    ):
+        _assert_loads_as_full_check(sorted_line + ending, decode=False)
+
+
+def _writer_line(
+    duration="61.5", interrupted="false", revision='"r1"',
+    stamp='"2024-01-01T00:00:00Z"', test='"t1"', verdict='"pass"',
+):
+    """A line in the writer's layout with each value's JSON text as given."""
+    return (
+        f'{{"duration_seconds": {duration}, "interrupted": {interrupted}, '
+        f'"revision_id": {revision}, "started_at": {stamp}, "test_id": {test}, '
+        f'"verdict": {verdict}}}'
+    )
+
+
+_LINE = _writer_line()
+_LINE_2 = _writer_line(duration="1e-05", interrupted="true", verdict='"timeout"')
+# name -> (file text, whether every line is read with no JSON decode)
+WRITER_LINE_EDGES = {
+    "writer lines": (_LINE + "\n" + _LINE_2 + "\n", True),
+    "no final newline": (_LINE, True),
+    "escaped quote in an id": (_writer_line(test='"a\\"b"'), False),
+    "escaped e-acute in an id": (_writer_line(test='"\\u00e9"'), False),
+    "raw control character in an id": (_writer_line(test='"t\x01"'), False),
+    "escaped lone surrogate in an id": (_writer_line(test='"t\\udc80"'), False),
+    "undecodable byte in an id": (_writer_line(revision='"r\udcff"'), False),
+    "non-ASCII ids": (_writer_line(test='"日本"', revision='"é"'), True),
+    "Arabic-Indic digits in an id": (_writer_line(test='"٣٤"'), True),
+    "Arabic-Indic digits in a duration": (_writer_line(duration="٦١.٥"), False),
+    "Arabic-Indic digits after a digit": (_writer_line(duration="6١.٥"), False),
+    "Arabic-Indic digits in an exponent": (_writer_line(duration="1e١"), False),
+    "int duration": (_writer_line(duration="60"), False),
+    "exponent duration": (_writer_line(duration="1e+16"), True),
+    "capital exponent duration": (_writer_line(duration="2.5E-3"), True),
+    "overflowing duration": (_writer_line(duration="1e400"), False),
+    "negative zero duration": (_writer_line(duration="-0.0"), False),
+    "negative duration": (_writer_line(duration="-1.5"), False),
+    "dot-ended duration": (_writer_line(duration="5."), False),
+    "leading-zero duration": (_writer_line(duration="01.5"), False),
+    "offset stamp": (_writer_line(stamp='"2024-01-01T05:30:00+05:30"'), False),
+    "+00:00 stamp": (_writer_line(stamp='"2024-01-01T00:00:00+00:00"'), True),
+    "naive stamp": (_writer_line(stamp='"2024-01-01T00:00:00"'), False),
+    "padded stamp": (_writer_line(stamp='" 2024-01-01T00:00:00Z "'), False),
+    "not a stamp": (_writer_line(stamp='"soon"'), False),
+    "unknown verdict": (_writer_line(verdict='"PASS"'), False),
+    "leading whitespace": (" " + _LINE, False),
+    "trailing whitespace": (_LINE + " \n", False),
+    "CRLF endings": (_LINE + "\r\n" + _LINE_2 + "\r\n", True),
+    "blank lines": ("\n" + _LINE + "\n\n \t\n" + _LINE_2 + "\n\n", True),
+}
+
+
+@pytest.mark.parametrize("text, without_decode", WRITER_LINE_EDGES.values(), ids=list(WRITER_LINE_EDGES))
+def test_writer_line_edges_equal_the_full_check(text, without_decode):
+    _assert_loads_as_full_check(text)
+    if without_decode:
+        _assert_loads_as_full_check(text, decode=False)
