@@ -13,15 +13,16 @@ malformed CSV header is fatal, and no input line crashes the loader. Files
 are read as UTF-8 with ``surrogateescape``, so an undecodable byte costs
 only its row: a test or revision id that holds a lone surrogate (such a
 byte, or a ``\\udcXX`` JSON escape) is rejected, since no UTF-8 output could
-hold it. A JSONL line as the writer spells it (``_WRITER_LINE``) is read by
-one regex match; any other line is decoded by one ``raw_decode``, and a row
+hold it. JSONL lines spelled as the writer spells them (``_WRITER_LINE``)
+are read by a regex match up to the first line that is not, or fails a
+check; each line from there on is decoded by one ``raw_decode``, and a row
 in the canonical shape (``_typed_values``) goes straight into the columns.
-Both share ``_typed_row``'s checks; every other row, each CSV row included,
-goes through ``_record_from_row``, which alone decides whether a row is
-rejected and why. No per-row record object is built, verdict strings map to
-members through one dict lookup, and repeated ids share one string, checked
-once. Loading groups nothing beyond what the censored-fraction warnings count
-and is single-threaded per file; the dataset is immutable and shareable.
+Both take ``_typed_row``'s checks. Any other row, each CSV row included, goes
+through ``_record_from_row``, which alone decides whether a row is rejected
+and why. No per-row record object is built, verdict strings map to members
+through one dict lookup, and repeated ids share one string, checked once.
+Loading groups nothing beyond what the censored-fraction warnings count and
+is single-threaded per file; the dataset is immutable and shareable.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import json
 import math
 import re
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -148,8 +149,8 @@ def _parse_bool(raw: Any) -> bool:
 
 
 def _shared_id(value: str, ids: dict[str, str]) -> str:
-    """The entry of id ``value`` in ``ids``, added on first sight: ``value``
-    itself, or "" when it is empty or holds a lone surrogate (UTF-8 cannot
+    """The entry of non-empty id ``value`` in ``ids``, added on first sight:
+    ``value`` itself, or "" when it holds a lone surrogate (UTF-8 cannot
     encode it). So each distinct id is checked once per load."""
     shared = ids.get(value)
     if shared is None:
@@ -270,29 +271,29 @@ _WRITER_LINE = re.compile(
 )
 
 
-def _jsonl_row(line: str) -> tuple[Mapping[str, Any] | None, str | None] | None:
-    """A line's object, or None for a blank line. On the stripped line, one
-    ``raw_decode`` that must end at the line's end accepts exactly what
-    ``json.loads`` does. An integer literal past Python's digit limit
-    (ValueError) or nesting past the recursion limit counts as invalid JSON."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        obj, end = _DECODE(line)
-    except (ValueError, RecursionError):
-        return None, "invalid json"
-    if end != len(line) or not isinstance(obj, dict):
-        return None, "invalid json"
-    return obj, None
+def _jsonl_rows(lines: Iterable[str]) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
+    """Each non-blank line's object. On a stripped line, one ``raw_decode``
+    that must end at the line's end accepts exactly what ``json.loads``
+    does. An integer literal past Python's digit limit (ValueError) or
+    nesting past the recursion limit counts as invalid JSON."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _DECODE(line)
+        except (ValueError, RecursionError):
+            yield None, "invalid json"
+            continue
+        if end != len(line) or not isinstance(obj, dict):
+            yield None, "invalid json"
+            continue
+        yield obj, None
 
 
 def _iter_jsonl_rows(path: Path) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
-    """Each non-blank line's ``_jsonl_row`` (``load_executions`` reads lines itself)."""
     with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line in handle:
-            if not line.isspace():
-                yield _jsonl_row(line)
+        yield from _jsonl_rows(handle)
 
 
 def _iter_csv_rows(
@@ -328,6 +329,20 @@ def _iter_rows(path: Path, fmt: str, required: Iterable[str]):
     raise ValueError(f"unknown format {fmt!r}; expected 'jsonl' or 'csv'")
 
 
+def _keep_rows(rows: Iterable[tuple[Any, str | None]], typed: bool, flat: list[Any],
+               ids: dict[str, str], reasons: dict[str, int]) -> None:
+    """Add each row's values to ``flat``, by ``_typed_values`` if ``typed`` and it
+    takes the row, else by ``_record_from_row``; or count its reason in ``reasons``."""
+    for row, reason in rows:
+        if reason is None:
+            try:
+                flat += typed and _typed_values(row, ids) or _record_from_row(row, ids)
+                continue
+            except ValueError as exc:
+                reason = str(exc)
+        reasons[reason] = reasons.get(reason, 0) + 1
+
+
 def load_executions(
     path: str | Path,
     fmt: str = "jsonl",
@@ -348,56 +363,31 @@ def load_executions(
         ValueError: on a malformed CSV header or unknown format.
     """
     path = Path(path)
-    tests: list[str] = []
-    revisions: list[str] = []
-    started: list[datetime] = []
-    durations: list[float] = []
-    verdicts: list[Verdict] = []
-    interrupted: list[bool] = []
+    flat: list[Any] = []  # each accepted row's values in field order, row after row
     ids: dict[str, str] = {}  # each distinct id -> its one shared string, "" if rejected
     reasons: dict[str, int] = {}
-    jsonl = fmt == "jsonl"  # a CSV value is always a str: only the full check can take it
-    required = ("test_id", "revision_id", "started_at", "duration_seconds", "verdict")
-
-    # JSONL is read here line by line: a writer's line needs no JSON decode
-    opened = path.open("r", encoding="utf-8", errors="surrogateescape") if jsonl else None
-    writer_line = _WRITER_LINE.fullmatch
-    with opened or nullcontext() as handle:
-        for item in handle if jsonl else _iter_rows(path, fmt, required):
-            values = None
-            if jsonl:
-                match = writer_line(item)
-                if match is not None:
+    if fmt == "jsonl":
+        with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
+            # no JSON decode up to the first line the match or its checks miss
+            lines, writer_line = handle, _WRITER_LINE.fullmatch
+            for line in handle:
+                match = writer_line(line)
+                if match:
                     duration, flag, revision_id, stamp, test_id, verdict = match.groups()
                     values = _typed_row(test_id, revision_id, stamp, float(duration),
                                         _VERDICT_OF[verdict], flag == "true", ids)
-                if values is None:
-                    item = _jsonl_row(item)
-                    if item is None:  # a blank line
-                        continue
-            if values is None:
-                row, reason = item
-                if reason is None:
-                    values = _typed_values(row, ids) if jsonl else None
-                    if values is None:
-                        try:
-                            values = _record_from_row(row, ids)
-                        except ValueError as exc:
-                            reason = str(exc)
-                if reason is not None:
-                    reasons[reason] = reasons.get(reason, 0) + 1
-                    continue
-            test_id, revision_id, started_at, duration, verdict, was_interrupted = values
-            tests.append(test_id)
-            revisions.append(revision_id)
-            started.append(started_at)
-            durations.append(duration)
-            verdicts.append(verdict)
-            interrupted.append(was_interrupted)
+                if not match or values is None:
+                    lines = chain((line,), handle)
+                    break
+                flat += values
+            _keep_rows(_jsonl_rows(lines), True, flat, ids, reasons)
+    else:  # a CSV value is always a str, so only the full check; "interrupted" is optional
+        _keep_rows(_iter_rows(path, fmt, EXECUTION_FIELDS[:-1]), False, flat, ids, reasons)
 
-    dataset = ExecutionDataset.from_columns(
-        tests, revisions, started, durations, verdicts, interrupted
-    )
+    # one stride per column, in EXECUTION_FIELDS order; the rows go before the copy to tuples
+    columns = [flat[k::6] for k in range(6)]
+    del flat
+    dataset = ExecutionDataset.from_columns(*columns)
     report = ValidationReport(
         accepted=len(dataset),
         rejected=sum(reasons.values()),

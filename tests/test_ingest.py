@@ -488,6 +488,30 @@ class TestWriterLinePath:
         dataset = self.load_without_decode(path, monkeypatch, no_z)
         assert len(dataset) == 120 and any(dataset.censored)
 
+    def test_matching_stops_at_the_first_line_in_another_layout(
+        self, runs_file, tmp_path, monkeypatch
+    ):
+        expected, _ = load_executions(runs_file)
+        written = tmp_path / "written.jsonl"
+        write_executions(expected, written)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(written.read_text() + runs_file.read_text())
+        tried = []
+        pattern = ingest._WRITER_LINE
+
+        class Counted:
+            @staticmethod
+            def fullmatch(line):
+                tried.append(line)
+                return pattern.fullmatch(line)
+
+        monkeypatch.setattr(ingest, "_WRITER_LINE", Counted)
+        for path, lines_tried, copies in [(runs_file, 1, 1), (written, 24, 1), (mixed, 25, 2)]:
+            tried.clear()
+            dataset, report = load_executions(path)
+            assert list(dataset.rows()) == list(expected.rows()) * copies
+            assert report.rejected == 0 and len(tried) == lines_tried
+
 
 class TestTimestamps:
     def test_z_suffix(self):

@@ -879,6 +879,7 @@ def _writer_line(
 
 _LINE = _writer_line()
 _LINE_2 = _writer_line(duration="1e-05", interrupted="true", verdict='"timeout"')
+_REVERSED = json.dumps(dict(reversed(json.loads(_LINE_2).items())))  # the keys in another order
 # name -> (file text, whether every line is read with no JSON decode)
 WRITER_LINE_EDGES = {
     "writer lines": (_LINE + "\n" + _LINE_2 + "\n", True),
@@ -910,7 +911,11 @@ WRITER_LINE_EDGES = {
     "leading whitespace": (" " + _LINE, False),
     "trailing whitespace": (_LINE + " \n", False),
     "CRLF endings": (_LINE + "\r\n" + _LINE_2 + "\r\n", True),
-    "blank lines": ("\n" + _LINE + "\n\n \t\n" + _LINE_2 + "\n\n", True),
+    "final blank lines": (_LINE + "\n" + _LINE_2 + "\n\n \t\n", True),
+    # matching stops at the first line in another layout: later lines are decoded
+    "blank lines": ("\n" + _LINE + "\n\n \t\n" + _LINE_2 + "\n\n", False),
+    "another layout first": (_REVERSED + "\n" + _LINE, False),
+    "another layout after": (_LINE + "\n" + _REVERSED + "\n" + _LINE_2, False),
 }
 
 
