@@ -14,24 +14,26 @@ where tm(t) is the truncated mean (every run capped at t), p(t) the timeout
 probability, and each timeout charges the full rerun budget at the truncated
 mean. The optimal timeout is the argmin of cost over the integer grid
 [ceil(mean), ceil(2 * max)] in grid units of ``GRID_SECONDS`` (one minute);
-ties go to the smallest timeout so blocked runs are interrupted sooner.
-Only the candidate timeouts are scored: the first grid point of each run of
-equal p. Along such a run the float cost never falls as t grows, since
-tm(t) is the correctly rounded value of a non-decreasing exact function and
-every float operation of the cost is monotone in tm and t. So scanning the
-candidates in increasing order, keeping a strictly smaller cost, returns
-the exhaustive argmin, ties included. The candidates are the lower end
-and the first grid point of each step of p: empirically, the first point
-at or above each duration, at most n + 1; for the Tolhurst bound, whose
-steps are found in exact integers, at most (n + 1) // 2 + 1, however far
-the grid reaches. The search, the static sweep and held-out scoring read
-the sample statistics, tm(t) and the empirical p(t) from one kernel per
-sample, exactly equal to the ``sample_stats``, ``truncated_mean`` and
-``empirical_exceedance`` references. The kernel alone decides saturation:
-at a t at or above the sample's max, p is 0 and tm is the exact ``fsum``
-mean, and a kernel only ever asked such thresholds is never sorted. The
-static sweep rescores a sample only until its kernel reports no overrun;
-past that, its cost changes only through the breakage term.
+ties go to the smallest timeout so blocked runs are interrupted sooner. Only
+the candidate timeouts are scored: the first grid point of each run of equal
+p. Along such a run the float cost never falls as t grows, since tm(t) is
+the correctly rounded value of a non-decreasing exact function and every
+float operation of the cost is monotone in tm, p and t. So scanning the
+candidates in decreasing order, keeping a cost at most the best, returns the
+exhaustive argmin, ties included. The candidates are the first grid point of
+each step of p: empirically, the first point at or above each duration, at
+most n + 1; for the Tolhurst bound, whose steps are found in exact integers,
+at most (n + 1) // 2 + 1, however far the grid reaches. Below a candidate of
+probability p, every one has p, tm and t at least p, tm(lower) and lower; by
+the same monotonicity, the scan stops exactly once the cost of those three
+exceeds the best. The search, the static sweep and held-out scoring read the
+sample statistics, tm(t) and the empirical p(t) from one kernel per sample,
+exactly equal to the ``sample_stats``, ``truncated_mean`` and
+``empirical_exceedance`` references. The kernel alone decides saturation: at
+a t at or above the sample's max, p is 0 and tm is the exact ``fsum`` mean,
+and a kernel only ever asked such thresholds is never sorted. The static
+sweep rescores a sample only until its kernel reports no overrun; past that,
+its cost changes only through the breakage term.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -309,6 +311,14 @@ class _SortedSample:
         denominator = self.denominator
         return (self.prefix[k] * q + (n - k) * p * denominator) / (denominator * q) / n, n - k
 
+    def above(self, threshold: float) -> int:
+        """``at``'s number of durations strictly above a threshold, with no mean."""
+        if threshold >= self.stats.max:
+            return 0
+        if self.prefix is None:
+            self._sort()
+        return self.n - bisect_right(self.ordered, threshold)
+
     def empirical_cost(self, threshold: float, config: OptimizationConfig) -> tuple[float, int]:
         """(``expected_cost`` with empirical probabilities, overruns) at a threshold."""
         tm, over = self.at(threshold)
@@ -335,11 +345,11 @@ def optimize_timeout(
     """The grid timeout of smallest expected cost, found among the candidates.
 
     The sample may be a ``TestSample`` or a kernel; its statistics come from
-    the kernel. The candidates are ``lower`` and every grid point where p
-    falls, visited in one walk from step to step (``_walk``); between two
-    candidates the cost never falls, so keeping a strictly smaller cost
-    returns the exhaustive argmin of the search range, ties going to the
-    smallest timeout.
+    the kernel. The candidates, the first grid point of every step of p, are
+    visited from ``upper`` down to ``lower`` in one walk (``_walk``); keeping
+    a cost at most the best returns the exhaustive argmin, ties going to the
+    smallest timeout. The scan stops at a candidate whose p costs more than
+    the best even at tm(lower) and ``lower``: none left can cost less.
 
     Samples with fewer than ``config.min_samples`` executions receive the
     static fallback timeout instead; their reported cost and probability are
@@ -361,11 +371,17 @@ def optimize_timeout(
             lower = upper = t
     else:
         lower, upper = search_grid(kernel.stats)
+        floor = lower * GRID_SECONDS
+        tm_floor = kernel.at(floor)[0]
         empirical = config.probability_method == EMPIRICAL_ECDF
         t, cost, p = lower, math.inf, math.inf
-        for unit, threshold, tm, unit_p in _walk(kernel, lower, upper, empirical):
+        for unit, unit_p in _walk(kernel, lower, upper, empirical):
+            if _cost(tm_floor, unit_p, floor, config) > cost:
+                break
+            threshold = unit * GRID_SECONDS
+            tm = kernel.at(threshold)[0] if unit > lower else tm_floor
             unit_cost = _cost(tm, unit_p, threshold, config)
-            if unit_cost < cost:
+            if unit_cost <= cost and unit_cost < math.inf:  # an infinite cost is never kept
                 t, cost, p = unit, unit_cost, unit_p
     return OptimizationResult(
         test_id=kernel.test_id,
@@ -380,31 +396,30 @@ def optimize_timeout(
 
 def _walk(
     kernel: _SortedSample, lower: int, upper: int, empirical: bool
-) -> Iterator[tuple[int, float, float, float]]:
-    """(unit, threshold, tm, p) at ``lower`` and at every later unit up to
-    ``upper`` where p falls, in increasing order.
+) -> Iterator[tuple[int, float]]:
+    """(unit, p) at the first unit in [lower, upper] of each step of p, from
+    the step that holds ``upper`` down to the one that holds ``lower``.
 
-    Each next unit is the first at or above where p falls: the smallest
-    duration above the threshold, or the end of the Tolhurst step j. The
-    walk ends where p reaches its floor: no duration above, or j <= 1.
+    A step starts at the first unit at or above its least threshold: with k
+    < n durations above, the (n - k)th smallest duration (the max at k = 0,
+    so no sort there); for the Tolhurst numerator j <= n, the end of step
+    j + 1 (of step 2 at j = 0, where a zero-spread sample's p drops from 1
+    to 0); else 0. The unit below a start lies in the next step down.
     """
-    n = kernel.n
-    steps = None if empirical else _TolhurstSteps(kernel.stats)
-    u = lower
-    while u <= upper:
-        threshold = u * GRID_SECONDS
-        tm, over = kernel.at(threshold)
+    n, stats = kernel.n, kernel.stats
+    steps = None if empirical else _TolhurstSteps(stats)
+    u = upper
+    while u >= lower:
         if steps is None:
-            yield u, threshold, tm, over / n
-            if not over:
-                return
-            u = _unit_at_least(kernel.ordered[n - over])  # sorted: over > 0
+            over = kernel.above(u * GRID_SECONDS)
+            start = 0.0 if over == n else kernel.ordered[n - over - 1] if over else stats.max
+            p = over / n
         else:
-            j = steps.index(threshold)
-            yield u, threshold, tm, j / (n + 1)
-            if j <= 1:
-                return
-            u = _unit_at_least(steps.end(j))
+            j = steps.index(u * GRID_SECONDS)
+            p, start = j / (n + 1), (steps.end(max(j + 1, 2)) if j <= n else 0.0)
+        u = max(lower, _unit_at_least(start))
+        yield u, p
+        u -= 1
 
 
 def _unit_at_least(seconds: float) -> int:

@@ -2,16 +2,21 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import MINUTE, dataset_of, minutes_sample, sample_of
 from timeopt.model import SampleStats, sample_stats
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
+    PROBABILITY_METHODS,
     TOLHURST_BOUND,
     OptimizationConfig,
     TimeoutOptimizer,
+    _cost,
     _SortedSample,
     _unit_at_least,
+    _walk,
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
@@ -343,6 +348,63 @@ class TestCandidateSearch:
         # empirical: lower plus one per duration; Tolhurst: one per step
         assert calls <= (n + 1 if config == EMPIRICAL else (n + 1) // 2 + 1)
 
+    @pytest.mark.parametrize("breakage", [0.0, 0.01])
+    @pytest.mark.parametrize("method", PROBABILITY_METHODS)
+    @pytest.mark.parametrize(
+        "durations",
+        [
+            [420.0] * 30,  # on a grid point: p is 1 at lower, then 0 at once
+            [437.5] * 31,  # between grid points
+            [0.0] * 30,
+            [1e5] * 40,
+            [420.0] * 29 + [math.nextafter(420.0, math.inf)],  # one ulp of spread
+            [437.5] * 30 + [math.nextafter(437.5, math.inf)] * 2,
+            [math.nextafter(1e5, 0.0)] + [1e5] * 39,
+        ],
+        ids=["zero-420", "zero-437.5", "zero-0", "zero-1e5", "ulp-420", "ulp-437.5", "ulp-1e5"],
+    )
+    def test_zero_and_one_ulp_spread_equal_the_exhaustive_argmin(
+        self, durations, method, breakage
+    ):
+        config = OptimizationConfig(probability_method=method, breakage_probability=breakage)
+        sample = sample_of(durations)
+        lower, upper = search_grid(sample_stats(sample))
+        expected = (lower, math.inf, math.inf)
+        for u in range(lower, upper + 1):  # the reference functions at every grid point
+            cost = expected_cost(sample, u * MINUTE, config)
+            if cost < expected[1]:
+                expected = (u, cost, timeout_probability(sample, u * MINUTE, config))
+        result = optimize_timeout(sample, config)
+        assert not result.fallback_applied
+        assert (
+            result.optimal_timeout,
+            result.expected_cost_at_optimum,
+            result.timeout_probability_at_optimum,
+        ) == expected
+
+    @pytest.mark.parametrize("config", [EMPIRICAL, TOLHURST])
+    def test_the_stop_fires_on_a_lognormal_sample(self, monkeypatch, config):
+        rng = random.Random(0)
+        durations = [300 * rng.lognormvariate(0, 0.5) for _ in range(32)]
+        kernel = _SortedSample(durations)
+        lower, upper = search_grid(kernel.stats)
+        steps = len(list(_walk(kernel, lower, upper, config == EMPIRICAL)))
+        expected = self.exhaustive(kernel, config)
+        calls = 0
+        at = _SortedSample.at
+
+        def counting_at(self, threshold):
+            nonlocal calls
+            calls += 1
+            return at(self, threshold)
+
+        monkeypatch.setattr(_SortedSample, "at", counting_at)
+        result = optimize_timeout(sample_of(durations), config)
+        assert (result.optimal_timeout, result.expected_cost_at_optimum) == expected
+        # one call reads tm at lower, the rest score candidates above it: so
+        # fewer calls than steps leave a candidate above lower unscored
+        assert calls < steps
+
     @pytest.mark.parametrize(
         "seconds",
         [0.0, 5e-324, 59.9, 60.0, math.nextafter(60.0, math.inf), 1e7, 2.0**53 * 60,
@@ -360,6 +422,51 @@ class TestCandidateSearch:
             by_kernel = optimize_timeout(kernel, config)
             assert by_kernel == optimize_timeout(sample_of(durations, test_id="k"), config)
             assert by_kernel.test_id == "k"
+
+
+@st.composite
+def early_stop_case_st(draw) -> list[float]:
+    """2-60 durations: spread over up to a day, or equal but for a few one
+    ulp above, so that p drops from 1 to its floor within one grid unit."""
+    n = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(min_value=0.0, max_value=86400.0), min_size=n, max_size=n))
+    base = draw(st.floats(min_value=0.0, max_value=86400.0))
+    above = draw(st.integers(0, min(3, n - 1)))
+    return [base] * (n - above) + [math.nextafter(base, math.inf)] * above
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    durations=early_stop_case_st(),
+    method=st.sampled_from(PROBABILITY_METHODS),
+    reruns=st.integers(0, 5),
+    breakage=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+)
+@example(durations=[60.0, 90.0, 600.0] * 10, method=TOLHURST_BOUND, reruns=0, breakage=0.0)
+@example(durations=[60.0, 90.0, 600.0] * 10, method=EMPIRICAL_ECDF, reruns=3, breakage=0.05)
+# every cost overflows: no cost is kept, and the result is (lower, inf, inf)
+@example(durations=[1e120, 2e120] * 15, method=TOLHURST_BOUND, reruns=10**200, breakage=0.0)
+def test_early_stop_never_changes_the_result(durations, method, reruns, breakage):
+    """The search equals scoring every candidate of the whole walk, upward,
+    keeping a strictly smaller cost: with m = 0 (where, without breakage,
+    the stop never fires), with breakage, and where p falls in one step."""
+    config = OptimizationConfig(
+        rerun_count=reruns, breakage_probability=breakage, probability_method=method, min_samples=2
+    )
+    result = optimize_timeout(sample_of(durations), config)
+    kernel = _SortedSample(durations)
+    lower, upper = search_grid(kernel.stats)
+    expected = (lower, math.inf, math.inf)
+    for u, p in reversed(list(_walk(kernel, lower, upper, method == EMPIRICAL_ECDF))):
+        cost = _cost(kernel.at(u * MINUTE)[0], p, u * MINUTE, config)
+        if cost < expected[1]:
+            expected = (u, cost, p)
+    assert (
+        result.optimal_timeout,
+        result.expected_cost_at_optimum,
+        result.timeout_probability_at_optimum,
+    ) == expected
 
 
 class TestStaticSweep:

@@ -256,13 +256,13 @@ def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, b
     assert (result.optimal_timeout, result.expected_cost_at_optimum) == brute_force_argmin(
         sample, config
     )
-    # The walk scores lower and exactly the grid points where p changes,
-    # with p there.
+    # The walk yields lower and exactly the grid points where p changes,
+    # with p there, from the top down.
     lower, upper = result.search_range
     walk = _walk(_SortedSample(durations), lower, upper, method == EMPIRICAL_ECDF)
     p = [timeout_probability(sample, u * MINUTE, config) for u in range(lower, upper + 1)]
     steps = [lower] + [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
-    assert [(u, q) for u, _, _, q in walk] == [(u, p[u - lower]) for u in steps]
+    assert list(walk) == list(reversed([(u, p[u - lower]) for u in steps]))
 
 
 @st.composite
