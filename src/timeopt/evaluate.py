@@ -123,9 +123,10 @@ class PolicyTotals:
 def count_timeouts(sample: TestSample, timeout_seconds: float) -> int:
     """Number of durations strictly greater than the timeout.
 
-    Counts overruns even when the run was never actually interrupted.
+    Counts overruns even when the run was never actually interrupted; an
+    empty sample has none.
     """
-    return sum(1 for d in sample.durations if d > timeout_seconds)
+    return _SortedSample(sample.durations).above(timeout_seconds)
 
 
 def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:

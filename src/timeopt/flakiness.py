@@ -7,7 +7,8 @@ tests are binned by failure rate into five intervals: (0, 0.2], (0.2, 0.4],
 means the test is not flaky and is counted in no bin.
 
 Each function reads every (test, revision) group of ``sample_index`` once,
-into one tally: runs, failures, timeouts and ``mixed_at``, the length of the
+into one tally (``model._tallies``, which ``is_flaky`` and ``failure_rate``
+also read): runs, failures, timeouts and ``mixed_at``, the length of the
 shortest prefix (in start-time order) that holds a pass and a failure, or 0.
 A group is flaky when ``mixed_at > 0``, and its first k runs when ``0 < mixed_at <= k``.
 
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ingest import TimeoutChangeRecord
-from .model import ExecutionDataset, Verdict
+from .model import ExecutionDataset, _tallies
 
 BIN_UPPER_EDGES = (0.2, 0.4, 0.6, 0.8)
 BIN_LABELS = ("(0.0,0.2]", "(0.2,0.4]", "(0.4,0.6]", "(0.6,0.8]", "(0.8,1.0)")
@@ -85,24 +86,6 @@ def bin_index(rate: float) -> int:
     if not 0.0 < rate < 1.0:
         raise ValueError(f"failure rate {rate} is outside (0, 1); not a flaky test")
     return bisect_left(BIN_UPPER_EDGES, rate)
-
-
-def _tallies(
-    column: Sequence[Verdict], groups: Iterable[Sequence[int]]
-) -> list[tuple[int, int, int, int]]:
-    """(runs, failures, timeouts, mixed_at) of each group of rows, whose verdicts
-    are read from the column once. The column holds ``Verdict`` members."""
-    tallies = []
-    for rows in groups:
-        verdicts = [column[i] for i in rows]
-        runs, passes = len(verdicts), verdicts.count(Verdict.PASS)
-        mixed_at = 0
-        if 0 < passes < runs:  # mixed at the first run that passed unlike the first
-            first_passed = verdicts[0] is Verdict.PASS
-            unlike = (n for n, v in enumerate(verdicts, 1) if (v is Verdict.PASS) != first_passed)
-            mixed_at = next(unlike)
-        tallies.append((runs, runs - passes, verdicts.count(Verdict.TIMEOUT), mixed_at))
-    return tallies
 
 
 def flakiness_report(dataset: ExecutionDataset, revision_id: str) -> FlakinessReport:

@@ -62,6 +62,50 @@ def verdict_of(value: Any) -> Verdict:
         raise ValueError(f"{value!r} is not a valid Verdict") from None
 
 
+def _tallies(
+    column: Sequence[Verdict], groups: Iterable[Sequence[int]]
+) -> list[tuple[int, int, int, int]]:
+    """(runs, failures, timeouts, mixed_at) of each group of rows, whose verdicts
+    are read from the column once. The column holds ``Verdict`` members.
+    ``mixed_at`` is the length of the shortest prefix with a pass and a failure, or 0."""
+    tallies = []
+    for rows in groups:
+        verdicts = [column[i] for i in rows]
+        runs, passes = len(verdicts), verdicts.count(Verdict.PASS)
+        mixed_at = 0
+        if 0 < passes < runs:  # mixed at the first run that passed unlike the first
+            first_passed = verdicts[0] is Verdict.PASS
+            unlike = (n for n, v in enumerate(verdicts, 1) if (v is Verdict.PASS) != first_passed)
+            mixed_at = next(unlike)
+        tallies.append((runs, runs - passes, verdicts.count(Verdict.TIMEOUT), mixed_at))
+    return tallies
+
+
+def _tally(verdicts: Sequence[Any]) -> tuple[int, int, int, int]:
+    """``_tallies`` of one verdict sequence, members or their values, each
+    checked. Raises ValueError on an empty sequence or an unknown verdict."""
+    if not verdicts:
+        raise ValueError("empty verdict list")
+    column = [verdict_of(v) for v in verdicts]
+    return _tallies(column, [range(len(column))])[0]
+
+
+def is_flaky(verdicts: Sequence[Verdict]) -> bool:
+    """True iff the verdicts mix at least one pass and at least one failure.
+
+    All-pass and all-fail sequences are not flaky. Raises ValueError on an
+    empty sequence or an unknown verdict.
+    """
+    return _tally(verdicts)[3] > 0
+
+
+def failure_rate(verdicts: Sequence[Verdict]) -> float:
+    """Fraction of non-pass verdicts. Raises ValueError on an empty sequence
+    or an unknown verdict."""
+    runs, failures, _, _ = _tally(verdicts)
+    return failures / runs
+
+
 @dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     """One observed test execution.
@@ -79,8 +123,8 @@ class ExecutionRecord:
     interrupted: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be non-negative and finite, got {self.duration}")
 
     @property
     def censored(self) -> bool:
@@ -115,8 +159,8 @@ class TestSample:
         object.__setattr__(self, "censored", tuple(map(bool, censored)))
         if not len(self.durations) == len(self.verdicts) == len(self.censored):
             raise ValueError("durations, verdicts and censored flags must have equal length")
-        if any(d < 0 for d in self.durations):
-            raise ValueError("durations must be non-negative")
+        if not all(0.0 <= d < math.inf for d in self.durations):
+            raise ValueError("durations must be non-negative and finite")
 
     @property
     def n(self) -> int:
@@ -180,33 +224,6 @@ def stats_of(test_id: str, durations: Sequence[float]) -> SampleStats:
         ) from None
     q_n = math.sqrt((n + 1) / n * variance)
     return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
-
-
-def is_flaky(verdicts: Sequence[Verdict]) -> bool:
-    """True iff the verdicts mix at least one pass and at least one failure.
-
-    All-pass and all-fail sequences are not flaky. Raises ValueError on an
-    empty sequence.
-    """
-    if not verdicts:
-        raise ValueError("empty verdict list")
-    saw_pass = saw_failure = False
-    for v in verdicts:
-        if verdict_of(v).is_failure:
-            saw_failure = True
-        else:
-            saw_pass = True
-        if saw_pass and saw_failure:
-            return True
-    return False
-
-
-def failure_rate(verdicts: Sequence[Verdict]) -> float:
-    """Fraction of non-pass verdicts. Raises ValueError on an empty sequence."""
-    if not verdicts:
-        raise ValueError("empty verdict list")
-    failures = sum(1 for v in verdicts if verdict_of(v).is_failure)
-    return failures / len(verdicts)
 
 
 @dataclass(frozen=True, init=False)

@@ -27,11 +27,12 @@ at most (n + 1) // 2 + 1, however far the grid reaches. Below a candidate of
 probability p, every one has p, tm and t at least p, tm(lower) and lower; by
 the same monotonicity, the scan stops exactly once the cost of those three
 exceeds the best. The search, the static sweep and held-out scoring read the
-sample statistics, tm(t) and the empirical p(t) from one kernel per sample,
-exactly equal to the ``sample_stats``, ``truncated_mean`` and
-``empirical_exceedance`` references. The kernel alone decides saturation: at
-a t at or above the sample's max, p is 0 and tm is the exact ``fsum`` mean,
-and a kernel only ever asked such thresholds is never sorted. The static
+sample statistics, tm(t) and the empirical p(t) from one kernel per sample;
+``truncated_mean``, ``empirical_exceedance``, ``timeout_probability`` and
+``expected_cost`` are adapters over a kernel, and the tests hold the ``fsum``
+definitions. The kernel alone decides saturation: at a t at or above the
+sample's max, p is 0 and tm is the exact mean, sorted or not, and a kernel
+only ever asked such thresholds is never sorted. The static
 sweep rescores a sample only until its kernel reports no overrun; past that,
 its cost changes only through the breakage term.
 
@@ -47,7 +48,7 @@ from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
-    GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, sample_stats, stats_of, valid_minutes,
+    GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, stats_of, valid_minutes,
 )
 
 TOLHURST_BOUND = "tolhurst_bound"
@@ -193,64 +194,23 @@ class _TolhurstSteps:
         return seconds if seconds >= whole else math.nextafter(seconds, math.inf)
 
 
-def empirical_exceedance(sample: TestSample, threshold: float) -> float:
-    """Fraction of observed durations strictly greater than the threshold."""
-    if sample.n == 0:
-        raise ValueError("empty sample")
-    return sum(1 for d in sample.durations if d > threshold) / sample.n
-
-
-def truncated_mean(sample: TestSample, threshold: float) -> float:
-    """Mean duration when every run is capped at the threshold.
-
-    A run that would exceed the threshold consumes exactly the threshold.
-    """
-    if sample.n == 0:
-        raise ValueError("empty sample")
-    return math.fsum(min(d, threshold) for d in sample.durations) / sample.n
-
-
-def timeout_probability(
-    sample: TestSample, threshold: float, config: OptimizationConfig
-) -> float:
-    """Timeout probability at a threshold, using the configured method."""
-    if config.probability_method == EMPIRICAL_ECDF:
-        return empirical_exceedance(sample, threshold)
-    return tolhurst_bound(sample_stats(sample), threshold)
-
-
-def expected_cost(
-    sample: TestSample, timeout_seconds: float, config: OptimizationConfig
-) -> float:
-    """Average cost in seconds of one scheduled execution under a timeout.
-
-    Truncated mean for the initial run, plus the full rerun budget at the
-    truncated mean for every timeout, plus the breakage term
-    breakage_probability * t * (reruns + 1) when breakage is modeled.
-    """
-    if sample.n == 0:
-        raise ValueError("empty sample")
-    if timeout_seconds <= 0:
-        raise ValueError("timeout must be positive")
-    tm = truncated_mean(sample, timeout_seconds)
-    p = timeout_probability(sample, timeout_seconds, config)
-    return _cost(tm, p, timeout_seconds, config)
-
-
 class _SortedSample:
     """One sample's kernel: its statistics, and O(log n) scoring of any timeout.
 
-    The kernel alone decides saturation: until a threshold below the max is
-    asked for, the durations stay unsorted and ``at`` returns the ``fsum``
-    mean, computed once, and no overrun. The first threshold below the max, or
-    a ``split``, sorts them once into exact integer prefix sums over a common
-    power-of-two denominator (every finite float is an integer over a power of
-    two). At threshold t = p / q, with k = bisect_right(sorted, t), the capped
-    sum is (prefix[k] q + (n - k) p denominator) / (denominator q), and
-    Python's int / int division rounds it correctly, exactly as math.fsum
-    rounds the same sum. So ``at`` returns what ``truncated_mean`` and
-    ``empirical_exceedance`` return, bit for bit, in any order of thresholds,
-    and ``stats`` is ``stats_of`` the durations, which no order changes.
+    The kernel alone decides saturation, by one rule whether sorted or not:
+    at a threshold at or above the max, kept from construction, ``at``
+    returns the exact mean, computed once, and ``at`` and ``above`` no
+    overrun. Until a threshold below the max is asked for, the durations stay
+    unsorted and that mean is their ``fsum``. The first threshold below the
+    max, or a ``split``, sorts them once into exact integer prefix sums over
+    a common power-of-two denominator (every finite float is an integer over
+    a power of two), and the mean becomes prefix[n] / denominator / n. At
+    threshold t = p / q, with k = bisect_right(sorted, t), the capped sum is
+    (prefix[k] q + (n - k) p denominator) / (denominator q), and Python's
+    int / int division rounds it correctly, exactly as math.fsum rounds the
+    same sum. So ``at`` returns the fsum definitions of the truncated mean
+    and the overrun count, bit for bit, in any order of thresholds, and
+    ``stats`` is ``stats_of`` the durations, which no order changes.
     Durations must be finite, and ``at`` and ``stats`` need at least one.
     """
 
@@ -263,7 +223,8 @@ class _SortedSample:
         self.n = len(self.ordered)
         self.prefix: list[int] | None = None
         self._stats: SampleStats | None = None
-        self._top = self._mean = None  # max and fsum mean, each kept once read while unsorted
+        self._top = max(self.ordered) if self.ordered else -math.inf  # the one saturation bound
+        self._mean: float | None = None  # kept once read
 
     def _sort(self) -> None:
         self.ordered.sort()
@@ -298,13 +259,13 @@ class _SortedSample:
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, number of durations strictly above) at a threshold."""
         n = self.n
+        if threshold >= self._top:  # saturated, sorted or not
+            if self._mean is None:  # the exact sum, rounded once either way
+                prefix = self.prefix
+                exact = prefix[n] / self.denominator if prefix else math.fsum(self.ordered)
+                self._mean = exact / n
+            return self._mean, 0
         if self.prefix is None:
-            if self._top is None:  # a search has usually read the max already
-                self._top = max(self.ordered) if self._stats is None else self._stats.max
-            if threshold >= self._top:
-                if self._mean is None:
-                    self._mean = math.fsum(self.ordered) / n
-                return self._mean, 0
             self._sort()
         k = bisect_right(self.ordered, threshold)
         p, q = threshold.as_integer_ratio()
@@ -313,11 +274,17 @@ class _SortedSample:
 
     def above(self, threshold: float) -> int:
         """``at``'s number of durations strictly above a threshold, with no mean."""
-        if threshold >= self.stats.max:
+        if threshold >= self._top:
             return 0
         if self.prefix is None:
             self._sort()
         return self.n - bisect_right(self.ordered, threshold)
+
+    def probability(self, threshold: float, config: OptimizationConfig) -> float:
+        """p at a threshold under the configured method."""
+        if config.probability_method == EMPIRICAL_ECDF:
+            return self.above(threshold) / self.n
+        return tolhurst_bound(self.stats, threshold)
 
     def empirical_cost(self, threshold: float, config: OptimizationConfig) -> tuple[float, int]:
         """(``expected_cost`` with empirical probabilities, overruns) at a threshold."""
@@ -332,10 +299,53 @@ def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> 
     return cost
 
 
+def _kernel_of(sample: TestSample) -> _SortedSample:
+    """The kernel of a sample; ValueError for an empty one."""
+    if sample.n == 0:
+        raise ValueError("empty sample")
+    return _SortedSample(sample.durations, sample.test_id)
+
+
+def empirical_exceedance(sample: TestSample, threshold: float) -> float:
+    """Fraction of observed durations strictly greater than the threshold."""
+    return _kernel_of(sample).above(threshold) / sample.n
+
+
+def truncated_mean(sample: TestSample, threshold: float) -> float:
+    """Mean duration when every run is capped at the threshold.
+
+    A run that would exceed the threshold consumes exactly the threshold.
+    """
+    return _kernel_of(sample).at(threshold)[0]
+
+
+def timeout_probability(
+    sample: TestSample, threshold: float, config: OptimizationConfig
+) -> float:
+    """Timeout probability at a threshold, using the configured method."""
+    return _kernel_of(sample).probability(threshold, config)
+
+
+def expected_cost(
+    sample: TestSample, timeout_seconds: float, config: OptimizationConfig
+) -> float:
+    """Average cost in seconds of one scheduled execution under a timeout.
+
+    Truncated mean for the initial run, plus the full rerun budget at the
+    truncated mean for every timeout, plus the breakage term
+    breakage_probability * t * (reruns + 1) when breakage is modeled.
+    """
+    kernel = _kernel_of(sample)
+    if not timeout_seconds > 0:
+        raise ValueError("timeout must be positive")
+    tm = kernel.at(timeout_seconds)[0]
+    return _cost(tm, kernel.probability(timeout_seconds, config), timeout_seconds, config)
+
+
 def search_grid(stats: SampleStats) -> tuple[int, int]:
     """Integer search range [ceil(mean), ceil(2 * max)] in grid units."""
     lower = max(1, math.ceil(stats.mean / GRID_SECONDS))
-    upper = max(lower, math.ceil(2.0 * stats.max / GRID_SECONDS))
+    upper = max(lower, math.ceil(2.0 * (stats.max / GRID_SECONDS)))  # 2.0 * max may overflow
     return lower, upper
 
 

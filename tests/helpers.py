@@ -6,15 +6,10 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
-from timeopt.evaluate import (
-    CvReport,
-    FoldPolicyResult,
-    TimeoutPolicy,
-    count_timeouts,
-    make_folds,
-)
+import reference
+from timeopt.evaluate import CvReport, FoldPolicyResult, TimeoutPolicy, make_folds
 from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict
-from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost, optimize_timeout
+from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, optimize_timeout
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -116,7 +111,7 @@ def reference_cross_validate(
     """``cross_validate`` the straightforward way: per fold and test, the
     training and held-out rows go through ``subsample``, the training sample
     is fitted by ``optimize_timeout``, and every policy is scored with the
-    ``fsum`` reference cost."""
+    ``fsum`` reference cost and overrun count of ``reference``."""
     folds = make_folds(dataset, k, seed)
     included = [tid for tid in dataset.test_ids() if tid not in folds.excluded_tests]
     empirical = replace(config, probability_method=EMPIRICAL_ECDF)
@@ -134,8 +129,10 @@ def reference_cross_validate(
             fitted[test_id] = fit.optimal_timeout * MINUTE
         every_seconds = [policy.seconds(included) for policy in policies] + [fitted]
         for label, seconds in zip(labels, every_seconds):
-            costs = [expected_cost(s, seconds[tid], empirical) for tid, s in held_out.items()]
-            count = sum(count_timeouts(s, seconds[tid]) for tid, s in held_out.items())
+            costs = [
+                reference.expected_cost(s, seconds[tid], empirical) for tid, s in held_out.items()
+            ]
+            count = sum(reference.count_timeouts(s, seconds[tid]) for tid, s in held_out.items())
             rows.append(FoldPolicyResult(fold, label, count, sum(costs) / len(costs)))
     counts = {(row.fold, row.policy): row.flaky_timeout_count for row in rows}
     reduction: dict[str, dict[str, float | None]] = {}

@@ -1,0 +1,130 @@
+"""Independent reference definitions that the tests check the program against.
+
+Each number of the cost model and of the flakiness analytics is written
+here the straightforward way: a ``math.fsum`` or a count over every
+duration, a loop over every verdict, or exact fractions. The program
+computes each of them once, in its sorted-sample kernel or its verdict
+tally, and its public functions of the same names are adapters over those.
+So this module shares no code with them: it imports only the standard
+library and value types from ``timeopt.model``, which
+``test_reference_imports_no_program_code`` checks.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from timeopt.model import SampleStats, TestSample, Verdict
+
+EMPIRICAL_ECDF = "empirical_ecdf"  # the configuration's method name
+
+
+def sample_stats(sample: TestSample) -> SampleStats:
+    """n, mean, unbiased variance, q_n and extremes of a sample, as ``fsum``s.
+
+    Raises:
+        ValueError: for an empty sample, or when the sum or the squared
+            deviations overflow a float.
+    """
+    durations = sample.durations
+    n = len(durations)
+    if not n:
+        raise ValueError("empty sample")
+    try:
+        mean = math.fsum(durations) / n
+        if n == 1:
+            variance = 0.0
+        else:
+            variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
+    except OverflowError:
+        raise ValueError(
+            f"durations of test {sample.test_id!r} are too large: "
+            "their mean or variance overflows a float"
+        ) from None
+    q_n = math.sqrt((n + 1) / n * variance)
+    return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
+
+
+def empirical_exceedance(sample: TestSample, threshold: float) -> float:
+    """Fraction of observed durations strictly greater than the threshold."""
+    if sample.n == 0:
+        raise ValueError("empty sample")
+    return sum(1 for d in sample.durations if d > threshold) / sample.n
+
+
+def count_timeouts(sample: TestSample, timeout_seconds: float) -> int:
+    """Number of durations strictly greater than the timeout."""
+    return sum(1 for d in sample.durations if d > timeout_seconds)
+
+
+def truncated_mean(sample: TestSample, threshold: float) -> float:
+    """Mean duration when every run is capped at the threshold."""
+    if sample.n == 0:
+        raise ValueError("empty sample")
+    return math.fsum(min(d, threshold) for d in sample.durations) / sample.n
+
+
+def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
+    """floor((n + 1) / (k^2 + 1)) / (n + 1), k^2 = n lam^2 / (n - 1 + lam^2),
+    lam = (threshold - mean) / q_n, in exact fractions; 1.0 for lam <= 1."""
+    n = stats.n
+    if n < 2:
+        raise ValueError("insufficient sample: the bound requires n >= 2")
+    gap, q_n = Fraction(threshold) - Fraction(stats.mean), Fraction(stats.q_n)
+    if gap <= q_n:
+        return 1.0
+    if not q_n:
+        return 0.0
+    lam_sq = (gap / q_n) ** 2
+    k_sq = n * lam_sq / (n - 1 + lam_sq)
+    return math.floor((n + 1) / (k_sq + 1)) / (n + 1)
+
+
+def timeout_probability(sample: TestSample, threshold: float, config) -> float:
+    """Timeout probability at a threshold, using the configured method."""
+    if config.probability_method == EMPIRICAL_ECDF:
+        return empirical_exceedance(sample, threshold)
+    return tolhurst_bound(sample_stats(sample), threshold)
+
+
+def cost(tm: float, p: float, threshold: float, config) -> float:
+    """tm + m p tm, plus pb t (m + 1) when breakage is modeled."""
+    total = tm + config.rerun_count * p * tm
+    if config.breakage_probability > 0.0:
+        total += config.breakage_probability * threshold * (config.rerun_count + 1)
+    return total
+
+
+def expected_cost(sample: TestSample, timeout_seconds: float, config) -> float:
+    """Average cost in seconds of one scheduled execution under a timeout."""
+    if sample.n == 0:
+        raise ValueError("empty sample")
+    if timeout_seconds <= 0:
+        raise ValueError("timeout must be positive")
+    tm = truncated_mean(sample, timeout_seconds)
+    p = timeout_probability(sample, timeout_seconds, config)
+    return cost(tm, p, timeout_seconds, config)
+
+
+def is_flaky(verdicts: Sequence[Verdict]) -> bool:
+    """True iff the verdicts mix at least one pass and at least one failure."""
+    if not verdicts:
+        raise ValueError("empty verdict list")
+    saw_pass = saw_failure = False
+    for v in verdicts:
+        if Verdict(v).is_failure:
+            saw_failure = True
+        else:
+            saw_pass = True
+        if saw_pass and saw_failure:
+            return True
+    return False
+
+
+def failure_rate(verdicts: Sequence[Verdict]) -> float:
+    """Fraction of non-pass verdicts."""
+    if not verdicts:
+        raise ValueError("empty verdict list")
+    return sum(1 for v in verdicts if Verdict(v).is_failure) / len(verdicts)

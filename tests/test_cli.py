@@ -120,6 +120,18 @@ class TestExtremeDurations:
         mean = (60.0 * 39 + 1e150) / 40
         assert capsys.readouterr().out == f"test_id,timeout_minutes\nt,{math.ceil(mean / 60)}\n"
 
+    def test_one_run_near_the_float_limit_falls_back(self, tmp_path, capsys):
+        # 2 * 1e308 overflows a float; the search range is 2 * (max / 60)
+        path = tmp_path / "runs.jsonl"
+        write_executions(dataset_of({("big", "r1"): [(1e308, "pass")]}), path)
+        assert run(["optimize", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "test_id,timeout_minutes\nbig,120\n"
+        assert run(["optimize", "--input", str(path), "--output-format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["test_id"], row["optimal_timeout_minutes"], row["fallback_applied"]) == (
+            "big", 120, True
+        )
+
     @pytest.mark.parametrize("argv", [["optimize"], ["evaluate", "--seed", "0"]])
     def test_overflowing_variance_is_data_error(self, tmp_path, capsys, argv):
         path = _one_test_file(tmp_path, [60.0] * 39 + [1e160])

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import reference
 from helpers import EPOCH, verdict_dataset
 from timeopt.flakiness import (
     bin_index,
@@ -13,7 +14,7 @@ from timeopt.flakiness import (
     timeout_failure_share,
 )
 from timeopt.ingest import TimeoutChangeRecord
-from timeopt.model import Verdict, is_flaky
+from timeopt.model import Verdict
 
 
 def rate_verdicts(rate: float, n: int = 10) -> list[str]:
@@ -82,7 +83,7 @@ class TestFlakinessReport:
         dataset = verdict_dataset(verdicts)
         report = flakiness_report(dataset, "r1")
         flaky = sum(
-            1 for v in verdicts.values() if is_flaky([Verdict(x) for x in v])
+            1 for v in verdicts.values() if reference.is_flaky([Verdict(x) for x in v])
         )
         assert report.flaky_tests == flaky
         assert sum(report.bin_counts) == flaky

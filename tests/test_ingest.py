@@ -251,7 +251,12 @@ class TestLoadExecutions:
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_non_finite_duration_is_not_written(self, tmp_path, fmt):
-        original = ExecutionDataset(records=[record("a"), record("b", duration=math.inf)])
+        # no record holds one, but the columns, as the generator fills them, can
+        a, b = record("a"), record("b")
+        original = ExecutionDataset.from_columns(
+            ["a", "b"], ["r1", "r1"], [a.started_at, b.started_at], [a.duration, math.inf],
+            [a.verdict, b.verdict], [False, False],
+        )
         path = tmp_path / f"runs.{fmt}"
         with pytest.raises(ValueError, match="durations must be finite"):
             write_executions(original, path, fmt)

@@ -133,6 +133,12 @@ class TestVerdictPredicates:
             is_flaky([bad])
 
     @pytest.mark.parametrize("bad", ["PASS", "skipped", 1, None, ["pass"]])
+    def test_unknown_verdict_after_the_first_mix(self, bad):
+        # every verdict is tallied, so one past a pass and a failure is still checked
+        with pytest.raises(ValueError, match="not a valid Verdict"):
+            is_flaky(["pass", "fail", bad])
+
+    @pytest.mark.parametrize("bad", ["PASS", "skipped", 1, None, ["pass"]])
     def test_unknown_verdict_failure_rate(self, bad):
         with pytest.raises(ValueError, match="not a valid Verdict"):
             failure_rate(["pass", bad])
@@ -187,6 +193,17 @@ class TestRecordAndSampleValidation:
     def test_sample_negative_duration(self):
         with pytest.raises(ValueError, match="non-negative"):
             TestSample("t", "r", durations=(1.0, -2.0), verdicts=("pass", "pass"))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_sample_non_finite_duration(self, bad):
+        # as ingest rejects such a row; no statistic of the sample could hold it
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            TestSample("t", "r", durations=(1.0, bad), verdicts=("pass", "pass"))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_record_non_finite_duration(self, bad):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            ExecutionRecord("t", "r", EPOCH, bad, Verdict.PASS)
 
     def test_censored_count_bounds(self):
         # flags of another length than the durations are rejected, so the

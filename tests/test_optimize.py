@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from helpers import MINUTE, dataset_of, minutes_sample, sample_of
 from timeopt.model import SampleStats, sample_stats
 from timeopt.optimize import (
@@ -166,6 +167,11 @@ class TestExpectedCost:
         cost = expected_cost(sample, t, EMPIRICAL)
         assert cost == pytest.approx(2.2475 * MINUTE, abs=1e-9)
 
+    @pytest.mark.parametrize("timeout", [0.0, -60.0, math.nan])
+    def test_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            expected_cost(minutes_sample([1, 2, 3]), timeout, EMPIRICAL)
+
     def test_no_timeouts_reduces_to_raw_mean(self):
         sample = minutes_sample([1, 2, 3])
         assert expected_cost(sample, 3 * MINUTE, EMPIRICAL) == pytest.approx(2 * MINUTE)
@@ -209,8 +215,9 @@ class TestExpectedCost:
 
 
 def brute_force_argmin(sample, config):
-    """Naive independent re-evaluation over the whole grid."""
-    stats = sample_stats(sample)
+    """Naive independent re-evaluation over the whole grid, with the
+    reference statistics and Tolhurst bound."""
+    stats = reference.sample_stats(sample)
     lower = max(1, math.ceil(stats.mean / MINUTE))
     upper = max(lower, math.ceil(2 * stats.max / MINUTE))
     best_t, best_cost = None, None
@@ -220,7 +227,7 @@ def brute_force_argmin(sample, config):
         if config.probability_method == EMPIRICAL_ECDF:
             p = len([d for d in sample.durations if d > t]) / sample.n
         else:
-            p = tolhurst_bound(stats, t)
+            p = reference.tolhurst_bound(stats, t)
         cost = tm + config.rerun_count * p * tm + config.breakage_probability * t * (
             config.rerun_count + 1
         )
@@ -368,12 +375,12 @@ class TestCandidateSearch:
     ):
         config = OptimizationConfig(probability_method=method, breakage_probability=breakage)
         sample = sample_of(durations)
-        lower, upper = search_grid(sample_stats(sample))
+        lower, upper = search_grid(reference.sample_stats(sample))
         expected = (lower, math.inf, math.inf)
         for u in range(lower, upper + 1):  # the reference functions at every grid point
-            cost = expected_cost(sample, u * MINUTE, config)
+            cost = reference.expected_cost(sample, u * MINUTE, config)
             if cost < expected[1]:
-                expected = (u, cost, timeout_probability(sample, u * MINUTE, config))
+                expected = (u, cost, reference.timeout_probability(sample, u * MINUTE, config))
         result = optimize_timeout(sample, config)
         assert not result.fallback_applied
         assert (

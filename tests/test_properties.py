@@ -1,14 +1,16 @@
 """Property tests: the sorted-sample kernel, the candidate search, the
 sweep, the grouping index, flakiness, the replay and the file round trip.
 
-The kernel, its statistics and the static sweep are checked bit for bit
-against the ``math.fsum`` reference functions, the candidate search
-against the brute-force scan of the whole grid, the Tolhurst bound for
-monotonicity and a positive floor, the grouping index against the
-brute-force regroup that ``ExecutionDataset`` and ``make_folds`` used before
-the index existed, the folds against their size rule, the flakiness
-report, evolution and timeout share against ``is_flaky`` of every prefix
-and ``failure_rate`` of each regrouped sample, the rerun
+The kernel, its statistics, the public adapters over it and the static
+sweep are checked bit for bit against the ``math.fsum`` definitions of
+``reference`` (which shares no code with the program), the candidate
+search against the brute-force scan of the whole grid, scored with those
+definitions, the Tolhurst bound for monotonicity and a positive floor, the
+grouping index against the brute-force regroup that ``ExecutionDataset``
+and ``make_folds`` used before the index existed, the folds against their
+size rule, the flakiness report, evolution and timeout share against the
+reference ``is_flaky`` of every prefix and ``failure_rate`` of each
+regrouped sample, the rerun
 simulator against a record-by-record replay, a write and reload, in
 both file formats, against the record adapter, the JSONL writer's
 bytes against ``json.dumps`` of each row, and the loader's writer-line
@@ -33,8 +35,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from helpers import EPOCH, MINUTE, dataset_of, sample_of
-from timeopt import ingest
+from timeopt import evaluate, ingest, model, optimize
 from timeopt.ingest import (
     _record_from_row,
     _typed_values,
@@ -43,27 +46,20 @@ from timeopt.ingest import (
     record_to_row,
     write_executions,
 )
-from timeopt.evaluate import TimeoutPolicy, compare_policies, count_timeouts, make_folds
+from timeopt.evaluate import TimeoutPolicy, compare_policies, make_folds
 from timeopt.flakiness import (
     FlakinessReport, flakiness_evolution, flakiness_report, timeout_failure_share,
 )
-from timeopt.model import (
-    ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict, failure_rate, is_flaky,
-    sample_stats,
-)
+from timeopt.model import ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     PROBABILITY_METHODS,
     OptimizationConfig,
     _SortedSample,
     _walk,
-    empirical_exceedance,
-    expected_cost,
     optimize_timeout,
     static_sweep,
-    timeout_probability,
     tolhurst_bound,
-    truncated_mean,
 )
 from timeopt.simulate import SimulationReport, TestSimulation, simulate_rerun_policy
 
@@ -84,19 +80,21 @@ def test_kernel_is_bit_equal_to_fsum_reference(durations, data):
     )
     for t in thresholds:
         tm, over = kernel.at(t)
-        assert tm == truncated_mean(sample, t)
-        assert over / sample.n == empirical_exceedance(sample, t)
-        assert over == count_timeouts(sample, t)
+        assert tm == reference.truncated_mean(sample, t)
+        assert over / sample.n == reference.empirical_exceedance(sample, t)
+        assert over == reference.count_timeouts(sample, t)
 
 
 def reference_answers(sample: TestSample, thresholds) -> tuple[list, SampleStats | None]:
     """(truncated mean, overruns) at each threshold and the statistics (None
     where they overflow), from the ``fsum`` references."""
     try:
-        stats = sample_stats(sample)
+        stats = reference.sample_stats(sample)
     except ValueError:
         stats = None
-    return [(truncated_mean(sample, t), count_timeouts(sample, t)) for t in thresholds], stats
+    answers = [(reference.truncated_mean(sample, t), reference.count_timeouts(sample, t))
+               for t in thresholds]
+    return answers, stats
 
 
 def kernel_answers(kernel: _SortedSample, thresholds) -> tuple[list, SampleStats | None]:
@@ -112,11 +110,12 @@ def kernel_answers(kernel: _SortedSample, thresholds) -> tuple[list, SampleStats
 def test_kernel_answers_do_not_depend_on_threshold_order(durations, data):
     # Thresholds at or above the max leave a kernel unsorted; the first one
     # below sorts it. Either way, in any order, the answers are the fsum
-    # references, and so are the statistics, read before or after.
+    # references, and so are the statistics, read before or after. An
+    # infinite threshold saturates a sorted kernel as it does an unsorted one.
     sample = sample_of(durations)
     top = max(sample.durations)
     drawn = data.draw(st.lists(st.one_of(durations_st, st.sampled_from(durations)), max_size=8))
-    high = [top] + [t for t in drawn if t >= top]
+    high = [top, math.inf] + [t for t in drawn if t >= top]
     low = [t for t in drawn if t < top]
     for thresholds in (high + low, low + high):
         expected_at, expected_stats = reference_answers(sample, thresholds)
@@ -152,6 +151,52 @@ def test_split_of_a_never_sorted_kernel(durations, data):
                 )
 
 
+def outcome(function, *args):
+    """A call's value, or the type and message of its ValueError or OverflowError."""
+    try:
+        return function(*args)
+    except (ValueError, OverflowError) as error:
+        return type(error), str(error)
+
+
+def assert_as_reference(module, name, *args):
+    """``module.name`` gives the value of ``reference.name``, or raises its error."""
+    assert outcome(getattr(module, name), *args) == outcome(getattr(reference, name), *args), name
+
+
+config_st = st.builds(
+    OptimizationConfig,
+    rerun_count=st.integers(0, 4),
+    breakage_probability=st.sampled_from([0.0, 0.01]),
+    probability_method=st.sampled_from(PROBABILITY_METHODS),
+)
+verdicts_st = st.lists(st.sampled_from([*Verdict, *(v.value for v in Verdict)]), max_size=12)
+
+
+@PROPERTY
+@given(
+    durations=st.lists(durations_st, max_size=50),
+    data=st.data(),
+    config=config_st,
+    verdicts=verdicts_st,
+)
+def test_public_adapters_equal_the_reference(durations, data, config, verdicts):
+    # Each public name is an adapter over the kernel or the verdict tally: it
+    # answers the reference's value, or raises its error, on every input the
+    # sample and verdict types accept.
+    sample = sample_of(durations, test_id="x")
+    threshold_st = st.one_of(durations_st, st.sampled_from([0.0, -1.0, math.inf, *durations]))
+    for t in data.draw(st.lists(threshold_st, min_size=1, max_size=6)):
+        assert_as_reference(optimize, "truncated_mean", sample, t)
+        assert_as_reference(optimize, "empirical_exceedance", sample, t)
+        assert_as_reference(optimize, "timeout_probability", sample, t, config)
+        assert_as_reference(optimize, "expected_cost", sample, t, config)
+        assert_as_reference(evaluate, "count_timeouts", sample, t)
+    assert_as_reference(model, "sample_stats", sample)
+    assert_as_reference(model, "is_flaky", verdicts)
+    assert_as_reference(model, "failure_rate", verdicts)
+
+
 @PROPERTY
 @given(durations=samples_st, thresholds=st.lists(durations_st, min_size=2, max_size=20))
 def test_kernel_is_monotone_and_bounded_by_the_mean(durations, thresholds):
@@ -166,12 +211,12 @@ def test_kernel_is_monotone_and_bounded_by_the_mean(durations, thresholds):
 
 def brute_force_argmin(sample: TestSample, config: OptimizationConfig) -> tuple[int, float]:
     """Criterion 4's naive argmin, scored with the fsum reference cost."""
-    stats = sample_stats(sample)
+    stats = reference.sample_stats(sample)
     lower = max(1, math.ceil(stats.mean / MINUTE))
     upper = max(lower, math.ceil(2 * stats.max / MINUTE))
     best_t, best_cost = None, None
     for t_units in range(lower, upper + 1):
-        cost = expected_cost(sample, t_units * MINUTE, config)
+        cost = reference.expected_cost(sample, t_units * MINUTE, config)
         if best_cost is None or cost < best_cost:
             best_t, best_cost = t_units, cost
     return best_t, best_cost
@@ -200,7 +245,7 @@ def test_optimizer_equals_brute_force_argmin(durations, method, reruns, breakage
 
 def tolhurst_thresholds(durations: list[float]) -> list[float]:
     """Seconds where the exact Tolhurst bound steps: lam = 1, then lam_J."""
-    stats = sample_stats(sample_of(durations))
+    stats = reference.sample_stats(sample_of(durations))
     n, thresholds = stats.n, [stats.mean + stats.q_n]
     for j in range(2, (n + 1) // 2 + 1):
         k_sq = (n + 1) / j - 1
@@ -260,7 +305,8 @@ def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, b
     # with p there, from the top down.
     lower, upper = result.search_range
     walk = _walk(_SortedSample(durations), lower, upper, method == EMPIRICAL_ECDF)
-    p = [timeout_probability(sample, u * MINUTE, config) for u in range(lower, upper + 1)]
+    grid = range(lower, upper + 1)
+    p = [reference.timeout_probability(sample, u * MINUTE, config) for u in grid]
     steps = [lower] + [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
     assert list(walk) == list(reversed([(u, p[u - lower]) for u in steps]))
 
@@ -285,7 +331,7 @@ def near_equal_durations_st(draw) -> list[float]:
     ),
 )
 def test_tolhurst_bound_never_rises_and_is_positive_with_spread(durations, thresholds):
-    stats = sample_stats(sample_of(durations))
+    stats = reference.sample_stats(sample_of(durations))
     bounds = [tolhurst_bound(stats, t) for t in sorted(thresholds)]
     assert all(b <= a for a, b in zip(bounds, bounds[1:]))
     if stats.q_n > 0:
@@ -297,7 +343,7 @@ def test_tolhurst_bound_never_rises_and_is_positive_with_spread(durations, thres
 def test_kernel_stats_equal_sample_stats(durations):
     sample = sample_of(durations, test_id="x")
     try:
-        expected = sample_stats(sample)
+        expected = reference.sample_stats(sample)
     except ValueError as error:
         with pytest.raises(ValueError, match=re.escape(str(error))):
             _SortedSample(durations, "x").stats
@@ -338,8 +384,9 @@ def test_sweep_is_bit_equal_to_fsum_reference(case, m, pb):
     )
     result = static_sweep(dataset, (lo, hi), config)
     samples = list(dataset.samples.values())
+    n = len(samples)
     expected = [
-        (t, math.fsum(expected_cost(s, t * MINUTE, config) for s in samples) / len(samples))
+        (t, math.fsum(reference.expected_cost(s, t * MINUTE, config) for s in samples) / n)
         for t in range(lo, hi + 1)
     ]
     assert list(result.curve.points) == expected
@@ -480,10 +527,11 @@ def test_flakiness_equals_prefix_brute_force(records, step):
     ]
     for revision_id in dataset.revision_ids():
         runs = [verdicts for rid, verdicts in groups if rid == revision_id]
-        flaky = [verdicts for verdicts in runs if is_flaky(verdicts)]
+        flaky = [verdicts for verdicts in runs if reference.is_flaky(verdicts)]
         bins = [0] * 5
         for verdicts in flaky:  # bin i holds rates above i of the upper edges
-            bins[sum(failure_rate(verdicts) > edge for edge in (0.2, 0.4, 0.6, 0.8))] += 1
+            rate = reference.failure_rate(verdicts)
+            bins[sum(rate > edge for edge in (0.2, 0.4, 0.6, 0.8))] += 1
         assert flakiness_report(dataset, revision_id) == FlakinessReport(
             revision_id=revision_id,
             repetition_count=max(map(len, runs)),
@@ -494,12 +542,15 @@ def test_flakiness_equals_prefix_brute_force(records, step):
         )
         points, k = [], step
         while True:
-            points.append((k, sum(is_flaky(verdicts[:k]) for verdicts in runs) / len(runs)))
+            flaky_k = sum(reference.is_flaky(verdicts[:k]) for verdicts in runs)
+            points.append((k, flaky_k / len(runs)))
             if k >= max(map(len, runs)):
                 break
             k += step
         assert flakiness_evolution(dataset, revision_id, step).points == tuple(points)
-    failures = [v for _, verdicts in groups if is_flaky(verdicts) for v in verdicts if v.is_failure]
+    failures = [
+        v for _, verdicts in groups if reference.is_flaky(verdicts) for v in verdicts if v.is_failure
+    ]
     timeouts = sum(v is Verdict.TIMEOUT for v in failures)
     share, notes = timeout_failure_share(dataset)
     assert share == (timeouts / len(failures) if failures else 0.0)
@@ -521,8 +572,8 @@ def test_held_out_scoring_equals_fsum_reference(records, timeouts):
     overruns = 0
     for sample in dataset.samples.values():
         t = policy.value_for(sample.test_id) * MINUTE
-        costs.append(expected_cost(sample, t, empirical))
-        overruns += count_timeouts(sample, t)
+        costs.append(reference.expected_cost(sample, t, empirical))
+        overruns += reference.count_timeouts(sample, t)
     assert totals.average_cost == sum(costs) / len(costs)
     assert totals.flaky_timeout_count == overruns
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -371,6 +372,12 @@ def test_import_does_not_load_numpy(module):
 
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('timeopt.'))"
+# What tests/reference.py may take from the program, and names it must not use
+REFERENCE_VALUE_TYPES = {"SampleStats", "TestSample", "Verdict"}
+REFERENCE_FORBIDDEN = {
+    "_SortedSample", "_TolhurstSteps", "_cost", "_tallies", "_tally", "_kernel_of", "stats_of",
+    "verdict_of", "__import__", "import_module", "optimize", "evaluate", "flakiness", "modules",
+}
 
 
 class TestImportGraph:
@@ -438,6 +445,30 @@ class TestImportGraph:
     def test_unknown_attribute_raises(self):
         # hasattr is False only on AttributeError; any other error propagates
         run_python("import timeopt; assert not hasattr(timeopt, 'no_such_name')")
+
+    def test_reference_imports_no_program_code(self):
+        # The tests' oracles must not share code with what they check: the
+        # reference module imports the standard library and value types of
+        # timeopt.model alone, and names no kernel, tally or adapter.
+        path = Path(__file__).with_name("reference.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "timeopt.model":
+                assert {alias.name for alias in node.names} <= REFERENCE_VALUE_TYPES
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names and top != "importlib", module
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert name not in REFERENCE_FORBIDDEN, name
+        run_python(
+            f"import sys; sys.path.insert(0, {str(path.parent)!r}); import reference\n"
+            f"assert {LOADED} == ['timeopt.model'], {LOADED}"
+        )
 
 
 class TestSimulateRerunPolicy:
