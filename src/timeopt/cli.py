@@ -312,7 +312,7 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--m",
-        type=_bounded(int, 0),
+        type=_bounded(int, 0, sys.float_info.max),  # OptimizationConfig's range
         default=_DEFAULTS.rerun_count,
         help="rerun count per flaky failure",
     )

@@ -38,7 +38,10 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .model import _VERDICT_OF, ExecutionDataset, Verdict, valid_minutes, verdict_of
+from .model import (
+    _VERDICT_OF, DURATION_LIMIT, ExecutionDataset, Verdict, _check_durations, valid_minutes,
+    verdict_of,
+)
 
 EXECUTION_FIELDS = (
     "test_id",
@@ -187,7 +190,7 @@ def _record_from_row(
         duration = float(raw_duration)
     except (TypeError, ValueError, OverflowError):  # an int past the float range
         raise ValueError("bad duration") from None
-    if not math.isfinite(duration):
+    if not (math.isfinite(duration) and duration <= DURATION_LIMIT):
         raise ValueError("bad duration")
     if duration < 0:
         raise ValueError("negative duration")
@@ -239,10 +242,10 @@ def _typed_row(
     interrupted: bool, ids: dict[str, str],
 ) -> tuple[str, str, datetime, float, Verdict, bool] | None:
     """The checks both fast paths share: the values in field order, ids shared through
-    ``ids``, if both ids are non-empty with no lone surrogate, the duration is finite and
-    >= 0, and ``fromisoformat`` reads the stamp, a trailing ``Z`` spelled ``+00:00``, with
-    ``timezone.utc`` as its zone (``parse_timestamp`` gives it the same value); else None."""
-    if not 0.0 <= duration < math.inf:
+    ``ids``, if both ids are non-empty with no lone surrogate, the duration is in ``[0,
+    DURATION_LIMIT]``, and ``fromisoformat`` reads the stamp, a trailing ``Z`` spelled
+    ``+00:00``, with ``timezone.utc`` as its zone (as ``parse_timestamp`` reads it); else None."""
+    if not 0.0 <= duration <= DURATION_LIMIT:
         return None
     # one dict lookup per known id; _shared_id runs on first sight only
     test_id = ids.get(test_id) or _shared_id(test_id, ids)
@@ -349,10 +352,10 @@ def load_executions(
 ) -> tuple[ExecutionDataset, ValidationReport]:
     """Load execution records from a JSONL or CSV file.
 
-    Rows with a non-finite or negative duration, an unknown verdict, or
-    missing ids are rejected and counted per reason. A warning is recorded
-    for every (test, revision) sample whose censored fraction exceeds
-    ``DEFAULT_CENSORED_WARN_THRESHOLD``.
+    Rows with a duration that is negative, non-finite or above ``DURATION_LIMIT``,
+    an unknown verdict, or missing ids are rejected and counted per reason. A
+    warning is recorded for every (test, revision) sample whose censored
+    fraction exceeds ``DEFAULT_CENSORED_WARN_THRESHOLD``.
 
     Returns:
         The dataset of accepted records and a validation report. Loading the
@@ -518,16 +521,11 @@ def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "js
     """Write a dataset in the standard JSONL or CSV format.
 
     Raises:
-        ValueError: before opening the file, when a duration is not finite
-            (neither format could be loaded back), or on an unknown format.
+        ValueError: before opening the file, when a duration is outside ``[0,
+            DURATION_LIMIT]`` (no loader reads it back), or on an unknown format.
     """
     path = Path(path)
-    if not all(map(math.isfinite, dataset.durations)):
-        index = next(i for i, d in enumerate(dataset.durations) if not math.isfinite(d))
-        raise ValueError(
-            f"cannot write duration {dataset.durations[index]} of test "
-            f"{dataset.tests[index]}: durations must be finite"
-        )
+    _check_durations(dataset, "cannot write")
     if fmt == "jsonl":
         with path.open("w", encoding="utf-8") as handle:
             handle.writelines(_jsonl_lines(dataset))

@@ -24,6 +24,15 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
 # simulate's base duration shapes, kept here so the CLI parser needs no simulate import
 DISTRIBUTIONS = ("lognormal", "exponential", "constant")
+DURATION_LIMIT = 2.0**48
+"""The largest duration in seconds, about 8.9 million years, that a record, a sample, a
+loaded row, a written file or a generated run may hold. Two facts follow. (1) No mean or
+variance overflows: each duration, and its distance from a mean, is at most 2**48, so for
+n < 2**64 runs the sum and the sum of squared deviations stay below n * 2**96 < 2**160.
+(2) The search reads only exact floats: its grid ends at unit ceil(2 * max / GRID_SECONDS)
+<= 2**49 / 60 + 1, and the walk reads no unit above it and no Tolhurst step end past its
+seconds, so each is a whole number of seconds at most 2**49 + 60 < 2**53."""
+_IN_RANGE = "must be non-negative and finite, at most 2**48 s"  # every duration's rule
 
 
 def valid_minutes(minutes: float) -> bool:
@@ -60,6 +69,13 @@ def verdict_of(value: Any) -> Verdict:
         return _VERDICT_OF[value]
     except (KeyError, TypeError):
         raise ValueError(f"{value!r} is not a valid Verdict") from None
+
+
+def _check_durations(dataset: ExecutionDataset, action: str) -> None:
+    """ValueError, led by ``action``, at the first duration outside ``[0, DURATION_LIMIT]``."""
+    for test_id, d in zip(dataset.tests, dataset.durations):
+        if not 0.0 <= d <= DURATION_LIMIT:
+            raise ValueError(f"{action} duration {d} of test {test_id}: durations {_IN_RANGE}")
 
 
 def _tallies(
@@ -123,8 +139,8 @@ class ExecutionRecord:
     interrupted: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.duration < math.inf:
-            raise ValueError(f"duration must be non-negative and finite, got {self.duration}")
+        if not 0 <= self.duration <= DURATION_LIMIT:
+            raise ValueError(f"duration {_IN_RANGE}, got {self.duration}")
 
     @property
     def censored(self) -> bool:
@@ -159,8 +175,8 @@ class TestSample:
         object.__setattr__(self, "censored", tuple(map(bool, censored)))
         if not len(self.durations) == len(self.verdicts) == len(self.censored):
             raise ValueError("durations, verdicts and censored flags must have equal length")
-        if not all(0.0 <= d < math.inf for d in self.durations):
-            raise ValueError("durations must be non-negative and finite")
+        if not all(0.0 <= d <= DURATION_LIMIT for d in self.durations):
+            raise ValueError(f"durations {_IN_RANGE}")
 
     @property
     def n(self) -> int:
@@ -193,35 +209,27 @@ def sample_stats(sample: TestSample) -> SampleStats:
     """Compute n, mean, unbiased variance, q_n, and extremes of a sample.
 
     Raises:
-        ValueError: for an empty sample, or durations so large that their
-            sum or squared deviations overflow a float.
+        ValueError: for an empty sample.
     """
-    return stats_of(sample.test_id, sample.durations)
+    return stats_of(sample.durations)
 
 
-def stats_of(test_id: str, durations: Sequence[float]) -> SampleStats:
+def stats_of(durations: Sequence[float]) -> SampleStats:
     """``SampleStats`` of durations in any order. The mean and the variance
     are ``fsum``s, which round the exact sum once, so no order of
-    ``durations`` changes them.
+    ``durations`` changes them, and neither overflows (``DURATION_LIMIT``).
 
     Raises:
-        ValueError: for no durations, or when the sum or the squared
-            deviations overflow a float.
+        ValueError: for no durations.
     """
     n = len(durations)
     if not n:
         raise ValueError("empty sample")
-    try:
-        mean = math.fsum(durations) / n
-        if n == 1:
-            variance = 0.0
-        else:
-            variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
-    except OverflowError:
-        raise ValueError(
-            f"durations of test {test_id!r} are too large: "
-            "their mean or variance overflows a float"
-        ) from None
+    mean = math.fsum(durations) / n
+    if n == 1:
+        variance = 0.0
+    else:
+        variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
     q_n = math.sqrt((n + 1) / n * variance)
     return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
 
@@ -271,8 +279,8 @@ class ExecutionDataset:
         verdicts: Iterable[Verdict],
         interrupted: Iterable[bool],
     ) -> "ExecutionDataset":
-        """The dataset of already validated columns: verdicts are members,
-        durations non-negative floats. Raises ValueError on unequal lengths."""
+        """The dataset of already validated columns: verdicts are members, durations floats
+        in ``[0, DURATION_LIMIT]``, unchecked here. Raises ValueError on unequal lengths."""
         dataset = cls.__new__(cls)
         dataset._set_columns(tests, revisions, started_at, durations, verdicts, interrupted)
         return dataset

@@ -23,7 +23,9 @@ candidates in decreasing order, keeping a cost at most the best, returns the
 exhaustive argmin, ties included. The candidates are the first grid point of
 each step of p: empirically, the first point at or above each duration, at
 most n + 1; for the Tolhurst bound, whose steps are found in exact integers,
-at most (n + 1) // 2 + 1, however far the grid reaches. Below a candidate of
+at most (n + 1) // 2 + 1, however far the grid reaches. Durations lie in
+``[0, DURATION_LIMIT]`` (``model``), so no statistic overflows and the
+search reads only exact floats. Below a candidate of
 probability p, every one has p, tm and t at least p, tm(lower) and lower; by
 the same monotonicity, the scan stops exactly once the cost of those three
 exceeds the best. The search, the static sweep and held-out scoring read the
@@ -42,6 +44,7 @@ All operations are pure; per-test optimizations are independent.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -72,8 +75,8 @@ class OptimizationConfig:
     fallback_timeout: int = 120
 
     def __post_init__(self) -> None:
-        if self.rerun_count < 0:
-            raise ValueError("rerun_count must be >= 0")
+        if not 0 <= self.rerun_count <= sys.float_info.max:  # the cost takes m + 1 as a float
+            raise ValueError("rerun_count must be in [0, sys.float_info.max]")
         if not 0.0 <= self.breakage_probability <= 1.0:
             raise ValueError("breakage_probability must be in [0, 1]")
         if self.probability_method not in PROBABILITY_METHODS:
@@ -131,14 +134,16 @@ def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
     valid for n >= 2 and lam > 1; it approaches Cantelli's 1 / (1 + lam^2)
     as n grows. For lam <= 1 the trivial bound 1.0 is returned. The floor is
     exact (``_TolhurstSteps``), so the bound never rises as the threshold
-    grows, and for q_n > 0 it is never 0: it ends at 1 / (n + 1). A
-    zero-spread sample yields 1.0 up to its mean and 0.0 past it.
+    grows, and for q_n > 0 it is never 0: it ends at 1 / (n + 1), its value at
+    inf. A zero-spread sample yields 1.0 up to its mean and 0.0 past it.
 
     Raises:
         ValueError: if stats.n < 2.
     """
     if stats.n < 2:
         raise ValueError("insufficient sample: the bound requires n >= 2")
+    if threshold == math.inf:  # the limit: the floor of a ratio falling to 1 from above
+        return 1 / (stats.n + 1) if stats.q_n else 0.0
     return _TolhurstSteps(stats).index(threshold) / (stats.n + 1)
 
 
@@ -185,13 +190,11 @@ class _TolhurstSteps:
         Grid points are whole seconds, where the gap is an integer. The least
         integer gap past the step is g = max(q_n, isqrt(A (n + 1 - j) //
         ((j - 1) (n + 1)))) + 1; (mean + g) / scale is rounded up to whole
-        seconds, then to a float.
+        seconds, a float exactly wherever the walk reads it (``DURATION_LIMIT``).
         """
         n = self.n
         g = max(self.q_n, math.isqrt(self.a * (n + 1 - j) // ((j - 1) * (n + 1)))) + 1
-        whole = -(-(self.mean + g) // self.scale)
-        seconds = float(whole)
-        return seconds if seconds >= whole else math.nextafter(seconds, math.inf)
+        return float(-(-(self.mean + g) // self.scale))
 
 
 class _SortedSample:
@@ -211,7 +214,7 @@ class _SortedSample:
     same sum. So ``at`` returns the fsum definitions of the truncated mean
     and the overrun count, bit for bit, in any order of thresholds, and
     ``stats`` is ``stats_of`` the durations, which no order changes.
-    Durations must be finite, and ``at`` and ``stats`` need at least one.
+    Durations lie in ``[0, DURATION_LIMIT]``; ``at`` and ``stats`` need at least one.
     """
 
     __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats", "_top",
@@ -253,7 +256,7 @@ class _SortedSample:
     def stats(self) -> SampleStats:
         """``sample_stats`` of the sample, bit for bit, with its ValueErrors."""
         if self._stats is None:
-            self._stats = stats_of(self.test_id, self.ordered)
+            self._stats = stats_of(self.ordered)
         return self._stats
 
     def at(self, threshold: float) -> tuple[float, int]:
@@ -345,7 +348,7 @@ def expected_cost(
 def search_grid(stats: SampleStats) -> tuple[int, int]:
     """Integer search range [ceil(mean), ceil(2 * max)] in grid units."""
     lower = max(1, math.ceil(stats.mean / GRID_SECONDS))
-    upper = max(lower, math.ceil(2.0 * (stats.max / GRID_SECONDS)))  # 2.0 * max may overflow
+    upper = max(lower, math.ceil(2.0 * stats.max / GRID_SECONDS))
     return lower, upper
 
 
@@ -435,23 +438,11 @@ def _walk(
 def _unit_at_least(seconds: float) -> int:
     """The smallest grid unit u with u * GRID_SECONDS >= seconds, exactly.
 
-    ceil(seconds / GRID_SECONDS) is the answer or one short of it while
-    u * GRID_SECONDS is exact (u below 2^53 / 60); above that the product
-    rounds, and the answer lies further off. u * GRID_SECONDS never falls as
-    u grows, so bracket the answer by doubling steps from the estimate,
-    then bisect.
+    The walk asks at most 2 * DURATION_LIMIT + GRID_SECONDS, where u * GRID_SECONDS is
+    exact and the rounded quotient's ceiling is the answer or one short of it.
     """
-    guess = math.ceil(seconds / GRID_SECONDS)
-    low, high, step = guess - 1, guess, 1
-    while low * GRID_SECONDS >= seconds or high * GRID_SECONDS < seconds:
-        low, high, step = low - step, high + step, step * 2
-    while high - low > 1:  # low * GRID_SECONDS < seconds <= high * GRID_SECONDS
-        middle = (low + high) // 2
-        if middle * GRID_SECONDS >= seconds:
-            high = middle
-        else:
-            low = middle
-    return high
+    u = math.ceil(seconds / GRID_SECONDS)
+    return u + (u * GRID_SECONDS < seconds)
 
 
 def static_sweep(

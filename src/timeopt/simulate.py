@@ -46,7 +46,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .evaluate import TimeoutPolicy
-from .model import DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, Verdict
+from .model import DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, Verdict, _check_durations
 
 if TYPE_CHECKING:
     import numpy as np
@@ -302,6 +302,7 @@ def generate_workload(
     do not depend on generation order. A spec with no hang and no outlier
     probability draws nothing between base durations, so each test takes
     them from one array draw, equal to the scalar draws of the other specs.
+    A drawn duration outside ``[0, DURATION_LIMIT]`` is a ValueError.
     """
     import numpy as np
 
@@ -363,6 +364,7 @@ def generate_workload(
     dataset = ExecutionDataset.from_columns(
         tests, ["r0"] * len(tests), started, durations, verdicts, hangs
     )
+    _check_durations(dataset, "drew")
     policy = TimeoutPolicy(kind="original", values=timeouts)
     return dataset, policy, truths
 

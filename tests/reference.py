@@ -23,26 +23,20 @@ EMPIRICAL_ECDF = "empirical_ecdf"  # the configuration's method name
 
 def sample_stats(sample: TestSample) -> SampleStats:
     """n, mean, unbiased variance, q_n and extremes of a sample, as ``fsum``s.
+    A sample's durations are at most 2**48 s, so neither sum overflows.
 
     Raises:
-        ValueError: for an empty sample, or when the sum or the squared
-            deviations overflow a float.
+        ValueError: for an empty sample.
     """
     durations = sample.durations
     n = len(durations)
     if not n:
         raise ValueError("empty sample")
-    try:
-        mean = math.fsum(durations) / n
-        if n == 1:
-            variance = 0.0
-        else:
-            variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
-    except OverflowError:
-        raise ValueError(
-            f"durations of test {sample.test_id!r} are too large: "
-            "their mean or variance overflows a float"
-        ) from None
+    mean = math.fsum(durations) / n
+    if n == 1:
+        variance = 0.0
+    else:
+        variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
     q_n = math.sqrt((n + 1) / n * variance)
     return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
 
@@ -68,10 +62,15 @@ def truncated_mean(sample: TestSample, threshold: float) -> float:
 
 def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
     """floor((n + 1) / (k^2 + 1)) / (n + 1), k^2 = n lam^2 / (n - 1 + lam^2),
-    lam = (threshold - mean) / q_n, in exact fractions; 1.0 for lam <= 1."""
+    lam = (threshold - mean) / q_n, in exact fractions; 1.0 for lam <= 1. At
+    an infinite threshold, its limit as lam grows: k^2 rises towards n but
+    stays below it, so the floor is 1 with spread; with none, lam is infinite
+    past the mean and the bound 0."""
     n = stats.n
     if n < 2:
         raise ValueError("insufficient sample: the bound requires n >= 2")
+    if math.isinf(threshold) and threshold > 0:
+        return 0.0 if stats.q_n == 0 else 1 / (n + 1)
     gap, q_n = Fraction(threshold) - Fraction(stats.mean), Fraction(stats.q_n)
     if gap <= q_n:
         return 1.0

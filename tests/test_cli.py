@@ -10,6 +10,7 @@ from helpers import MINUTE, dataset_of, sweep_fixture_dataset, verdict_dataset
 from timeopt.cli import _config_from_args, build_parser, run
 from timeopt import ingest
 from timeopt.ingest import write_executions
+from timeopt.model import DURATION_LIMIT
 from timeopt.optimize import OptimizationConfig
 
 
@@ -53,6 +54,8 @@ class TestExitCodes:
         "argv",
         [
             ["optimize", "--m", "-1"],
+            ["optimize", "--m", "1" + "0" * 400],  # past the float range
+            ["evaluate", "--seed", "0", "--m", "1" + "0" * 400],
             ["sweep", "--lo", "1", "--hi", "9", "--m", "-1"],
             ["optimize", "--pb", "2"],
             ["optimize", "--pb", "nan"],
@@ -113,17 +116,16 @@ class TestExtremeDurations:
 
     @pytest.mark.parametrize("method", ["empirical", "tolhurst"])
     def test_one_huge_run_ends_the_search(self, tmp_path, capsys, method):
-        # the grid reaches ceil(2e150 / 60) units; the empirical candidates
+        # the grid reaches ceil(2**49 / 60) units; the empirical candidates
         # are two, the Tolhurst ones one per step of the bound
-        path = _one_test_file(tmp_path, [60.0] * 39 + [1e150])
+        path = _one_test_file(tmp_path, [60.0] * 39 + [DURATION_LIMIT])
         assert run(["optimize", "--method", method, "--input", str(path)]) == 0
-        mean = (60.0 * 39 + 1e150) / 40
+        mean = (60.0 * 39 + DURATION_LIMIT) / 40
         assert capsys.readouterr().out == f"test_id,timeout_minutes\nt,{math.ceil(mean / 60)}\n"
 
-    def test_one_run_near_the_float_limit_falls_back(self, tmp_path, capsys):
-        # 2 * 1e308 overflows a float; the search range is 2 * (max / 60)
+    def test_one_run_at_the_duration_limit_falls_back(self, tmp_path, capsys):
         path = tmp_path / "runs.jsonl"
-        write_executions(dataset_of({("big", "r1"): [(1e308, "pass")]}), path)
+        write_executions(dataset_of({("big", "r1"): [(DURATION_LIMIT, "pass")]}), path)
         assert run(["optimize", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "test_id,timeout_minutes\nbig,120\n"
         assert run(["optimize", "--input", str(path), "--output-format", "json"]) == 0
@@ -132,14 +134,24 @@ class TestExtremeDurations:
             "big", 120, True
         )
 
-    @pytest.mark.parametrize("argv", [["optimize"], ["evaluate", "--seed", "0"]])
-    def test_overflowing_variance_is_data_error(self, tmp_path, capsys, argv):
-        path = _one_test_file(tmp_path, [60.0] * 39 + [1e160])
-        assert run(argv + ["--input", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "too large" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize"], ["evaluate", "--seed", "0"], ["sweep", "--lo", "1", "--hi", "3"],
+         ["summarize"]],
+    )
+    def test_a_run_above_the_limit_is_a_rejected_row(self, tmp_path, capsys, argv):
+        # test big: 39 runs of 60 s and one of 1e160 s, whose variance no float holds
+        path = tmp_path / "runs.jsonl"
+        runs = {("big", "r1"): [(60.0, "pass")] * 40, ("other", "r1"): [(90.0, "pass")] * 40}
+        write_executions(dataset_of(runs), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[39] = lines[39].replace('"duration_seconds": 60.0', '"duration_seconds": 1e+160')
+        path.write_text("".join(lines))
+        assert run(argv + ["--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == f"warning: {path}: rejected 1 rows: {{'bad duration': 1}}\n"
+        if argv == ["optimize"]:
+            assert out == "test_id,timeout_minutes\nbig,2\nother,2\n"
 
 
 class TestSummarize:
@@ -393,7 +405,7 @@ class TestSimulate:
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "durations must be finite" in err
+        assert "durations must be non-negative and finite" in err
         assert not out.exists()
 
     def test_seeded_runs_are_byte_identical(self, tmp_path, capsys):

@@ -18,7 +18,9 @@ from timeopt.ingest import (
     summarize,
     write_executions,
 )
-from timeopt.model import ExecutionDataset, ExecutionRecord
+from timeopt.model import DURATION_LIMIT, ExecutionDataset, ExecutionRecord
+
+ABOVE_LIMIT = math.nextafter(DURATION_LIMIT, math.inf)
 
 
 def jsonl_row(
@@ -81,7 +83,7 @@ class TestLoadExecutions:
         _, report = load_executions(path)
         assert report.reasons == {reason: 1}
 
-    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", repr(ABOVE_LIMIT)])
     def test_non_finite_jsonl_duration_is_bad_duration(self, tmp_path, text):
         path = tmp_path / "runs.jsonl"
         line = json.dumps(jsonl_row(duration_seconds=0.5)).replace("0.5", text)
@@ -90,7 +92,7 @@ class TestLoadExecutions:
         assert len(dataset) == 1
         assert report.reasons == {"bad duration": 1}
 
-    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999", repr(ABOVE_LIMIT)])
     def test_non_finite_csv_duration_is_bad_duration(self, tmp_path, text):
         path = tmp_path / "runs.csv"
         path.write_text(
@@ -249,16 +251,17 @@ class TestLoadExecutions:
         assert loaded == original
         assert loaded.censored == (True,)
 
+    @pytest.mark.parametrize("bad", [math.inf, ABOVE_LIMIT])
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_non_finite_duration_is_not_written(self, tmp_path, fmt):
-        # no record holds one, but the columns, as the generator fills them, can
+    def test_non_finite_duration_is_not_written(self, tmp_path, fmt, bad):
+        # no record holds one, but columns filled through from_columns can
         a, b = record("a"), record("b")
         original = ExecutionDataset.from_columns(
-            ["a", "b"], ["r1", "r1"], [a.started_at, b.started_at], [a.duration, math.inf],
+            ["a", "b"], ["r1", "r1"], [a.started_at, b.started_at], [a.duration, bad],
             [a.verdict, b.verdict], [False, False],
         )
         path = tmp_path / f"runs.{fmt}"
-        with pytest.raises(ValueError, match="durations must be finite"):
+        with pytest.raises(ValueError, match="durations must be non-negative and finite"):
             write_executions(original, path, fmt)
         assert not path.exists()
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import EPOCH, dataset_of, minutes_sample, record, sample_of
 from timeopt.model import (
+    DURATION_LIMIT,
     ExecutionDataset,
     ExecutionRecord,
     TestSample,
@@ -62,11 +63,14 @@ class TestSampleStats:
 
     @pytest.mark.parametrize(
         "durations",
-        [[60.0] * 39 + [1e160], [1e307] * 40],  # squared deviation, then sum, overflows
+        [[60.0] * 39 + [DURATION_LIMIT], [DURATION_LIMIT] * 40, [0.0, DURATION_LIMIT] * 20],
     )
-    def test_overflow_is_a_value_error(self, durations):
-        with pytest.raises(ValueError, match="too large"):
-            sample_stats(sample_of(durations))
+    def test_durations_at_the_limit_have_finite_stats(self, durations):
+        # the widest squared deviations and the largest sum the limit allows
+        stats = sample_stats(sample_of(durations))
+        assert stats.mean == math.fsum(durations) / len(durations)
+        assert all(map(math.isfinite, (stats.variance, stats.q_n)))
+        assert stats.max == DURATION_LIMIT
 
     def test_permutation_invariant(self):
         rng = random.Random(7)
@@ -194,13 +198,15 @@ class TestRecordAndSampleValidation:
         with pytest.raises(ValueError, match="non-negative"):
             TestSample("t", "r", durations=(1.0, -2.0), verdicts=("pass", "pass"))
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [math.inf, math.nan, -math.inf, math.nextafter(DURATION_LIMIT, math.inf)]
+    )
     def test_sample_non_finite_duration(self, bad):
         # as ingest rejects such a row; no statistic of the sample could hold it
         with pytest.raises(ValueError, match="non-negative and finite"):
             TestSample("t", "r", durations=(1.0, bad), verdicts=("pass", "pass"))
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, math.nextafter(DURATION_LIMIT, math.inf)])
     def test_record_non_finite_duration(self, bad):
         with pytest.raises(ValueError, match="non-negative and finite"):
             ExecutionRecord("t", "r", EPOCH, bad, Verdict.PASS)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import MINUTE, dataset_of, minutes_sample, sample_of
-from timeopt.model import SampleStats, sample_stats
+from timeopt.model import DURATION_LIMIT, SampleStats, sample_stats
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     PROBABILITY_METHODS,
@@ -78,6 +78,7 @@ class TestTolhurstBound:
         stats = sample_stats(minutes_sample([7, 7, 7]))
         assert tolhurst_bound(stats, 7 * MINUTE) == 1.0  # at the mean
         assert tolhurst_bound(stats, 7 * MINUTE + 1) == 0.0
+        assert tolhurst_bound(stats, math.inf) == 0.0
 
     def test_insufficient_sample(self):
         stats = sample_stats(sample_of([5.0]))
@@ -97,9 +98,11 @@ class TestTolhurstBound:
 
     def test_overflowing_lam_takes_the_limit(self):
         # lam is about 4e159, so n * lam * lam overflows a float; the bound
-        # there is its floor 1 / (n + 1), the limit as lam grows.
+        # there is its floor 1 / (n + 1), the limit as lam grows, which an
+        # infinite threshold also reads.
         stats = sample_stats(sample_of([0.0] * 39 + [1e-157]))
         assert tolhurst_bound(stats, 60.0) == 1 / 41
+        assert tolhurst_bound(stats, math.inf) == 1 / 41
 
     def test_never_rises_or_reads_zero_far_past_the_last_step(self):
         # q_n is 7e-14, so lam^2 passes (n - 1) 2^49 within a unit of the
@@ -328,10 +331,10 @@ class TestCandidateSearch:
                 best_t, best_cost = t_units, cost
         return best_t, best_cost
 
-    @pytest.mark.parametrize("huge", [1e7, 1e150], ids=["1e7", "1e150"])
+    @pytest.mark.parametrize("huge", [1e7, DURATION_LIMIT], ids=["1e7", "limit"])
     @pytest.mark.parametrize("config", [EMPIRICAL, TOLHURST])
     def test_one_huge_run_costs_a_few_kernel_calls(self, monkeypatch, config, huge):
-        durations = [60.0] * 39 + [huge]  # a grid of 329,167 or 3e148 points
+        durations = [60.0] * 39 + [huge]  # a grid of 329,167 or 9.4e12 points
         if huge == 1e7:
             expected = self.exhaustive(_SortedSample(durations), config)
         else:  # too far to scan; past the lower end tm alone exceeds its cost
@@ -414,8 +417,9 @@ class TestCandidateSearch:
 
     @pytest.mark.parametrize(
         "seconds",
-        [0.0, 5e-324, 59.9, 60.0, math.nextafter(60.0, math.inf), 1e7, 2.0**53 * 60,
-         math.nextafter(2.0**60, math.inf), 1e150, 1e300],
+        [0.0, 5e-324, 59.9, 60.0, math.nextafter(60.0, math.inf), 1e7,
+         2 * DURATION_LIMIT, math.nextafter(2 * DURATION_LIMIT, math.inf),
+         math.nextafter(2 * DURATION_LIMIT + 60, 0.0), 2 * DURATION_LIMIT + 60],
     )
     def test_unit_at_least_is_exact(self, seconds):
         u = _unit_at_least(seconds)
@@ -453,7 +457,10 @@ def early_stop_case_st(draw) -> list[float]:
 @example(durations=[60.0, 90.0, 600.0] * 10, method=TOLHURST_BOUND, reruns=0, breakage=0.0)
 @example(durations=[60.0, 90.0, 600.0] * 10, method=EMPIRICAL_ECDF, reruns=3, breakage=0.05)
 # every cost overflows: no cost is kept, and the result is (lower, inf, inf)
-@example(durations=[1e120, 2e120] * 15, method=TOLHURST_BOUND, reruns=10**200, breakage=0.0)
+@example(
+    durations=[DURATION_LIMIT / 2, DURATION_LIMIT] * 15, method=TOLHURST_BOUND, reruns=10**300,
+    breakage=0.0,
+)
 def test_early_stop_never_changes_the_result(durations, method, reruns, breakage):
     """The search equals scoring every candidate of the whole walk, upward,
     keeping a strictly smaller cost: with m = 0 (where, without breakage,
@@ -571,6 +578,7 @@ class TestConfigValidation:
         "kwargs",
         [
             {"rerun_count": -1},
+            {"rerun_count": 10**400},  # past the float range, where the cost cannot take it
             {"breakage_probability": 1.5},
             {"probability_method": "guesswork"},
             {"min_samples": 1},

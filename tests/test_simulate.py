@@ -17,7 +17,7 @@ from helpers import verdict_dataset
 from timeopt import cli
 from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
-from timeopt.model import GRID_SECONDS, ExecutionDataset, Verdict
+from timeopt.model import DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, Verdict
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost
 from timeopt.simulate import (
     _QUANTILE_CAP,
@@ -87,6 +87,15 @@ class TestGenerateWorkload:
         assert {r.duration for r in dataset.records} == {420.0}
         assert all(r.verdict is Verdict.PASS for r in dataset.records)
         assert policy.value_for("test-000") == 7
+
+    def test_draws_are_bounded_by_the_duration_limit(self):
+        dataset, _, _ = generate_workload(
+            spec_of(base_distribution="constant", scale_seconds=DURATION_LIMIT, sigma=0.0)
+        )
+        assert set(dataset.durations) == {DURATION_LIMIT}
+        above = math.nextafter(DURATION_LIMIT, math.inf)
+        with pytest.raises(ValueError, match=r"drew duration .* at most 2\*\*48 s"):
+            generate_workload(spec_of(base_distribution="constant", scale_seconds=above, sigma=0.0))
 
     def test_percentile_one_yields_zero_timeout_verdicts(self):
         dataset, _, _ = generate_workload(
