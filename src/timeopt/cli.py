@@ -231,7 +231,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         policies.append(ev.TimeoutPolicy.static(args.static))
     if not policies:
         policies.append(ev.TimeoutPolicy.static(120))
-    report = ev.cross_validate(dataset, policies, config, k=args.k, seed=args.seed)
+    # Each test's full kernel, sorted once for the folds and read again by
+    # the whole-dataset fit below; freed before compare_policies.
+    kernels = {tid: op._pooled_kernel(dataset, tid) for tid in dataset.test_ids()}
+    report = ev.cross_validate(dataset, policies, config, k=args.k, seed=args.seed, kernels=kernels)
     if excluded := report.excluded_tests:
         _warn(
             f"excluded {len(excluded)} tests with fewer than {report.k} executions: "
@@ -240,7 +243,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     sys.stdout.write(_cv_table(report))
 
     # whole-dataset fit for the totals table below the per-fold one
-    fitted = op.TimeoutOptimizer(config).fit(dataset)
+    fitted = op.TimeoutOptimizer(config).fit(dataset, kernels)
+    del kernels
     all_policies = policies + [
         ev.TimeoutPolicy(kind="optimized", values=fitted.timeouts_)
     ]

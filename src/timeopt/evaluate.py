@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
-from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
+from .optimize import OptimizationConfig, _pooled_kernel, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
 OPTIMIZED_POLICY = "optimized"
@@ -62,9 +62,13 @@ class TimeoutPolicy:
         return {tid: self.value_for(tid) * GRID_SECONDS for tid in test_ids}
 
     def median_value(self, test_ids: Sequence[str]) -> float:
-        import statistics  # loads fractions and decimal; simulate never calls this
-
-        return statistics.median(self.value_for(tid) for tid in test_ids)
+        """The median of the tests' values, as ``statistics.median`` gives it:
+        the middle value, or the mean of the two middle ones."""
+        values = sorted(self.value_for(tid) for tid in test_ids)
+        middle = len(values) // 2
+        if len(values) % 2:
+            return values[middle]
+        return (values[middle - 1] + values[middle]) / 2
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,7 @@ def cross_validate(
     config: OptimizationConfig,
     k: int = 5,
     seed: int = 0,
+    kernels: Mapping[str, _SortedSample] | None = None,
 ) -> CvReport:
     """Score baseline policies against a freshly fitted one, fold by fold.
 
@@ -174,6 +179,15 @@ def cross_validate(
     policies on the held-out fold; every fold is evaluated exactly once.
     Held-out costs use empirical probabilities from the evaluated fold,
     whatever method fitted the timeouts.
+
+    Each included test has one full kernel, its ``_pooled_kernel``: taken
+    from ``kernels`` when given (so that a whole-dataset
+    ``TimeoutOptimizer.fit`` can read the same sorted kernels after), else
+    built here and freed on return. Each fold splits it into a held-out
+    kernel and a training ``_Difference`` (full minus held-out), so the
+    full kernel is sorted and scaled once. A fold's held-out kernels are
+    freed when the next fold's replace them, and each training view once
+    its fit returns.
 
     Raises:
         ValueError: when a baseline policy misses a test, or a baseline is
@@ -192,14 +206,14 @@ def cross_validate(
         raise ValueError(f"duplicate policy labels: {labels}")
     baselines = [policy.seconds(included_tests) for policy in policies]
 
-    # Each test's rows sorted by duration once (the kernel's own sort of a
-    # sorted list is one linear pass); every fold filters that order.
-    durations = dataset.durations
+    # Each test's rows in the kernel's sorted order: both stable sorts of the
+    # same durations in test_index order, so ties line up. Every fold masks it.
+    durations, assignment = dataset.durations, folds.assignment
     by_test: list[tuple[str, _SortedSample, list[int]]] = []
     for test_id in included_tests:
+        kernel = kernels[test_id] if kernels is not None else _pooled_kernel(dataset, test_id)
         order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
-        kernel = _SortedSample([durations[i] for i in order], test_id)
-        by_test.append((test_id, kernel, [folds.assignment[i] for i in order]))
+        by_test.append((test_id, kernel, [assignment[i] for i in order]))
 
     all_labels = labels + [OPTIMIZED_POLICY]
     rows: list[FoldPolicyResult] = []

@@ -225,13 +225,19 @@ def stats_of(durations: Sequence[float]) -> SampleStats:
     n = len(durations)
     if not n:
         raise ValueError("empty sample")
-    mean = math.fsum(durations) / n
-    if n == 1:
-        variance = 0.0
-    else:
-        variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1)
+    return stats_around(durations, math.fsum(durations) / n, max(durations), min(durations))
+
+
+def stats_around(
+    durations: Sequence[float], mean: float, top: float, bottom: float
+) -> SampleStats:
+    """``SampleStats`` of non-empty durations whose mean (their exact sum
+    over n, rounded once) and extremes are known: only the variance reads
+    the durations, as an ``fsum`` of the squared deviations."""
+    n = len(durations)
+    variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1) if n > 1 else 0.0
     q_n = math.sqrt((n + 1) / n * variance)
-    return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
+    return SampleStats(n, mean, variance, q_n, top, bottom)
 
 
 @dataclass(frozen=True, init=False)

@@ -34,7 +34,13 @@ sample statistics, tm(t) and the empirical p(t) from one kernel per sample;
 ``expected_cost`` are adapters over a kernel, and the tests hold the ``fsum``
 definitions. The kernel alone decides saturation: at a t at or above the
 sample's max, p is 0 and tm is the exact mean, sorted or not, and a kernel
-only ever asked such thresholds is never sorted. The static
+only ever asked such thresholds is never sorted. A sorted kernel holds its
+durations as exact integers over the denominator 2**(53 - e), e the ``frexp``
+exponent of its smallest nonzero duration, and reads its mean from their
+sum. A split builds only the held-out kernel; the training side is the full
+kernel minus it, answered from the two prefix sums. ``fit`` builds, searches
+and frees one test's kernel at a time, or reads the kernels that
+``cross_validate`` sorted, so ``evaluate`` sorts each test once. The static
 sweep rescores a sample only until its kernel reports no overrun; past that,
 its cost changes only through the breakage term.
 
@@ -44,14 +50,17 @@ All operations are pure; per-test optimizations are independent.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
-    GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, stats_of, valid_minutes,
+    DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, stats_around,
+    stats_of, valid_minutes,
 )
 
 TOLHURST_BOUND = "tolhurst_bound"
@@ -197,6 +206,11 @@ class _TolhurstSteps:
         return float(-(-(self.mean + g) // self.scale))
 
 
+# The largest shift s at which DURATION_LIMIT * 2**s is a finite float: past it, _sort
+# scales by exact integer ratios instead.
+_FAST_SHIFT = sys.float_info.max_exp - math.frexp(DURATION_LIMIT)[1]
+
+
 class _SortedSample:
     """One sample's kernel: its statistics, and O(log n) scoring of any timeout.
 
@@ -206,15 +220,23 @@ class _SortedSample:
     overrun. Until a threshold below the max is asked for, the durations stay
     unsorted and that mean is their ``fsum``. The first threshold below the
     max, or a ``split``, sorts them once into exact integer prefix sums over
-    a common power-of-two denominator (every finite float is an integer over
-    a power of two), and the mean becomes prefix[n] / denominator / n. At
-    threshold t = p / q, with k = bisect_right(sorted, t), the capped sum is
-    (prefix[k] q + (n - k) p denominator) / (denominator q), and Python's
-    int / int division rounds it correctly, exactly as math.fsum rounds the
-    same sum. So ``at`` returns the fsum definitions of the truncated mean
-    and the overrun count, bit for bit, in any order of thresholds, and
-    ``stats`` is ``stats_of`` the durations, which no order changes.
-    Durations lie in ``[0, DURATION_LIMIT]``; ``at`` and ``stats`` need at least one.
+    a common power-of-two denominator. It is 2**(53 - e), where e is the
+    ``frexp`` exponent of the smallest nonzero duration: every duration is
+    then an integer times 2**(e - 53), and each product d * 2.0**(53 - e) is
+    that integer as an exact float. Where DURATION_LIMIT * 2**(53 - e) would
+    overflow (a smallest nonzero duration below 2**-923 s), the denominator
+    is the largest of the durations' ``as_integer_ratio`` denominators
+    instead. At threshold t = p / q, with k = bisect_right(sorted, t), the
+    capped sum is (prefix[k] q + (n - k) p denominator) / (denominator q),
+    and Python's int / int division rounds it correctly, exactly as math.fsum
+    rounds the same sum, whatever common denominator holds it. So ``at``
+    returns the fsum definitions of the truncated mean and the overrun count,
+    bit for bit, in any order of thresholds. Once sorted, the mean is
+    prefix[n] / denominator / n, equal to the ``fsum`` mean, and ``stats``
+    takes the max and min from the sorted ends, which can differ from max()
+    and min() only in the sign of a zero, a value that no output reads; only
+    the variance is an ``fsum`` pass. Durations lie in
+    ``[0, DURATION_LIMIT]``; ``at`` and ``stats`` need at least one.
     """
 
     __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats", "_top",
@@ -224,64 +246,86 @@ class _SortedSample:
         self.test_id = test_id
         self.ordered = list(durations)  # in input order until _sort
         self.n = len(self.ordered)
-        self.prefix: list[int] | None = None
+        self.denominator: int | None = None  # set once sorted
         self._stats: SampleStats | None = None
         self._top = max(self.ordered) if self.ordered else -math.inf  # the one saturation bound
         self._mean: float | None = None  # kept once read
 
     def _sort(self) -> None:
-        self.ordered.sort()
-        ratios = [d.as_integer_ratio() for d in self.ordered]
-        denominator = max((q for _, q in ratios), default=1)
-        self._fill([p * (denominator // q) for p, q in ratios], denominator)
+        ordered = self.ordered
+        ordered.sort()
+        nonzero = bisect_right(ordered, 0.0)
+        shift = 53 - math.frexp(ordered[nonzero])[1] if nonzero < self.n else 0
+        if shift <= _FAST_SHIFT:
+            scale = 2.0**shift
+            self._fill(list(map(int, map(scale.__mul__, ordered))), 1 << shift)
+        else:
+            ratios = [d.as_integer_ratio() for d in ordered]
+            denominator = max(q for _, q in ratios)
+            self._fill([p * (denominator // q) for p, q in ratios], denominator)
 
     def _fill(self, scaled: list[int], denominator: int) -> None:
         self.scaled = scaled  # each sorted duration times the denominator
         self.prefix = list(accumulate(scaled, initial=0))
         self.denominator = denominator
 
+    def _below(self, threshold: float) -> tuple[int, int]:
+        """(k, the sum of the k durations at most the threshold, times the
+        denominator), sorting first."""
+        if self.denominator is None:
+            self._sort()
+        k = bisect_right(self.ordered, threshold)
+        return k, self.prefix[k]
+
     def split(self, keep: Sequence[bool]) -> tuple["_SortedSample", "_SortedSample"]:
         """(kept, rest): kernels of the durations whose position in sorted
-        order is true, or false, in ``keep``; the parts are born sorted."""
-        if self.prefix is None:
+        order is true, or false, in ``keep``. The kept part is born sorted,
+        with its own prefix sums over this kernel's denominator; the rest is
+        a ``_Difference`` of this kernel and the kept part, which holds only
+        its sorted durations and keeps both alive while it is."""
+        if self.denominator is None:
             self._sort()
-        return self._subset(keep), self._subset([not k for k in keep])
+        kept = _SortedSample(compress(self.ordered, keep), self.test_id)
+        kept._fill(list(compress(self.scaled, keep)), self.denominator)
+        return kept, _Difference(self, kept, compress(self.ordered, map(operator.not_, keep)))
 
-    def _subset(self, mask: Sequence[bool]) -> "_SortedSample":
-        part = _SortedSample(compress(self.ordered, mask), self.test_id)
-        part._fill(list(compress(self.scaled, mask)), self.denominator)
-        return part
+    @property
+    def mean(self) -> float:
+        """The exact mean, rounded once: the ``fsum`` of the durations until
+        sorted, then their exact integer sum over the denominator."""
+        if self._mean is None:
+            if self.denominator is None:
+                self._mean = math.fsum(self.ordered) / self.n
+            else:
+                self._mean = self._below(math.inf)[1] / self.denominator / self.n
+        return self._mean
 
     @property
     def stats(self) -> SampleStats:
         """``sample_stats`` of the sample, bit for bit, with its ValueErrors."""
         if self._stats is None:
-            self._stats = stats_of(self.ordered)
+            ordered = self.ordered
+            if self.denominator is None or not ordered:
+                self._stats = stats_of(ordered)
+            else:
+                self._stats = stats_around(ordered, self.mean, ordered[-1], ordered[0])
         return self._stats
 
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, number of durations strictly above) at a threshold."""
         n = self.n
         if threshold >= self._top:  # saturated, sorted or not
-            if self._mean is None:  # the exact sum, rounded once either way
-                prefix = self.prefix
-                exact = prefix[n] / self.denominator if prefix else math.fsum(self.ordered)
-                self._mean = exact / n
-            return self._mean, 0
-        if self.prefix is None:
-            self._sort()
-        k = bisect_right(self.ordered, threshold)
+            return self.mean, 0
+        k, total = self._below(threshold)
         p, q = threshold.as_integer_ratio()
         denominator = self.denominator
-        return (self.prefix[k] * q + (n - k) * p * denominator) / (denominator * q) / n, n - k
+        return (total * q + (n - k) * p * denominator) / (denominator * q) / n, n - k
 
     def above(self, threshold: float) -> int:
         """``at``'s number of durations strictly above a threshold, with no mean."""
         if threshold >= self._top:
             return 0
-        if self.prefix is None:
-            self._sort()
-        return self.n - bisect_right(self.ordered, threshold)
+        return self.n - self._below(threshold)[0]
 
     def probability(self, threshold: float, config: OptimizationConfig) -> float:
         """p at a threshold under the configured method."""
@@ -295,11 +339,41 @@ class _SortedSample:
         return _cost(tm, over / self.n, threshold, config), over
 
 
+class _Difference(_SortedSample):
+    """The kernel of a sorted kernel's durations minus those of its kept
+    part, born sorted, with no integers or prefix sums of its own. Both
+    kernels share one denominator, so below any threshold its count is
+    k_full - k_kept and its scaled sum prefix_full[k_full] -
+    prefix_kept[k_kept]: the exact integers a kernel of its own would hold.
+    So ``at``, ``above`` and the mean are bit-equal to that kernel's. Its
+    sorted durations serve the variance and the order statistics; it is not
+    split further."""
+
+    __slots__ = ("full", "kept")
+
+    def __init__(self, full: _SortedSample, kept: _SortedSample, ordered: Iterable[float]) -> None:
+        super().__init__(ordered, full.test_id)
+        self.full, self.kept = full, kept
+        self.denominator = full.denominator
+
+    def _below(self, threshold: float) -> tuple[int, int]:
+        k, total = self.full._below(threshold)
+        k_kept, kept_total = self.kept._below(threshold)
+        return k - k_kept, total - kept_total
+
+
 def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> float:
     cost = tm + config.rerun_count * p * tm
     if config.breakage_probability > 0.0:
         cost += config.breakage_probability * threshold * (config.rerun_count + 1)
     return cost
+
+
+def _pooled_kernel(dataset: ExecutionDataset, test_id: str) -> _SortedSample:
+    """The kernel of one test's executions pooled across revisions, in
+    ``test_index`` order until sorted."""
+    durations = dataset.durations
+    return _SortedSample([durations[i] for i in dataset.test_index[test_id]], test_id)
 
 
 def _kernel_of(sample: TestSample) -> _SortedSample:
@@ -523,10 +597,17 @@ class TimeoutOptimizer:
     def __init__(self, config: OptimizationConfig = OptimizationConfig()) -> None:
         self.config = config
 
-    def fit(self, dataset: ExecutionDataset) -> "TimeoutOptimizer":
-        durations, index = dataset.durations, dataset.test_index
-        kernels = (_SortedSample([durations[i] for i in index[t]], t) for t in dataset.test_ids())
-        self.results_ = {k.test_id: optimize_timeout(k, self.config) for k in kernels}
+    def fit(
+        self, dataset: ExecutionDataset, kernels: Mapping[str, _SortedSample] | None = None
+    ) -> "TimeoutOptimizer":
+        """Fit every test of the dataset. ``kernels``, when given, maps each
+        test id to its ``_pooled_kernel``, which is read in place of a new
+        one (``evaluate`` passes the kernels that its cross-validation
+        sorted). Without it, each test's kernel is built, searched and freed
+        before the next is built, so no two are alive at once."""
+        kernel_of = kernels.__getitem__ if kernels is not None else partial(_pooled_kernel, dataset)
+        config = self.config
+        self.results_ = {t: optimize_timeout(kernel_of(t), config) for t in dataset.test_ids()}
         self.timeouts_ = {tid: res.optimal_timeout for tid, res in self.results_.items()}
         return self
 

@@ -104,6 +104,12 @@ class WorkloadSpec:
             raise ValueError("sigma must be non-negative")
         if self.scale_spread < 1.0:
             raise ValueError("scale_spread must be >= 1")
+        # the largest test scale generate_workload can draw
+        if not math.isfinite(self.scale_seconds * math.exp(math.log(self.scale_spread))):
+            raise ValueError(
+                f"scale_seconds {self.scale_seconds:g} times scale_spread "
+                f"{self.scale_spread:g} must be finite"
+            )
         for p, label in (
             (self.outlier_probability, "outlier_probability"),
             (self.hang_probability, "hang_probability"),

@@ -398,6 +398,15 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.startswith("error: sigma ") and err.count("\n") == 1
 
+    def test_overflowing_drawn_scale_is_data_error(self, capsys):
+        # each field is finite, but the largest drawn test scale is their product
+        argv = ["simulate", "--tests", "3", "--runs", "5", "--seed", "0"]
+        assert run(argv + ["--scale", "1e300", "--spread", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: scale_seconds ") and err.count("\n") == 1
+        assert "scale_spread" in err
+
     def test_infinite_duration_is_not_written(self, tmp_path, capsys):
         out = tmp_path / "fleet.jsonl"
         argv = ["simulate", "--tests", "1", "--runs", "50", "--outlier-prob", "1"]

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -11,7 +12,7 @@ from helpers import (
     reference_cross_validate,
     sample_of,
 )
-from timeopt import evaluate
+from timeopt import cli, evaluate
 from timeopt.evaluate import (
     TimeoutPolicy,
     compare_policies,
@@ -21,11 +22,15 @@ from timeopt.evaluate import (
     make_folds,
     write_timeout_policy,
 )
+from timeopt.ingest import write_executions
 from timeopt.model import ExecutionDataset
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     TOLHURST_BOUND,
     OptimizationConfig,
+    TimeoutOptimizer,
+    _pooled_kernel,
+    _SortedSample,
     empirical_exceedance,
 )
 from timeopt.simulate import simulate_rerun_policy
@@ -184,7 +189,8 @@ class TestCrossValidate:
 
 
 def reference_fixture() -> ExecutionDataset:
-    """Ties, censored hangs, two revisions and tests too small for the folds."""
+    """Ties, signed zeros, censored hangs, two revisions and tests too small
+    for the folds."""
     rng = random.Random(5)
     records = []
     minute = 0
@@ -196,6 +202,8 @@ def reference_fixture() -> ExecutionDataset:
 
     for duration in [60.0] * 12 + [120.0] * 10 + [180.0] * 8 + [61.0, 59.0, 900.0]:
         add("tied", duration)
+    for duration in [0.0, -0.0] * 6 + [0.5, -0.0, 30.0]:
+        add("zeros", duration)
     for _ in range(36):
         add("hung", rng.lognormvariate(6.0, 0.5), revision=rng.choice(["r1", "r2"]))
     for _ in range(4):
@@ -300,6 +308,68 @@ class TestComparePolicies:
             )
 
 
+def live_kernels(test_ids, besides=None) -> list:
+    """Every kernel object of the given tests alive now, other than ``besides``."""
+    return [
+        o for o in gc.get_objects()
+        if isinstance(o, _SortedSample) and o is not besides and o.test_id in test_ids
+    ]
+
+
+class TestKernelSharing:
+    """``evaluate`` sorts each test's full kernel once: its folds, their
+    training sides and the whole-dataset fit read it, and it is freed before
+    ``compare_policies`` builds its own (test, revision) kernels."""
+
+    @staticmethod
+    def spread_runs(tests: int) -> dict[str, list[float]]:
+        rng = random.Random(3)
+        return {f"shared{i}": [rng.uniform(60, 900) for _ in range(40)] for i in range(tests)}
+
+    def test_evaluate_sorts_each_full_kernel_once(self, tmp_path, monkeypatch, capsys):
+        # "tiny" has fewer runs than folds, and its fallback timeout cuts no run
+        path = tmp_path / "runs.jsonl"
+        runs = {**self.spread_runs(4), "tiny": [100.0, 1.0]}
+        write_executions(fleet(runs), path)
+        sorted_ids: list[str] = []
+        sort = _SortedSample._sort
+
+        def counting_sort(self):
+            sorted_ids.append(self.test_id)
+            sort(self)
+
+        at_compare = []
+        compare = evaluate.compare_policies
+
+        def recording_compare(*args):
+            at_compare.append((list(sorted_ids), len(live_kernels(runs))))
+            return compare(*args)
+
+        monkeypatch.setattr(_SortedSample, "_sort", counting_sort)
+        monkeypatch.setattr(evaluate, "compare_policies", recording_compare)
+        argv = ["evaluate", "--input", str(path), "--k", "3", "--seed", "5"]
+        assert cli.run(argv + ["--out", str(path) + ".cv"]) == 0
+        assert at_compare == [(["shared0", "shared1", "shared2", "shared3"], 0)]
+
+    def test_fit_alone_holds_one_kernel_at_a_time(self, monkeypatch):
+        runs = self.spread_runs(5)
+        dataset = fleet(runs)
+        alive_at_build = []
+        init = _SortedSample.__init__
+
+        def counting_init(self, *args):
+            alive_at_build.append(len(live_kernels(runs, besides=self)))
+            init(self, *args)
+
+        monkeypatch.setattr(_SortedSample, "__init__", counting_init)
+        fitted = TimeoutOptimizer(CONFIG).fit(dataset)
+        assert alive_at_build == [0] * 5
+        assert live_kernels(runs) == []
+        monkeypatch.undo()
+        kernels = {tid: _pooled_kernel(dataset, tid) for tid in dataset.test_ids()}
+        assert TimeoutOptimizer(CONFIG).fit(dataset, kernels).results_ == fitted.results_
+
+
 @pytest.mark.parametrize(
     "score",
     [
@@ -318,6 +388,17 @@ def test_uncovered_test_raises_the_policy_error(score):
 
 
 class TestTimeoutPolicy:
+    @pytest.mark.parametrize(
+        "values", [[7], [9, 3], [5, 1, 4], [2, 2, 8, 3], [1, 2], [10**20, 10**20 + 1]]
+    )
+    def test_median_value_is_the_statistics_median(self, values):
+        import statistics
+
+        policy = TimeoutPolicy(kind="original", values={f"t{i}": v for i, v in enumerate(values)})
+        median = policy.median_value(list(policy.values))
+        expected = statistics.median(values)
+        assert (type(median), median) == (type(expected), expected)
+
     def test_static_serves_every_test(self):
         policy = TimeoutPolicy.static(120)
         assert policy.value_for("anything") == 120

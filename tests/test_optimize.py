@@ -435,6 +435,99 @@ class TestCandidateSearch:
             assert by_kernel.test_id == "k"
 
 
+# The smallest duration whose scaling puts DURATION_LIMIT at a finite float:
+# 2**-923 has frexp exponent -922, so its denominator is 2**975.
+FAST_FLOOR = 2.0**-923
+
+
+def kernel_answers(kernel, thresholds):
+    """(truncated mean, overruns), overruns alone, and the statistics."""
+    return [kernel.at(t) for t in thresholds], [kernel.above(t) for t in thresholds], kernel.stats
+
+
+def reference_answers(durations, thresholds):
+    sample = sample_of(durations)
+    counts = [reference.count_timeouts(sample, t) for t in thresholds]
+    means = [reference.truncated_mean(sample, t) for t in thresholds]
+    return list(zip(means, counts)), counts, reference.sample_stats(sample)
+
+
+class TestExactScaling:
+    """Both branches of the kernel's common denominator against the ``fsum``
+    references, bit for bit: the fast 2**(53 - e) scaling, and the
+    ``as_integer_ratio`` fallback where DURATION_LIMIT * 2**(53 - e) overflows."""
+
+    CASES = [
+        pytest.param([0.0] * 6, 1, id="all-zero"),
+        pytest.param([0.0, -0.0, -0.0, 0.0, 3.5, -0.0, 0.0], 2**51, id="signed-zeros"),
+        pytest.param([5e-324, 0.0, 1.0, DURATION_LIMIT], 2**1074, id="subnormal-and-limit"),
+        pytest.param([FAST_FLOOR, 0.1, 7.0, DURATION_LIMIT], 2**975, id="fast-at-the-floor"),
+        pytest.param(
+            [math.nextafter(2 * FAST_FLOOR, 0.0), 0.1, DURATION_LIMIT], 2**975,
+            id="fast-full-mantissa",
+        ),
+        pytest.param(
+            [math.nextafter(FAST_FLOOR, 0.0), 0.1, DURATION_LIMIT], 2**976, id="past-the-floor"
+        ),
+        pytest.param([0.3, 0.1, 0.1, 0.2, 0.1, 0.3, 0.3, 0.2] * 2, 2**56, id="ties"),
+    ]
+
+    @staticmethod
+    def thresholds(durations):
+        points = {0.0, -0.0, 1e-300, 0.15, 60.0, math.inf, DURATION_LIMIT}
+        for d in durations:
+            points.update((d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), d / 2))
+        return sorted(points)
+
+    @pytest.mark.parametrize("durations, denominator", CASES)
+    def test_kernel_equals_the_reference(self, durations, denominator):
+        thresholds = self.thresholds(durations)
+        kernel = _SortedSample(durations)
+        kernel.split([True] * len(durations))  # sorts, so every answer reads the integers
+        assert kernel.denominator == denominator
+        assert kernel_answers(kernel, thresholds) == reference_answers(durations, thresholds)
+
+    @pytest.mark.parametrize("durations, denominator", CASES)
+    @pytest.mark.parametrize("pattern", ["alternate", "first-half", "all-but-the-max", "ties"])
+    def test_split_parts_equal_the_reference(self, durations, denominator, pattern):
+        # Each part is scored against the references of the durations it
+        # holds; "ties" cuts every run of equal durations in two.
+        ordered = sorted(durations)
+        n = len(ordered)
+        keep = {
+            "alternate": [i % 2 == 0 for i in range(n)],
+            "first-half": [i < n // 2 for i in range(n)],
+            "all-but-the-max": [i < n - 1 for i in range(n)],
+            "ties": [ordered[i] == ordered[i - 1] if i else False for i in range(n)],
+        }[pattern]
+        thresholds = self.thresholds(durations)
+        kept, rest = _SortedSample(durations).split(keep)
+        for part, side in ((kept, True), (rest, False)):
+            values = [d for d, k in zip(ordered, keep) if k is side]
+            assert part.n == len(values)
+            if values:
+                assert kernel_answers(part, thresholds) == reference_answers(values, thresholds)
+                assert part.ordered == sorted(values)
+
+    @pytest.mark.parametrize("method", PROBABILITY_METHODS)
+    @pytest.mark.parametrize(
+        "durations",
+        [[0.0, -0.0] * 20, [-0.0, 0.0] * 20, [0.0, -0.0, 90.0] * 12, [-0.0] * 3 + [200.0] * 33],
+        ids=["zeros", "zeros-negative-first", "zeros-and-runs", "negative-zeros-and-runs"],
+    )
+    def test_no_output_reads_the_sign_of_a_zero(self, durations, method):
+        # A sorted end can differ from max() or min() in the sign of a zero;
+        # the search reads the same answer either way.
+        config = OptimizationConfig(probability_method=method)
+        kernel = _SortedSample(durations, "t1")
+        kernel.split([True] * len(durations))
+        positive = [abs(d) for d in durations]
+        assert repr(optimize_timeout(kernel, config)) == repr(
+            optimize_timeout(sample_of(positive), config)
+        )
+        assert search_grid(kernel.stats) == search_grid(sample_stats(sample_of(positive)))
+
+
 @st.composite
 def early_stop_case_st(draw) -> list[float]:
     """2-60 durations: spread over up to a day, or equal but for a few one

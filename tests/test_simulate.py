@@ -78,6 +78,16 @@ class TestWorkloadSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             spec_of(**overrides)
 
+    @pytest.mark.parametrize(
+        "scale, spread", [(1e300, 1e300), (6e301, 1e10), (sys.float_info.max, 1.0 + 2**-52)]
+    )
+    def test_rejects_an_overflowing_drawn_scale(self, scale, spread):
+        with pytest.raises(ValueError, match="scale_seconds .* times scale_spread .* finite"):
+            spec_of(scale_seconds=scale, scale_spread=spread)
+
+    def test_accepts_a_large_finite_drawn_scale(self):
+        assert spec_of(scale_seconds=1e300, scale_spread=1e8).scale_spread == 1e8
+
 
 class TestGenerateWorkload:
     def test_constant_distribution_emits_constant_durations(self):
@@ -407,6 +417,20 @@ class TestImportGraph:
             "import sys, timeopt.cli\n"
             "assert timeopt.cli.run(['simulate', '--tests', '2', '--runs', '20',"
             f" '--seed', '1', '--report-out', {str(report)!r}]) == 0\n"
+            "assert 'timeopt.evaluate' in sys.modules\n"
+            "loaded = [m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]\n"
+            "assert loaded == [], loaded\n"
+        )
+
+    def test_evaluate_loads_no_statistics(self, tmp_path):
+        # the totals' median_value is computed in place; statistics pulls in
+        # fractions and decimal
+        path = str(tmp_path / "runs.jsonl")
+        write_executions(verdict_dataset({"a": ["pass"] * 6, "b": ["pass", "fail"] * 3}), path)
+        run_python(
+            "import sys, timeopt.cli\n"
+            f"assert timeopt.cli.run(['evaluate', '--input', {path!r}, '--k', '2',"
+            f" '--seed', '1', '--min-samples', '2', '--out', {path + '.cv'!r}]) == 0\n"
             "assert 'timeopt.evaluate' in sys.modules\n"
             "loaded = [m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]\n"
             "assert loaded == [], loaded\n"
