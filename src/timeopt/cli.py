@@ -231,30 +231,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         policies.append(ev.TimeoutPolicy.static(args.static))
     if not policies:
         policies.append(ev.TimeoutPolicy.static(120))
-    # Each test's full kernel, sorted once for the folds and read again by
-    # the whole-dataset fit below; freed before compare_policies.
-    kernels = {tid: op._pooled_kernel(dataset, tid) for tid in dataset.test_ids()}
-    report = ev.cross_validate(dataset, policies, config, k=args.k, seed=args.seed, kernels=kernels)
+    report = ev.cross_validate(dataset, policies, config, k=args.k, seed=args.seed)
     if excluded := report.excluded_tests:
         _warn(
             f"excluded {len(excluded)} tests with fewer than {report.k} executions: "
             f"{list(excluded[:5])}{'...' if len(excluded) > 5 else ''}"
         )
-    sys.stdout.write(_cv_table(report))
-
-    # whole-dataset fit for the totals table below the per-fold one
-    fitted = op.TimeoutOptimizer(config).fit(dataset, kernels)
-    del kernels
-    all_policies = policies + [
-        ev.TimeoutPolicy(kind="optimized", values=fitted.timeouts_)
+    # the totals table below the per-fold one scores the whole-dataset fit;
+    # nothing is written until both tables are complete
+    optimized = ev.TimeoutPolicy(kind="optimized", values=report.fitted_timeouts)
+    entries = ev.compare_policies(dataset, policies + [optimized], config)
+    lines = [
+        f"total {entry.policy}: timeouts={entry.flaky_timeout_count} "
+        f"avg_cost_s={entry.average_cost:.2f} median_timeout={entry.median_timeout:g}\n"
+        for entry in entries
     ]
-    totals: list[dict[str, Any]] = []
-    for entry in ev.compare_policies(dataset, all_policies, config):
-        totals.append(asdict(entry))
-        sys.stdout.write(
-            f"total {entry.policy}: timeouts={entry.flaky_timeout_count} "
-            f"avg_cost_s={entry.average_cost:.2f} median_timeout={entry.median_timeout:g}\n"
-        )
+    sys.stdout.write(_cv_table(report) + "".join(lines))
 
     if args.out:
         payload = {
@@ -264,7 +256,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "folds": [asdict(row) for row in report.rows],
             "timeout_reduction": report.timeout_reduction,
             "excluded_tests": report.excluded_tests,
-            "totals": totals,
+            "totals": [asdict(entry) for entry in entries],
         }
         _emit_json(payload, args.out)
     return 0

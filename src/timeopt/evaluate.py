@@ -5,7 +5,9 @@ optimizer is fitted on the other k - 1 folds and every policy is scored on
 the held-out fold: flaky-timeout counts (durations strictly above the
 policy's timeout) and average per-test cost with probabilities estimated
 empirically from the held-out data. Folds evaluate independently and the
-whole report is deterministic given (dataset, seed, config).
+whole report is deterministic given (dataset, seed, config). The report
+also carries each test's timeout fitted on all its runs, from the same
+kernel, so ``evaluate`` sorts each test's runs once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
 from .optimize import OptimizationConfig, _pooled_kernel, _SortedSample, optimize_timeout
@@ -92,12 +94,16 @@ class FoldPolicyResult:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Per-fold, per-policy held-out scores plus mean reduction ratios.
+    """Per-fold, per-policy held-out scores plus mean reduction ratios, and
+    the whole-dataset fit.
 
     ``timeout_reduction[a][b]`` is the mean over folds of
     1 - count(a)/count(b): the share of policy b's held-out flaky timeouts
     that policy a avoids. Folds where b produced no timeouts are skipped;
     None means no fold was comparable. A policy against itself is 0.
+    ``fitted_timeouts`` maps every test, excluded ones too, to its timeout
+    (grid units) fitted on all its runs, equal to ``TimeoutOptimizer.fit``'s
+    ``timeouts_``.
     """
 
     k: int
@@ -105,6 +111,7 @@ class CvReport:
     policies: tuple[str, ...]
     rows: tuple[FoldPolicyResult, ...]
     timeout_reduction: Mapping[str, Mapping[str, float | None]]
+    fitted_timeouts: Mapping[str, int]
     excluded_tests: tuple[str, ...] = ()
 
     def row(self, fold: int, policy: str) -> FoldPolicyResult:
@@ -170,24 +177,23 @@ def cross_validate(
     config: OptimizationConfig,
     k: int = 5,
     seed: int = 0,
-    kernels: Mapping[str, _SortedSample] | None = None,
 ) -> CvReport:
-    """Score baseline policies against a freshly fitted one, fold by fold.
+    """Score baseline policies against a freshly fitted one, fold by fold,
+    and fit every test on the whole dataset.
 
     For every fold, cost-optimal timeouts are computed from the other k - 1
     folds and evaluated (label ``"optimized"``) next to the given baseline
     policies on the held-out fold; every fold is evaluated exactly once.
     Held-out costs use empirical probabilities from the evaluated fold,
-    whatever method fitted the timeouts.
+    whatever method fitted the timeouts. ``fitted_timeouts`` holds every
+    test's whole-dataset timeout, as ``TimeoutOptimizer.fit`` gives it.
 
-    Each included test has one full kernel, its ``_pooled_kernel``: taken
-    from ``kernels`` when given (so that a whole-dataset
-    ``TimeoutOptimizer.fit`` can read the same sorted kernels after), else
-    built here and freed on return. Each fold splits it into a held-out
-    kernel and a training ``_Difference`` (full minus held-out), so the
-    full kernel is sorted and scaled once. A fold's held-out kernels are
-    freed when the next fold's replace them, and each training view once
-    its fit returns.
+    Tests are visited one at a time, so one test's kernels are alive at
+    once. An included test's kernel is built from its runs in duration
+    order, the order every fold masks, and is sorted and scaled once. Each
+    fold splits it into a held-out kernel and a training ``_Difference``
+    (full minus held-out); the whole-dataset fit then reads the same kernel.
+    A test with fewer than k runs gets a kernel for its whole fit only.
 
     Raises:
         ValueError: when a baseline policy misses a test, or a baseline is
@@ -195,7 +201,8 @@ def cross_validate(
     """
     folds = make_folds(dataset, k, seed)
     excluded = set(folds.excluded_tests)
-    included_tests = [tid for tid in dataset.test_ids() if tid not in excluded]
+    test_ids = dataset.test_ids()
+    included_tests = [tid for tid in test_ids if tid not in excluded]
     if not included_tests:
         raise ValueError("no test has enough executions for cross-validation")
 
@@ -206,39 +213,35 @@ def cross_validate(
         raise ValueError(f"duplicate policy labels: {labels}")
     baselines = [policy.seconds(included_tests) for policy in policies]
 
-    # Each test's rows in the kernel's sorted order: both stable sorts of the
-    # same durations in test_index order, so ties line up. Every fold masks it.
-    durations, assignment = dataset.durations, folds.assignment
-    by_test: list[tuple[str, _SortedSample, list[int]]] = []
-    for test_id in included_tests:
-        kernel = kernels[test_id] if kernels is not None else _pooled_kernel(dataset, test_id)
-        order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
-        by_test.append((test_id, kernel, [assignment[i] for i in order]))
-
     all_labels = labels + [OPTIMIZED_POLICY]
-    rows: list[FoldPolicyResult] = []
-    for fold in range(k):
-        eval_samples: dict[str, _SortedSample] = {}
-        fitted: dict[str, float] = {}
-        for test_id, kernel, fold_of in by_test:
-            held_out, train = kernel.split([f == fold for f in fold_of])
-            eval_samples[test_id] = held_out
-            fitted[test_id] = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
+    # per fold and policy: held-out overruns, and each included test's cost in test order
+    totals = [_Totals(len(all_labels)) for _ in range(k)]
+    fitted_timeouts: dict[str, int] = {}
+    durations, assignment = dataset.durations, folds.assignment
+    for test_id in test_ids:
+        if test_id in excluded:
+            kernel = _pooled_kernel(dataset, test_id)
+        else:
+            # Both stable sorts of the same durations in test_index order, so
+            # this order is the kernel's sorted one, ties included.
+            order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
+            kernel = _SortedSample([durations[i] for i in order], test_id)
+            fold_of = [assignment[i] for i in order]
+            baseline_seconds = [baseline[test_id] for baseline in baselines]
+            for fold, fold_totals in enumerate(totals):
+                held_out, train = kernel.split([f == fold for f in fold_of])
+                fitted = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
+                _score(held_out, baseline_seconds + [fitted], config, fold_totals)
+            del held_out, train
+        fitted_timeouts[test_id] = optimize_timeout(kernel, config).optimal_timeout
+        del kernel  # freed before the next test's is built
 
-        for label, seconds in zip(all_labels, baselines + [fitted]):
-            timeouts, average_cost = _score(eval_samples.items(), seconds, config)
-            rows.append(
-                FoldPolicyResult(
-                    fold=fold,
-                    policy=label,
-                    flaky_timeout_count=timeouts,
-                    average_cost=average_cost,
-                )
-            )
-
-    counts: dict[tuple[int, str], int] = {
-        (row.fold, row.policy): row.flaky_timeout_count for row in rows
-    }
+    rows = [
+        FoldPolicyResult(fold, label, *result)
+        for fold, fold_totals in enumerate(totals)
+        for label, result in zip(all_labels, fold_totals.results())
+    ]
+    counts = {(row.fold, row.policy): row.flaky_timeout_count for row in rows}
     reduction: dict[str, dict[str, float | None]] = {}
     for a in all_labels:
         reduction[a] = {}
@@ -259,6 +262,7 @@ def cross_validate(
         policies=tuple(all_labels),
         rows=tuple(rows),
         timeout_reduction=reduction,
+        fitted_timeouts=fitted_timeouts,
         excluded_tests=folds.excluded_tests,
     )
 
@@ -270,10 +274,11 @@ def compare_policies(
 ) -> tuple[PolicyTotals, ...]:
     """Whole-dataset totals per policy: timeouts, average cost, median value.
 
-    No cross-validation: each (test, revision) sample is scored at the
+    No cross-validation: each (test, revision) sample is scored at every
     policy's timeout for its test, with empirical probabilities, through one
-    kernel per sample. A kernel is sorted only when some policy cuts its
-    sample; below that, it scores the ``fsum`` mean with no overrun.
+    kernel, freed before the next sample's is built. A kernel is sorted only
+    when some policy cuts its sample; below that, it scores the ``fsum``
+    mean with no overrun.
 
     Raises:
         ValueError: when a policy misses a test present in the dataset.
@@ -282,40 +287,40 @@ def compare_policies(
     if not test_ids:
         raise ValueError("empty dataset")
     policy_seconds = [policy.seconds(test_ids) for policy in policies]
+    seconds = {tid: [timeouts[tid] for timeouts in policy_seconds] for tid in test_ids}
 
+    totals = _Totals(len(policies))
     durations = dataset.durations
-    samples = [
-        (test_id, _SortedSample([durations[i] for i in rows]))
-        for (test_id, _), rows in dataset.sample_index.items()
-    ]
-    totals: list[PolicyTotals] = []
-    for policy, seconds in zip(policies, policy_seconds):
-        timeouts, average_cost = _score(samples, seconds, config)
-        totals.append(
-            PolicyTotals(
-                policy=policy.label,
-                flaky_timeout_count=timeouts,
-                average_cost=average_cost,
-                median_timeout=policy.median_value(test_ids),
-            )
-        )
-    return tuple(totals)
+    for (test_id, _), rows in dataset.sample_index.items():
+        _score(_SortedSample([durations[i] for i in rows]), seconds[test_id], config, totals)
+    return tuple(
+        PolicyTotals(policy.label, *result, policy.median_value(test_ids))
+        for policy, result in zip(policies, totals.results())
+    )
+
+
+class _Totals:
+    """Per policy, the overruns and the empirical costs of the samples scored
+    so far, the costs in scoring order."""
+
+    def __init__(self, policies: int) -> None:
+        self.overruns = [0] * policies
+        self.costs: list[list[float]] = [[] for _ in range(policies)]
+
+    def results(self) -> list[tuple[int, float]]:
+        """(overruns, average cost) per policy."""
+        return [(over, sum(costs) / len(costs)) for over, costs in zip(self.overruns, self.costs)]
 
 
 def _score(
-    samples: Iterable[tuple[str, _SortedSample]],
-    seconds: Mapping[str, float],
-    config: OptimizationConfig,
-) -> tuple[int, float]:
-    """(overruns, average empirical cost) of per-test timeouts over the
-    samples' kernels."""
-    overruns = 0
-    costs: list[float] = []
-    for test_id, kernel in samples:
-        cost, over = kernel.empirical_cost(seconds[test_id], config)
-        overruns += over
-        costs.append(cost)
-    return overruns, sum(costs) / len(costs)
+    kernel: _SortedSample, seconds: Sequence[float], config: OptimizationConfig, totals: _Totals
+) -> None:
+    """Add the kernel's overruns and empirical cost at each policy's timeout,
+    ``seconds[i]``, to that policy's totals."""
+    for i, timeout in enumerate(seconds):
+        cost, over = kernel.empirical_cost(timeout, config)
+        totals.overruns[i] += over
+        totals.costs[i].append(cost)
 
 
 def load_timeout_policy(

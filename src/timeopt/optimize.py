@@ -39,10 +39,10 @@ durations as exact integers over the denominator 2**(53 - e), e the ``frexp``
 exponent of its smallest nonzero duration, and reads its mean from their
 sum. A split builds only the held-out kernel; the training side is the full
 kernel minus it, answered from the two prefix sums. ``fit`` builds, searches
-and frees one test's kernel at a time, or reads the kernels that
-``cross_validate`` sorted, so ``evaluate`` sorts each test once. The static
-sweep rescores a sample only until its kernel reports no overrun; past that,
-its cost changes only through the breakage term.
+and frees one test's kernel at a time; ``cross_validate`` fits each test on
+the kernel that its folds split, so ``evaluate`` sorts each test once. The
+static sweep rescores a sample only until its kernel reports no overrun;
+past that, its cost changes only through the breakage term.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -54,9 +54,8 @@ import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, stats_around,
@@ -597,17 +596,14 @@ class TimeoutOptimizer:
     def __init__(self, config: OptimizationConfig = OptimizationConfig()) -> None:
         self.config = config
 
-    def fit(
-        self, dataset: ExecutionDataset, kernels: Mapping[str, _SortedSample] | None = None
-    ) -> "TimeoutOptimizer":
-        """Fit every test of the dataset. ``kernels``, when given, maps each
-        test id to its ``_pooled_kernel``, which is read in place of a new
-        one (``evaluate`` passes the kernels that its cross-validation
-        sorted). Without it, each test's kernel is built, searched and freed
-        before the next is built, so no two are alive at once."""
-        kernel_of = kernels.__getitem__ if kernels is not None else partial(_pooled_kernel, dataset)
+    def fit(self, dataset: ExecutionDataset) -> "TimeoutOptimizer":
+        """Fit every test of the dataset. Each test's kernel is built,
+        searched and freed before the next is built, so no two are alive at
+        once."""
         config = self.config
-        self.results_ = {t: optimize_timeout(kernel_of(t), config) for t in dataset.test_ids()}
+        self.results_ = {
+            t: optimize_timeout(_pooled_kernel(dataset, t), config) for t in dataset.test_ids()
+        }
         self.timeouts_ = {tid: res.optimal_timeout for tid, res in self.results_.items()}
         return self
 

@@ -111,7 +111,8 @@ def reference_cross_validate(
     """``cross_validate`` the straightforward way: per fold and test, the
     training and held-out rows go through ``subsample``, the training sample
     is fitted by ``optimize_timeout``, and every policy is scored with the
-    ``fsum`` reference cost and overrun count of ``reference``."""
+    ``fsum`` reference cost and overrun count of ``reference``. Each test's
+    whole-dataset timeout is ``optimize_timeout`` of its ``pooled_sample``."""
     folds = make_folds(dataset, k, seed)
     included = [tid for tid in dataset.test_ids() if tid not in folds.excluded_tests]
     empirical = replace(config, probability_method=EMPIRICAL_ECDF)
@@ -141,4 +142,10 @@ def reference_cross_validate(
         for b in labels:
             ratios = [1.0 - counts[f, a] / counts[f, b] for f in range(k) if counts[f, b] > 0]
             reduction[a][b] = 0.0 if a == b else (sum(ratios) / len(ratios) if ratios else None)
-    return CvReport(k, seed, tuple(labels), tuple(rows), reduction, folds.excluded_tests)
+    fitted_timeouts = {
+        tid: optimize_timeout(dataset.pooled_sample(tid), config).optimal_timeout
+        for tid in dataset.test_ids()
+    }
+    return CvReport(
+        k, seed, tuple(labels), tuple(rows), reduction, fitted_timeouts, folds.excluded_tests
+    )

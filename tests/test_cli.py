@@ -342,6 +342,27 @@ class TestEvaluate:
         assert code == 0
         assert "original" in capsys.readouterr().out
 
+    def test_policy_gap_writes_no_table(self, tmp_path, capsys):
+        # the policy covers the folds' tests but not "tiny", too small for
+        # them: the totals fail, and no half report reaches stdout
+        path = tmp_path / "runs.jsonl"
+        runs = {
+            ("a", "r1"): [(m * MINUTE, "pass") for m in range(1, 41)],
+            ("tiny", "r1"): [(MINUTE, "pass")],
+        }
+        write_executions(dataset_of(runs), path)
+        timeouts = tmp_path / "orig.csv"
+        timeouts.write_text("test_id,timeout_minutes\na,30\n")
+        argv = ["evaluate", "--input", str(path), "--k", "5", "--seed", "1"]
+        assert run(argv + ["--timeouts", str(timeouts), "--out", str(tmp_path / "cv.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "warning: excluded 1 tests with fewer than 5 executions: ['tiny']\n"
+            "error: policy 'original' has no timeout for test 'tiny'\n"
+        )
+        assert not (tmp_path / "cv.json").exists()
+
 
 class TestSimulate:
     def test_writes_dataset_policy_and_report(self, tmp_path, capsys):

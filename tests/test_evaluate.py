@@ -29,7 +29,6 @@ from timeopt.optimize import (
     TOLHURST_BOUND,
     OptimizationConfig,
     TimeoutOptimizer,
-    _pooled_kernel,
     _SortedSample,
     empirical_exceedance,
 )
@@ -297,8 +296,30 @@ class TestComparePolicies:
         ]
         for policy, row in zip(policies, totals):
             seconds = policy.seconds(dataset.test_ids())
-            expected = evaluate._score(every_kernel, seconds, CONFIG)
-            assert (row.flaky_timeout_count, row.average_cost) == expected
+            scored = [sample.empirical_cost(seconds[tid], CONFIG) for tid, sample in every_kernel]
+            costs = [cost for cost, _ in scored]
+            assert row.flaky_timeout_count == sum(over for _, over in scored)
+            assert row.average_cost == sum(costs) / len(costs)
+
+    def test_holds_one_sample_kernel_at_a_time(self, monkeypatch):
+        dataset = dataset_of(
+            {
+                (tid, revision): [(60.0 * (i % 7 + 1), "pass") for i in range(9)]
+                for tid in ("a", "b", "c")
+                for revision in ("r1", "r2")
+            }
+        )
+        policy = TimeoutPolicy(kind="original", values={"a": 2, "b": 4, "c": 8})
+        alive_at_build = []
+        init = _SortedSample.__init__
+
+        def counting_init(self, *args):
+            alive_at_build.append(len(live_kernels([""], besides=self)))
+            init(self, *args)
+
+        monkeypatch.setattr(_SortedSample, "__init__", counting_init)
+        compare_policies(dataset, [policy, TimeoutPolicy.static(3)], CONFIG)
+        assert alive_at_build == [0] * 6
 
     def test_coverage_gap_errors(self):
         dataset = fleet({"a": [60.0], "b": [60.0]})
@@ -319,7 +340,8 @@ def live_kernels(test_ids, besides=None) -> list:
 class TestKernelSharing:
     """``evaluate`` sorts each test's full kernel once: its folds, their
     training sides and the whole-dataset fit read it, and it is freed before
-    ``compare_policies`` builds its own (test, revision) kernels."""
+    the next test's is built, and before ``compare_policies`` builds its own
+    (test, revision) kernels."""
 
     @staticmethod
     def spread_runs(tests: int) -> dict[str, list[float]]:
@@ -362,12 +384,42 @@ class TestKernelSharing:
             init(self, *args)
 
         monkeypatch.setattr(_SortedSample, "__init__", counting_init)
-        fitted = TimeoutOptimizer(CONFIG).fit(dataset)
+        TimeoutOptimizer(CONFIG).fit(dataset)
         assert alive_at_build == [0] * 5
         assert live_kernels(runs) == []
-        monkeypatch.undo()
-        kernels = {tid: _pooled_kernel(dataset, tid) for tid in dataset.test_ids()}
-        assert TimeoutOptimizer(CONFIG).fit(dataset, kernels).results_ == fitted.results_
+
+    def test_cross_validate_holds_one_test_kernel_at_a_time(self, monkeypatch):
+        # "tiny" is excluded from the folds and gets a kernel for its whole fit
+        runs = {**self.spread_runs(4), "tiny": [100.0, 1.0]}
+        built = Counter()
+        others_alive = []
+        init = _SortedSample.__init__
+
+        def counting_init(self, durations, test_id=""):
+            built[test_id] += 1
+            others = [o for o in live_kernels(runs, besides=self) if o.test_id != test_id]
+            others_alive.append(len(others))
+            init(self, durations, test_id)
+
+        monkeypatch.setattr(_SortedSample, "__init__", counting_init)
+        report = cross_validate(fleet(runs), [TimeoutPolicy.static(5)], CONFIG, k=3, seed=2)
+        assert report.excluded_tests == ("tiny",)
+        # a full kernel, then a held-out kernel and a training view per fold
+        assert built == {**{tid: 1 + 2 * 3 for tid in self.spread_runs(4)}, "tiny": 1}
+        assert others_alive == [0] * sum(built.values())
+        assert live_kernels(runs) == []
+
+    @pytest.mark.parametrize("method", [EMPIRICAL_ECDF, TOLHURST_BOUND])
+    @pytest.mark.parametrize("min_samples", [2, 30])
+    def test_fitted_timeouts_are_the_whole_fit(self, method, min_samples):
+        # excluded tests, censored hangs, signed zeros and ties
+        dataset = reference_fixture()
+        config = OptimizationConfig(probability_method=method, min_samples=min_samples)
+        report = cross_validate(dataset, [TimeoutPolicy.static(3)], config, k=5, seed=4)
+        assert report.excluded_tests == ("single", "tiny")
+        assert any(dataset.censored)
+        fitted = TimeoutOptimizer(config).fit(dataset).timeouts_
+        assert list(report.fitted_timeouts.items()) == list(fitted.items())
 
 
 @pytest.mark.parametrize(
