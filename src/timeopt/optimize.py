@@ -25,12 +25,20 @@ each step of p: empirically, the first point at or above each duration, at
 most n + 1; for the Tolhurst bound, whose steps are found in exact integers,
 at most (n + 1) // 2 + 1, however far the grid reaches. Durations lie in
 ``[0, DURATION_LIMIT]`` (``model``), so no statistic overflows and the
-search reads only exact floats. Below a candidate of
-probability p, every one has p, tm and t at least p, tm(lower) and lower; by
-the same monotonicity, the scan stops exactly once the cost of those three
-exceeds the best. The search, the static sweep and held-out scoring read the
-sample statistics, tm(t) and the empirical p(t) from one kernel per sample;
-``truncated_mean``, ``empirical_exceedance``, ``timeout_probability`` and
+search reads only exact floats. The scan keeps a floor f, a unit whose tm
+it has read, lower at first: every unit at or above f has tm and t at least
+tm(f) and f. So below a candidate of probability p, every unit at or above
+f costs at least the cost of p, tm(f) and f, and the scan stops exactly once
+that exceeds the best. Each time the best cost falls, the floor rises: p is
+an integer count over a fixed denominator, bisection finds the least count
+whose p costs more than the best even at tm(f) and f, and every unit below
+the first unit of a smaller count then costs more than the best. The floor
+moves to that unit and tm is read there, once, until the floor stops
+rising; the scan ends once the floor reaches the best candidate. Pruning
+needs a strict excess, so ties still go to the smallest timeout. The search,
+the static sweep and held-out scoring read the sample statistics, tm(t) and
+the empirical p(t) from one kernel per sample; ``truncated_mean``,
+``empirical_exceedance``, ``timeout_probability`` and
 ``expected_cost`` are adapters over a kernel, and the tests hold the ``fsum``
 definitions. The kernel alone decides saturation: at a t at or above the
 sample's max, p is 0 and tm is the exact mean, sorted or not, and a kernel
@@ -239,7 +247,7 @@ class _SortedSample:
     """
 
     __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats", "_top",
-                 "_mean")
+                 "_mean", "_tolhurst")
 
     def __init__(self, durations: Iterable[float], test_id: str = "") -> None:
         self.test_id = test_id
@@ -249,6 +257,7 @@ class _SortedSample:
         self._stats: SampleStats | None = None
         self._top = max(self.ordered) if self.ordered else -math.inf  # the one saturation bound
         self._mean: float | None = None  # kept once read
+        self._tolhurst: _TolhurstSteps | None = None
 
     def _sort(self) -> None:
         ordered = self.ordered
@@ -309,6 +318,14 @@ class _SortedSample:
             else:
                 self._stats = stats_around(ordered, self.mean, ordered[-1], ordered[0])
         return self._stats
+
+    @property
+    def tolhurst(self) -> _TolhurstSteps:
+        """The Tolhurst numerator's steps, built once: the search's walk and
+        its floor read the same."""
+        if self._tolhurst is None:
+            self._tolhurst = _TolhurstSteps(self.stats)
+        return self._tolhurst
 
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, number of durations strictly above) at a threshold."""
@@ -434,8 +451,12 @@ def optimize_timeout(
     the kernel. The candidates, the first grid point of every step of p, are
     visited from ``upper`` down to ``lower`` in one walk (``_walk``); keeping
     a cost at most the best returns the exhaustive argmin, ties going to the
-    smallest timeout. The scan stops at a candidate whose p costs more than
-    the best even at tm(lower) and ``lower``: none left can cost less.
+    smallest timeout. Every unit below a floor, ``lower`` at first, costs
+    more than the best; each time the best cost falls, ``_raised_floor``
+    lifts the floor by inverting p's steps. The scan stops at a candidate
+    whose p costs more than the best even at the floor's tm and t, or once
+    the floor reaches the best candidate: none left can cost less, and no
+    tie is pruned.
 
     Samples with fewer than ``config.min_samples`` executions receive the
     static fallback timeout instead; their reported cost and probability are
@@ -457,18 +478,23 @@ def optimize_timeout(
             lower = upper = t
     else:
         lower, upper = search_grid(kernel.stats)
-        floor = lower * GRID_SECONDS
-        tm_floor = kernel.at(floor)[0]
         empirical = config.probability_method == EMPIRICAL_ECDF
+        floor, tm_floor = lower, kernel.at(lower * GRID_SECONDS)[0]
         t, cost, p = lower, math.inf, math.inf
         for unit, unit_p in _walk(kernel, lower, upper, empirical):
-            if _cost(tm_floor, unit_p, floor, config) > cost:
+            if _cost(tm_floor, unit_p, floor * GRID_SECONDS, config) > cost:
                 break
             threshold = unit * GRID_SECONDS
-            tm = kernel.at(threshold)[0] if unit > lower else tm_floor
+            tm = kernel.at(threshold)[0] if unit > floor else tm_floor
             unit_cost = _cost(tm, unit_p, threshold, config)
             if unit_cost <= cost and unit_cost < math.inf:  # an infinite cost is never kept
+                if unit_cost < cost and unit > floor:
+                    floor, tm_floor = _raised_floor(
+                        kernel, empirical, (floor, tm_floor), (unit, tm), unit_cost, config
+                    )
                 t, cost, p = unit, unit_cost, unit_p
+                if floor == unit:  # every candidate left lies below the floor
+                    break
     return OptimizationResult(
         test_id=kernel.test_id,
         optimal_timeout=t,
@@ -486,26 +512,73 @@ def _walk(
     """(unit, p) at the first unit in [lower, upper] of each step of p, from
     the step that holds ``upper`` down to the one that holds ``lower``.
 
-    A step starts at the first unit at or above its least threshold: with k
-    < n durations above, the (n - k)th smallest duration (the max at k = 0,
-    so no sort there); for the Tolhurst numerator j <= n, the end of step
-    j + 1 (of step 2 at j = 0, where a zero-spread sample's p drops from 1
-    to 0); else 0. The unit below a start lies in the next step down.
+    p is a count over d: the overruns over n, or the Tolhurst numerator j
+    over n + 1. A step with count c starts at ``_step_start(c + 1)``, and the
+    unit below a start lies in the next step down.
     """
-    n, stats = kernel.n, kernel.stats
-    steps = None if empirical else _TolhurstSteps(stats)
+    d = kernel.n if empirical else kernel.n + 1
     u = upper
     while u >= lower:
-        if steps is None:
-            over = kernel.above(u * GRID_SECONDS)
-            start = 0.0 if over == n else kernel.ordered[n - over - 1] if over else stats.max
-            p = over / n
-        else:
-            j = steps.index(u * GRID_SECONDS)
-            p, start = j / (n + 1), (steps.end(max(j + 1, 2)) if j <= n else 0.0)
-        u = max(lower, _unit_at_least(start))
-        yield u, p
+        threshold = u * GRID_SECONDS
+        count = kernel.above(threshold) if empirical else kernel.tolhurst.index(threshold)
+        u = max(lower, _step_start(kernel, empirical, count + 1))
+        yield u, count / d
         u -= 1
+
+
+def _step_start(kernel: _SortedSample, empirical: bool, c: int) -> int:
+    """The least unit whose count behind p is below c >= 1, 0 if every one is.
+
+    Its least threshold: with c - 1 < n overruns, the (n - c + 1)th smallest
+    duration (the max at c = 1, so no sort there; a larger c is asked only
+    once a read below the max has sorted the kernel); for the Tolhurst
+    numerator, ``_TolhurstSteps.end(c)`` (of step 2 at c = 1, where a
+    zero-spread sample's j drops from n + 1 to 0) while c <= n + 1; else 0.
+    """
+    n = kernel.n
+    if empirical:
+        seconds = 0.0 if c > n else kernel.ordered[n - c] if c > 1 else kernel.stats.max
+    else:
+        seconds = kernel.tolhurst.end(max(c, 2)) if c <= n + 1 else 0.0
+    return _unit_at_least(seconds)
+
+
+def _raised_floor(
+    kernel: _SortedSample,
+    empirical: bool,
+    floor: tuple[int, float],
+    best: tuple[int, float],
+    cost: float,
+    config: OptimizationConfig,
+) -> tuple[int, float]:
+    """The floor (unit, tm there) raised past every unit that must cost more
+    than ``cost``, the cost of ``best``, the best candidate's (unit, tm).
+
+    Units at or above the floor have tm and t at least the floor's, so the
+    least count c whose p costs more than ``cost`` even there, found by
+    bisection, prices out every unit below ``_step_start(c)``. No count up to
+    the best's own does, so c >= 1 and no start passes the best. The floor
+    moves to the start and reads tm there, until it stops rising or reaches
+    the best; a higher floor can only lower c, so each bisection searches up
+    to the last one's c.
+    """
+    unit, tm = floor
+    d = kernel.n if empirical else kernel.n + 1  # p = count / d, count in [0, d]
+    hi = d + 1  # none: every count costs at most the best at the floor
+    while True:
+        lo, seconds = 1, unit * GRID_SECONDS
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _cost(tm, mid / d, seconds, config) > cost:
+                hi = mid
+            else:
+                lo = mid + 1
+        start = _step_start(kernel, empirical, hi)
+        if start <= unit:
+            return unit, tm
+        if start >= best[0]:
+            return best
+        unit, tm = start, kernel.at(start * GRID_SECONDS)[0]
 
 
 def _unit_at_least(seconds: float) -> int:

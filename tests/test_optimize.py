@@ -411,9 +411,31 @@ class TestCandidateSearch:
         monkeypatch.setattr(_SortedSample, "at", counting_at)
         result = optimize_timeout(sample_of(durations), config)
         assert (result.optimal_timeout, result.expected_cost_at_optimum) == expected
-        # one call reads tm at lower, the rest score candidates above it: so
-        # fewer calls than steps leave a candidate above lower unscored
+        # one call reads tm at lower, one reads it at each raised floor, and the
+        # rest score candidates above them: so fewer calls than steps leave a
+        # candidate above lower unscored
         assert calls < steps
+
+    @pytest.mark.parametrize("config", [EMPIRICAL, TOLHURST])
+    def test_a_750_run_fit_reads_the_kernel_a_few_times(self, monkeypatch, config):
+        # a fold fit at paper scale: the argmin is the walk's first candidate,
+        # and the raised floor reaches it after a few reads, where a floor
+        # fixed at lower would let the walk score about 10 to 20 candidates
+        rng = random.Random(0)
+        durations = [300 * rng.lognormvariate(0, 0.5) for _ in range(750)]
+        expected = self.exhaustive(_SortedSample(durations), config)
+        calls = 0
+        at = _SortedSample.at
+
+        def counting_at(self, threshold):
+            nonlocal calls
+            calls += 1
+            return at(self, threshold)
+
+        monkeypatch.setattr(_SortedSample, "at", counting_at)
+        result = optimize_timeout(_SortedSample(durations), config)
+        assert (result.optimal_timeout, result.expected_cost_at_optimum) == expected
+        assert calls <= 5
 
     @pytest.mark.parametrize(
         "seconds",
@@ -531,7 +553,14 @@ class TestExactScaling:
 @st.composite
 def early_stop_case_st(draw) -> list[float]:
     """2-60 durations: spread over up to a day, or equal but for a few one
-    ulp above, so that p drops from 1 to its floor within one grid unit."""
+    ulp above, so that p drops from 1 to its floor within one grid unit; or
+    100-800 lognormal runs and up to 3 far outliers, where the argmin lies
+    near the top and the search floor rises to it."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        scale, sigma = draw(st.floats(1.0, 3600.0)), draw(st.floats(0.05, 1.0))
+        runs = [scale * rng.lognormvariate(0, sigma) for _ in range(draw(st.integers(100, 800)))]
+        return runs + [scale * f for f in draw(st.lists(st.floats(10.0, 1000.0), max_size=3))]
     n = draw(st.integers(2, 60))
     if draw(st.booleans()):
         return draw(st.lists(st.floats(min_value=0.0, max_value=86400.0), min_size=n, max_size=n))
@@ -554,6 +583,25 @@ def early_stop_case_st(draw) -> list[float]:
     durations=[DURATION_LIMIT / 2, DURATION_LIMIT] * 15, method=TOLHURST_BOUND, reruns=10**300,
     breakage=0.0,
 )
+# the edges of the floor's inversion, the least count whose p prices out
+# the units below its step: the Tolhurst j* = 1 (zero spread: j falls from
+# n + 1 to 0 at the best), and j* > n + 1 (with m = 0 no p costs more)
+@example(durations=[120.0] * 30, method=TOLHURST_BOUND, reruns=3, breakage=0.0)
+@example(durations=[30.0, 60.0, 1800.0], method=TOLHURST_BOUND, reruns=0, breakage=0.0)
+# empirical k* at its least, 1, with no count 0 priced out, since the best
+# has p = 0; and k* > n, where no overrun count costs more than the best
+@example(durations=[30.0, 60.0, 90.0], method=EMPIRICAL_ECDF, reruns=3, breakage=0.0)
+@example(durations=[30.0] * 20 + [60.0] * 2 + [1800.0] * 2, method=EMPIRICAL_ECDF, reruns=3,
+         breakage=0.0)
+# candidates tie on cost, so a floor raised on a cost merely equal to the
+# best would pass the smaller timeout
+@example(durations=[0.0, 90.0], method=EMPIRICAL_ECDF, reruns=1, breakage=0.0)
+@example(durations=[30.0, 60.0], method=TOLHURST_BOUND, reruns=0, breakage=0.0)
+# the probed order statistic is tied with the one above it
+@example(durations=[30.0, 60.0, 1800.0, 1800.0], method=EMPIRICAL_ECDF, reruns=3, breakage=0.0)
+# with breakage, the floor rises by a read below the best, under both methods
+@example(durations=[30.0] * 5 + [90.0, 150.0], method=EMPIRICAL_ECDF, reruns=3, breakage=0.01)
+@example(durations=[30.0, 60.0, 150.0, 150.0], method=TOLHURST_BOUND, reruns=1, breakage=0.05)
 def test_early_stop_never_changes_the_result(durations, method, reruns, breakage):
     """The search equals scoring every candidate of the whole walk, upward,
     keeping a strictly smaller cost: with m = 0 (where, without breakage,
