@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
-from .optimize import OptimizationConfig, _pooled_kernel, _SortedSample, optimize_timeout
+from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
 POLICY_KINDS = ("original", "optimized", "static")
 OPTIMIZED_POLICY = "optimized"
@@ -137,7 +137,7 @@ def count_timeouts(sample: TestSample, timeout_seconds: float) -> int:
     Counts overruns even when the run was never actually interrupted; an
     empty sample has none.
     """
-    return _SortedSample(sample.durations).above(timeout_seconds)
+    return _SortedSample.of(sample, range(sample.n)).above(timeout_seconds)
 
 
 def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:
@@ -217,19 +217,20 @@ def cross_validate(
     # per fold and policy: held-out overruns, and each included test's cost in test order
     totals = [_Totals(len(all_labels)) for _ in range(k)]
     fitted_timeouts: dict[str, int] = {}
-    durations, assignment = dataset.durations, folds.assignment
+    durations, censored, assignment = dataset.durations, dataset.censored, folds.assignment
     for test_id in test_ids:
         if test_id in excluded:
-            kernel = _pooled_kernel(dataset, test_id)
+            kernel = _SortedSample.of(dataset, dataset.test_index[test_id], test_id)
         else:
             # Both stable sorts of the same durations in test_index order, so
             # this order is the kernel's sorted one, ties included.
             order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
-            kernel = _SortedSample([durations[i] for i in order], test_id)
+            kernel = _SortedSample.of(dataset, order, test_id)
             fold_of = [assignment[i] for i in order]
+            censored_of = [censored[i] for i in order]
             baseline_seconds = [baseline[test_id] for baseline in baselines]
             for fold, fold_totals in enumerate(totals):
-                held_out, train = kernel.split([f == fold for f in fold_of])
+                held_out, train = kernel.split([f == fold for f in fold_of], censored_of)
                 fitted = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
                 _score(held_out, baseline_seconds + [fitted], config, fold_totals)
             del held_out, train
@@ -290,9 +291,8 @@ def compare_policies(
     seconds = {tid: [timeouts[tid] for timeouts in policy_seconds] for tid in test_ids}
 
     totals = _Totals(len(policies))
-    durations = dataset.durations
     for (test_id, _), rows in dataset.sample_index.items():
-        _score(_SortedSample([durations[i] for i in rows]), seconds[test_id], config, totals)
+        _score(_SortedSample.of(dataset, rows), seconds[test_id], config, totals)
     return tuple(
         PolicyTotals(policy.label, *result, policy.median_value(test_ids))
         for policy, result in zip(policies, totals.results())

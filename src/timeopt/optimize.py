@@ -50,7 +50,10 @@ kernel minus it, answered from the two prefix sums. ``fit`` builds, searches
 and frees one test's kernel at a time; ``cross_validate`` fits each test on
 the kernel that its folds split, so ``evaluate`` sorts each test once. The
 static sweep rescores a sample only until its kernel reports no overrun;
-past that, its cost changes only through the breakage term.
+past that, its cost changes only through the breakage term. Every kernel is
+built from rows by ``_SortedSample.of``, which also counts c, the censored
+runs among them, and ``split`` counts each part's; c is carried, and no rule
+reads it yet, so a censored run scores as a natural run of its duration.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -221,6 +224,10 @@ _FAST_SHIFT = sys.float_info.max_exp - math.frexp(DURATION_LIMIT)[1]
 class _SortedSample:
     """One sample's kernel: its statistics, and O(log n) scoring of any timeout.
 
+    Every caller builds it from rows with ``of``, and ``split`` builds its
+    parts; both set ``c``, the number of censored runs among the durations,
+    which a bare ``_SortedSample(durations)`` takes as 0. ``c`` is carried
+    and read by no rule yet: a censored duration is scored as a natural one.
     The kernel alone decides saturation, by one rule whether sorted or not:
     at a threshold at or above the max, kept from construction, ``at``
     returns the exact mean, computed once, and ``at`` and ``above`` no
@@ -246,13 +253,14 @@ class _SortedSample:
     ``[0, DURATION_LIMIT]``; ``at`` and ``stats`` need at least one.
     """
 
-    __slots__ = ("test_id", "ordered", "n", "scaled", "prefix", "denominator", "_stats", "_top",
-                 "_mean", "_tolhurst")
+    __slots__ = ("test_id", "ordered", "n", "c", "scaled", "prefix", "denominator", "_stats",
+                 "_top", "_mean", "_tolhurst")
 
     def __init__(self, durations: Iterable[float], test_id: str = "") -> None:
         self.test_id = test_id
         self.ordered = list(durations)  # in input order until _sort
         self.n = len(self.ordered)
+        self.c = 0  # censored runs among them; ``of`` and ``split`` count them
         self.denominator: int | None = None  # set once sorted
         self._stats: SampleStats | None = None
         self._top = max(self.ordered) if self.ordered else -math.inf  # the one saturation bound
@@ -285,16 +293,33 @@ class _SortedSample:
         k = bisect_right(self.ordered, threshold)
         return k, self.prefix[k]
 
-    def split(self, keep: Sequence[bool]) -> tuple["_SortedSample", "_SortedSample"]:
+    @classmethod
+    def of(
+        cls, runs: ExecutionDataset | TestSample, rows: Sequence[int], test_id: str = ""
+    ) -> "_SortedSample":
+        """The kernel of the runs at ``rows``, durations in that order, and
+        ``c`` the number of those runs that are censored."""
+        durations, censored = runs.durations, runs.censored
+        kernel = cls([durations[i] for i in rows], test_id)
+        for i in rows:  # a plain loop: no list, and few runs are censored
+            if censored[i]:
+                kernel.c += 1
+        return kernel
+
+    def split(
+        self, keep: Sequence[bool], censored: Sequence[bool]
+    ) -> tuple["_SortedSample", "_SortedSample"]:
         """(kept, rest): kernels of the durations whose position in sorted
-        order is true, or false, in ``keep``. The kept part is born sorted,
-        with its own prefix sums over this kernel's denominator; the rest is
-        a ``_Difference`` of this kernel and the kept part, which holds only
-        its sorted durations and keeps both alive while it is."""
+        order is true, or false, in ``keep``; ``censored`` flags the runs in
+        the same order, and each part counts its own. The kept part is born
+        sorted, with its own prefix sums over this kernel's denominator; the
+        rest is a ``_Difference`` of this kernel and the kept part, which
+        holds only its sorted durations and keeps both alive while it is."""
         if self.denominator is None:
             self._sort()
         kept = _SortedSample(compress(self.ordered, keep), self.test_id)
         kept._fill(list(compress(self.scaled, keep)), self.denominator)
+        kept.c = sum(compress(censored, keep))
         return kept, _Difference(self, kept, compress(self.ordered, map(operator.not_, keep)))
 
     @property
@@ -370,6 +395,7 @@ class _Difference(_SortedSample):
     def __init__(self, full: _SortedSample, kept: _SortedSample, ordered: Iterable[float]) -> None:
         super().__init__(ordered, full.test_id)
         self.full, self.kept = full, kept
+        self.c = full.c - kept.c
         self.denominator = full.denominator
 
     def _below(self, threshold: float) -> tuple[int, int]:
@@ -385,18 +411,11 @@ def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> 
     return cost
 
 
-def _pooled_kernel(dataset: ExecutionDataset, test_id: str) -> _SortedSample:
-    """The kernel of one test's executions pooled across revisions, in
-    ``test_index`` order until sorted."""
-    durations = dataset.durations
-    return _SortedSample([durations[i] for i in dataset.test_index[test_id]], test_id)
-
-
 def _kernel_of(sample: TestSample) -> _SortedSample:
     """The kernel of a sample; ValueError for an empty one."""
     if sample.n == 0:
         raise ValueError("empty sample")
-    return _SortedSample(sample.durations, sample.test_id)
+    return _SortedSample.of(sample, range(sample.n), sample.test_id)
 
 
 def empirical_exceedance(sample: TestSample, threshold: float) -> float:
@@ -465,7 +484,7 @@ def optimize_timeout(
     if isinstance(sample, _SortedSample):
         kernel = sample
     else:
-        kernel = _SortedSample(sample.durations, sample.test_id)
+        kernel = _SortedSample.of(sample, range(sample.n), sample.test_id)
     n = kernel.n
     if n < config.min_samples:
         t = config.fallback_timeout
@@ -618,8 +637,7 @@ def static_sweep(
         raise ValueError(f"sweep range must satisfy lo < hi, got ({lo}, {hi})")
     if lo < 1:
         raise ValueError("sweep range must start at a positive grid value")
-    column = dataset.durations
-    kernels = [_SortedSample([column[i] for i in rows]) for rows in dataset.sample_index.values()]
+    kernels = [_SortedSample.of(dataset, rows) for rows in dataset.sample_index.values()]
     if not kernels:
         raise ValueError("empty dataset")
 
@@ -675,7 +693,8 @@ class TimeoutOptimizer:
         once."""
         config = self.config
         self.results_ = {
-            t: optimize_timeout(_pooled_kernel(dataset, t), config) for t in dataset.test_ids()
+            t: optimize_timeout(_SortedSample.of(dataset, dataset.test_index[t], t), config)
+            for t in dataset.test_ids()
         }
         self.timeouts_ = {tid: res.optimal_timeout for tid, res in self.results_.items()}
         return self

@@ -571,8 +571,25 @@ def _simulate_argv():
     return argv + ["--outlier-prob", "0.1"]
 
 
+def _hung_fleet_argv(tmp_path, command):
+    """``command`` on the ``_simulate_argv`` fleet, which has censored hangs,
+    written with ``--out``; evaluate's baseline is the fleet's original policy."""
+    fleet, timeouts = tmp_path / "hung.jsonl", tmp_path / "hung.csv"
+    assert run(_simulate_argv() + ["--out", str(fleet), "--timeouts-out", str(timeouts)]) == 0
+    argv = {
+        "optimize-tolhurst": ["optimize", "--method", "tolhurst"],
+        "optimize-empirical": ["optimize", "--method", "empirical"],
+        "sweep": ["sweep", "--lo", "1", "--hi", "40"],
+        "evaluate": ["evaluate", "--seed", "3", "--timeouts", str(timeouts)],
+    }[command]
+    json_format = ["--output-format", "json"] if argv[0] == "optimize" else []
+    return argv + ["--input", str(fleet)] + json_format
+
+
 # The first 16 hex digits of the sha256 of each command's JSON output, recorded
 # from the code that re-wrapped tuples with list() and dict() before json.dumps.
+# The hung-fleet digests score each censored run as a natural run of its
+# enforced timeout; a rule that reads the kernels' censored count changes them.
 @pytest.mark.parametrize(
     "build, digest",
     [
@@ -599,6 +616,19 @@ def _simulate_argv():
         pytest.param(lambda tmp, _: _sweep_argv(tmp), "5d25115790d9347d", id="sweep"),
         pytest.param(_evaluate_argv, "af000518dda7ae42", id="evaluate"),
         pytest.param(lambda tmp, _: _simulate_argv(), "5947f26cb5e7bf61", id="simulate"),
+        *(
+            pytest.param(
+                lambda tmp, _, command=command: _hung_fleet_argv(tmp, command),
+                digest,
+                id=f"hung-fleet-{command}",
+            )
+            for command, digest in [
+                ("optimize-tolhurst", "5b8a69faf3c9d417"),
+                ("optimize-empirical", "9e4168726032ec7d"),
+                ("sweep", "6b9cd3f41396df1b"),
+                ("evaluate", "6586bdd55fdf5953"),
+            ]
+        ),
     ],
 )
 def test_json_outputs_are_pinned(build, digest, runs_file, tmp_path, capsys):

@@ -238,6 +238,32 @@ def test_cross_validate_equals_the_subsample_reference(config, k, seed):
     assert report == expected
 
 
+@pytest.mark.parametrize("k, seed", [(5, 0), (3, 11), (4, 7)])
+def test_fold_kernels_count_the_censored_runs_of_the_subsample_reference(k, seed):
+    # Split by make_folds' masks, as cross_validate splits it, each test's
+    # kernel gives its held-out and training parts the censored counts of the
+    # rows that reference_cross_validate subsamples for the fold.
+    dataset = reference_fixture()
+    folds = make_folds(dataset, k, seed)
+    durations, censored = dataset.durations, dataset.censored
+    counted = 0
+    for test_id in dataset.test_ids():
+        if test_id in folds.excluded_tests:
+            continue
+        indices = dataset.test_index[test_id]
+        order = sorted(indices, key=durations.__getitem__)
+        kernel = _SortedSample.of(dataset, order, test_id)
+        assert kernel.c == dataset.pooled_sample(test_id).censored_count
+        counted += kernel.c
+        for fold in range(k):
+            in_fold = [folds.assignment[i] == fold for i in order]
+            held, train = kernel.split(in_fold, [censored[i] for i in order])
+            for part, side in ((held, True), (train, False)):
+                rows = [i for i in indices if (folds.assignment[i] == fold) is side]
+                assert part.c == dataset.subsample(test_id, "*", rows).censored_count
+    assert counted == 4  # the "hung" test's interrupted timeouts
+
+
 class TestComparePolicies:
     def test_median_timeout_fixture(self):
         # Ten tests; original timeouts have median 15 and the alternative 11.

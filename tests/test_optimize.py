@@ -505,7 +505,8 @@ class TestExactScaling:
     def test_kernel_equals_the_reference(self, durations, denominator):
         thresholds = self.thresholds(durations)
         kernel = _SortedSample(durations)
-        kernel.split([True] * len(durations))  # sorts, so every answer reads the integers
+        # sorts, so every answer reads the integers
+        kernel.split([True] * len(durations), [False] * len(durations))
         assert kernel.denominator == denominator
         assert kernel_answers(kernel, thresholds) == reference_answers(durations, thresholds)
 
@@ -523,7 +524,7 @@ class TestExactScaling:
             "ties": [ordered[i] == ordered[i - 1] if i else False for i in range(n)],
         }[pattern]
         thresholds = self.thresholds(durations)
-        kept, rest = _SortedSample(durations).split(keep)
+        kept, rest = _SortedSample(durations).split(keep, [False] * n)
         for part, side in ((kept, True), (rest, False)):
             values = [d for d, k in zip(ordered, keep) if k is side]
             assert part.n == len(values)
@@ -542,7 +543,7 @@ class TestExactScaling:
         # the search reads the same answer either way.
         config = OptimizationConfig(probability_method=method)
         kernel = _SortedSample(durations, "t1")
-        kernel.split([True] * len(durations))
+        kernel.split([True] * len(durations), [False] * len(durations))
         positive = [abs(d) for d in durations]
         assert repr(optimize_timeout(kernel, config)) == repr(
             optimize_timeout(sample_of(positive), config)

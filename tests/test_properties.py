@@ -8,7 +8,8 @@ search against the brute-force scan of the whole grid, scored with those
 definitions, the Tolhurst bound for monotonicity and a positive floor, the
 grouping index against the brute-force regroup that ``ExecutionDataset``
 and ``make_folds`` used before the index existed, the folds against their
-size rule, the flakiness report, evolution and timeout share against the
+size rule, every kernel's censored count against the rows it was built
+from, the flakiness report, evolution and timeout share against the
 reference ``is_flaky`` of every prefix and ``failure_rate`` of each
 regrouped sample, the rerun
 simulator against a record-by-record replay, a write and reload, in
@@ -45,7 +46,9 @@ from timeopt.ingest import (
     record_to_row,
     write_executions,
 )
-from timeopt.evaluate import TimeoutPolicy, compare_policies, make_folds
+from timeopt.evaluate import (
+    TimeoutPolicy, compare_policies, count_timeouts, cross_validate, make_folds,
+)
 from timeopt.flakiness import (
     FlakinessReport, flakiness_evolution, flakiness_report, timeout_failure_share,
 )
@@ -56,6 +59,8 @@ from timeopt.optimize import (
     EMPIRICAL_ECDF,
     PROBABILITY_METHODS,
     OptimizationConfig,
+    TimeoutOptimizer,
+    _kernel_of,
     _SortedSample,
     _walk,
     optimize_timeout,
@@ -137,7 +142,7 @@ def test_split_of_a_never_sorted_kernel(durations, data):
     ordered = sorted(durations)
     kernel = _SortedSample(durations)
     for _ in range(2):  # never sorted, then sorted by the first split
-        for part, side in zip(kernel.split(keep), (True, False)):
+        for part, side in zip(kernel.split(keep, [False] * n), (True, False)):
             kept = [d for d, k in zip(ordered, keep) if k is side]
             assert part.n == len(kept)
             if kept:
@@ -488,6 +493,62 @@ def test_folds_split_every_large_enough_test_evenly(records, k, seed):
         assert max(sizes) - min(sizes) <= 1
         assigned += indices
     assert sorted(assigned) == sorted(folds.assignment)
+
+
+def built_kernels(call) -> list[tuple[str, int, int]]:
+    """(test_id, n, c) of every kernel that ``call()`` builds, in build order."""
+    built = []
+    init = _SortedSample.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with mock.patch.object(_SortedSample, "__init__", recording_init):
+        call()
+    return [(kernel.test_id, kernel.n, kernel.c) for kernel in built]
+
+
+@PROPERTY
+@given(records=records_st, k=st.integers(2, 5), seed=st.integers(0, 2**32))
+def test_every_kernel_counts_the_censored_runs_of_its_rows(records, k, seed):
+    # Every place that builds a kernel gives it c, the censored count of the
+    # rows it was built from; a fold's held-out and training kernels count
+    # the test's censored runs in and out of that fold.
+    assume(records)
+    dataset = ExecutionDataset(records=records)
+    config = OptimizationConfig(min_samples=2)
+    censored = [r.censored for r in dataset.records]
+
+    def entry(test_id, indices):
+        return test_id, len(indices), sum(censored[i] for i in indices)
+
+    tests = regroup(dataset, lambda r: (r.test_id, "*"))
+    samples = regroup(dataset, lambda r: (r.test_id, r.revision_id))
+    policies = [TimeoutPolicy.static(3)]
+    assert built_kernels(lambda: TimeoutOptimizer(config).fit(dataset)) == [
+        entry(tid, idx) for tid, _, idx in tests
+    ]
+    per_sample = [entry("", idx) for _, _, idx in samples]
+    assert built_kernels(lambda: static_sweep(dataset, (1, 3), config)) == per_sample
+    assert built_kernels(lambda: compare_policies(dataset, policies, config)) == per_sample
+    for tid, _, idx in tests:
+        sample = dataset.pooled_sample(tid)
+        assert _kernel_of(sample).c == sample.censored_count
+        assert built_kernels(lambda: optimize_timeout(sample, config)) == [entry(tid, idx)]
+        assert built_kernels(lambda: count_timeouts(sample, 60.0)) == [entry("", idx)]
+
+    assignment, excluded = brute_force_folds(dataset, k, seed)
+    assume(len(excluded) < len(tests))
+    expected = []
+    for tid, _, idx in tests:
+        expected.append(entry(tid, idx))
+        if tid not in excluded:
+            for fold in range(k):
+                held = [i for i in idx if assignment[i] == fold]
+                expected.append(entry(tid, held))
+                expected.append(entry(tid, [i for i in idx if assignment[i] != fold]))
+    assert built_kernels(lambda: cross_validate(dataset, policies, config, k, seed)) == expected
 
 
 # Few (test, revision) groups, so groups run long enough for a pass and a
