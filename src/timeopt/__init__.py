@@ -29,7 +29,7 @@ _EXPORTS = {
     "optimize": (
         "CostCurve", "OptimizationConfig", "OptimizationResult", "SweepResult",
         "TimeoutOptimizer", "empirical_exceedance", "expected_cost", "optimize_timeout",
-        "static_sweep", "tolhurst_bound", "truncated_mean",
+        "static_sweep", "timeout_probability", "tolhurst_bound", "truncated_mean",
     ),
     "simulate": (
         "SimulationReport", "WorkloadSpec", "generate_workload", "simulate_rerun_policy",

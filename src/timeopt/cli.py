@@ -36,6 +36,10 @@ _METHOD_ALIASES = {
     "empirical_ecdf": op.EMPIRICAL_ECDF,
 }
 _DEFAULTS = op.OptimizationConfig()  # the one source of every optimizer flag default
+# Bounds on the work one command does: a sweep scores every sample at each of
+# its --hi - --lo + 1 points, and simulate replays --m reruns per timeout event.
+_MAX_SWEEP_SPAN = 10_000
+_MAX_SIMULATE_M = 1_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,13 +183,11 @@ def _cmd_timeout_history(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     dataset = _load(args.input, args.format)
-    results = op.TimeoutOptimizer(_config_from_args(args)).fit(dataset).results_.values()
+    fitted = op.TimeoutOptimizer(_config_from_args(args)).fit(dataset)
     if args.output_format == "csv":
-        lines = ["test_id,timeout_minutes"]
-        lines += [f"{r.test_id},{r.optimal_timeout}" for r in results]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(ingest.timeout_policy_csv(fitted.timeouts_), args.out)
     else:
-        _emit_json([_result_record(r) for r in results], args.out)
+        _emit_json([_result_record(r) for r in fitted.results_.values()], args.out)
     return 0
 
 
@@ -226,7 +228,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     policies: list[ev.TimeoutPolicy] = []
     if args.timeouts:
-        policies.append(ev.load_timeout_policy(args.timeouts, kind="original"))
+        policies.append(ev.load_timeout_policy(args.timeouts))
     if args.static is not None:
         policies.append(ev.TimeoutPolicy.static(args.static))
     if not policies:
@@ -239,7 +241,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     # the totals table below the per-fold one scores the whole-dataset fit;
     # nothing is written until both tables are complete
-    optimized = ev.TimeoutPolicy(kind="optimized", values=report.fitted_timeouts)
+    optimized = ev.TimeoutPolicy(ev.OPTIMIZED_POLICY, values=report.fitted_timeouts)
     entries = ev.compare_policies(dataset, policies + [optimized], config)
     lines = [
         f"total {entry.policy}: timeouts={entry.flaky_timeout_count} "
@@ -381,7 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_cost_flags(p)
     p.add_argument("--lo", type=_MINUTES, required=True, help="sweep start, minutes")
-    p.add_argument("--hi", type=_MINUTES, required=True, help="sweep end, minutes")
+    p.add_argument(
+        "--hi",
+        type=_MINUTES,
+        required=True,
+        help=f"sweep end, minutes; at most --lo + {_MAX_SWEEP_SPAN}",
+    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("evaluate", help="cross-validate timeout policies")
@@ -407,7 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hang-prob", type=_bounded(float, 0, 1), default=0.0)
     p.add_argument("--percentile", type=float, default=0.85)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=_bounded(int, 0), default=3)
+    p.add_argument(
+        "--m",
+        type=_bounded(int, 0, _MAX_SIMULATE_M),
+        default=_DEFAULTS.rerun_count,
+        help=f"reruns per timed-out run, at most {_MAX_SIMULATE_M}",
+    )
     p.add_argument("--out", default=None, help="write the dataset as JSONL here")
     p.add_argument("--timeouts-out", default=None, help="write the original policy CSV here")
     p.add_argument("--report-out", default=None, help="write the report JSON here")
@@ -420,6 +432,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "sweep" and args.hi - args.lo > _MAX_SWEEP_SPAN:
+            parser.error(f"argument --hi: must be at most --lo + {_MAX_SWEEP_SPAN}, got {args.hi}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,25 +18,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .ingest import TIMEOUT_POLICY_FIELDS, timeout_policy_csv
 from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
 from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
-POLICY_KINDS = ("original", "optimized", "static")
 OPTIMIZED_POLICY = "optimized"
 
 
 @dataclass(frozen=True)
 class TimeoutPolicy:
-    """Per-test timeout values in grid units, or one global static value."""
+    """A labeled policy: per-test timeouts in grid units, or one global static value."""
 
-    kind: str
+    label: str
     values: Mapping[str, int] | None = None
     default: int | None = None
-    name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
         if self.values is None and self.default is None:
             raise ValueError("policy needs per-test values or a default")
         if self.values is not None and not all(map(valid_minutes, self.values.values())):
@@ -44,13 +41,9 @@ class TimeoutPolicy:
         if self.default is not None and not valid_minutes(self.default):
             raise ValueError("default timeout must be >= 1 and finite in seconds")
 
-    @property
-    def label(self) -> str:
-        return self.name or self.kind
-
     @classmethod
-    def static(cls, value: int, name: str | None = None) -> "TimeoutPolicy":
-        return cls(kind="static", default=value, name=name)
+    def static(cls, value: int, label: str = "static") -> "TimeoutPolicy":
+        return cls(label, default=value)
 
     def value_for(self, test_id: str) -> int:
         if self.values is not None and test_id in self.values:
@@ -189,11 +182,12 @@ def cross_validate(
     test's whole-dataset timeout, as ``TimeoutOptimizer.fit`` gives it.
 
     Tests are visited one at a time, so one test's kernels are alive at
-    once. An included test's kernel is built from its runs in duration
-    order, the order every fold masks, and is sorted and scaled once. Each
-    fold splits it into a held-out kernel and a training ``_Difference``
-    (full minus held-out); the whole-dataset fit then reads the same kernel.
-    A test with fewer than k runs gets a kernel for its whole fit only.
+    once. Every test's kernel is built from its runs in duration order, the
+    order every fold masks, and is sorted and scaled once. Each fold splits
+    an included test's kernel into a held-out kernel and a training
+    ``_Difference`` (full minus held-out); the whole-dataset fit then reads
+    the same kernel. A test with fewer than k runs gets a kernel for its
+    whole fit only.
 
     Raises:
         ValueError: when a baseline policy misses a test, or a baseline is
@@ -219,13 +213,11 @@ def cross_validate(
     fitted_timeouts: dict[str, int] = {}
     durations, censored, assignment = dataset.durations, dataset.censored, folds.assignment
     for test_id in test_ids:
-        if test_id in excluded:
-            kernel = _SortedSample.of(dataset, dataset.test_index[test_id], test_id)
-        else:
-            # Both stable sorts of the same durations in test_index order, so
-            # this order is the kernel's sorted one, ties included.
-            order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
-            kernel = _SortedSample.of(dataset, order, test_id)
+        # Both stable sorts of the same durations in test_index order, so
+        # this order is the kernel's sorted one, ties included.
+        order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
+        kernel = _SortedSample.of(dataset, order, test_id)
+        if test_id not in excluded:
             fold_of = [assignment[i] for i in order]
             censored_of = [censored[i] for i in order]
             baseline_seconds = [baseline[test_id] for baseline in baselines]
@@ -323,10 +315,8 @@ def _score(
         totals.costs[i].append(cost)
 
 
-def load_timeout_policy(
-    path: str | Path, kind: str = "original", name: str | None = None
-) -> TimeoutPolicy:
-    """Read a two-column CSV (test_id, timeout_minutes) as a policy."""
+def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPolicy:
+    """Read a per-test timeout CSV (``ingest.timeout_policy_csv``'s format) as a policy."""
     values: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         try:
@@ -334,20 +324,16 @@ def load_timeout_policy(
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"malformed policy file: {exc}") from None
     if not rows or len(rows[0]) < 2:
-        raise ValueError("malformed header: expected test_id,timeout_minutes")
-    for row in rows[1:] if rows[0][0].strip() == "test_id" else rows:
+        raise ValueError(f"malformed header: expected {','.join(TIMEOUT_POLICY_FIELDS)}")
+    for row in rows[1:] if rows[0][0].strip() == TIMEOUT_POLICY_FIELDS[0] else rows:
         if len(row) < 2:
             raise ValueError(f"malformed policy row: {row!r}")
         values[row[0]] = int(row[1])
-    return TimeoutPolicy(kind=kind, values=values, name=name)
+    return TimeoutPolicy(label, values=values)
 
 
 def write_timeout_policy(policy: TimeoutPolicy, path: str | Path) -> None:
-    """Write a per-test policy as a two-column CSV sorted by test id."""
+    """Write a per-test policy as ``ingest.timeout_policy_csv`` renders it."""
     if policy.values is None:
         raise ValueError("cannot write a purely static policy as per-test CSV")
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["test_id", "timeout_minutes"])
-        for test_id in sorted(policy.values):
-            writer.writerow([test_id, policy.values[test_id]])
+    Path(path).write_text(timeout_policy_csv(policy.values), encoding="utf-8", newline="")

@@ -25,7 +25,6 @@ from .ingest import TimeoutChangeRecord
 from .model import ExecutionDataset, _tallies
 
 BIN_UPPER_EDGES = (0.2, 0.4, 0.6, 0.8)
-BIN_LABELS = ("(0.0,0.2]", "(0.2,0.4]", "(0.4,0.6]", "(0.6,0.8]", "(0.8,1.0)")
 
 
 @dataclass(frozen=True, slots=True)

@@ -52,6 +52,9 @@ EXECUTION_FIELDS = (
     "interrupted",
 )
 
+TIMEOUT_POLICY_FIELDS = ("test_id", "timeout_minutes")
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')  # a policy file quotes an id holding one
+
 DEFAULT_CENSORED_WARN_THRESHOLD = 0.05
 
 _TRUE_STRINGS = {"true", "1", "yes"}
@@ -538,3 +541,14 @@ def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "js
                 writer.writerow(record_to_row(row))
         return
     raise ValueError(f"unknown format {fmt!r}; expected 'jsonl' or 'csv'")
+
+
+def timeout_policy_csv(timeouts: Mapping[str, int]) -> str:
+    """The policy file of ``test id -> minutes``, rows in id order, lines ending in ``\\n``.
+    An id holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, ``"`` doubled: ``csv.writer``
+    with ``\\n`` line ends leaves a ``\\r`` bare on Python 3.10-3.12."""
+    lines = [",".join(TIMEOUT_POLICY_FIELDS)]
+    for test_id in sorted(timeouts):
+        cell = '"' + test_id.replace('"', '""') + '"' if _NEEDS_QUOTES.search(test_id) else test_id
+        lines.append(f"{cell},{timeouts[test_id]}")
+    return "\n".join(lines) + "\n"

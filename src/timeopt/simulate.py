@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .evaluate import TimeoutPolicy
@@ -54,6 +55,7 @@ if TYPE_CHECKING:
 _EPOCH = datetime(2024, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
 _QUANTILE_CAP = 1e12  # stand-in for an unreachable quantile, seconds
 _OUTLIER_GRID = 512
+_PICK_CHUNK = 1 << 16  # rerun picks per array draw; one draw serves every benchmark test
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -371,7 +373,7 @@ def generate_workload(
         tests, ["r0"] * len(tests), started, durations, verdicts, hangs
     )
     _check_durations(dataset, "drew")
-    policy = TimeoutPolicy(kind="original", values=timeouts)
+    policy = TimeoutPolicy("original", values=timeouts)
     return dataset, policy, truths
 
 
@@ -394,10 +396,12 @@ def simulate_rerun_policy(
     test's outcomes; all m are charged and any success accepts the change.
 
     The outcome table fixes a test's timeout events before any draw, so its
-    m × events rerun picks come from one ``rng.integers`` array call: numpy
+    m × events rerun picks come from ``rng.integers`` array calls of
+    ``_PICK_CHUNK`` picks at most, drawn as the replay reaches them: numpy
     serves a bounded draw below 2**32 from the generator's buffered 32-bit
     stream whether it is drawn alone or in an array, so the picks are those
-    of m × events successive scalar draws, used in the same order.
+    of m × events successive scalar draws, used in the same order, whatever
+    the chunk size.
 
     Raises:
         ValueError: when the policy does not cover every test.
@@ -418,7 +422,11 @@ def simulate_rerun_policy(
         ]
 
         timeout_events = sum(timed_out for _, timed_out in outcomes)
-        picks = iter(rng.integers(len(outcomes), size=rerun_count * timeout_events).tolist())
+        draws = rerun_count * timeout_events
+        picks = chain.from_iterable(
+            rng.integers(len(outcomes), size=min(_PICK_CHUNK, draws - start)).tolist()
+            for start in range(0, draws, _PICK_CHUNK)
+        )
         machine_seconds = 0.0
         accepted = 0
         for consumed, timed_out in outcomes:

@@ -7,7 +7,9 @@ import re
 import pytest
 
 from helpers import MINUTE, dataset_of, sweep_fixture_dataset, verdict_dataset
-from timeopt.cli import _config_from_args, build_parser, run
+from timeopt.cli import (
+    _MAX_SIMULATE_M, _MAX_SWEEP_SPAN, _config_from_args, build_parser, run,
+)
 from timeopt import ingest
 from timeopt.ingest import write_executions
 from timeopt.model import DURATION_LIMIT
@@ -89,6 +91,37 @@ class TestExitCodes:
         assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
+class TestWorkCaps:
+    """Each cap is a usage error found before any input is read; no test runs
+    a command past a cap."""
+
+    def test_sweep_span_past_the_cap(self, tmp_path, capsys):
+        argv = ["sweep", "--input", str(tmp_path / "none.jsonl"), "--lo", "5", "--hi"]
+        assert run(argv + [str(5 + _MAX_SWEEP_SPAN + 1)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --hi: must be at most --lo + {_MAX_SWEEP_SPAN}" in captured.err
+        # at the cap the flags parse, and the missing input is the first error
+        assert run(argv + [str(5 + _MAX_SWEEP_SPAN)]) == 2
+
+    def test_simulate_m_past_the_cap(self, capsys):
+        argv = ["simulate", "--tests", "1", "--runs", "1", "--seed", "0", "--m"]
+        assert run(argv + [str(_MAX_SIMULATE_M + 1)]) == 1
+        assert f"error: argument --m: must be in [0, {_MAX_SIMULATE_M}]" in capsys.readouterr().err
+        assert build_parser().parse_args(argv + [str(_MAX_SIMULATE_M)]).m == _MAX_SIMULATE_M
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("sweep", f"at most --lo + {_MAX_SWEEP_SPAN}"),
+            ("simulate", f"at most {_MAX_SIMULATE_M}"),
+        ],
+    )
+    def test_help_states_the_cap(self, capsys, command, text):
+        assert run([command, "--help"]) == 0
+        assert text in " ".join(capsys.readouterr().out.split())
+
+
 class TestFlagDefaults:
     @pytest.mark.parametrize(
         "argv",
@@ -100,6 +133,10 @@ class TestFlagDefaults:
     )
     def test_flag_defaults_are_the_config_defaults(self, argv):
         assert _config_from_args(build_parser().parse_args(argv)) == OptimizationConfig()
+
+    def test_simulate_rerun_count_is_the_config_default(self):
+        argv = ["simulate", "--tests", "1", "--runs", "1", "--seed", "0"]
+        assert build_parser().parse_args(argv).m == OptimizationConfig().rerun_count
 
 
 def _one_test_file(tmp_path, durations):
@@ -242,6 +279,24 @@ class TestOptimize:
         assert "{'bad id': 1}" in capsys.readouterr().err
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["alpha", "beta"]
+
+    def test_csv_with_a_comma_in_an_id_reads_back(self, tmp_path, capsys):
+        # pytest ids hold commas; evaluate reads optimize's output as its original policy
+        runs, timeouts = tmp_path / "runs.jsonl", tmp_path / "t.csv"
+        write_executions(
+            dataset_of(
+                {
+                    ("test_x[1,2]", "r1"): [((60 + m) * 1.0, "pass") for m in range(10)],
+                    ("plain", "r1"): [((30 + m) * 1.0, "pass") for m in range(10)],
+                }
+            ),
+            runs,
+        )
+        assert run(["optimize", "--input", str(runs), "--out", str(timeouts)]) == 0
+        argv = ["evaluate", "--input", str(runs), "--timeouts", str(timeouts), "--seed", "1"]
+        assert run(argv) == 0
+        assert "total original: timeouts=0" in capsys.readouterr().out
+        assert timeouts.read_text(encoding="utf-8").splitlines()[2] == '"test_x[1,2]",120'
 
     def test_json_records(self, runs_file, capsys):
         code = run(

@@ -149,13 +149,13 @@ class TestCrossValidate:
 
     def test_missing_policy_value_names_test(self):
         dataset = fleet({"a": [60.0] * 10, "b": [60.0] * 10})
-        partial = TimeoutPolicy(kind="original", values={"a": 5})
+        partial = TimeoutPolicy("original", values={"a": 5})
         with pytest.raises(ValueError, match="'b'"):
             cross_validate(dataset, [partial], CONFIG, k=5, seed=1)
 
     def test_reserved_label(self):
         dataset = fleet({"a": [60.0] * 10})
-        bad = TimeoutPolicy(kind="static", default=5, name="optimized")
+        bad = TimeoutPolicy("optimized", default=5)
         with pytest.raises(ValueError, match="reserved"):
             cross_validate(dataset, [bad], CONFIG, k=5, seed=1)
 
@@ -178,7 +178,7 @@ class TestCrossValidate:
             runs[test] = durations
             originals[test] = max(1, round(durations[84] / 60.0))
         dataset = fleet(runs)
-        original = TimeoutPolicy(kind="original", values=originals)
+        original = TimeoutPolicy("original", values=originals)
         report = cross_validate(dataset, [original], CONFIG, k=5, seed=13)
         for fold in range(5):
             optimized = report.row(fold, "optimized").flaky_timeout_count
@@ -231,7 +231,7 @@ def reference_fixture() -> ExecutionDataset:
 @pytest.mark.parametrize("k, seed", [(5, 0), (3, 11), (4, 7)])
 def test_cross_validate_equals_the_subsample_reference(config, k, seed):
     dataset = reference_fixture()
-    policies = [TimeoutPolicy.static(3), TimeoutPolicy.static(20, name="loose")]
+    policies = [TimeoutPolicy.static(3), TimeoutPolicy.static(20, label="loose")]
     report = cross_validate(dataset, policies, config, k=k, seed=seed)
     expected = reference_cross_validate(dataset, policies, config, k, seed)
     assert report.excluded_tests == ("single", "tiny")
@@ -270,11 +270,11 @@ class TestComparePolicies:
         runs = {f"t{i}": [60.0] * 3 for i in range(9)}
         dataset = fleet(runs)
         original = TimeoutPolicy(
-            kind="original",
+            "original",
             values={f"t{i}": v for i, v in enumerate([5, 8, 10, 12, 15, 20, 25, 30, 40])},
         )
         optimized = TimeoutPolicy(
-            kind="optimized",
+            "optimized",
             values={f"t{i}": v for i, v in enumerate([4, 6, 8, 9, 11, 14, 18, 22, 30])},
         )
         totals = {t.policy: t for t in compare_policies(dataset, [original, optimized], CONFIG)}
@@ -289,8 +289,8 @@ class TestComparePolicies:
 
     def test_identical_policies_identical_rows(self):
         dataset = fleet({"a": [60.0] * 4, "b": [100.0] * 4})
-        p1 = TimeoutPolicy(kind="original", values={"a": 7, "b": 9}, name="one")
-        p2 = TimeoutPolicy(kind="original", values={"a": 7, "b": 9}, name="two")
+        p1 = TimeoutPolicy("one", values={"a": 7, "b": 9})
+        p2 = TimeoutPolicy("two", values={"a": 7, "b": 9})
         t1, t2 = compare_policies(dataset, [p1, p2], CONFIG)
         assert (t1.flaky_timeout_count, t1.average_cost, t1.median_timeout) == (
             t2.flaky_timeout_count,
@@ -301,8 +301,8 @@ class TestComparePolicies:
     def test_kernels_only_for_samples_a_policy_cuts(self, monkeypatch):
         dataset = fleet({"a": [60.0] * 3, "b": [60.0, 400.0], "c": [500.0, 700.0]})
         policies = [
-            TimeoutPolicy(kind="original", values={"a": 1, "b": 5, "c": 20}, name="one"),
-            TimeoutPolicy(kind="original", values={"a": 2, "b": 10, "c": 20}, name="two"),
+            TimeoutPolicy("one", values={"a": 1, "b": 5, "c": 20}),
+            TimeoutPolicy("two", values={"a": 2, "b": 10, "c": 20}),
         ]
         kernel = evaluate._SortedSample
         sort = kernel._sort
@@ -335,7 +335,7 @@ class TestComparePolicies:
                 for revision in ("r1", "r2")
             }
         )
-        policy = TimeoutPolicy(kind="original", values={"a": 2, "b": 4, "c": 8})
+        policy = TimeoutPolicy("original", values={"a": 2, "b": 4, "c": 8})
         alive_at_build = []
         init = _SortedSample.__init__
 
@@ -351,7 +351,7 @@ class TestComparePolicies:
         dataset = fleet({"a": [60.0], "b": [60.0]})
         with pytest.raises(ValueError, match="has no timeout"):
             compare_policies(
-                dataset, [TimeoutPolicy(kind="original", values={"a": 5})], CONFIG
+                dataset, [TimeoutPolicy("original", values={"a": 5})], CONFIG
             )
 
 
@@ -459,7 +459,7 @@ class TestKernelSharing:
 )
 def test_uncovered_test_raises_the_policy_error(score):
     dataset = fleet({"a": [60.0] * 4, "b": [60.0] * 4, "c": [60.0] * 4})
-    policy = TimeoutPolicy(kind="original", values={"a": 5})
+    policy = TimeoutPolicy("original", values={"a": 5})
     with pytest.raises(ValueError) as raised:
         score(dataset, policy)
     assert str(raised.value) == "policy 'original' has no timeout for test 'b'"
@@ -472,7 +472,7 @@ class TestTimeoutPolicy:
     def test_median_value_is_the_statistics_median(self, values):
         import statistics
 
-        policy = TimeoutPolicy(kind="original", values={f"t{i}": v for i, v in enumerate(values)})
+        policy = TimeoutPolicy("original", values={f"t{i}": v for i, v in enumerate(values)})
         median = policy.median_value(list(policy.values))
         expected = statistics.median(values)
         assert (type(median), median) == (type(expected), expected)
@@ -484,18 +484,19 @@ class TestTimeoutPolicy:
 
     def test_values_must_be_positive(self):
         with pytest.raises(ValueError):
-            TimeoutPolicy(kind="original", values={"a": 0})
+            TimeoutPolicy("original", values={"a": 0})
         with pytest.raises(ValueError):
             TimeoutPolicy.static(0)
 
     def test_needs_values_or_default(self):
         with pytest.raises(ValueError):
-            TimeoutPolicy(kind="original")
+            TimeoutPolicy("original")
 
     def test_csv_round_trip(self, tmp_path):
-        policy = TimeoutPolicy(kind="original", values={"b": 9, "a": 15})
+        policy = TimeoutPolicy("original", values={"b": 9, "a": 15})
         path = tmp_path / "timeouts.csv"
         write_timeout_policy(policy, path)
         loaded = load_timeout_policy(path)
         assert loaded.values == {"a": 15, "b": 9}
         assert path.read_text().splitlines()[0] == "test_id,timeout_minutes"
+        assert path.read_bytes() == b"test_id,timeout_minutes\na,15\nb,9\n"

@@ -14,7 +14,7 @@ import pytest
 import timeopt
 from helpers import verdict_dataset
 
-from timeopt import cli
+from timeopt import cli, simulate
 from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
 from timeopt.model import DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, Verdict
@@ -577,7 +577,7 @@ class TestSimulateRerunPolicy:
 
     def test_policy_gap_errors(self):
         dataset, _, _ = generate_workload(spec_of())
-        partial = TimeoutPolicy(kind="original", values={"test-000": 5})
+        partial = TimeoutPolicy("original", values={"test-000": 5})
         with pytest.raises(ValueError, match="test-001"):
             simulate_rerun_policy(dataset, partial, rerun_count=3, seed=0)
 
@@ -646,6 +646,22 @@ def test_simulate_outputs_are_pinned(
     assert cli.run([*argv, "--out", str(out), "--report-out", str(report)]) == 0
     digests = [hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in (out, report)]
     assert digests == [dataset_digest, report_digest]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize(
+    "distribution, variant, seed, dataset_digest, report_digest",
+    [case for case in SIMULATE_DIGESTS if case[1] == "both"],
+    ids=[f"{dist}-{seed}" for dist, variant, seed, *_ in SIMULATE_DIGESTS if variant == "both"],
+)
+def test_simulate_outputs_hold_with_small_pick_chunks(
+    tmp_path, monkeypatch, chunk, distribution, variant, seed, dataset_digest, report_digest
+):
+    # the rerun picks drawn a few at a time are the picks of one array draw
+    monkeypatch.setattr(simulate, "_PICK_CHUNK", chunk)
+    test_simulate_outputs_are_pinned(
+        tmp_path, distribution, variant, seed, dataset_digest, report_digest
+    )
 
 
 class TestArrayDrawsEqualScalarDraws:
