@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -43,7 +42,25 @@ _MAX_SIMULATE_M = 1_000
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with code 1 on usage errors."""
+    """Argument parser that exits with code 1 on usage errors.
+
+    ``check``, if given, reads the parsed flags and returns a usage error that
+    no single flag shows, or None; this parser reports it with its own usage.
+    """
+
+    def __init__(
+        self, *args: Any, check: Callable[[argparse.Namespace], str | None] | None = None,
+        **kwargs: Any,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self.check = check
+
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        namespace, extras = super().parse_known_args(args, namespace)
+        message = self.check(namespace) if self.check else None
+        if message:
+            self.error(message)
+        return namespace, extras
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -127,10 +144,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     dataset = _load(args.input, args.format)
     summary = ingest.summarize(dataset)
     if args.output_format == "table":
-        lines = [f"{name:<18} {value}" for name, value in asdict(summary).items()]
+        lines = [f"{name:<18} {value}" for name, value in summary._asdict().items()]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit_json(asdict(summary), args.out)
+        _emit_json(summary._asdict(), args.out)
     return 0
 
 
@@ -143,8 +160,8 @@ def _cmd_flakiness(args: argparse.Namespace) -> int:
     _warn(*notes)
     _emit_json(
         {
-            "report": asdict(report),
-            "evolution": asdict(evolution),
+            "report": report._asdict(),
+            "evolution": {"revision_id": evolution.revision_id, "points": evolution.points},
             "timeout_failure_share": share,
         },
         args.out,
@@ -163,8 +180,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     relative = comparison.relative_change  # infinite for a rise from a zero rate
     _emit_json(
         {
-            "report_a": asdict(comparison.report_a),
-            "report_b": asdict(comparison.report_b),
+            "report_a": comparison.report_a._asdict(),
+            "report_b": comparison.report_b._asdict(),
             "absolute_change": comparison.absolute_change,
             "relative_change": relative if math.isfinite(relative) else None,
             "warnings": comparison.warnings,
@@ -177,7 +194,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_timeout_history(args: argparse.Namespace) -> int:
     from . import flakiness as fl
     changes = _load(args.input, args.format, ingest.load_timeout_changes)
-    _emit_json(asdict(fl.timeout_change_stats(changes)), args.out)
+    _emit_json(fl.timeout_change_stats(changes)._asdict(), args.out)
     return 0
 
 
@@ -255,10 +272,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "k": report.k,
             "seed": report.seed,
             "policies": report.policies,
-            "folds": [asdict(row) for row in report.rows],
+            "folds": [row._asdict() for row in report.rows],
             "timeout_reduction": report.timeout_reduction,
             "excluded_tests": report.excluded_tests,
-            "totals": [asdict(entry) for entry in entries],
+            "totals": [entry._asdict() for entry in entries],
         }
         _emit_json(payload, args.out)
     return 0
@@ -344,6 +361,12 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _sweep_span_error(args: argparse.Namespace) -> str | None:
+    if args.hi - args.lo > _MAX_SWEEP_SPAN:
+        return f"argument --hi: must be at most --lo + {_MAX_SWEEP_SPAN}, got {args.hi}"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="timeopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("sweep", help="average cost of static global timeouts")
+    p = sub.add_parser(
+        "sweep", help="average cost of static global timeouts", check=_sweep_span_error
+    )
     _add_io_flags(p)
     _add_cost_flags(p)
     p.add_argument("--lo", type=_MINUTES, required=True, help="sweep start, minutes")
@@ -432,8 +457,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sweep" and args.hi - args.lo > _MAX_SWEEP_SPAN:
-            parser.error(f"argument --hi: must be at most --lo + {_MAX_SWEEP_SPAN}, got {args.hi}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

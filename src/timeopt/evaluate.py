@@ -14,32 +14,34 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ingest import TIMEOUT_POLICY_FIELDS, timeout_policy_csv
-from .model import GRID_SECONDS, ExecutionDataset, TestSample, valid_minutes
+from .model import GRID_SECONDS, ExecutionDataset, TestSample, _Frozen, valid_minutes
 from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
 OPTIMIZED_POLICY = "optimized"
 
 
-@dataclass(frozen=True)
-class TimeoutPolicy:
+class TimeoutPolicy(_Frozen):
     """A labeled policy: per-test timeouts in grid units, or one global static value."""
 
+    __slots__ = _fields = ("label", "values", "default")
     label: str
-    values: Mapping[str, int] | None = None
-    default: int | None = None
+    values: Mapping[str, int] | None
+    default: int | None
 
-    def __post_init__(self) -> None:
-        if self.values is None and self.default is None:
+    def __init__(
+        self, label: str, values: Mapping[str, int] | None = None, default: int | None = None
+    ) -> None:
+        if values is None and default is None:
             raise ValueError("policy needs per-test values or a default")
-        if self.values is not None and not all(map(valid_minutes, self.values.values())):
+        if values is not None and not all(map(valid_minutes, values.values())):
             raise ValueError("timeout values must be >= 1 and finite in seconds")
-        if self.default is not None and not valid_minutes(self.default):
+        if default is not None and not valid_minutes(default):
             raise ValueError("default timeout must be >= 1 and finite in seconds")
+        self._set(label, values, default)
 
     @classmethod
     def static(cls, value: int, label: str = "static") -> "TimeoutPolicy":
@@ -66,8 +68,7 @@ class TimeoutPolicy:
         return (values[middle - 1] + values[middle]) / 2
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
+class FoldAssignment(NamedTuple):
     """Partition of execution indices into k folds, stratified per test."""
 
     k: int
@@ -75,8 +76,7 @@ class FoldAssignment:
     excluded_tests: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FoldPolicyResult:
+class FoldPolicyResult(NamedTuple):
     """Held-out score of one policy on one fold."""
 
     fold: int
@@ -85,8 +85,7 @@ class FoldPolicyResult:
     average_cost: float
 
 
-@dataclass(frozen=True)
-class CvReport:
+class CvReport(NamedTuple):
     """Per-fold, per-policy held-out scores plus mean reduction ratios, and
     the whole-dataset fit.
 
@@ -114,8 +113,7 @@ class CvReport:
         raise KeyError((fold, policy))
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyTotals:
+class PolicyTotals(NamedTuple):
     """Whole-dataset (non cross-validated) totals for one policy."""
 
     policy: str
@@ -333,7 +331,20 @@ def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPol
 
 
 def write_timeout_policy(policy: TimeoutPolicy, path: str | Path) -> None:
-    """Write a per-test policy as ``ingest.timeout_policy_csv`` renders it."""
+    """Write a per-test policy as ``ingest.timeout_policy_csv`` renders it.
+
+    The file is rendered and encoded before it is opened, so an id that UTF-8
+    cannot encode (one holding a lone surrogate) is a ValueError naming the
+    first such id in row order, and no file is created.
+    """
     if policy.values is None:
         raise ValueError("cannot write a purely static policy as per-test CSV")
-    Path(path).write_text(timeout_policy_csv(policy.values), encoding="utf-8", newline="")
+    text = timeout_policy_csv(policy.values)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # rows are in id order, so the first id holding the failing character is its row's
+        char = exc.object[exc.start]
+        test_id = min(tid for tid in policy.values if char in tid)
+        raise ValueError(f"test id {test_id!r} cannot be encoded as UTF-8") from None
+    Path(path).write_bytes(data)

@@ -18,17 +18,15 @@ All functions are pure and safe to run in parallel across revisions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ingest import TimeoutChangeRecord
-from .model import ExecutionDataset, _tallies
+from .model import ExecutionDataset, _Frozen, _tallies
 
 BIN_UPPER_EDGES = (0.2, 0.4, 0.6, 0.8)
 
 
-@dataclass(frozen=True, slots=True)
-class FlakinessReport:
+class FlakinessReport(NamedTuple):
     """Flakiness rate and failure-rate bins for one revision."""
 
     revision_id: str
@@ -39,21 +37,21 @@ class FlakinessReport:
     bin_counts: tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class EvolutionSeries:
+class EvolutionSeries(_Frozen):
     """Flakiness rate as a function of how many repetitions are considered."""
 
+    __slots__ = _fields = ("revision_id", "points")
     revision_id: str
     points: tuple[tuple[int, float], ...]
 
-    def __post_init__(self) -> None:
-        ks = [k for k, _ in self.points]
+    def __init__(self, revision_id: str, points: tuple[tuple[int, float], ...]) -> None:
+        ks = [k for k, _ in points]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("repetitions_used must be strictly increasing")
+        self._set(revision_id, points)
 
 
-@dataclass(frozen=True, slots=True)
-class FlakinessComparison:
+class FlakinessComparison(NamedTuple):
     """Two revision reports side by side, with the relative rate change."""
 
     report_a: FlakinessReport
@@ -63,8 +61,7 @@ class FlakinessComparison:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TimeoutChangeStats:
+class TimeoutChangeStats(NamedTuple):
     """How developers adjusted timeout values over time.
 
     Ratio quartiles are (q1, median, q3) of new/old, computed separately for

@@ -32,15 +32,15 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
-    _VERDICT_OF, DURATION_LIMIT, ExecutionDataset, Verdict, _check_durations, valid_minutes,
-    verdict_of,
+    _VERDICT_OF, DURATION_LIMIT, ExecutionDataset, Verdict, _check_durations, _Frozen,
+    valid_minutes, verdict_of,
 )
 
 EXECUTION_FIELDS = (
@@ -61,8 +61,7 @@ _TRUE_STRINGS = {"true", "1", "yes"}
 _FALSE_STRINGS = {"false", "0", "no", ""}
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     """Headline counts of a dataset."""
 
     test_count: int
@@ -71,37 +70,42 @@ class DatasetSummary:
     censored_fraction: float
 
 
-@dataclass(frozen=True, slots=True)
-class TimeoutChangeRecord:
+class TimeoutChangeRecord(_Frozen):
     """One change to a test's configured timeout value.
 
     ``old_value`` is absent for the record that created the timeout entry.
     Values are positive integer minutes.
     """
 
+    __slots__ = _fields = ("test_id", "changed_at", "new_value", "old_value")
     test_id: str
     changed_at: datetime
     new_value: int
-    old_value: int | None = None
+    old_value: int | None
 
-    def __post_init__(self) -> None:
-        if self.new_value < 1:
+    def __init__(
+        self, test_id: str, changed_at: datetime, new_value: int, old_value: int | None = None
+    ) -> None:
+        if new_value < 1:
             raise ValueError("new_value must be >= 1")
-        if self.old_value is not None and self.old_value < 1:
+        if old_value is not None and old_value < 1:
             raise ValueError("old_value must be >= 1 when present")
+        self._set(test_id, changed_at, new_value, old_value)
 
     @property
     def is_creation(self) -> bool:
         return self.old_value is None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of loading one file: accepted + rejected = total input rows."""
+class ValidationReport(NamedTuple):
+    """Outcome of loading one file: accepted + rejected = total input rows.
+
+    ``reasons`` defaults to one shared empty mapping, which is read-only.
+    """
 
     accepted: int
     rejected: int
-    reasons: Mapping[str, int] = field(default_factory=dict)
+    reasons: Mapping[str, int] = MappingProxyType({})
     warnings: tuple[str, ...] = ()
 
 

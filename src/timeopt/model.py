@@ -10,16 +10,19 @@ Verdicts given as members or as their string values are coerced through one
 dict lookup. Everything in this module is an immutable value and every
 operation is a pure function, so instances can be shared across threads
 without coordination.
+
+Record types are built by two mechanisms, neither of which generates code at
+import: a plain record is a ``typing.NamedTuple``, and a type that checks its
+fields is a ``_Frozen`` subclass whose ``__init__`` holds the checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
 # simulate's base duration shapes, kept here so the CLI parser needs no simulate import
@@ -33,6 +36,51 @@ n < 2**64 runs the sum and the sum of squared deviations stay below n * 2**96 < 
 <= 2**49 / 60 + 1, and the walk reads no unit above it and no Tolhurst step end past its
 seconds, so each is a whole number of seconds at most 2**49 + 60 < 2**53."""
 _IN_RANGE = "must be non-negative and finite, at most 2**48 s"  # every duration's rule
+
+
+class _Frozen:
+    """Immutable value semantics for the types that check their fields.
+
+    A subclass names its fields in ``_fields``, as a ``NamedTuple`` does (and in
+    ``__slots__`` unless it needs a ``__dict__``), and its ``__init__`` checks
+    them and stores them once with ``_set``. Assigning or deleting an attribute
+    raises AttributeError; equality (same type only), hashing, the repr and
+    pickling read the fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple[Any, ...]:
+        return self._values()
+
+    def __setstate__(self, state: tuple[Any, ...]) -> None:
+        self._set(*state)
 
 
 def valid_minutes(minutes: float) -> bool:
@@ -122,8 +170,7 @@ def failure_rate(verdicts: Sequence[Verdict]) -> float:
     return failures / runs
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionRecord:
+class ExecutionRecord(_Frozen):
     """One observed test execution.
 
     ``interrupted`` records whether the framework actually killed the run.
@@ -131,16 +178,23 @@ class ExecutionRecord:
     machines can let an execution run far past its configured limit.
     """
 
+    __slots__ = _fields = (
+        "test_id", "revision_id", "started_at", "duration", "verdict", "interrupted"
+    )
     test_id: str
     revision_id: str
     started_at: datetime
     duration: float  # seconds
     verdict: Verdict
-    interrupted: bool = False
+    interrupted: bool
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.duration <= DURATION_LIMIT:
-            raise ValueError(f"duration {_IN_RANGE}, got {self.duration}")
+    def __init__(
+        self, test_id: str, revision_id: str, started_at: datetime, duration: float,
+        verdict: Verdict, interrupted: bool = False,
+    ) -> None:
+        if not 0 <= duration <= DURATION_LIMIT:
+            raise ValueError(f"duration {_IN_RANGE}, got {duration}")
+        self._set(test_id, revision_id, started_at, duration, verdict, interrupted)
 
     @property
     def censored(self) -> bool:
@@ -148,8 +202,7 @@ class ExecutionRecord:
         return self.interrupted and self.verdict is Verdict.TIMEOUT
 
 
-@dataclass(frozen=True)
-class TestSample:
+class TestSample(_Frozen):
     """All executions of one test on one revision, in start-time order.
 
     The unit of statistical analysis: durations, verdicts and censored flags
@@ -160,23 +213,25 @@ class TestSample:
     """
 
     __test__ = False  # domain type, not a pytest class
-
+    __slots__ = _fields = ("test_id", "revision_id", "durations", "verdicts", "censored")
     test_id: str
     revision_id: str
     durations: tuple[float, ...]
     verdicts: tuple[Verdict, ...]
-    censored: tuple[bool, ...] | None = None
+    censored: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        durations = tuple(map(float, self.durations))
-        censored = (False,) * len(durations) if self.censored is None else self.censored
-        object.__setattr__(self, "durations", durations)
-        object.__setattr__(self, "verdicts", tuple(map(verdict_of, self.verdicts)))
-        object.__setattr__(self, "censored", tuple(map(bool, censored)))
-        if not len(self.durations) == len(self.verdicts) == len(self.censored):
+    def __init__(
+        self, test_id: str, revision_id: str, durations: Iterable[float],
+        verdicts: Iterable[Any], censored: Iterable[bool] | None = None,
+    ) -> None:
+        durations = tuple(map(float, durations))
+        verdicts = tuple(map(verdict_of, verdicts))
+        censored = tuple(map(bool, (False,) * len(durations) if censored is None else censored))
+        if not len(durations) == len(verdicts) == len(censored):
             raise ValueError("durations, verdicts and censored flags must have equal length")
-        if not all(0.0 <= d <= DURATION_LIMIT for d in self.durations):
+        if not all(0.0 <= d <= DURATION_LIMIT for d in durations):
             raise ValueError(f"durations {_IN_RANGE}")
+        self._set(test_id, revision_id, durations, verdicts, censored)
 
     @property
     def n(self) -> int:
@@ -188,8 +243,7 @@ class TestSample:
         return sum(self.censored)
 
 
-@dataclass(frozen=True, slots=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     """Summary statistics of one duration sample.
 
     ``variance`` is the unbiased sample variance (divisor n - 1, zero for a
@@ -240,8 +294,7 @@ def stats_around(
     return SampleStats(n, mean, variance, q_n, top, bottom)
 
 
-@dataclass(frozen=True, init=False)
-class ExecutionDataset:
+class ExecutionDataset(_Frozen):
     """An immutable collection of test executions, held as parallel columns.
 
     Row i is the run ``(tests[i], revisions[i], started_at[i], durations[i],
@@ -251,12 +304,14 @@ class ExecutionDataset:
     ``ExecutionDataset(records=...)``, is the adapter for
     ``ExecutionRecord``s and fills the same columns, so both have one
     grouping path; ``records`` is the reverse view, built only when asked
-    for. Equality compares the columns.
+    for. Equality compares the columns. The cached views live in the
+    instance ``__dict__``, which ``functools.cached_property`` needs.
 
     Every row belongs to exactly one ``(test_id, revision_id)`` group of
     ``sample_index``; group sizes sum to the row count.
     """
 
+    _fields = ("tests", "revisions", "started_at", "durations", "verdicts", "interrupted")
     tests: tuple[str, ...]
     revisions: tuple[str, ...]
     started_at: tuple[datetime, ...]
@@ -295,8 +350,7 @@ class ExecutionDataset:
         held = [tuple(column) for column in columns]
         if len({len(column) for column in held}) > 1:
             raise ValueError("columns must have equal length")
-        for spec, column in zip(fields(self), held):
-            object.__setattr__(self, spec.name, column)
+        self._set(*held)
 
     def __len__(self) -> int:
         return len(self.tests)

@@ -64,13 +64,12 @@ import math
 import operator
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
-    DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, stats_around,
-    stats_of, valid_minutes,
+    DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, _Frozen,
+    stats_around, stats_of, valid_minutes,
 )
 
 TOLHURST_BOUND = "tolhurst_bound"
@@ -78,8 +77,7 @@ EMPIRICAL_ECDF = "empirical_ecdf"
 PROBABILITY_METHODS = (TOLHURST_BOUND, EMPIRICAL_ECDF)
 
 
-@dataclass(frozen=True, slots=True)
-class OptimizationConfig:
+class OptimizationConfig(_Frozen):
     """Knobs of the cost model and the timeout search.
 
     Timeouts are searched in integer grid units of ``GRID_SECONDS``. Samples
@@ -87,30 +85,40 @@ class OptimizationConfig:
     units) instead of an unstable data-driven value.
     """
 
-    rerun_count: int = 3
-    breakage_probability: float = 0.0
-    probability_method: str = TOLHURST_BOUND
-    min_samples: int = 30
-    fallback_timeout: int = 120
+    __slots__ = _fields = (
+        "rerun_count", "breakage_probability", "probability_method", "min_samples",
+        "fallback_timeout",
+    )
+    rerun_count: int
+    breakage_probability: float
+    probability_method: str
+    min_samples: int
+    fallback_timeout: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.rerun_count <= sys.float_info.max:  # the cost takes m + 1 as a float
+    def __init__(
+        self, rerun_count: int = 3, breakage_probability: float = 0.0,
+        probability_method: str = TOLHURST_BOUND, min_samples: int = 30,
+        fallback_timeout: int = 120,
+    ) -> None:
+        if not 0 <= rerun_count <= sys.float_info.max:  # the cost takes m + 1 as a float
             raise ValueError("rerun_count must be in [0, sys.float_info.max]")
-        if not 0.0 <= self.breakage_probability <= 1.0:
+        if not 0.0 <= breakage_probability <= 1.0:
             raise ValueError("breakage_probability must be in [0, 1]")
-        if self.probability_method not in PROBABILITY_METHODS:
+        if probability_method not in PROBABILITY_METHODS:
             raise ValueError(
                 f"probability_method must be one of {PROBABILITY_METHODS}, "
-                f"got {self.probability_method!r}"
+                f"got {probability_method!r}"
             )
-        if self.min_samples < 2:
+        if min_samples < 2:
             raise ValueError("min_samples must be >= 2")
-        if not valid_minutes(self.fallback_timeout):
+        if not valid_minutes(fallback_timeout):
             raise ValueError("fallback_timeout must be >= 1 and finite in seconds")
+        self._set(
+            rerun_count, breakage_probability, probability_method, min_samples, fallback_timeout
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     """Cost-optimal timeout for one test, in grid units."""
 
     test_id: str
@@ -122,20 +130,20 @@ class OptimizationResult:
     fallback_applied: bool = False
 
 
-@dataclass(frozen=True)
-class CostCurve:
+class CostCurve(_Frozen):
     """Average cost (seconds) per candidate timeout, timeouts increasing."""
 
+    __slots__ = _fields = ("points",)
     points: tuple[tuple[int, float], ...]
 
-    def __post_init__(self) -> None:
-        timeouts = [t for t, _ in self.points]
+    def __init__(self, points: tuple[tuple[int, float], ...]) -> None:
+        timeouts = [t for t, _ in points]
         if any(b <= a for a, b in zip(timeouts, timeouts[1:])):
             raise ValueError("timeouts must be strictly increasing")
+        self._set(points)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Cost curve of a static-timeout sweep plus its grid minimum."""
 
     curve: CostCurve
@@ -627,10 +635,12 @@ def static_sweep(
     previous point are rescored. Once the kernel reports no overrun at t
     the sample is saturated: its p is 0 and its truncated mean is its exact
     mean at t and at every larger t, so its cost is left as it is, or, with
-    breakage, recomputed from that mean without the kernel. The kernel
-    decides saturation, so a sample saturated at lo is never sorted. Each
-    point is the ``fsum`` of all costs in sample order, so the curve is
-    bit-equal to scoring every sample at every point.
+    breakage, set to that mean plus the point's breakage term, computed once
+    per point in ``_cost``'s order of operations: at p = 0, ``_cost`` adds
+    exactly that term to the mean. The kernel decides saturation, so a
+    sample saturated at lo is never sorted. Each point is the ``fsum`` of all
+    costs in sample order, so the curve is bit-equal to scoring every sample
+    at every point.
     """
     lo, hi = sweep_range
     if lo >= hi:
@@ -650,8 +660,9 @@ def static_sweep(
     for t_units in range(lo, hi + 1):
         t_seconds = t_units * GRID_SECONDS
         if config.breakage_probability > 0.0:
+            breakage = config.breakage_probability * t_seconds * (config.rerun_count + 1)
             for i, mean in saturated:
-                costs[i] = _cost(mean, 0.0, t_seconds, config)
+                costs[i] = mean + breakage
         still_running = []
         for i, kernel in running:
             tm, over = kernel.at(t_seconds)

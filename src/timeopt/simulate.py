@@ -40,14 +40,15 @@ draw or average import numpy, so importing this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .evaluate import TimeoutPolicy
-from .model import DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, Verdict, _check_durations
+from .model import (
+    DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, Verdict, _check_durations, _Frozen,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,8 +60,7 @@ _PICK_CHUNK = 1 << 16  # rerun picks per array draw; one draw serves every bench
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, slots=True)
-class WorkloadSpec:
+class WorkloadSpec(_Frozen):
     """Shape of a synthetic fleet.
 
     ``scale_seconds`` is the lognormal median, the exponential mean, or the
@@ -73,59 +73,74 @@ class WorkloadSpec:
     units of ``GRID_SECONDS``.
     """
 
+    __slots__ = _fields = (
+        "test_count", "executions_per_test", "base_distribution", "scale_seconds", "sigma",
+        "scale_spread", "outlier_probability", "outlier_factor_range", "hang_probability",
+        "original_timeout_percentile", "seed",
+    )
     test_count: int
     executions_per_test: int
-    base_distribution: str = "lognormal"
-    scale_seconds: float = 300.0
-    sigma: float = 0.5
-    scale_spread: float = 1.0
-    outlier_probability: float = 0.0
-    outlier_factor_range: tuple[float, float] = (2.0, 10.0)
-    hang_probability: float = 0.0
-    original_timeout_percentile: float = 0.85
-    seed: int = 0
+    base_distribution: str
+    scale_seconds: float
+    sigma: float
+    scale_spread: float
+    outlier_probability: float
+    outlier_factor_range: tuple[float, float]
+    hang_probability: float
+    original_timeout_percentile: float
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.test_count < 1 or self.executions_per_test < 1:
+    def __init__(
+        self, test_count: int, executions_per_test: int, base_distribution: str = "lognormal",
+        scale_seconds: float = 300.0, sigma: float = 0.5, scale_spread: float = 1.0,
+        outlier_probability: float = 0.0,
+        outlier_factor_range: tuple[float, float] = (2.0, 10.0), hang_probability: float = 0.0,
+        original_timeout_percentile: float = 0.85, seed: int = 0,
+    ) -> None:
+        if test_count < 1 or executions_per_test < 1:
             raise ValueError("test_count and executions_per_test must be >= 1")
-        if self.base_distribution not in DISTRIBUTIONS:
+        if base_distribution not in DISTRIBUTIONS:
             raise ValueError(f"base_distribution must be one of {DISTRIBUTIONS}")
-        lo, hi = self.outlier_factor_range
+        lo, hi = outlier_factor_range
         for value, label in (
-            (self.scale_seconds, "scale_seconds"),
-            (self.sigma, "sigma"),
-            (self.scale_spread, "scale_spread"),
+            (scale_seconds, "scale_seconds"),
+            (sigma, "sigma"),
+            (scale_spread, "scale_spread"),
             (lo, "outlier_factor_range"),
             (hi, "outlier_factor_range"),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {value}")
-        if self.scale_seconds <= 0:
+        if scale_seconds <= 0:
             raise ValueError("scale_seconds must be positive")
-        if self.sigma < 0:
+        if sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if self.scale_spread < 1.0:
+        if scale_spread < 1.0:
             raise ValueError("scale_spread must be >= 1")
         # the largest test scale generate_workload can draw
-        if not math.isfinite(self.scale_seconds * math.exp(math.log(self.scale_spread))):
+        if not math.isfinite(scale_seconds * math.exp(math.log(scale_spread))):
             raise ValueError(
-                f"scale_seconds {self.scale_seconds:g} times scale_spread "
-                f"{self.scale_spread:g} must be finite"
+                f"scale_seconds {scale_seconds:g} times scale_spread "
+                f"{scale_spread:g} must be finite"
             )
         for p, label in (
-            (self.outlier_probability, "outlier_probability"),
-            (self.hang_probability, "hang_probability"),
+            (outlier_probability, "outlier_probability"),
+            (hang_probability, "hang_probability"),
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1]")
         if not 0 < lo <= hi:
             raise ValueError("outlier_factor_range must satisfy 0 < lo <= hi")
-        if not 0.0 < self.original_timeout_percentile <= 1.0:
+        if not 0.0 < original_timeout_percentile <= 1.0:
             raise ValueError("original_timeout_percentile must be in (0, 1]")
+        self._set(
+            test_count, executions_per_test, base_distribution, scale_seconds, sigma,
+            scale_spread, outlier_probability, outlier_factor_range, hang_probability,
+            original_timeout_percentile, seed,
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class TestDistribution:
+class TestDistribution(NamedTuple):
     """Resolved true duration distribution of one simulated test."""
 
     __test__ = False  # domain type, not a pytest class
@@ -216,8 +231,7 @@ class TestDistribution:
         return hi
 
 
-@dataclass(frozen=True, slots=True)
-class TestSimulation:
+class TestSimulation(NamedTuple):
     """Rerun-policy outcome for one test."""
 
     __test__ = False  # domain type, not a pytest class
@@ -231,8 +245,7 @@ class TestSimulation:
     rejected: int
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Per-test and fleet totals of a rerun-policy simulation.
 
     ``rerun_count`` never exceeds m * timeout_events: reruns are only ever

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -115,7 +114,10 @@ def reference_cross_validate(
     whole-dataset timeout is ``optimize_timeout`` of its ``pooled_sample``."""
     folds = make_folds(dataset, k, seed)
     included = [tid for tid in dataset.test_ids() if tid not in folds.excluded_tests]
-    empirical = replace(config, probability_method=EMPIRICAL_ECDF)
+    empirical = OptimizationConfig(
+        config.rerun_count, config.breakage_probability, EMPIRICAL_ECDF, config.min_samples,
+        config.fallback_timeout,
+    )
     labels = [policy.label for policy in policies] + ["optimized"]
     rows = []
     for fold in range(k):

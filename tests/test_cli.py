@@ -104,6 +104,19 @@ class TestWorkCaps:
         # at the cap the flags parse, and the missing input is the first error
         assert run(argv + [str(5 + _MAX_SWEEP_SPAN)]) == 2
 
+    def test_sweep_span_error_shows_the_sweep_usage(self, capsys):
+        # argparse alone reports it, with the sweep subcommand's usage line
+        argv = ["sweep", "--input", "none.jsonl", "--hi", str(6 + _MAX_SWEEP_SPAN), "--lo", "5"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: timeopt sweep ")
+        assert err.endswith(
+            f"timeopt sweep: error: argument --hi: must be at most --lo + {_MAX_SWEEP_SPAN}, "
+            f"got {6 + _MAX_SWEEP_SPAN}\n"
+        )
+
     def test_simulate_m_past_the_cap(self, capsys):
         argv = ["simulate", "--tests", "1", "--runs", "1", "--seed", "0", "--m"]
         assert run(argv + [str(_MAX_SIMULATE_M + 1)]) == 1
@@ -636,6 +649,7 @@ def _hung_fleet_argv(tmp_path, command):
         "optimize-empirical": ["optimize", "--method", "empirical"],
         "sweep": ["sweep", "--lo", "1", "--hi", "40"],
         "evaluate": ["evaluate", "--seed", "3", "--timeouts", str(timeouts)],
+        "summarize": ["summarize"],
     }[command]
     json_format = ["--output-format", "json"] if argv[0] == "optimize" else []
     return argv + ["--input", str(fleet)] + json_format
@@ -692,6 +706,50 @@ def test_json_outputs_are_pinned(build, digest, runs_file, tmp_path, capsys):
     assert run(argv + ["--report-out" if argv[0] == "simulate" else "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+# The first 16 hex digits of the sha256 of each command's stdout, recorded
+# from the code whose record types were dataclasses: summarize's JSON and
+# table, optimize's JSON, one fleet with every test falling back, and
+# evaluate's fold and totals tables.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        pytest.param(
+            lambda tmp, _: _hung_fleet_argv(tmp, "summarize"),
+            "6a32e467adb8e6b5",
+            id="summarize-json",
+        ),
+        pytest.param(
+            lambda tmp, _: _hung_fleet_argv(tmp, "summarize") + ["--output-format", "table"],
+            "3ee96f43796b17a0",
+            id="summarize-table",
+        ),
+        pytest.param(
+            lambda tmp, runs: ["optimize", "--input", str(runs), "--output-format", "json"]
+            + ["--method", "empirical", "--pb", "0.01"],
+            "ccbc9977e8cedf9f",
+            id="optimize-json",
+        ),
+        pytest.param(
+            lambda tmp, _: _hung_fleet_argv(tmp, "optimize-tolhurst") + ["--min-samples", "51"],
+            "47a7dea20b999437",
+            id="optimize-json-fallback",
+        ),
+        pytest.param(_evaluate_argv, "660288db79b1accd", id="evaluate-stdout"),
+        pytest.param(
+            lambda tmp, _: _hung_fleet_argv(tmp, "evaluate"),
+            "2cd036257068d07a",
+            id="hung-fleet-evaluate-stdout",
+        ),
+    ],
+)
+def test_stdout_is_pinned(build, digest, runs_file, tmp_path, capsys):
+    argv = build(tmp_path, runs_file)
+    capsys.readouterr()  # the hung fleet's simulate report
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
 def _rejecting_history_argv(tmp_path):

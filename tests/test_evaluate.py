@@ -492,6 +492,13 @@ class TestTimeoutPolicy:
         with pytest.raises(ValueError):
             TimeoutPolicy("original")
 
+    def test_an_id_utf8_cannot_encode_writes_no_file(self, tmp_path):
+        path = tmp_path / "timeouts.csv"
+        policy = TimeoutPolicy("original", values={"b\ud800": 1, "a": 2, "c\udc80": 3})
+        with pytest.raises(ValueError, match=r"test id 'b\\ud800' cannot be encoded as UTF-8"):
+            write_timeout_policy(policy, path)
+        assert not path.exists()
+
     def test_csv_round_trip(self, tmp_path):
         policy = TimeoutPolicy("original", values={"b": 9, "a": 15})
         path = tmp_path / "timeouts.csv"

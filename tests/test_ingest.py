@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -18,7 +17,7 @@ from timeopt.ingest import (
     summarize,
     write_executions,
 )
-from timeopt.model import DURATION_LIMIT, ExecutionDataset, ExecutionRecord
+from timeopt.model import DURATION_LIMIT, ExecutionDataset, ExecutionRecord, Verdict
 
 ABOVE_LIMIT = math.nextafter(DURATION_LIMIT, math.inf)
 
@@ -272,7 +271,7 @@ class TestLoadExecutions:
         starts = {10.0: 500_000, 20.0: 0, 30.0: 123_456}
         original = ExecutionDataset(
             records=tuple(
-                replace(record("a", duration=d), started_at=EPOCH + timedelta(microseconds=us))
+                ExecutionRecord("a", "r1", EPOCH + timedelta(microseconds=us), d, Verdict.PASS)
                 for d, us in starts.items()
             )
         )
@@ -363,7 +362,7 @@ class TestNoRecordObjects:
     @COMMANDS
     def test_command_builds_none(self, runs_file, tmp_path, monkeypatch, capsys, args):
         built = []
-        monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: built.append(self))
+        monkeypatch.setattr(ExecutionRecord, "__init__", lambda self, *row: built.append(row))
         argv = [*args, "--input", str(runs_file), "--out", str(tmp_path / "out")]
         assert cli.run(argv) == 0
         assert "censored fraction" in capsys.readouterr().err
@@ -371,7 +370,7 @@ class TestNoRecordObjects:
 
     def test_simulate_builds_none(self, tmp_path, monkeypatch):
         built = []
-        monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: built.append(self))
+        monkeypatch.setattr(ExecutionRecord, "__init__", lambda self, *row: built.append(row))
         argv = [
             "simulate", "--tests", "2", "--runs", "30", "--hang-prob", "0.2", "--seed", "3",
             "--out", str(tmp_path / "runs.jsonl"), "--report-out", str(tmp_path / "report.json"),

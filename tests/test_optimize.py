@@ -688,6 +688,33 @@ class TestStaticSweep:
         # Every sample is scored at lo, where all but "slow" saturate.
         assert calls <= 201 + 2 * (hi - lo + 1)
 
+    def test_saturated_samples_take_no_cost_call(self, monkeypatch):
+        # With breakage, a saturated sample costs its mean plus the point's
+        # breakage term, added with no _cost call: a sample is scored through
+        # _cost at each point up to the one where it saturates, and never after.
+        lo, hi = 10, 60
+        runs = {(f"s{i}", "r1"): [(i * MINUTE, "pass"), (lo * MINUTE, "pass")] for i in range(8)}
+        runs[("slow", "r1")] = [(5 * MINUTE, "pass"), (30.5 * MINUTE, "pass")]
+        dataset = dataset_of(runs)
+        config = OptimizationConfig(
+            breakage_probability=0.01, probability_method=EMPIRICAL_ECDF, rerun_count=2
+        )
+        calls = []
+
+        def counting_cost(*args):
+            calls.append(args)
+            return _cost(*args)
+
+        monkeypatch.setattr("timeopt.optimize._cost", counting_cost)
+        result = static_sweep(dataset, (lo, hi), config)
+        # the eight saturate at lo; "slow" is scored from 10 through 31, where it saturates
+        assert len(calls) == 8 + (31 - lo + 1)
+        samples = list(dataset.samples.values())
+        assert result.curve.points == tuple(
+            (t, math.fsum(reference.expected_cost(s, t * MINUTE, config) for s in samples) / 9)
+            for t in range(lo, hi + 1)
+        )
+
     def test_samples_saturated_at_lo_get_no_kernel(self, monkeypatch):
         lo = 10
         runs = {(f"s{i}", "r1"): [(i * MINUTE, "pass"), (lo * MINUTE, "pass")] for i in range(8)}

@@ -735,7 +735,7 @@ def test_replay_equals_brute_force_replay(records, timeouts, m, seed):
     policy = TimeoutPolicy("original", values=dict(zip("abcd", timeouts)))
     report = simulate_rerun_policy(dataset, policy, rerun_count=m, seed=seed)
     expected = brute_force_replay(dataset, policy, m, seed)
-    for field in SimulationReport.__dataclass_fields__:
+    for field in SimulationReport._fields:
         assert getattr(report, field) == getattr(expected, field), field
     assert report.rerun_count == m * report.timeout_events
     assert report.accepted + report.rejected == report.initial_runs

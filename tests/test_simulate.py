@@ -391,6 +391,8 @@ def test_import_does_not_load_numpy(module):
 
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('timeopt.'))"
+# Modules that generate class code at import, or that only such code needs
+CODEGEN = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
 # What tests/reference.py may take from the program, and names it must not use
 REFERENCE_VALUE_TYPES = {"SampleStats", "TestSample", "Verdict"}
 REFERENCE_FORBIDDEN = {
@@ -408,6 +410,37 @@ class TestImportGraph:
     def test_cli_loads_only_what_optimize_and_sweep_run(self):
         expected = ["timeopt.cli", "timeopt.ingest", "timeopt.model", "timeopt.optimize"]
         run_python(f"import sys, timeopt.cli; assert {LOADED} == {expected}, {LOADED}")
+
+    def test_cli_loads_no_dataclasses_or_inspect(self):
+        # record types are NamedTuples or _Frozen classes: no class code is
+        # generated at import, and nothing pulls in inspect, ast, dis or tokenize
+        run_python(f"import sys, timeopt.cli; assert {CODEGEN} == [], {CODEGEN}")
+
+    def test_commands_load_no_dataclasses_or_inspect(self, tmp_path):
+        runs, changes = str(tmp_path / "runs.jsonl"), tmp_path / "changes.jsonl"
+        write_executions(verdict_dataset({"a": ["pass", "fail"] * 3, "b": ["pass"] * 6}), runs)
+        changes.write_text(
+            '{"test_id": "a", "changed_at": "2021-01-01T00:00:00Z", "new_value": 15}\n'
+            '{"test_id": "a", "changed_at": "2021-02-01T00:00:00Z", "old_value": 15,'
+            ' "new_value": 25}\n'
+        )
+        out = ["--out", str(tmp_path / "out")]
+        commands = [
+            ["optimize", "--input", runs, *out],
+            ["sweep", "--input", runs, "--lo", "1", "--hi", "3", "--pb", "0.01", *out],
+            ["evaluate", "--input", runs, "--k", "2", "--seed", "1", "--min-samples", "2", *out],
+            ["flakiness", "--input", runs, "--revision", "r1", *out],
+            ["compare", "--input-a", runs, "--input-b", runs, "--revision-a", "r1",
+             "--revision-b", "r1", *out],
+            ["summarize", "--input", runs, "--output-format", "table", *out],
+            ["timeout-history", "--input", str(changes), *out],
+        ]
+        run_python(
+            "import sys, timeopt.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    assert timeopt.cli.run(argv) == 0, argv\n"
+            f"    assert {CODEGEN} == [], (argv[0], {CODEGEN})\n"
+        )
 
     def test_simulate_loads_no_statistics(self, tmp_path):
         # evaluate is imported for TimeoutPolicy alone; statistics pulls in
