@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "evaluate": (
-        "CvReport", "FoldAssignment", "PolicyTotals", "TimeoutPolicy", "compare_policies",
-        "count_timeouts", "cross_validate", "make_folds",
+        "CvReport", "FoldAssignment", "PolicyTotals", "compare_policies", "count_timeouts",
+        "cross_validate", "make_folds",
     ),
     "flakiness": (
         "EvolutionSeries", "FlakinessComparison", "FlakinessReport", "TimeoutChangeStats",
@@ -19,12 +19,13 @@ _EXPORTS = {
         "timeout_change_stats", "timeout_failure_share",
     ),
     "ingest": (
-        "DatasetSummary", "TimeoutChangeRecord", "ValidationReport", "load_executions",
-        "load_timeout_changes", "summarize", "write_executions",
+        "DatasetSummary", "ValidationReport", "load_executions", "load_timeout_changes",
+        "summarize", "write_executions",
     ),
     "model": (
         "GRID_SECONDS", "ExecutionDataset", "ExecutionRecord", "SampleStats", "TestSample",
-        "Verdict", "failure_rate", "is_flaky", "sample_stats",
+        "TimeoutChangeRecord", "TimeoutPolicy", "Verdict", "failure_rate", "is_flaky",
+        "sample_stats",
     ),
     "optimize": (
         "CostCurve", "OptimizationConfig", "OptimizationResult", "SweepResult",

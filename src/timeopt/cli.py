@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import ingest
 from . import optimize as op
-from .model import DISTRIBUTIONS, GRID_SECONDS, valid_minutes
+from .model import DISTRIBUTIONS, GRID_SECONDS, TimeoutPolicy, valid_minutes
 
 if TYPE_CHECKING:
     from .evaluate import CvReport
@@ -243,13 +243,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from . import evaluate as ev
     dataset = _load(args.input, args.format)
     config = _config_from_args(args)
-    policies: list[ev.TimeoutPolicy] = []
+    policies: list[TimeoutPolicy] = []
     if args.timeouts:
-        policies.append(ev.load_timeout_policy(args.timeouts))
+        policies.append(ingest.load_timeout_policy(args.timeouts))
     if args.static is not None:
-        policies.append(ev.TimeoutPolicy.static(args.static))
+        policies.append(TimeoutPolicy.static(args.static))
     if not policies:
-        policies.append(ev.TimeoutPolicy.static(120))
+        policies.append(TimeoutPolicy.static(120))
     report = ev.cross_validate(dataset, policies, config, k=args.k, seed=args.seed)
     if excluded := report.excluded_tests:
         _warn(
@@ -258,7 +258,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     # the totals table below the per-fold one scores the whole-dataset fit;
     # nothing is written until both tables are complete
-    optimized = ev.TimeoutPolicy(ev.OPTIMIZED_POLICY, values=report.fitted_timeouts)
+    optimized = TimeoutPolicy(ev.OPTIMIZED_POLICY, values=report.fitted_timeouts)
     entries = ev.compare_policies(dataset, policies + [optimized], config)
     lines = [
         f"total {entry.policy}: timeouts={entry.flaky_timeout_count} "
@@ -282,7 +282,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import evaluate as ev, simulate as sim
+    from . import simulate as sim
     spec = sim.WorkloadSpec(
         test_count=args.tests,
         executions_per_test=args.runs,
@@ -300,7 +300,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         ingest.write_executions(dataset, args.out, "jsonl")
     if args.timeouts_out:
-        ev.write_timeout_policy(policy, args.timeouts_out)
+        ingest.write_timeout_policy(policy, args.timeouts_out)
     report = sim.simulate_rerun_policy(
         dataset, policy, rerun_count=args.m, seed=args.seed
     )

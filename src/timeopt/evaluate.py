@@ -7,65 +7,23 @@ policy's timeout) and average per-test cost with probabilities estimated
 empirically from the held-out data. Folds evaluate independently and the
 whole report is deterministic given (dataset, seed, config). The report
 also carries each test's timeout fitted on all its runs, from the same
-kernel, so ``evaluate`` sorts each test's runs once.
+kernel, so ``evaluate`` sorts each test's runs once. Policies are
+``model.TimeoutPolicy`` values; ``ingest`` reads and writes policy files,
+and this module touches no file.
 """
 
 from __future__ import annotations
 
-import csv
 import random
-from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .ingest import TIMEOUT_POLICY_FIELDS, timeout_policy_csv
-from .model import GRID_SECONDS, ExecutionDataset, TestSample, _Frozen, valid_minutes
+from .model import GRID_SECONDS, ExecutionDataset, TestSample
 from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
 
+if TYPE_CHECKING:
+    from .model import TimeoutPolicy
+
 OPTIMIZED_POLICY = "optimized"
-
-
-class TimeoutPolicy(_Frozen):
-    """A labeled policy: per-test timeouts in grid units, or one global static value."""
-
-    __slots__ = _fields = ("label", "values", "default")
-    label: str
-    values: Mapping[str, int] | None
-    default: int | None
-
-    def __init__(
-        self, label: str, values: Mapping[str, int] | None = None, default: int | None = None
-    ) -> None:
-        if values is None and default is None:
-            raise ValueError("policy needs per-test values or a default")
-        if values is not None and not all(map(valid_minutes, values.values())):
-            raise ValueError("timeout values must be >= 1 and finite in seconds")
-        if default is not None and not valid_minutes(default):
-            raise ValueError("default timeout must be >= 1 and finite in seconds")
-        self._set(label, values, default)
-
-    @classmethod
-    def static(cls, value: int, label: str = "static") -> "TimeoutPolicy":
-        return cls(label, default=value)
-
-    def value_for(self, test_id: str) -> int:
-        if self.values is not None and test_id in self.values:
-            return self.values[test_id]
-        if self.default is not None:
-            return self.default
-        raise ValueError(f"policy {self.label!r} has no timeout for test {test_id!r}")
-
-    def seconds(self, test_ids: Sequence[str]) -> dict[str, float]:
-        """test_id -> timeout in seconds; ``value_for``'s error on the first gap."""
-        return {tid: self.value_for(tid) * GRID_SECONDS for tid in test_ids}
-
-    def median_value(self, test_ids: Sequence[str]) -> float:
-        """The median of the tests' values, as ``statistics.median`` gives it:
-        the middle value, or the mean of the two middle ones."""
-        values = sorted(self.value_for(tid) for tid in test_ids)
-        middle = len(values) // 2
-        if len(values) % 2:
-            return values[middle]
-        return (values[middle - 1] + values[middle]) / 2
 
 
 class FoldAssignment(NamedTuple):
@@ -311,40 +269,3 @@ def _score(
         cost, over = kernel.empirical_cost(timeout, config)
         totals.overruns[i] += over
         totals.costs[i].append(cost)
-
-
-def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPolicy:
-    """Read a per-test timeout CSV (``ingest.timeout_policy_csv``'s format) as a policy."""
-    values: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        try:
-            rows = list(csv.reader(handle))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"malformed policy file: {exc}") from None
-    if not rows or len(rows[0]) < 2:
-        raise ValueError(f"malformed header: expected {','.join(TIMEOUT_POLICY_FIELDS)}")
-    for row in rows[1:] if rows[0][0].strip() == TIMEOUT_POLICY_FIELDS[0] else rows:
-        if len(row) < 2:
-            raise ValueError(f"malformed policy row: {row!r}")
-        values[row[0]] = int(row[1])
-    return TimeoutPolicy(label, values=values)
-
-
-def write_timeout_policy(policy: TimeoutPolicy, path: str | Path) -> None:
-    """Write a per-test policy as ``ingest.timeout_policy_csv`` renders it.
-
-    The file is rendered and encoded before it is opened, so an id that UTF-8
-    cannot encode (one holding a lone surrogate) is a ValueError naming the
-    first such id in row order, and no file is created.
-    """
-    if policy.values is None:
-        raise ValueError("cannot write a purely static policy as per-test CSV")
-    text = timeout_policy_csv(policy.values)
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        # rows are in id order, so the first id holding the failing character is its row's
-        char = exc.object[exc.start]
-        test_id = min(tid for tid in policy.values if char in tid)
-        raise ValueError(f"test id {test_id!r} cannot be encoded as UTF-8") from None
-    Path(path).write_bytes(data)

@@ -20,8 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
-from .ingest import TimeoutChangeRecord
-from .model import ExecutionDataset, _Frozen, _tallies
+from .model import ExecutionDataset, TimeoutChangeRecord, _Frozen, _tallies
 
 BIN_UPPER_EDGES = (0.2, 0.4, 0.6, 0.8)
 

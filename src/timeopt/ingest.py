@@ -1,6 +1,8 @@
-"""Loading, validating, and summarizing execution data from files.
+"""Every file format: loading, validating, writing and summarizing execution
+data, timeout-change files and per-test policy files. No other module but
+the command line touches a file.
 
-Two row formats are supported, with identical field names:
+Execution rows come in two formats, with identical field names:
 
 * JSONL: one object per line with keys ``test_id``, ``revision_id``,
   ``started_at`` (ISO-8601, UTC), ``duration_seconds`` (number), ``verdict``
@@ -23,6 +25,9 @@ and why. No per-row record object is built, verdict strings map to members
 through one dict lookup, and repeated ids share one string, checked once.
 Loading groups nothing beyond what the censored-fraction warnings count and
 is single-threaded per file; the dataset is immutable and shareable.
+Timeout-change files take the same per-row rejection. A policy file
+(``test_id,timeout_minutes``) is read all-or-nothing, unlike row files: a
+malformed header or row fails the whole file with ValueError.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
-    _VERDICT_OF, DURATION_LIMIT, ExecutionDataset, Verdict, _check_durations, _Frozen,
-    valid_minutes, verdict_of,
+    _VERDICT_OF, DURATION_LIMIT, ExecutionDataset, TimeoutChangeRecord, TimeoutPolicy, Verdict,
+    _check_durations, valid_minutes, verdict_of,
 )
 
 EXECUTION_FIELDS = (
@@ -70,33 +75,6 @@ class DatasetSummary(NamedTuple):
     censored_fraction: float
 
 
-class TimeoutChangeRecord(_Frozen):
-    """One change to a test's configured timeout value.
-
-    ``old_value`` is absent for the record that created the timeout entry.
-    Values are positive integer minutes.
-    """
-
-    __slots__ = _fields = ("test_id", "changed_at", "new_value", "old_value")
-    test_id: str
-    changed_at: datetime
-    new_value: int
-    old_value: int | None
-
-    def __init__(
-        self, test_id: str, changed_at: datetime, new_value: int, old_value: int | None = None
-    ) -> None:
-        if new_value < 1:
-            raise ValueError("new_value must be >= 1")
-        if old_value is not None and old_value < 1:
-            raise ValueError("old_value must be >= 1 when present")
-        self._set(test_id, changed_at, new_value, old_value)
-
-    @property
-    def is_creation(self) -> bool:
-        return self.old_value is None
-
-
 class ValidationReport(NamedTuple):
     """Outcome of loading one file: accepted + rejected = total input rows.
 
@@ -121,8 +99,11 @@ def parse_timestamp(raw: Any) -> datetime:
     except ValueError:
         raise ValueError("bad timestamp") from None
     if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+        return parsed.replace(tzinfo=timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:  # e.g. 0001-01-01T00:00:00+01:00, whose UTC form is before year 1
+        raise ValueError("bad timestamp") from None
 
 
 def format_timestamp(value: datetime) -> str:
@@ -487,14 +468,17 @@ def summarize(dataset: ExecutionDataset) -> DatasetSummary:
     )
 
 
-def record_to_row(row: tuple[str, str, datetime, float, Verdict, bool]) -> dict[str, Any]:
+def record_to_row(
+    row: tuple[str, str, datetime, float, Verdict, bool],
+    stamps: Mapping[datetime, str] | None = None,
+) -> dict[str, Any]:
     """Serialize one dataset row (``ExecutionDataset.rows``) into the on-disk
-    field names."""
+    field names, its start time's text read from ``stamps`` if given."""
     test_id, revision_id, started_at, duration, verdict, interrupted = row
     return {
         "test_id": test_id,
         "revision_id": revision_id,
-        "started_at": format_timestamp(started_at),
+        "started_at": format_timestamp(started_at) if stamps is None else stamps[started_at],
         "duration_seconds": duration,
         "verdict": verdict.value,
         "interrupted": interrupted,
@@ -504,22 +488,39 @@ def record_to_row(row: tuple[str, str, datetime, float, Verdict, bool]) -> dict[
 _VERDICT_JSON = {verdict: json.dumps(verdict.value) for verdict in Verdict}
 
 
-def _jsonl_lines(dataset: ExecutionDataset) -> Iterator[str]:
+def _stamp_texts(dataset: ExecutionDataset) -> dict[datetime, str]:
+    """Each distinct start time -> ``format_timestamp``'s text, formatted once. Start times
+    are keyed by value, so equal instants in different zones share one entry: the text is
+    UTC either way. ValueError at the first row whose start time has no UTC form in
+    ``datetime``'s range, such as ``0001-01-01T00:00:00+01:00``."""
+    texts = dict.fromkeys(dataset.started_at, "")  # in row order of first sight
+    for value in texts:
+        try:
+            texts[value] = format_timestamp(value)
+        except OverflowError:
+            test_id = dataset.tests[dataset.started_at.index(value)]
+            raise ValueError(
+                f"cannot write start time {value.isoformat()} of test {test_id}: "
+                "its UTC time is outside datetime's range"
+            ) from None
+    return texts
+
+
+def _jsonl_lines(dataset: ExecutionDataset, stamps: Mapping[datetime, str]) -> Iterator[str]:
     """Each row as ``json.dumps(record_to_row(row), sort_keys=True)`` writes
     it, plus a newline, from one template with the keys in sorted order.
 
-    Every distinct id and start time is encoded once. Start times are keyed
-    by value, so equal instants in different zones share one entry: the
-    output is UTC either way. A finite float's JSON text is its ``repr``.
+    Every distinct id is encoded once, and each start time's text comes from
+    ``stamps`` (``_stamp_texts``), which JSON writes unescaped. A finite
+    float's JSON text is its ``repr``.
     """
     quoted = {value: json.dumps(value) for value in {*dataset.tests, *dataset.revisions}}
-    stamps = {value: json.dumps(format_timestamp(value)) for value in set(dataset.started_at)}
     number = float.__repr__
     for test_id, revision_id, started_at, duration, verdict, interrupted in dataset.rows():
         yield (
             f'{{"duration_seconds": {number(duration)}, '
             f'"interrupted": {"true" if interrupted else "false"}, '
-            f'"revision_id": {quoted[revision_id]}, "started_at": {stamps[started_at]}, '
+            f'"revision_id": {quoted[revision_id]}, "started_at": "{stamps[started_at]}", '
             f'"test_id": {quoted[test_id]}, "verdict": {_VERDICT_JSON[verdict]}}}\n'
         )
 
@@ -529,20 +530,22 @@ def write_executions(dataset: ExecutionDataset, path: str | Path, fmt: str = "js
 
     Raises:
         ValueError: before opening the file, when a duration is outside ``[0,
-            DURATION_LIMIT]`` (no loader reads it back), or on an unknown format.
+            DURATION_LIMIT]`` (no loader reads it back), when a start time has no
+            UTC form in ``datetime``'s range, or on an unknown format.
     """
     path = Path(path)
     _check_durations(dataset, "cannot write")
+    stamps = _stamp_texts(dataset)
     if fmt == "jsonl":
         with path.open("w", encoding="utf-8") as handle:
-            handle.writelines(_jsonl_lines(dataset))
+            handle.writelines(_jsonl_lines(dataset, stamps))
         return
     if fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=EXECUTION_FIELDS)
             writer.writeheader()
             for row in dataset.rows():
-                writer.writerow(record_to_row(row))
+                writer.writerow(record_to_row(row, stamps))
         return
     raise ValueError(f"unknown format {fmt!r}; expected 'jsonl' or 'csv'")
 
@@ -556,3 +559,41 @@ def timeout_policy_csv(timeouts: Mapping[str, int]) -> str:
         cell = '"' + test_id.replace('"', '""') + '"' if _NEEDS_QUOTES.search(test_id) else test_id
         lines.append(f"{cell},{timeouts[test_id]}")
     return "\n".join(lines) + "\n"
+
+
+def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPolicy:
+    """Read a per-test timeout CSV (``timeout_policy_csv``'s format) as a policy; a
+    malformed header or row is a ValueError for the whole file."""
+    values: dict[str, int] = {}
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        try:
+            rows = list(csv.reader(handle))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"malformed policy file: {exc}") from None
+    if not rows or len(rows[0]) < 2:
+        raise ValueError(f"malformed header: expected {','.join(TIMEOUT_POLICY_FIELDS)}")
+    for row in rows[1:] if rows[0][0].strip() == TIMEOUT_POLICY_FIELDS[0] else rows:
+        if len(row) < 2:
+            raise ValueError(f"malformed policy row: {row!r}")
+        values[row[0]] = int(row[1])
+    return TimeoutPolicy(label, values=values)
+
+
+def write_timeout_policy(policy: TimeoutPolicy, path: str | Path) -> None:
+    """Write a per-test policy as ``timeout_policy_csv`` renders it.
+
+    The file is rendered and encoded before it is opened, so an id that UTF-8
+    cannot encode (one holding a lone surrogate) is a ValueError naming the
+    first such id in row order, and no file is created.
+    """
+    if policy.values is None:
+        raise ValueError("cannot write a purely static policy as per-test CSV")
+    text = timeout_policy_csv(policy.values)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # rows are in id order, so the first id holding the failing character is its row's
+        char = exc.object[exc.start]
+        test_id = min(tid for tid in policy.values if char in tid)
+        raise ValueError(f"test id {test_id!r} cannot be encoded as UTF-8") from None
+    Path(path).write_bytes(data)

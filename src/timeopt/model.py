@@ -1,7 +1,9 @@
 """Core domain types for test-execution analytics.
 
-The execution dataset, per-(test, revision) samples, and the summary
-statistics that feed the probability and cost machinery. The dataset holds
+The execution dataset, per-(test, revision) samples, the summary
+statistics that feed the probability and cost machinery, timeout policies
+and timeout-change records. This module imports no other module of the
+package, and it is the one the algorithm modules share. The dataset holds
 its runs as parallel columns, one tuple per field, built once at ingest;
 ``ExecutionRecord`` is the one-row view that API users and tests build
 datasets from and read them back as. Commands read the columns through the
@@ -200,6 +202,33 @@ class ExecutionRecord(_Frozen):
     def censored(self) -> bool:
         """True when the recorded duration was capped by an enforced timeout."""
         return self.interrupted and self.verdict is Verdict.TIMEOUT
+
+
+class TimeoutChangeRecord(_Frozen):
+    """One change to a test's configured timeout value.
+
+    ``old_value`` is absent for the record that created the timeout entry.
+    Values are positive integer minutes.
+    """
+
+    __slots__ = _fields = ("test_id", "changed_at", "new_value", "old_value")
+    test_id: str
+    changed_at: datetime
+    new_value: int
+    old_value: int | None
+
+    def __init__(
+        self, test_id: str, changed_at: datetime, new_value: int, old_value: int | None = None
+    ) -> None:
+        if new_value < 1:
+            raise ValueError("new_value must be >= 1")
+        if old_value is not None and old_value < 1:
+            raise ValueError("old_value must be >= 1 when present")
+        self._set(test_id, changed_at, new_value, old_value)
+
+    @property
+    def is_creation(self) -> bool:
+        return self.old_value is None
 
 
 class TestSample(_Frozen):
@@ -449,3 +478,47 @@ class ExecutionDataset(_Frozen):
         except KeyError:
             raise ValueError(f"unknown test {test_id!r}") from None
         return self.subsample(test_id, "*", indices)
+
+
+class TimeoutPolicy(_Frozen):
+    """A labeled policy: per-test timeouts in grid units, or one global static value."""
+
+    __slots__ = _fields = ("label", "values", "default")
+    label: str
+    values: Mapping[str, int] | None
+    default: int | None
+
+    def __init__(
+        self, label: str, values: Mapping[str, int] | None = None, default: int | None = None
+    ) -> None:
+        if values is None and default is None:
+            raise ValueError("policy needs per-test values or a default")
+        if values is not None and not all(map(valid_minutes, values.values())):
+            raise ValueError("timeout values must be >= 1 and finite in seconds")
+        if default is not None and not valid_minutes(default):
+            raise ValueError("default timeout must be >= 1 and finite in seconds")
+        self._set(label, values, default)
+
+    @classmethod
+    def static(cls, value: int, label: str = "static") -> "TimeoutPolicy":
+        return cls(label, default=value)
+
+    def value_for(self, test_id: str) -> int:
+        if self.values is not None and test_id in self.values:
+            return self.values[test_id]
+        if self.default is not None:
+            return self.default
+        raise ValueError(f"policy {self.label!r} has no timeout for test {test_id!r}")
+
+    def seconds(self, test_ids: Sequence[str]) -> dict[str, float]:
+        """test_id -> timeout in seconds; ``value_for``'s error on the first gap."""
+        return {tid: self.value_for(tid) * GRID_SECONDS for tid in test_ids}
+
+    def median_value(self, test_ids: Sequence[str]) -> float:
+        """The median of the tests' values, as ``statistics.median`` gives it:
+        the middle value, or the mean of the two middle ones."""
+        values = sorted(self.value_for(tid) for tid in test_ids)
+        middle = len(values) // 2
+        if len(values) % 2:
+            return values[middle]
+        return (values[middle - 1] + values[middle]) / 2

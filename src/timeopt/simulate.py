@@ -23,7 +23,9 @@ Each test's "developer-set" timeout is ``TestDistribution.quantile_units``:
 the quantile's bisection, stopped as soon as both ends of its bracket round
 to the same grid unit, since no later step can change that unit. The
 ``simulate`` command writes the dataset with ``ingest.write_executions``,
-which fills one JSONL line template per row.
+which fills one JSONL line template per row, and the policy with
+``ingest.write_timeout_policy``. This module imports ``model`` alone from the
+package, so importing it loads neither ``evaluate`` nor ``optimize``.
 
 Draws are made in bulk where the scalar draws would be back to back: a
 test's rerun picks, and its base durations when it has no hangs or
@@ -45,9 +47,9 @@ from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-from .evaluate import TimeoutPolicy
 from .model import (
-    DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, Verdict, _check_durations, _Frozen,
+    DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, TimeoutPolicy, Verdict, _check_durations,
+    _Frozen,
 )
 
 if TYPE_CHECKING:

@@ -6,8 +6,8 @@ from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
 import reference
-from timeopt.evaluate import CvReport, FoldPolicyResult, TimeoutPolicy, make_folds
-from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, Verdict
+from timeopt.evaluate import CvReport, FoldPolicyResult, make_folds
+from timeopt.model import ExecutionDataset, ExecutionRecord, TestSample, TimeoutPolicy, Verdict
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, optimize_timeout
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)

@@ -13,17 +13,9 @@ from helpers import (
     sample_of,
 )
 from timeopt import cli, evaluate
-from timeopt.evaluate import (
-    TimeoutPolicy,
-    compare_policies,
-    count_timeouts,
-    cross_validate,
-    load_timeout_policy,
-    make_folds,
-    write_timeout_policy,
-)
-from timeopt.ingest import write_executions
-from timeopt.model import ExecutionDataset
+from timeopt.evaluate import compare_policies, count_timeouts, cross_validate, make_folds
+from timeopt.ingest import load_timeout_policy, write_executions, write_timeout_policy
+from timeopt.model import ExecutionDataset, TimeoutPolicy
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     TOLHURST_BOUND,

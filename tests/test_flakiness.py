@@ -13,8 +13,7 @@ from timeopt.flakiness import (
     timeout_change_stats,
     timeout_failure_share,
 )
-from timeopt.ingest import TimeoutChangeRecord
-from timeopt.model import Verdict
+from timeopt.model import TimeoutChangeRecord, Verdict
 
 
 def rate_verdicts(rate: float, n: int = 10) -> list[str]:

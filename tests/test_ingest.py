@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -8,7 +9,6 @@ from helpers import EPOCH, dataset_of, record
 from timeopt import cli, ingest
 from timeopt.ingest import (
     DatasetSummary,
-    TimeoutChangeRecord,
     _change_from_row,
     format_timestamp,
     load_executions,
@@ -17,9 +17,13 @@ from timeopt.ingest import (
     summarize,
     write_executions,
 )
-from timeopt.model import DURATION_LIMIT, ExecutionDataset, ExecutionRecord, Verdict
+from timeopt.model import (
+    DURATION_LIMIT, ExecutionDataset, ExecutionRecord, TimeoutChangeRecord, Verdict,
+)
 
 ABOVE_LIMIT = math.nextafter(DURATION_LIMIT, math.inf)
+# valid ISO-8601 stamps whose UTC form lies before year 1 or after year 9999
+OUT_OF_RANGE_STAMPS = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
 
 
 def jsonl_row(
@@ -69,6 +73,7 @@ class TestLoadExecutions:
             (jsonl_row(test_id=""), "missing id"),
             ({"revision_id": "r1"}, "missing id"),
             (jsonl_row(started_at="not a time"), "bad timestamp"),
+            *[(jsonl_row(started_at=text), "bad timestamp") for text in OUT_OF_RANGE_STAMPS],
             (jsonl_row(duration_seconds="soon"), "bad duration"),
             (jsonl_row(verdict="PASS"), "unknown verdict"),
             (jsonl_row(verdict=1), "unknown verdict"),
@@ -261,6 +266,18 @@ class TestLoadExecutions:
         )
         path = tmp_path / f"runs.{fmt}"
         with pytest.raises(ValueError, match="durations must be non-negative and finite"):
+            write_executions(original, path, fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_STAMPS)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_start_time_without_a_utc_form_is_not_written(self, tmp_path, fmt, text):
+        stamp = datetime.fromisoformat(text)
+        original = ExecutionDataset(
+            records=[record("a"), ExecutionRecord("b", "r1", stamp, 60.0, Verdict.PASS)]
+        )
+        path = tmp_path / f"runs.{fmt}"
+        with pytest.raises(ValueError, match=re.escape(f"start time {stamp.isoformat()} of test b:")):
             write_executions(original, path, fmt)
         assert not path.exists()
 
@@ -547,6 +564,55 @@ class TestTimestamps:
         value = value.replace(tzinfo=timezone.utc)
         assert format_timestamp(value) == text
         assert parse_timestamp(text) == value
+
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_STAMPS)
+    def test_csv_row_with_no_utc_form_in_range_is_a_bad_timestamp(self, tmp_path, text):
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            "test_id,revision_id,started_at,duration_seconds,verdict\n"
+            f"t1,r1,{text},60,pass\nt1,r1,2024-01-01T00:00:00Z,60,pass\n",
+            encoding="utf-8",
+        )
+        dataset, report = load_executions(path, "csv")
+        assert len(dataset) == 1
+        assert report.reasons == {"bad timestamp": 1}
+
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_STAMPS)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_change_with_no_utc_form_in_range_costs_only_its_row(self, tmp_path, fmt, text):
+        path = tmp_path / f"changes.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(
+                path,
+                [
+                    {"test_id": "A", "changed_at": text, "new_value": 5},
+                    {"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10},
+                ],
+            )
+        else:
+            path.write_text(
+                f"test_id,changed_at,new_value\nA,{text},5\nB,2021-01-01T00:00:00Z,10\n",
+                encoding="utf-8",
+            )
+        changes, report = load_timeout_changes(path, fmt)
+        assert [c.test_id for c in changes] == ["B"]
+        assert report.reasons == {"bad timestamp": 1}
+
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_STAMPS)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_commands_warn_on_a_stamp_with_no_utc_form(self, tmp_path, capsys, fmt, text):
+        runs, changes = tmp_path / f"runs.{fmt}", tmp_path / f"changes.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(runs, [jsonl_row(started_at=text)])
+            write_jsonl(changes, [{"test_id": "A", "changed_at": text, "new_value": 5}])
+        else:
+            header = "test_id,revision_id,started_at,duration_seconds,verdict\n"
+            runs.write_text(f"{header}t1,r1,{text},60,pass\n", encoding="utf-8")
+            changes.write_text(f"test_id,changed_at,new_value\nA,{text},5\n", encoding="utf-8")
+        assert cli.run(["summarize", "--input", str(runs)]) == 0
+        assert cli.run(["timeout-history", "--input", str(changes)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("rejected 1 rows: {'bad timestamp': 1}") == 2
 
 
 class TestLoadTimeoutChanges:

@@ -9,13 +9,13 @@ from timeopt.model import (
     ExecutionDataset,
     ExecutionRecord,
     TestSample,
+    TimeoutPolicy,
     Verdict,
     failure_rate,
     is_flaky,
     sample_stats,
     valid_minutes,
 )
-from timeopt.evaluate import TimeoutPolicy
 from timeopt.optimize import OptimizationConfig
 
 

@@ -43,18 +43,18 @@ from timeopt.ingest import (
     _typed_values,
     format_timestamp,
     load_executions,
+    load_timeout_policy,
     record_to_row,
     write_executions,
+    write_timeout_policy,
 )
-from timeopt.evaluate import (
-    TimeoutPolicy, compare_policies, count_timeouts, cross_validate, load_timeout_policy,
-    make_folds, write_timeout_policy,
-)
+from timeopt.evaluate import compare_policies, count_timeouts, cross_validate, make_folds
 from timeopt.flakiness import (
     FlakinessReport, flakiness_evolution, flakiness_report, timeout_failure_share,
 )
 from timeopt.model import (
-    DURATION_LIMIT, ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict,
+    DURATION_LIMIT, ExecutionDataset, ExecutionRecord, SampleStats, TestSample, TimeoutPolicy,
+    Verdict,
 )
 from timeopt.optimize import (
     EMPIRICAL_ECDF,

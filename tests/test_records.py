@@ -11,15 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from timeopt.evaluate import (
-    CvReport, FoldAssignment, FoldPolicyResult, PolicyTotals, TimeoutPolicy,
-)
+from timeopt.evaluate import CvReport, FoldAssignment, FoldPolicyResult, PolicyTotals
 from timeopt.flakiness import (
     EvolutionSeries, FlakinessComparison, FlakinessReport, TimeoutChangeStats,
 )
-from timeopt.ingest import DatasetSummary, TimeoutChangeRecord, ValidationReport
+from timeopt.ingest import DatasetSummary, ValidationReport
 from timeopt.model import (
-    ExecutionDataset, ExecutionRecord, SampleStats, TestSample, Verdict, _Frozen,
+    ExecutionDataset, ExecutionRecord, SampleStats, TestSample, TimeoutChangeRecord,
+    TimeoutPolicy, Verdict, _Frozen,
 )
 from timeopt.optimize import CostCurve, OptimizationConfig, OptimizationResult, SweepResult
 from timeopt.simulate import SimulationReport, TestDistribution, TestSimulation, WorkloadSpec

@@ -15,9 +15,8 @@ import timeopt
 from helpers import verdict_dataset
 
 from timeopt import cli, simulate
-from timeopt.evaluate import TimeoutPolicy
 from timeopt.ingest import load_executions, write_executions
-from timeopt.model import DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, Verdict
+from timeopt.model import DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, TimeoutPolicy, Verdict
 from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost
 from timeopt.simulate import (
     _QUANTILE_CAP,
@@ -443,14 +442,14 @@ class TestImportGraph:
         )
 
     def test_simulate_loads_no_statistics(self, tmp_path):
-        # evaluate is imported for TimeoutPolicy alone; statistics pulls in
-        # fractions and decimal
+        # TimeoutPolicy lives in model, so simulate loads no evaluate;
+        # statistics pulls in fractions and decimal
         report = tmp_path / "report.json"
         run_python(
             "import sys, timeopt.cli\n"
             "assert timeopt.cli.run(['simulate', '--tests', '2', '--runs', '20',"
             f" '--seed', '1', '--report-out', {str(report)!r}]) == 0\n"
-            "assert 'timeopt.evaluate' in sys.modules\n"
+            "assert 'timeopt.evaluate' not in sys.modules\n"
             "loaded = [m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]\n"
             "assert loaded == [], loaded\n"
         )
