@@ -15,8 +15,8 @@ _EXPORTS = {
     ),
     "flakiness": (
         "EvolutionSeries", "FlakinessComparison", "FlakinessReport", "TimeoutChangeStats",
-        "compare_flakiness", "flakiness_evolution", "flakiness_report",
-        "timeout_change_stats", "timeout_failure_share",
+        "compare_flakiness", "failure_rate", "flakiness_evolution", "flakiness_report",
+        "is_flaky", "timeout_change_stats", "timeout_failure_share",
     ),
     "ingest": (
         "DatasetSummary", "ValidationReport", "load_executions", "load_timeout_changes",
@@ -24,13 +24,13 @@ _EXPORTS = {
     ),
     "model": (
         "GRID_SECONDS", "ExecutionDataset", "ExecutionRecord", "SampleStats", "TestSample",
-        "TimeoutChangeRecord", "TimeoutPolicy", "Verdict", "failure_rate", "is_flaky",
-        "sample_stats",
+        "TimeoutChangeRecord", "TimeoutPolicy", "Verdict",
     ),
     "optimize": (
         "CostCurve", "OptimizationConfig", "OptimizationResult", "SweepResult",
         "TimeoutOptimizer", "empirical_exceedance", "expected_cost", "optimize_timeout",
-        "static_sweep", "timeout_probability", "tolhurst_bound", "truncated_mean",
+        "sample_stats", "static_sweep", "timeout_probability", "tolhurst_bound",
+        "truncated_mean",
     ),
     "simulate": (
         "SimulationReport", "WorkloadSpec", "generate_workload", "simulate_rerun_policy",

@@ -7,7 +7,9 @@ policy's timeout) and average per-test cost with probabilities estimated
 empirically from the held-out data. Folds evaluate independently and the
 whole report is deterministic given (dataset, seed, config). The report
 also carries each test's timeout fitted on all its runs, from the same
-kernel, so ``evaluate`` sorts each test's runs once. Policies are
+kernel, so cross-validation sorts each test's runs once. The whole-dataset
+totals (``compare_policies``) build one kernel per (test, revision) sample
+and sort it only when some policy's timeout cuts it. Policies are
 ``model.TimeoutPolicy`` values; ``ingest`` reads and writes policy files,
 and this module touches no file.
 """

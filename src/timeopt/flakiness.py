@@ -7,10 +7,11 @@ tests are binned by failure rate into five intervals: (0, 0.2], (0.2, 0.4],
 means the test is not flaky and is counted in no bin.
 
 Each function reads every (test, revision) group of ``sample_index`` once,
-into one tally (``model._tallies``, which ``is_flaky`` and ``failure_rate``
-also read): runs, failures, timeouts and ``mixed_at``, the length of the
-shortest prefix (in start-time order) that holds a pass and a failure, or 0.
-A group is flaky when ``mixed_at > 0``, and its first k runs when ``0 < mixed_at <= k``.
+into one tally (``_tallies``, which ``is_flaky`` and ``failure_rate`` read for
+one verdict sequence): runs, failures, timeouts and ``mixed_at``, the length
+of the shortest prefix (in start-time order) that holds a pass and a failure,
+or 0. A group is flaky when ``mixed_at > 0``, and its first k runs when
+``0 < mixed_at <= k``.
 
 All functions are pure and safe to run in parallel across revisions.
 """
@@ -18,9 +19,9 @@ All functions are pure and safe to run in parallel across revisions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
-from .model import ExecutionDataset, TimeoutChangeRecord, _Frozen, _tallies
+from .model import ExecutionDataset, TimeoutChangeRecord, Verdict, _Frozen, verdict_of
 
 BIN_UPPER_EDGES = (0.2, 0.4, 0.6, 0.8)
 
@@ -74,6 +75,50 @@ class TimeoutChangeStats(NamedTuple):
     decrease_count: int
     increase_ratios: tuple[float, float, float] | None
     decrease_ratios: tuple[float, float, float] | None
+
+
+def _tallies(
+    column: Sequence[Verdict], groups: Iterable[Sequence[int]]
+) -> list[tuple[int, int, int, int]]:
+    """(runs, failures, timeouts, mixed_at) of each group of rows, whose verdicts
+    are read from the column once. The column holds ``Verdict`` members.
+    ``mixed_at`` is the length of the shortest prefix with a pass and a failure, or 0."""
+    tallies = []
+    for rows in groups:
+        verdicts = [column[i] for i in rows]
+        runs, passes = len(verdicts), verdicts.count(Verdict.PASS)
+        mixed_at = 0
+        if 0 < passes < runs:  # mixed at the first run that passed unlike the first
+            first_passed = verdicts[0] is Verdict.PASS
+            unlike = (n for n, v in enumerate(verdicts, 1) if (v is Verdict.PASS) != first_passed)
+            mixed_at = next(unlike)
+        tallies.append((runs, runs - passes, verdicts.count(Verdict.TIMEOUT), mixed_at))
+    return tallies
+
+
+def _tally(verdicts: Sequence[Any]) -> tuple[int, int, int, int]:
+    """``_tallies`` of one verdict sequence, members or their values, each
+    checked. Raises ValueError on an empty sequence or an unknown verdict."""
+    if not verdicts:
+        raise ValueError("empty verdict list")
+    column = [verdict_of(v) for v in verdicts]
+    return _tallies(column, [range(len(column))])[0]
+
+
+def is_flaky(verdicts: Sequence[Verdict]) -> bool:
+    """True iff the verdicts mix at least one pass and at least one failure.
+
+    All-pass and all-fail sequences are not flaky. Raises ValueError on an
+    empty sequence or an unknown verdict.
+    """
+    return _tally(verdicts)[3] > 0
+
+
+def failure_rate(verdicts: Sequence[Verdict]) -> float:
+    """Fraction of non-pass verdicts. Raises ValueError on an empty sequence
+    or an unknown verdict."""
+    runs, failures, _, _ = _tally(verdicts)
+    return failures / runs
 
 
 def bin_index(rate: float) -> int:

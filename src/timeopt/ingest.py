@@ -11,15 +11,16 @@ Execution rows come in two formats, with identical field names:
 * CSV: the same names as header columns.
 
 Malformed rows are rejected and counted; only an unreadable file or a
-malformed CSV header is fatal, and no input line crashes the loader. Files
-are read as UTF-8 with ``surrogateescape``, so an undecodable byte costs
-only its row: a test or revision id that holds a lone surrogate (such a
-byte, or a ``\\udcXX`` JSON escape) is rejected, since no UTF-8 output could
-hold it. JSONL lines spelled as the writer spells them (``_WRITER_LINE``)
-are read by a regex match up to the first line that is not, or fails a
-check; each line from there on is decoded by one ``raw_decode``, and a row
-in the canonical shape (``_typed_values``) goes straight into the columns.
-Both take ``_typed_row``'s checks. Any other row, each CSV row included, goes
+malformed CSV header is fatal, and no input line crashes the loader. Row
+files are opened by ``_open_rows`` alone, as UTF-8 with ``surrogateescape``
+and a leading byte-order mark dropped, so an undecodable byte costs only its
+row: a test or revision id that holds a lone surrogate (such a byte, or a
+``\\udcXX`` JSON escape) is rejected, since no UTF-8 output could hold it.
+JSONL lines spelled as the writer spells them (``_WRITER_LINE``) are read
+by a regex match up to the first line that is not, or fails a check; each
+line from there on is decoded by one ``raw_decode``, and a row in the
+canonical shape (``_typed_values``) goes straight into the columns. Both
+take ``_typed_row``'s checks. Any other row, each CSV row included, goes
 through ``_record_from_row``, which alone decides whether a row is rejected
 and why. No per-row record object is built, verdict strings map to members
 through one dict lookup, and repeated ids share one string, checked once.
@@ -27,7 +28,8 @@ Loading groups nothing beyond what the censored-fraction warnings count and
 is single-threaded per file; the dataset is immutable and shareable.
 Timeout-change files take the same per-row rejection. A policy file
 (``test_id,timeout_minutes``) is read all-or-nothing, unlike row files: a
-malformed header or row fails the whole file with ValueError.
+malformed header or row, or an empty or repeated test id, fails the whole
+file with ValueError.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .model import (
     _VERDICT_OF, DURATION_LIMIT, ExecutionDataset, TimeoutChangeRecord, TimeoutPolicy, Verdict,
@@ -282,42 +284,42 @@ def _jsonl_rows(lines: Iterable[str]) -> Iterator[tuple[Mapping[str, Any] | None
         yield obj, None
 
 
-def _iter_jsonl_rows(path: Path) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
-        yield from _jsonl_rows(handle)
-
-
-def _iter_csv_rows(
-    path: Path, required: Iterable[str]
+def _csv_rows(
+    lines: Iterable[str], required: Iterable[str]
 ) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        reader = csv.DictReader(handle)
+    """Each CSV row as a mapping, or "malformed row". ValueError, on the first
+    read, for a header that misses a ``required`` column or that the reader rejects."""
+    reader = csv.DictReader(lines)
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"malformed header: {exc}") from None
+    missing = [name for name in required if header is None or name not in header]
+    if missing:
+        raise ValueError(f"malformed header: missing columns {missing}")
+    while True:
         try:
-            header = reader.fieldnames
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"malformed header: {exc}") from None
-        missing = [name for name in required if header is None or name not in header]
-        if missing:
-            raise ValueError(f"malformed header: missing columns {missing}")
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                return
-            except csv.Error:  # an over-long field; the reader resumes at the next line
-                row = None
-            if row is None or None in row or any(value is None for value in row.values()):
-                yield None, "malformed row"
-            else:
-                yield row, None
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:  # an over-long field; the reader resumes at the next line
+            row = None
+        if row is None or None in row or any(value is None for value in row.values()):
+            yield None, "malformed row"
+        else:
+            yield row, None
 
 
-def _iter_rows(path: Path, fmt: str, required: Iterable[str]):
-    if fmt == "jsonl":
-        return _iter_jsonl_rows(path)
-    if fmt == "csv":
-        return _iter_csv_rows(path, required)
-    raise ValueError(f"unknown format {fmt!r}; expected 'jsonl' or 'csv'")
+def _open_rows(path: str | Path, fmt: str) -> TextIO:
+    """A row file (``jsonl`` or ``csv``) opened for reading, the one way every row
+    loader opens one: UTF-8 with ``surrogateescape``, and a leading byte-order mark
+    dropped (``utf-8-sig``), as spreadsheet tools save CSV. A CSV file keeps its line
+    ends for the ``csv`` reader. ValueError for another format, before any open."""
+    if fmt not in ("jsonl", "csv"):
+        raise ValueError(f"unknown format {fmt!r}; expected 'jsonl' or 'csv'")
+    return Path(path).open(
+        "r", encoding="utf-8-sig", errors="surrogateescape", newline="" if fmt == "csv" else None
+    )
 
 
 def _keep_rows(rows: Iterable[tuple[Any, str | None]], typed: bool, flat: list[Any],
@@ -353,13 +355,14 @@ def load_executions(
         OSError: if the file cannot be read.
         ValueError: on a malformed CSV header or unknown format.
     """
-    path = Path(path)
     flat: list[Any] = []  # each accepted row's values in field order, row after row
     ids: dict[str, str] = {}  # each distinct id -> its one shared string, "" if rejected
     reasons: dict[str, int] = {}
-    if fmt == "jsonl":
-        with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
-            # no JSON decode up to the first line the match or its checks miss
+    with _open_rows(path, fmt) as handle:
+        if fmt == "csv":  # a CSV value is always a str, so only the full check
+            rows = _csv_rows(handle, EXECUTION_FIELDS[:-1])  # "interrupted" is optional
+            _keep_rows(rows, False, flat, ids, reasons)
+        else:  # no JSON decode up to the first line the match or its checks miss
             lines, writer_line = handle, _WRITER_LINE.fullmatch
             for line in handle:
                 match = writer_line(line)
@@ -372,8 +375,6 @@ def load_executions(
                     break
                 flat += values
             _keep_rows(_jsonl_rows(lines), True, flat, ids, reasons)
-    else:  # a CSV value is always a str, so only the full check; "interrupted" is optional
-        _keep_rows(_iter_rows(path, fmt, EXECUTION_FIELDS[:-1]), False, flat, ids, reasons)
 
     # one stride per column, in EXECUTION_FIELDS order; the rows go before the copy to tuples
     columns = [flat[k::6] for k in range(6)]
@@ -445,14 +446,19 @@ def load_timeout_changes(
     """
     changes: list[TimeoutChangeRecord] = []
     reasons: dict[str, int] = {}
-    for row, reason in _iter_rows(Path(path), fmt, ("test_id", "changed_at", "new_value")):
-        if reason is None:
-            try:
-                changes.append(_change_from_row(row))
-                continue
-            except ValueError as exc:
-                reason = str(exc)
-        reasons[reason] = reasons.get(reason, 0) + 1
+    with _open_rows(path, fmt) as handle:
+        if fmt == "csv":
+            rows = _csv_rows(handle, ("test_id", "changed_at", "new_value"))
+        else:
+            rows = _jsonl_rows(handle)
+        for row, reason in rows:
+            if reason is None:
+                try:
+                    changes.append(_change_from_row(row))
+                    continue
+                except ValueError as exc:
+                    reason = str(exc)
+            reasons[reason] = reasons.get(reason, 0) + 1
     changes.sort(key=lambda c: (c.test_id, c.changed_at))
     return changes, ValidationReport(len(changes), sum(reasons.values()), reasons)
 
@@ -562,10 +568,11 @@ def timeout_policy_csv(timeouts: Mapping[str, int]) -> str:
 
 
 def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPolicy:
-    """Read a per-test timeout CSV (``timeout_policy_csv``'s format) as a policy; a
-    malformed header or row is a ValueError for the whole file."""
+    """Read a per-test timeout CSV (``timeout_policy_csv``'s format) as a policy. The
+    file is strict UTF-8, a leading byte-order mark dropped; a malformed header or row,
+    or a test id that is empty or named twice, is a ValueError for the whole file."""
     values: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+    with Path(path).open("r", encoding="utf-8-sig", newline="") as handle:
         try:
             rows = list(csv.reader(handle))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -575,6 +582,9 @@ def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPol
     for row in rows[1:] if rows[0][0].strip() == TIMEOUT_POLICY_FIELDS[0] else rows:
         if len(row) < 2:
             raise ValueError(f"malformed policy row: {row!r}")
+        if not row[0] or row[0] in values:
+            what = "duplicate" if row[0] else "empty"
+            raise ValueError(f"{what} test id {row[0]!r} in policy file")
         values[row[0]] = int(row[1])
     return TimeoutPolicy(label, values=values)
 

@@ -1,8 +1,9 @@
 """Core domain types for test-execution analytics.
 
-The execution dataset, per-(test, revision) samples, the summary
-statistics that feed the probability and cost machinery, timeout policies
-and timeout-change records. This module imports no other module of the
+The execution dataset, per-(test, revision) samples, the record of a
+sample's statistics (which only ``optimize``'s kernel fills), timeout
+policies and timeout-change records, with their checks; no statistic or
+verdict tally is computed here. This module imports no other module of the
 package, and it is the one the algorithm modules share. The dataset holds
 its runs as parallel columns, one tuple per field, built once at ingest;
 ``ExecutionRecord`` is the one-row view that API users and tests build
@@ -128,50 +129,6 @@ def _check_durations(dataset: ExecutionDataset, action: str) -> None:
             raise ValueError(f"{action} duration {d} of test {test_id}: durations {_IN_RANGE}")
 
 
-def _tallies(
-    column: Sequence[Verdict], groups: Iterable[Sequence[int]]
-) -> list[tuple[int, int, int, int]]:
-    """(runs, failures, timeouts, mixed_at) of each group of rows, whose verdicts
-    are read from the column once. The column holds ``Verdict`` members.
-    ``mixed_at`` is the length of the shortest prefix with a pass and a failure, or 0."""
-    tallies = []
-    for rows in groups:
-        verdicts = [column[i] for i in rows]
-        runs, passes = len(verdicts), verdicts.count(Verdict.PASS)
-        mixed_at = 0
-        if 0 < passes < runs:  # mixed at the first run that passed unlike the first
-            first_passed = verdicts[0] is Verdict.PASS
-            unlike = (n for n, v in enumerate(verdicts, 1) if (v is Verdict.PASS) != first_passed)
-            mixed_at = next(unlike)
-        tallies.append((runs, runs - passes, verdicts.count(Verdict.TIMEOUT), mixed_at))
-    return tallies
-
-
-def _tally(verdicts: Sequence[Any]) -> tuple[int, int, int, int]:
-    """``_tallies`` of one verdict sequence, members or their values, each
-    checked. Raises ValueError on an empty sequence or an unknown verdict."""
-    if not verdicts:
-        raise ValueError("empty verdict list")
-    column = [verdict_of(v) for v in verdicts]
-    return _tallies(column, [range(len(column))])[0]
-
-
-def is_flaky(verdicts: Sequence[Verdict]) -> bool:
-    """True iff the verdicts mix at least one pass and at least one failure.
-
-    All-pass and all-fail sequences are not flaky. Raises ValueError on an
-    empty sequence or an unknown verdict.
-    """
-    return _tally(verdicts)[3] > 0
-
-
-def failure_rate(verdicts: Sequence[Verdict]) -> float:
-    """Fraction of non-pass verdicts. Raises ValueError on an empty sequence
-    or an unknown verdict."""
-    runs, failures, _, _ = _tally(verdicts)
-    return failures / runs
-
-
 class ExecutionRecord(_Frozen):
     """One observed test execution.
 
@@ -278,6 +235,7 @@ class SampleStats(NamedTuple):
     ``variance`` is the unbiased sample variance (divisor n - 1, zero for a
     singleton sample) and ``q_n`` is its rescaling with
     q_n^2 = ((n + 1) / n) * variance, so q_n >= the sample standard deviation.
+    One place builds it: ``optimize``'s kernel (``_SortedSample.stats``).
     """
 
     n: int
@@ -286,41 +244,6 @@ class SampleStats(NamedTuple):
     q_n: float
     max: float
     min: float
-
-
-def sample_stats(sample: TestSample) -> SampleStats:
-    """Compute n, mean, unbiased variance, q_n, and extremes of a sample.
-
-    Raises:
-        ValueError: for an empty sample.
-    """
-    return stats_of(sample.durations)
-
-
-def stats_of(durations: Sequence[float]) -> SampleStats:
-    """``SampleStats`` of durations in any order. The mean and the variance
-    are ``fsum``s, which round the exact sum once, so no order of
-    ``durations`` changes them, and neither overflows (``DURATION_LIMIT``).
-
-    Raises:
-        ValueError: for no durations.
-    """
-    n = len(durations)
-    if not n:
-        raise ValueError("empty sample")
-    return stats_around(durations, math.fsum(durations) / n, max(durations), min(durations))
-
-
-def stats_around(
-    durations: Sequence[float], mean: float, top: float, bottom: float
-) -> SampleStats:
-    """``SampleStats`` of non-empty durations whose mean (their exact sum
-    over n, rounded once) and extremes are known: only the variance reads
-    the durations, as an ``fsum`` of the squared deviations."""
-    n = len(durations)
-    variance = math.fsum((d - mean) ** 2 for d in durations) / (n - 1) if n > 1 else 0.0
-    q_n = math.sqrt((n + 1) / n * variance)
-    return SampleStats(n, mean, variance, q_n, top, bottom)
 
 
 class ExecutionDataset(_Frozen):

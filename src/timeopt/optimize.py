@@ -37,8 +37,8 @@ moves to that unit and tm is read there, once, until the floor stops
 rising; the scan ends once the floor reaches the best candidate. Pruning
 needs a strict excess, so ties still go to the smallest timeout. The search,
 the static sweep and held-out scoring read the sample statistics, tm(t) and
-the empirical p(t) from one kernel per sample; ``truncated_mean``,
-``empirical_exceedance``, ``timeout_probability`` and
+the empirical p(t) from one kernel per sample; ``sample_stats``,
+``truncated_mean``, ``empirical_exceedance``, ``timeout_probability`` and
 ``expected_cost`` are adapters over a kernel, and the tests hold the ``fsum``
 definitions. The kernel alone decides saturation: at a t at or above the
 sample's max, p is 0 and tm is the exact mean, sorted or not, and a kernel
@@ -48,12 +48,14 @@ exponent of its smallest nonzero duration, and reads its mean from their
 sum. A split builds only the held-out kernel; the training side is the full
 kernel minus it, answered from the two prefix sums. ``fit`` builds, searches
 and frees one test's kernel at a time; ``cross_validate`` fits each test on
-the kernel that its folds split, so ``evaluate`` sorts each test once. The
-static sweep rescores a sample only until its kernel reports no overrun;
-past that, its cost changes only through the breakage term. Every kernel is
-built from rows by ``_SortedSample.of``, which also counts c, the censored
-runs among them, and ``split`` counts each part's; c is carried, and no rule
-reads it yet, so a censored run scores as a natural run of its duration.
+the kernel that its folds split, so cross-validation sorts each test once,
+while ``evaluate``'s policy totals build a kernel for each (test, revision)
+sample and sort it when some policy's timeout cuts it. The static sweep
+rescores a sample only until its kernel reports no overrun; past that, its
+cost changes only through the breakage term. Every kernel is built from
+rows by ``_SortedSample.of``, which also counts c, the censored runs among
+them, and ``split`` counts each part's; c is carried, and no rule reads it
+yet, so a censored run scores as a natural run of its duration.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -69,7 +71,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, _Frozen,
-    stats_around, stats_of, valid_minutes,
+    valid_minutes,
 )
 
 TOLHURST_BOUND = "tolhurst_bound"
@@ -255,9 +257,9 @@ class _SortedSample:
     returns the fsum definitions of the truncated mean and the overrun count,
     bit for bit, in any order of thresholds. Once sorted, the mean is
     prefix[n] / denominator / n, equal to the ``fsum`` mean, and ``stats``
-    takes the max and min from the sorted ends, which can differ from max()
-    and min() only in the sign of a zero, a value that no output reads; only
-    the variance is an ``fsum`` pass. Durations lie in
+    (the one builder of ``SampleStats``) takes the min from the sorted start,
+    which can differ from min() only in the sign of a zero, a value no output
+    reads; only the variance is an ``fsum`` pass. Durations lie in
     ``[0, DURATION_LIMIT]``; ``at`` and ``stats`` need at least one.
     """
 
@@ -343,13 +345,14 @@ class _SortedSample:
 
     @property
     def stats(self) -> SampleStats:
-        """``sample_stats`` of the sample, bit for bit, with its ValueErrors."""
+        """The one builder of ``SampleStats``: the kernel's mean and max, the min (the
+        sorted start once sorted), and the variance, an ``fsum`` that no order changes."""
         if self._stats is None:
-            ordered = self.ordered
-            if self.denominator is None or not ordered:
-                self._stats = stats_of(ordered)
-            else:
-                self._stats = stats_around(ordered, self.mean, ordered[-1], ordered[0])
+            ordered, n, mean = self.ordered, self.n, self.mean
+            variance = math.fsum((d - mean) ** 2 for d in ordered) / (n - 1) if n > 1 else 0.0
+            q_n = math.sqrt((n + 1) / n * variance)
+            bottom = min(ordered) if self.denominator is None else ordered[0]
+            self._stats = SampleStats(n, mean, variance, q_n, self._top, bottom)
         return self._stats
 
     @property
@@ -424,6 +427,11 @@ def _kernel_of(sample: TestSample) -> _SortedSample:
     if sample.n == 0:
         raise ValueError("empty sample")
     return _SortedSample.of(sample, range(sample.n), sample.test_id)
+
+
+def sample_stats(sample: TestSample) -> SampleStats:
+    """The statistics of a sample, from its kernel; ValueError for an empty one."""
+    return _kernel_of(sample).stats
 
 
 def empirical_exceedance(sample: TestSample, threshold: float) -> float:

@@ -16,13 +16,14 @@ from helpers import MINUTE, dataset_of, minutes_sample, sweep_fixture_dataset
 from timeopt.cli import run
 from timeopt.evaluate import cross_validate
 from timeopt.ingest import write_executions
-from timeopt.model import TestSample, Verdict, sample_stats
+from timeopt.model import TestSample, Verdict
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     TOLHURST_BOUND,
     OptimizationConfig,
     expected_cost,
     optimize_timeout,
+    sample_stats,
     tolhurst_bound,
 )
 from timeopt.simulate import WorkloadSpec, generate_workload, simulate_rerun_policy

@@ -410,6 +410,35 @@ class TestEvaluate:
         assert code == 0
         assert "original" in capsys.readouterr().out
 
+    def test_policy_file_with_a_byte_order_mark(self, runs_file, tmp_path, capsys):
+        timeouts = tmp_path / "orig.csv"
+        argv = ["evaluate", "--input", str(runs_file), "--k", "4", "--seed", "1",
+                "--min-samples", "2", "--timeouts", str(timeouts)]
+        plain = b"test_id,timeout_minutes\nalpha,4\nbeta,7\n"
+        timeouts.write_bytes(plain)
+        assert run(argv) == 0
+        expected = capsys.readouterr()
+        timeouts.write_bytes(b"\xef\xbb\xbf" + plain)
+        assert run(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("alpha,4\nbeta,7\nalpha,5\n", "duplicate test id 'alpha' in policy file"),
+            ("alpha,4\n,5\nbeta,7\n", "empty test id '' in policy file"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_empty_or_repeated_policy_id_is_data_error(
+        self, runs_file, tmp_path, capsys, body, error
+    ):
+        timeouts = tmp_path / "orig.csv"
+        timeouts.write_text("test_id,timeout_minutes\n" + body, encoding="utf-8")
+        argv = ["evaluate", "--input", str(runs_file), "--seed", "1", "--timeouts", str(timeouts)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_policy_gap_writes_no_table(self, tmp_path, capsys):
         # the policy covers the folds' tests but not "tiny", too small for
         # them: the totals fail, and no half report reaches stdout

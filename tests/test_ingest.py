@@ -13,12 +13,15 @@ from timeopt.ingest import (
     format_timestamp,
     load_executions,
     load_timeout_changes,
+    load_timeout_policy,
     parse_timestamp,
     summarize,
     write_executions,
+    write_timeout_policy,
 )
 from timeopt.model import (
-    DURATION_LIMIT, ExecutionDataset, ExecutionRecord, TimeoutChangeRecord, Verdict,
+    DURATION_LIMIT, ExecutionDataset, ExecutionRecord, TimeoutChangeRecord, TimeoutPolicy,
+    Verdict,
 )
 
 ABOVE_LIMIT = math.nextafter(DURATION_LIMIT, math.inf)
@@ -718,6 +721,73 @@ class TestLoadTimeoutChanges:
             TimeoutChangeRecord(test_id="A", changed_at=EPOCH, new_value=0)
         with pytest.raises(ValueError):
             TimeoutChangeRecord(test_id="A", changed_at=EPOCH, new_value=5, old_value=0)
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet tools save CSV, is
+    dropped by every loader, and no writer writes one."""
+
+    @pytest.mark.parametrize(
+        "fmt, rewrite",
+        [("jsonl", False), ("jsonl", True), ("csv", True)],
+        ids=["jsonl", "jsonl-writer-lines", "csv"],
+    )
+    def test_execution_file_loads_as_without_it(self, runs_file, tmp_path, fmt, rewrite):
+        path = runs_file
+        if rewrite:
+            path = tmp_path / f"written.{fmt}"
+            write_executions(load_executions(runs_file)[0], path, fmt)
+        plain = path.read_bytes()
+        assert not plain.startswith(BOM)
+        expected = load_executions(path, fmt)
+        assert (expected[1].accepted, expected[1].rejected) == (24, 0)
+        path.write_bytes(BOM + plain)
+        assert load_executions(path, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_change_file_loads_as_without_it(self, tmp_path, fmt):
+        path = tmp_path / f"changes.{fmt}"
+        rows = [("A", "2021-01-01T00:00:00Z", "", 15), ("A", "2021-01-02T00:00:00Z", 15, 25)]
+        fields = ("test_id", "changed_at", "old_value", "new_value")
+        if fmt == "jsonl":
+            write_jsonl(path, [dict(zip(fields, row)) for row in rows])
+        else:
+            lines = [",".join(fields)] + [",".join(map(str, row)) for row in rows]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = load_timeout_changes(path, fmt)
+        assert expected[1].accepted == 2
+        path.write_bytes(BOM + path.read_bytes())
+        assert load_timeout_changes(path, fmt) == expected
+
+    def test_policy_file_loads_as_without_it(self, tmp_path):
+        path = tmp_path / "timeouts.csv"
+        write_timeout_policy(TimeoutPolicy("original", values={"a": 5, "b,c": 7}), path)
+        plain = path.read_bytes()
+        assert not plain.startswith(BOM)
+        path.write_bytes(BOM + plain)
+        assert load_timeout_policy(path).values == {"a": 5, "b,c": 7}
+
+
+class TestLoadTimeoutPolicy:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,5\na,7\n,3\n", "duplicate test id 'a' in policy file"),
+            ('"x,y",5\nb,6\n"x,y",5\n', "duplicate test id 'x,y' in policy file"),
+            ("a,5\n,3\n", "empty test id '' in policy file"),
+            ('a,5\n"",3\n', "empty test id '' in policy file"),
+        ],
+        ids=["repeated", "repeated-quoted", "empty", "empty-quoted"],
+    )
+    def test_empty_or_repeated_id_fails_the_file(self, tmp_path, body, message):
+        path = tmp_path / "timeouts.csv"
+        path.write_text("test_id,timeout_minutes\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            load_timeout_policy(path)
+        assert str(raised.value) == message
 
 
 class TestSummarize:

@@ -1,9 +1,12 @@
 """The package's layers, read from each module's source with ``ast``.
 
-``model`` holds the record types and imports no package module. ``ingest``
-owns every file format. The algorithm modules import ``model`` (and
-``evaluate`` also ``optimize``) and touch no file. ``cli`` and ``__init__``
-are the adapters on top and may import any module.
+``model`` holds the record types, the dataset and their checks, and imports
+no package module; it computes no sample statistic and no verdict tally.
+Those have one home each: the kernel in ``optimize`` (``sample_stats`` is an
+adapter over it) and the tally in ``flakiness`` (with ``is_flaky`` and
+``failure_rate``). ``ingest`` owns every file format. The algorithm modules
+import ``model`` (and ``evaluate`` also ``optimize``) and touch no file.
+``cli`` and ``__init__`` are the adapters on top and may import any module.
 """
 
 import ast
@@ -93,3 +96,16 @@ def test_record_types_and_policy_file_have_one_home():
         assert not hasattr(evaluate, name), name
     for function in (ingest.load_timeout_policy, ingest.write_timeout_policy):
         assert function.__module__ == "timeopt.ingest"
+
+
+def test_sample_statistics_and_verdict_tally_have_one_home():
+    from timeopt import model, optimize
+
+    assert timeopt.sample_stats is optimize.sample_stats
+    for function in (timeopt.is_flaky, timeopt.failure_rate):
+        assert function.__module__ == "timeopt.flakiness"
+    moved = (
+        "stats_of", "stats_around", "sample_stats", "_tallies", "_tally", "is_flaky",
+        "failure_rate",
+    )
+    assert [name for name in moved if hasattr(model, name)] == []

@@ -11,12 +11,10 @@ from timeopt.model import (
     TestSample,
     TimeoutPolicy,
     Verdict,
-    failure_rate,
-    is_flaky,
-    sample_stats,
     valid_minutes,
 )
-from timeopt.optimize import OptimizationConfig
+from timeopt.flakiness import failure_rate, is_flaky
+from timeopt.optimize import OptimizationConfig, sample_stats
 
 
 @pytest.mark.parametrize(

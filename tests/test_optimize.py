@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import MINUTE, dataset_of, minutes_sample, sample_of
-from timeopt.model import DURATION_LIMIT, SampleStats, sample_stats
+from timeopt.model import DURATION_LIMIT, SampleStats
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     PROBABILITY_METHODS,
@@ -21,6 +21,7 @@ from timeopt.optimize import (
     empirical_exceedance,
     expected_cost,
     optimize_timeout,
+    sample_stats,
     search_grid,
     static_sweep,
     timeout_probability,

@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import EPOCH, MINUTE, dataset_of, sample_of
-from timeopt import cli, evaluate, ingest, model, optimize
+from timeopt import cli, evaluate, flakiness, ingest, optimize
 from timeopt.ingest import (
     _record_from_row,
     _typed_values,
@@ -193,9 +193,9 @@ def test_public_adapters_equal_the_reference(durations, data, config, verdicts):
         assert_as_reference(optimize, "timeout_probability", sample, t, config)
         assert_as_reference(optimize, "expected_cost", sample, t, config)
         assert_as_reference(evaluate, "count_timeouts", sample, t)
-    assert_as_reference(model, "sample_stats", sample)
-    assert_as_reference(model, "is_flaky", verdicts)
-    assert_as_reference(model, "failure_rate", verdicts)
+    assert_as_reference(optimize, "sample_stats", sample)
+    assert_as_reference(flakiness, "is_flaky", verdicts)
+    assert_as_reference(flakiness, "failure_rate", verdicts)
 
 
 @PROPERTY
