@@ -9,9 +9,10 @@ whole report is deterministic given (dataset, seed, config). The report
 also carries each test's timeout fitted on all its runs, from the same
 kernel, so cross-validation sorts each test's runs once. The whole-dataset
 totals (``compare_policies``) build one kernel per (test, revision) sample
-and sort it only when some policy's timeout cuts it. Policies are
-``model.TimeoutPolicy`` values; ``ingest`` reads and writes policy files,
-and this module touches no file.
+and sort it only when some policy's timeout cuts it. CV rows and totals
+share ``static_sweep``'s scorer and ``fsum`` average, so a static policy's
+total is the sweep's point. Policies are ``model.TimeoutPolicy`` values;
+``ingest`` reads and writes policy files, and this module touches no file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample
-from .optimize import OptimizationConfig, _SortedSample, optimize_timeout
+from .optimize import OptimizationConfig, _average, _SortedSample, optimize_timeout
 
 if TYPE_CHECKING:
     from .model import TimeoutPolicy
@@ -182,7 +183,7 @@ def cross_validate(
             for fold, fold_totals in enumerate(totals):
                 held_out, train = kernel.split([f == fold for f in fold_of], censored_of)
                 fitted = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
-                _score(held_out, baseline_seconds + [fitted], config, fold_totals)
+                fold_totals.add(held_out, baseline_seconds + [fitted], config)
             del held_out, train
         fitted_timeouts[test_id] = optimize_timeout(kernel, config).optimal_timeout
         del kernel  # freed before the next test's is built
@@ -242,7 +243,7 @@ def compare_policies(
 
     totals = _Totals(len(policies))
     for (test_id, _), rows in dataset.sample_index.items():
-        _score(_SortedSample.of(dataset, rows), seconds[test_id], config, totals)
+        totals.add(_SortedSample.of(dataset, rows), seconds[test_id], config)
     return tuple(
         PolicyTotals(policy.label, *result, policy.median_value(test_ids))
         for policy, result in zip(policies, totals.results())
@@ -257,17 +258,16 @@ class _Totals:
         self.overruns = [0] * policies
         self.costs: list[list[float]] = [[] for _ in range(policies)]
 
+    def add(
+        self, kernel: _SortedSample, seconds: Sequence[float], config: OptimizationConfig
+    ) -> None:
+        """Add the kernel's overruns and empirical cost at each policy's
+        timeout, ``seconds[i]``, to that policy's totals."""
+        for i, timeout in enumerate(seconds):
+            cost, over = kernel.empirical_cost(timeout, config)
+            self.overruns[i] += over
+            self.costs[i].append(cost)
+
     def results(self) -> list[tuple[int, float]]:
-        """(overruns, average cost) per policy."""
-        return [(over, sum(costs) / len(costs)) for over, costs in zip(self.overruns, self.costs)]
-
-
-def _score(
-    kernel: _SortedSample, seconds: Sequence[float], config: OptimizationConfig, totals: _Totals
-) -> None:
-    """Add the kernel's overruns and empirical cost at each policy's timeout,
-    ``seconds[i]``, to that policy's totals."""
-    for i, timeout in enumerate(seconds):
-        cost, over = kernel.empirical_cost(timeout, config)
-        totals.overruns[i] += over
-        totals.costs[i].append(cost)
+        """(overruns, average cost) per policy, the average ``static_sweep``'s."""
+        return [(over, _average(costs)) for over, costs in zip(self.overruns, self.costs)]

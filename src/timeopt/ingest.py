@@ -28,8 +28,8 @@ Loading groups nothing beyond what the censored-fraction warnings count and
 is single-threaded per file; the dataset is immutable and shareable.
 Timeout-change files take the same per-row rejection. A policy file
 (``test_id,timeout_minutes``) is read all-or-nothing, unlike row files: a
-malformed header or row, or an empty or repeated test id, fails the whole
-file with ValueError.
+malformed header or row, a bad value (named with its line and test id), or
+an empty or repeated test id fails the whole file with ValueError.
 """
 
 from __future__ import annotations
@@ -569,23 +569,45 @@ def timeout_policy_csv(timeouts: Mapping[str, int]) -> str:
 
 def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPolicy:
     """Read a per-test timeout CSV (``timeout_policy_csv``'s format) as a policy. The
-    file is strict UTF-8, a leading byte-order mark dropped; a malformed header or row,
-    or a test id that is empty or named twice, is a ValueError for the whole file."""
-    values: dict[str, int] = {}
+    file is strict UTF-8, a leading byte-order mark dropped. The header may be left
+    out: a first row whose id is ``test_id`` is the header, and any other first row
+    whose value is not a number is a malformed header. A malformed header or row, a
+    value that is not a valid whole number of minutes (named with its line and test
+    id), or a test id that is empty or named twice is a ValueError for the whole file."""
+    expected = ",".join(TIMEOUT_POLICY_FIELDS)
     with Path(path).open("r", encoding="utf-8-sig", newline="") as handle:
-        try:
-            rows = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        try:  # each row with the line it ends on
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"malformed policy file: {exc}") from None
-    if not rows or len(rows[0]) < 2:
-        raise ValueError(f"malformed header: expected {','.join(TIMEOUT_POLICY_FIELDS)}")
-    for row in rows[1:] if rows[0][0].strip() == TIMEOUT_POLICY_FIELDS[0] else rows:
+    if not rows or len(rows[0][1]) < 2:
+        raise ValueError(f"malformed header: expected {expected}")
+    if rows[0][1][0].strip() == TIMEOUT_POLICY_FIELDS[0]:
+        del rows[0]
+    else:
+        try:
+            float(rows[0][1][1])  # a number: a data row, in a file with no header
+        except ValueError:
+            raise ValueError(f"malformed header: expected {expected}") from None
+    values: dict[str, int] = {}
+    for line, row in rows:
         if len(row) < 2:
-            raise ValueError(f"malformed policy row: {row!r}")
-        if not row[0] or row[0] in values:
-            what = "duplicate" if row[0] else "empty"
-            raise ValueError(f"{what} test id {row[0]!r} in policy file")
-        values[row[0]] = int(row[1])
+            raise ValueError(f"line {line}: malformed policy row: {row!r}")
+        test_id, raw = row[0], row[1]
+        if not test_id or test_id in values:
+            what = "duplicate" if test_id else "empty"
+            raise ValueError(f"{what} test id {test_id!r} in policy file")
+        try:
+            minutes = int(raw)
+        except ValueError:
+            minutes = 0  # not a whole number: as invalid as 0
+        if not valid_minutes(minutes):
+            raise ValueError(
+                f"line {line}, test {test_id!r}: timeout_minutes {raw!r} is not a whole "
+                "number of minutes >= 1 and finite in seconds"
+            )
+        values[test_id] = minutes
     return TimeoutPolicy(label, values=values)
 
 

@@ -37,25 +37,22 @@ moves to that unit and tm is read there, once, until the floor stops
 rising; the scan ends once the floor reaches the best candidate. Pruning
 needs a strict excess, so ties still go to the smallest timeout. The search,
 the static sweep and held-out scoring read the sample statistics, tm(t) and
-the empirical p(t) from one kernel per sample; ``sample_stats``,
-``truncated_mean``, ``empirical_exceedance``, ``timeout_probability`` and
-``expected_cost`` are adapters over a kernel, and the tests hold the ``fsum``
-definitions. The kernel alone decides saturation: at a t at or above the
-sample's max, p is 0 and tm is the exact mean, sorted or not, and a kernel
-only ever asked such thresholds is never sorted. A sorted kernel holds its
-durations as exact integers over the denominator 2**(53 - e), e the ``frexp``
-exponent of its smallest nonzero duration, and reads its mean from their
-sum. A split builds only the held-out kernel; the training side is the full
-kernel minus it, answered from the two prefix sums. ``fit`` builds, searches
-and frees one test's kernel at a time; ``cross_validate`` fits each test on
-the kernel that its folds split, so cross-validation sorts each test once,
-while ``evaluate``'s policy totals build a kernel for each (test, revision)
-sample and sort it when some policy's timeout cuts it. The static sweep
-rescores a sample only until its kernel reports no overrun; past that, its
-cost changes only through the breakage term. Every kernel is built from
-rows by ``_SortedSample.of``, which also counts c, the censored runs among
-them, and ``split`` counts each part's; c is carried, and no rule reads it
-yet, so a censored run scores as a natural run of its duration.
+the empirical p(t) from one kernel per sample (``_SortedSample``, which
+alone decides saturation and holds exact integer prefix sums); the public
+``sample_stats``, ``truncated_mean``, ``empirical_exceedance``,
+``timeout_probability`` and ``expected_cost`` are adapters over a kernel,
+and the tests hold the ``fsum`` definitions. The static sweep, ``evaluate``'s
+policy totals and its cross-validation rows share one scorer, the kernel's
+``empirical_cost``, whose breakage term is written once (``_breakage``), and
+one fleet average, ``_average``: the ``fsum`` of the costs over their count.
+``fit`` builds, searches and frees one test's kernel at a time;
+``cross_validate`` fits each test on the kernel that its folds split, so
+cross-validation sorts each test once, while ``evaluate``'s policy totals
+build a kernel for each (test, revision) sample and sort it when some
+policy's timeout cuts it. Every kernel is built from rows by
+``_SortedSample.of``, which also counts c, the censored runs among them,
+and ``split`` counts each part's; c is carried, and no rule reads it yet,
+so a censored run scores as a natural run of its duration.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -417,9 +414,17 @@ class _Difference(_SortedSample):
 
 def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> float:
     cost = tm + config.rerun_count * p * tm
-    if config.breakage_probability > 0.0:
-        cost += config.breakage_probability * threshold * (config.rerun_count + 1)
-    return cost
+    return cost + _breakage(threshold, config) if config.breakage_probability > 0.0 else cost
+
+
+def _breakage(threshold: float, config: OptimizationConfig) -> float:
+    """The cost's breakage term, pb * t * (m + 1), which ``_cost`` adds when pb > 0."""
+    return config.breakage_probability * threshold * (config.rerun_count + 1)
+
+
+def _average(costs: Sequence[float]) -> float:
+    """The one fleet average: the ``fsum`` of the costs, exact in any order, over their count."""
+    return math.fsum(costs) / len(costs)
 
 
 def _kernel_of(sample: TestSample) -> _SortedSample:
@@ -639,16 +644,17 @@ def static_sweep(
     if it was never actually interrupted. Returns the averaged curve and the
     grid minimum (smallest timeout on ties).
 
-    Every sample gets a kernel, and only samples still running past the
-    previous point are rescored. Once the kernel reports no overrun at t
-    the sample is saturated: its p is 0 and its truncated mean is its exact
-    mean at t and at every larger t, so its cost is left as it is, or, with
-    breakage, set to that mean plus the point's breakage term, computed once
-    per point in ``_cost``'s order of operations: at p = 0, ``_cost`` adds
-    exactly that term to the mean. The kernel decides saturation, so a
-    sample saturated at lo is never sorted. Each point is the ``fsum`` of all
-    costs in sample order, so the curve is bit-equal to scoring every sample
-    at every point.
+    Every sample gets a kernel and is scored by its ``empirical_cost``, and
+    each point is the one fleet average, ``_average``: the scorer and the
+    ``fsum`` average of ``evaluate``'s totals and cross-validation rows, so
+    the point at t is bit-equal to ``compare_policies``' average cost of
+    the static policy t. Only samples still running past the previous point
+    are rescored. Once the kernel reports no overrun at t the sample is
+    saturated: its p is 0 and its truncated mean is its exact mean at every
+    larger t, so its cost is left as it is, or, with breakage, set to that
+    mean plus the point's ``_breakage``, exactly what ``_cost`` adds to it at
+    p = 0. The kernel decides saturation, so a sample saturated at lo is
+    never sorted.
     """
     lo, hi = sweep_range
     if lo >= hi:
@@ -663,28 +669,22 @@ def static_sweep(
     running = list(enumerate(kernels))
     saturated: list[tuple[int, float]] = []  # (sample position, mean)
     points: list[tuple[int, float]] = []
-    best_t = lo
-    best_cost = math.inf
     for t_units in range(lo, hi + 1):
         t_seconds = t_units * GRID_SECONDS
         if config.breakage_probability > 0.0:
-            breakage = config.breakage_probability * t_seconds * (config.rerun_count + 1)
+            breakage = _breakage(t_seconds, config)
             for i, mean in saturated:
                 costs[i] = mean + breakage
         still_running = []
         for i, kernel in running:
-            tm, over = kernel.at(t_seconds)
-            costs[i] = _cost(tm, over / kernel.n, t_seconds, config)
+            costs[i], over = kernel.empirical_cost(t_seconds, config)
             if over:
                 still_running.append((i, kernel))
             else:
-                saturated.append((i, tm))
+                saturated.append((i, kernel.mean))
         running = still_running
-        average = math.fsum(costs) / len(kernels)
-        points.append((t_units, average))
-        if average < best_cost:
-            best_cost = average
-            best_t = t_units
+        points.append((t_units, _average(costs)))
+    best_t, best_cost = min(points, key=operator.itemgetter(1))  # the first of equal minima
     return SweepResult(
         curve=CostCurve(points=tuple(points)),
         optimal_timeout=best_t,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -136,7 +137,7 @@ def reference_cross_validate(
                 reference.expected_cost(s, seconds[tid], empirical) for tid, s in held_out.items()
             ]
             count = sum(reference.count_timeouts(s, seconds[tid]) for tid, s in held_out.items())
-            rows.append(FoldPolicyResult(fold, label, count, sum(costs) / len(costs)))
+            rows.append(FoldPolicyResult(fold, label, count, math.fsum(costs) / len(costs)))
     counts = {(row.fold, row.policy): row.flaky_timeout_count for row in rows}
     reduction: dict[str, dict[str, float | None]] = {}
     for a in labels:

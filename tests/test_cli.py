@@ -439,6 +439,32 @@ class TestEvaluate:
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("id,minutes\nalpha,4\nbeta,7\n", "malformed header: expected test_id,timeout_minutes"),
+            (
+                "test_id,timeout_minutes\nalpha,5.0\nbeta,7\n",
+                "line 2, test 'alpha': timeout_minutes '5.0' is not a whole number of minutes"
+                " >= 1 and finite in seconds",
+            ),
+            (
+                "alpha,4\nbeta,0\n",
+                "line 2, test 'beta': timeout_minutes '0' is not a whole number of minutes"
+                " >= 1 and finite in seconds",
+            ),
+        ],
+        ids=["other-header", "fractional-value", "zero-value-headerless"],
+    )
+    def test_bad_policy_value_names_its_line_and_test(
+        self, runs_file, tmp_path, capsys, text, error
+    ):
+        timeouts = tmp_path / "orig.csv"
+        timeouts.write_text(text, encoding="utf-8")
+        argv = ["evaluate", "--input", str(runs_file), "--seed", "1", "--timeouts", str(timeouts)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_policy_gap_writes_no_table(self, tmp_path, capsys):
         # the policy covers the folds' tests but not "tiny", too small for
         # them: the totals fail, and no half report reaches stdout
@@ -688,6 +714,8 @@ def _hung_fleet_argv(tmp_path, command):
 # from the code that re-wrapped tuples with list() and dict() before json.dumps.
 # The hung-fleet digests score each censored run as a natural run of its
 # enforced timeout; a rule that reads the kernels' censored count changes them.
+# hung-fleet-evaluate was re-recorded when held-out costs began to average
+# with ``fsum``, as the sweep does: one fold's average_cost moved in its last digit.
 @pytest.mark.parametrize(
     "build, digest",
     [
@@ -724,7 +752,7 @@ def _hung_fleet_argv(tmp_path, command):
                 ("optimize-tolhurst", "5b8a69faf3c9d417"),
                 ("optimize-empirical", "9e4168726032ec7d"),
                 ("sweep", "6b9cd3f41396df1b"),
-                ("evaluate", "6586bdd55fdf5953"),
+                ("evaluate", "3753b03c39b8acd4"),
             ]
         ),
     ],
@@ -735,6 +763,23 @@ def test_json_outputs_are_pinned(build, digest, runs_file, tmp_path, capsys):
     assert run(argv + ["--report-out" if argv[0] == "simulate" else "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("pb", ["0", "0.01"])
+def test_sweep_point_is_evaluate_static_row(tmp_path, capsys, pb):
+    # One number for one input: the sweep's point at 25 minutes is the
+    # average cost of evaluate's whole-dataset static-25 row, bit for bit.
+    # On this three-sample fleet, averaging those costs with sum() instead
+    # of fsum() moves that row's last digit at either pb.
+    sweep, curve = _hung_fleet_argv(tmp_path, "sweep"), tmp_path / "sweep.json"
+    assert run(sweep + ["--pb", pb, "--out", str(curve)]) == 0
+    fleet, totals = sweep[sweep.index("--input") + 1], tmp_path / "evaluate.json"
+    evaluate = ["evaluate", "--input", fleet, "--seed", "3", "--static", "25", "--pb", pb]
+    assert run(evaluate + ["--out", str(totals)]) == 0
+    capsys.readouterr()
+    rows = json.loads(totals.read_text())["totals"]
+    (static,) = [row for row in rows if row["policy"] == "static"]
+    assert dict(json.loads(curve.read_text())["curve"])[25] == static["average_cost"]
 
 
 # The first 16 hex digits of the sha256 of each command's stdout, recorded

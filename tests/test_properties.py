@@ -14,8 +14,10 @@ reference ``is_flaky`` of every prefix and ``failure_rate`` of each
 regrouped sample, the rerun
 simulator against a record-by-record replay, a write and reload, in
 both file formats, against the record adapter, the JSONL writer's
-bytes against ``json.dumps`` of each row, and the loader's writer-line
-and typed paths against ``json.loads`` of each line and its full row check.
+bytes against ``json.dumps`` of each row, the loader's writer-line
+and typed paths against ``json.loads`` of each line and its full row check,
+every number two commands print for one input against each other, and
+mutated policy and timeout-change files against their loaders and commands.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
@@ -629,8 +632,38 @@ def test_held_out_scoring_equals_fsum_reference(records, timeouts):
         t = policy.value_for(sample.test_id) * MINUTE
         costs.append(reference.expected_cost(sample, t, empirical))
         overruns += reference.count_timeouts(sample, t)
-    assert totals.average_cost == sum(costs) / len(costs)
+    assert totals.average_cost == math.fsum(costs) / len(costs)
     assert totals.flaky_timeout_count == overruns
+
+
+@PROPERTY
+@given(
+    records=records_st,
+    method=st.sampled_from(PROBABILITY_METHODS),
+    m=st.integers(0, 4),
+    pb=st.sampled_from([0.0, 0.01]),
+    k=st.integers(2, 3),
+)
+def test_commands_give_one_number_for_one_input(records, method, m, pb, k):
+    # Where two commands print a number for the same input, they print the
+    # same float: the sweep's point at t and compare's static-t average,
+    # cross-validation's whole-data fit and the optimizer's, and one revision's
+    # flakiness report alone and as one side of a comparison.
+    assume(records)
+    dataset = ExecutionDataset(records=records)
+    config = OptimizationConfig(m, pb, method, min_samples=2)
+    lo, hi = 1, 40  # a sample saturates inside the range or stays running past it
+    statics = [TimeoutPolicy.static(t, f"static-{t}") for t in range(lo, hi + 1)]
+    totals = compare_policies(dataset, statics, config)
+    assert static_sweep(dataset, (lo, hi), config).curve.points == tuple(
+        (t, row.average_cost) for t, row in zip(range(lo, hi + 1), totals)
+    )
+    if max(map(len, dataset.test_index.values())) >= k:
+        report = cross_validate(dataset, statics[:1], config, k=k, seed=0)
+        assert report.fitted_timeouts == TimeoutOptimizer(config).fit(dataset).timeouts_
+    for revision_id in {r.revision_id for r in records}:
+        comparison = flakiness.compare_flakiness(dataset, dataset, revision_id, revision_id)
+        assert comparison.report_a == flakiness_report(dataset, revision_id)
 
 
 # One run: start minute (ties are common), duration (often exactly on a
@@ -815,6 +848,86 @@ def test_every_policy_file_reads_back(values):
         write_timeout_policy(TimeoutPolicy("optimized", values=fitted), fit_written)
         assert optimized.read_bytes() == fit_written.read_bytes()
         assert load_timeout_policy(optimized).values == fitted
+
+
+# A valid file of each small format, its loader, and the command that reads it.
+SMALL_FILES = {
+    "policy-csv": (
+        b"test_id,timeout_minutes\nalpha,4\nbeta,7\n",
+        load_timeout_policy,
+        ["evaluate", "--k", "2", "--seed", "1", "--min-samples", "2", "--timeouts"],
+    ),
+    "changes-jsonl": (
+        b'{"test_id": "a", "changed_at": "2021-01-01T00:00:00Z", "new_value": 15}\n'
+        b'{"test_id": "a", "changed_at": "2021-02-01T00:00:00Z", "old_value": 15, "new_value": 25}\n'
+        b'{"test_id": "b", "changed_at": "2021-03-01T00:00:00Z", "old_value": 30, "new_value": 15}\n',
+        lambda path: ingest.load_timeout_changes(path, "jsonl"),
+        ["timeout-history", "--format", "jsonl", "--input"],
+    ),
+    "changes-csv": (
+        b"test_id,changed_at,old_value,new_value\na,2021-01-01T00:00:00Z,,15\n"
+        b"a,2021-02-01T00:00:00Z,15,25\nb,2021-03-01T00:00:00Z,30,15\n",
+        lambda path: ingest.load_timeout_changes(path, "csv"),
+        ["timeout-history", "--format", "csv", "--input"],
+    ),
+}
+# Tokens put anywhere or in place of a value: an overflowing and a non-numeric
+# float, a lone surrogate as a JSON escape and as UTF-8 bytes, a BOM and NUL.
+MUTATION_TOKENS = [b"1e400", b"nan", b"\\ud800", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00"]
+# A timeout value: digits after a comma or colon, ending a cell or a JSON value.
+VALUE = re.compile(rb"(?<=[,:]) ?\d+(?=[,}\r\n])")
+
+
+@st.composite
+def mutated_st(draw, text: bytes) -> bytes:
+    """``text`` after 1-3 mutations: a flipped bit, a cut at any byte, a
+    dropped line, or a token inserted anywhere or in place of a value."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, max(0, len(text) - 1)))
+        kind = draw(st.sampled_from(["flip", "cut", "drop", "insert", "value"]))
+        lines, values = text.splitlines(keepends=True), list(VALUE.finditer(text))
+        if kind == "flip" and text:
+            text = text[:at] + bytes([text[at] ^ 1 << draw(st.integers(0, 7))]) + text[at + 1 :]
+        elif kind == "cut":
+            text = text[:at]
+        elif kind == "drop" and lines:
+            text = b"".join(lines[: at % len(lines)] + lines[at % len(lines) + 1 :])
+        elif kind == "insert":
+            text = text[:at] + draw(st.sampled_from(MUTATION_TOKENS)) + text[at:]
+        elif kind == "value" and values:
+            value = values[at % len(values)]
+            token = draw(st.sampled_from(MUTATION_TOKENS))
+            text = text[: value.start()] + token + text[value.end() :]
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(SMALL_FILES)), data=st.data())
+def test_mutated_small_files_never_crash(name, data):
+    # No policy or timeout-change file crashes its loader or its command: the
+    # loader returns or raises ValueError, and the command exits 0, 1 or 2
+    # with no exception, on exit 2 with one "error:" line as its last.
+    text, loader, argv = SMALL_FILES[name]
+    mutated = data.draw(mutated_st(text))
+    runs = dataset_of({(tid, "r1"): [(m * MINUTE, "pass") for m in (1, 2, 3, 4)]
+                       for tid in ("alpha", "beta")})
+    with tempfile.TemporaryDirectory() as tmp:
+        path, runs_path = Path(tmp) / "mutated", Path(tmp) / "runs.jsonl"
+        path.write_bytes(mutated)
+        write_executions(runs, runs_path)
+        try:
+            loader(path)
+        except ValueError:
+            pass
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, as a UTF-8 terminal
+        stderr = io.StringIO()
+        inputs = ["--input", str(runs_path)] if argv[0] == "evaluate" else []
+        with mock.patch("sys.stdout", stdout), mock.patch("sys.stderr", stderr):
+            code = cli.run(argv + [str(path)] + inputs)
+    assert code in (0, 1, 2)
+    lines = stderr.getvalue().splitlines()
+    if code == 2:
+        assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
 
 
 # Ids that json must escape (quotes, backslashes, control characters,
