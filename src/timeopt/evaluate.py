@@ -2,14 +2,18 @@
 
 Executions are split per test into k seeded folds. For each fold, the
 optimizer is fitted on the other k - 1 folds and every policy is scored on
-the held-out fold: flaky-timeout counts (durations strictly above the
-policy's timeout) and average per-test cost with probabilities estimated
-empirically from the held-out data. Folds evaluate independently and the
-whole report is deterministic given (dataset, seed, config). The report
-also carries each test's timeout fitted on all its runs, from the same
-kernel, so cross-validation sorts each test's runs once. The whole-dataset
-totals (``compare_policies``) build one kernel per (test, revision) sample
-and sort it only when some policy's timeout cuts it. CV rows and totals
+the held-out fold: flaky-timeout counts (natural durations strictly above
+the policy's timeout) and average per-test cost with probabilities
+estimated empirically from the held-out data. A censored run is a hang: it
+times out at every timeout and is charged as such in the cost, but a hang
+is a blocked run, not a flaky failure, so no flaky-timeout count includes
+it (the rerun simulator's timeout events count both). Folds evaluate
+independently and the whole report is deterministic given (dataset, seed,
+config). The report also carries each test's timeout fitted on all its
+runs, from the same kernel, so cross-validation sorts each test's runs
+once. The whole-dataset totals (``compare_policies``) build one kernel per
+(test, revision) sample and sort it only when some policy's timeout cuts
+it or it has a censored run. CV rows and totals
 share ``static_sweep``'s scorer and ``fsum`` average, so a static policy's
 total is the sweep's point. Policies are ``model.TimeoutPolicy`` values;
 ``ingest`` reads and writes policy files, and this module touches no file.
@@ -84,7 +88,8 @@ class PolicyTotals(NamedTuple):
 
 
 def count_timeouts(sample: TestSample, timeout_seconds: float) -> int:
-    """Number of durations strictly greater than the timeout.
+    """Number of runs that time out: every censored run, and every natural
+    duration strictly greater than the timeout.
 
     Counts overruns even when the run was never actually interrupted; an
     empty sample has none.
@@ -141,10 +146,11 @@ def cross_validate(
     test's whole-dataset timeout, as ``TimeoutOptimizer.fit`` gives it.
 
     Tests are visited one at a time, so one test's kernels are alive at
-    once. Every test's kernel is built from its runs in duration order, the
-    order every fold masks, and is sorted and scaled once. Each fold splits
-    an included test's kernel into a held-out kernel and a training
-    ``_Difference`` (full minus held-out); the whole-dataset fit then reads
+    once. Every test's kernel is built from its runs in duration order, so
+    its natural runs are in the order every fold masks, and is sorted and
+    scaled once. Each fold splits an included test's kernel into a held-out
+    kernel, with the fold's censored runs, and a training ``_Difference``
+    (full minus held-out) with the others; the whole-dataset fit then reads
     the same kernel. A test with fewer than k runs gets a kernel for its
     whole fit only.
 
@@ -177,11 +183,12 @@ def cross_validate(
         order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
         kernel = _SortedSample.of(dataset, order, test_id)
         if test_id not in excluded:
-            fold_of = [assignment[i] for i in order]
-            censored_of = [censored[i] for i in order]
+            fold_of = [assignment[i] for i in order if not censored[i]]
+            hung_fold_of = [assignment[i] for i in order if censored[i]]
             baseline_seconds = [baseline[test_id] for baseline in baselines]
             for fold, fold_totals in enumerate(totals):
-                held_out, train = kernel.split([f == fold for f in fold_of], censored_of)
+                in_fold = [f == fold for f in fold_of]
+                held_out, train = kernel.split(in_fold, hung_fold_of.count(fold))
                 fitted = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
                 fold_totals.add(held_out, baseline_seconds + [fitted], config)
             del held_out, train
@@ -224,13 +231,13 @@ def compare_policies(
     policies: Sequence[TimeoutPolicy],
     config: OptimizationConfig,
 ) -> tuple[PolicyTotals, ...]:
-    """Whole-dataset totals per policy: timeouts, average cost, median value.
+    """Whole-dataset totals per policy: flaky timeouts, average cost, median value.
 
     No cross-validation: each (test, revision) sample is scored at every
     policy's timeout for its test, with empirical probabilities, through one
     kernel, freed before the next sample's is built. A kernel is sorted only
-    when some policy cuts its sample; below that, it scores the ``fsum``
-    mean with no overrun.
+    when some policy cuts its sample or it has a censored run; otherwise it
+    scores the ``fsum`` mean with no overrun.
 
     Raises:
         ValueError: when a policy misses a test present in the dataset.
@@ -251,8 +258,8 @@ def compare_policies(
 
 
 class _Totals:
-    """Per policy, the overruns and the empirical costs of the samples scored
-    so far, the costs in scoring order."""
+    """Per policy, the flaky timeouts (natural overruns) and the empirical
+    costs of the samples scored so far, the costs in scoring order."""
 
     def __init__(self, policies: int) -> None:
         self.overruns = [0] * policies
@@ -261,11 +268,11 @@ class _Totals:
     def add(
         self, kernel: _SortedSample, seconds: Sequence[float], config: OptimizationConfig
     ) -> None:
-        """Add the kernel's overruns and empirical cost at each policy's
-        timeout, ``seconds[i]``, to that policy's totals."""
+        """Add the kernel's natural overruns and empirical cost at each
+        policy's timeout, ``seconds[i]``, to that policy's totals."""
         for i, timeout in enumerate(seconds):
             cost, over = kernel.empirical_cost(timeout, config)
-            self.overruns[i] += over
+            self.overruns[i] += over - kernel.c
             self.costs[i].append(cost)
 
     def results(self) -> list[tuple[int, float]]:

@@ -422,10 +422,15 @@ def _minutes_value(raw: Any) -> int:
     return value
 
 
-def _change_from_row(row: Mapping[str, Any]) -> TimeoutChangeRecord:
+def _change_from_row(row: Mapping[str, Any], ids: dict[str, str]) -> TimeoutChangeRecord:
+    """The change of one parsed row, its test id as its one shared string in
+    ``ids``; raises ValueError with a reason, as ``_record_from_row`` does."""
     test_id = row.get("test_id")
     if not test_id or not isinstance(test_id, str):
         raise ValueError("missing id")
+    test_id = _shared_id(test_id, ids)
+    if not test_id:
+        raise ValueError("bad id")
     changed_at = parse_timestamp(row.get("changed_at"))
     raw_old = row.get("old_value")
     old_value = None if raw_old in (None, "") else _minutes_value(raw_old)
@@ -441,11 +446,13 @@ def load_timeout_changes(
     """Load pre-extracted timeout-change records, sorted by (test, time).
 
     Returns the accepted changes and a validation report: rows with
-    non-positive values or unparseable fields are rejected and counted per
-    reason, as ``load_executions`` counts them.
+    non-positive values, unparseable fields or a test id holding a lone
+    surrogate are rejected and counted per reason, as ``load_executions``
+    counts them.
     """
     changes: list[TimeoutChangeRecord] = []
     reasons: dict[str, int] = {}
+    ids: dict[str, str] = {}
     with _open_rows(path, fmt) as handle:
         if fmt == "csv":
             rows = _csv_rows(handle, ("test_id", "changed_at", "new_value"))
@@ -454,7 +461,7 @@ def load_timeout_changes(
         for row, reason in rows:
             if reason is None:
                 try:
-                    changes.append(_change_from_row(row))
+                    changes.append(_change_from_row(row, ids))
                     continue
                 except ValueError as exc:
                     reason = str(exc)

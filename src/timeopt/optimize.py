@@ -1,10 +1,20 @@
 """Timeout-exceedance estimation and cost-optimal timeout search.
 
 The probability that a test execution overruns a candidate timeout t is
-estimated either empirically (fraction of observed durations strictly above
-t) or with Tolhurst's finite-sample analog of Cantelli's one-sided
-inequality, which needs only the sample mean, the rescaled deviation q_n and
-the sample size.
+estimated either empirically (fraction of observed runs that overrun t) or
+with Tolhurst's finite-sample analog of Cantelli's one-sided inequality,
+which needs only the sample mean, the rescaled deviation q_n and the sample
+size.
+
+A censored run (one an enforced timeout interrupted) is a hang, a run that
+never ends, as in the Kaplan-Meier view of censoring: at every t it is an
+overrun that consumes t, whatever duration it was recorded with. With c of
+a sample's n runs censored, n_nat = n - c natural, and k natural durations
+at most t, tm(t) = (the sum of those k + (n - k) t) / n and the overruns
+are n - k: the empirical p is (n - k) / n, and the Tolhurst p is
+(c + n_nat p_nat) / n, where p_nat is the bound of the natural runs. The
+statistics, and so the bound and the search grid, describe the natural
+runs alone, and a sample with fewer than 2 of them gets the fallback.
 
 The cost of running a test with timeout t (seconds) is modeled as
 
@@ -21,17 +31,18 @@ the correctly rounded value of a non-decreasing exact function and every
 float operation of the cost is monotone in tm, p and t. So scanning the
 candidates in decreasing order, keeping a cost at most the best, returns the
 exhaustive argmin, ties included. The candidates are the first grid point of
-each step of p: empirically, the first point at or above each duration, at
-most n + 1; for the Tolhurst bound, whose steps are found in exact integers,
-at most (n + 1) // 2 + 1, however far the grid reaches. Durations lie in
+each step of p: empirically, the first point at or above each natural
+duration, at most n_nat + 1; for the Tolhurst bound, whose steps are found
+in exact integers, at most (n_nat + 1) // 2 + 1, however far the grid
+reaches. Durations lie in
 ``[0, DURATION_LIMIT]`` (``model``), so no statistic overflows and the
 search reads only exact floats. The scan keeps a floor f, a unit whose tm
 it has read, lower at first: every unit at or above f has tm and t at least
 tm(f) and f. So below a candidate of probability p, every unit at or above
 f costs at least the cost of p, tm(f) and f, and the scan stops exactly once
-that exceeds the best. Each time the best cost falls, the floor rises: p is
-an integer count over a fixed denominator, bisection finds the least count
-whose p costs more than the best even at tm(f) and f, and every unit below
+that exceeds the best. Each time the best cost falls, the floor rises: p
+grows with an integer count of the natural runs, bisection finds the least
+count whose p costs more than the best even at tm(f) and f, and every unit below
 the first unit of a smaller count then costs more than the best. The floor
 moves to that unit and tm is read there, once, until the floor stops
 rising; the scan ends once the floor reaches the best candidate. Pruning
@@ -50,9 +61,8 @@ one fleet average, ``_average``: the ``fsum`` of the costs over their count.
 cross-validation sorts each test once, while ``evaluate``'s policy totals
 build a kernel for each (test, revision) sample and sort it when some
 policy's timeout cuts it. Every kernel is built from rows by
-``_SortedSample.of``, which also counts c, the censored runs among them,
-and ``split`` counts each part's; c is carried, and no rule reads it yet,
-so a censored run scores as a natural run of its duration.
+``_SortedSample.of``, which keeps the natural durations and counts c, the
+censored runs among them; ``split`` counts each part's.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -166,11 +176,16 @@ def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
     Raises:
         ValueError: if stats.n < 2.
     """
+    return _tolhurst_numerator(stats, threshold) / (stats.n + 1)
+
+
+def _tolhurst_numerator(stats: SampleStats, threshold: float) -> int:
+    """``tolhurst_bound``'s numerator j; ValueError if stats.n < 2."""
     if stats.n < 2:
         raise ValueError("insufficient sample: the bound requires n >= 2")
     if threshold == math.inf:  # the limit: the floor of a ratio falling to 1 from above
-        return 1 / (stats.n + 1) if stats.q_n else 0.0
-    return _TolhurstSteps(stats).index(threshold) / (stats.n + 1)
+        return 1 if stats.q_n else 0
+    return _TolhurstSteps(stats).index(threshold)
 
 
 class _TolhurstSteps:
@@ -231,15 +246,18 @@ _FAST_SHIFT = sys.float_info.max_exp - math.frexp(DURATION_LIMIT)[1]
 class _SortedSample:
     """One sample's kernel: its statistics, and O(log n) scoring of any timeout.
 
-    Every caller builds it from rows with ``of``, and ``split`` builds its
-    parts; both set ``c``, the number of censored runs among the durations,
-    which a bare ``_SortedSample(durations)`` takes as 0. ``c`` is carried
-    and read by no rule yet: a censored duration is scored as a natural one.
+    It holds the natural durations and ``c``, the number of censored runs
+    beside them, so n = n_nat + c. Every caller builds it from rows with
+    ``of``, and ``split`` builds its parts; a bare ``_SortedSample(durations)``
+    has no censored run. A censored run overruns every threshold, so with k
+    natural durations at most t, ``at`` charges the n - k overruns t each.
     The kernel alone decides saturation, by one rule whether sorted or not:
-    at a threshold at or above the max, kept from construction, ``at``
-    returns the exact mean, computed once, and ``at`` and ``above`` no
-    overrun. Until a threshold below the max is asked for, the durations stay
-    unsorted and that mean is their ``fsum``. The first threshold below the
+    at a threshold at or above ``_top``, the max kept from construction,
+    ``at`` returns the exact mean, computed once, and ``at`` and ``above`` no
+    overrun. A kernel with c > 0 never saturates (``_top`` is inf): at an
+    infinite threshold its tm is inf and its overruns are c. Until a
+    threshold below the max is asked for, the durations stay unsorted and
+    the mean is their ``fsum``. The first threshold below the
     max, or a ``split``, sorts them once into exact integer prefix sums over
     a common power-of-two denominator. It is 2**(53 - e), where e is the
     ``frexp`` exponent of the smallest nonzero duration: every duration is
@@ -256,21 +274,24 @@ class _SortedSample:
     prefix[n] / denominator / n, equal to the ``fsum`` mean, and ``stats``
     (the one builder of ``SampleStats``) takes the min from the sorted start,
     which can differ from min() only in the sign of a zero, a value no output
-    reads; only the variance is an ``fsum`` pass. Durations lie in
-    ``[0, DURATION_LIMIT]``; ``at`` and ``stats`` need at least one.
+    reads; only the variance is an ``fsum`` pass. The statistics and the
+    mean describe the natural runs. Durations lie in ``[0, DURATION_LIMIT]``;
+    ``at`` needs at least one run, and ``stats`` at least one natural one.
     """
 
-    __slots__ = ("test_id", "ordered", "n", "c", "scaled", "prefix", "denominator", "_stats",
-                 "_top", "_mean", "_tolhurst")
+    __slots__ = ("test_id", "ordered", "n_nat", "c", "n", "scaled", "prefix", "denominator",
+                 "_stats", "_max", "_top", "_mean", "_tolhurst")
 
-    def __init__(self, durations: Iterable[float], test_id: str = "") -> None:
+    def __init__(self, durations: Iterable[float], test_id: str = "", c: int = 0) -> None:
         self.test_id = test_id
-        self.ordered = list(durations)  # in input order until _sort
-        self.n = len(self.ordered)
-        self.c = 0  # censored runs among them; ``of`` and ``split`` count them
+        self.ordered = list(durations)  # the natural runs, in input order until _sort
+        self.n_nat = len(self.ordered)
+        self.c = c  # censored runs beside them, each a run that never ends
+        self.n = self.n_nat + c
         self.denominator: int | None = None  # set once sorted
         self._stats: SampleStats | None = None
-        self._top = max(self.ordered) if self.ordered else -math.inf  # the one saturation bound
+        self._max = max(self.ordered) if self.ordered else -math.inf
+        self._top = math.inf if c else self._max  # the one saturation bound
         self._mean: float | None = None  # kept once read
         self._tolhurst: _TolhurstSteps | None = None
 
@@ -278,7 +299,7 @@ class _SortedSample:
         ordered = self.ordered
         ordered.sort()
         nonzero = bisect_right(ordered, 0.0)
-        shift = 53 - math.frexp(ordered[nonzero])[1] if nonzero < self.n else 0
+        shift = 53 - math.frexp(ordered[nonzero])[1] if nonzero < self.n_nat else 0
         if shift <= _FAST_SHIFT:
             scale = 2.0**shift
             self._fill(list(map(int, map(scale.__mul__, ordered))), 1 << shift)
@@ -304,52 +325,49 @@ class _SortedSample:
     def of(
         cls, runs: ExecutionDataset | TestSample, rows: Sequence[int], test_id: str = ""
     ) -> "_SortedSample":
-        """The kernel of the runs at ``rows``, durations in that order, and
-        ``c`` the number of those runs that are censored."""
+        """The kernel of the runs at ``rows``: the natural durations in that
+        order, and ``c`` the number of those runs that are censored."""
         durations, censored = runs.durations, runs.censored
-        kernel = cls([durations[i] for i in rows], test_id)
-        for i in rows:  # a plain loop: no list, and few runs are censored
-            if censored[i]:
-                kernel.c += 1
-        return kernel
+        natural = [durations[i] for i in rows if not censored[i]]
+        return cls(natural, test_id, len(rows) - len(natural))
 
-    def split(
-        self, keep: Sequence[bool], censored: Sequence[bool]
-    ) -> tuple["_SortedSample", "_SortedSample"]:
-        """(kept, rest): kernels of the durations whose position in sorted
-        order is true, or false, in ``keep``; ``censored`` flags the runs in
-        the same order, and each part counts its own. The kept part is born
+    def split(self, keep: Sequence[bool], c: int) -> tuple["_SortedSample", "_SortedSample"]:
+        """(kept, rest): kernels of the natural durations whose position in
+        sorted order is true, or false, in ``keep``; the kept part has ``c``
+        of the censored runs and the rest the others. The kept part is born
         sorted, with its own prefix sums over this kernel's denominator; the
         rest is a ``_Difference`` of this kernel and the kept part, which
         holds only its sorted durations and keeps both alive while it is."""
         if self.denominator is None:
             self._sort()
-        kept = _SortedSample(compress(self.ordered, keep), self.test_id)
+        kept = _SortedSample(compress(self.ordered, keep), self.test_id, c)
         kept._fill(list(compress(self.scaled, keep)), self.denominator)
-        kept.c = sum(compress(censored, keep))
         return kept, _Difference(self, kept, compress(self.ordered, map(operator.not_, keep)))
 
     @property
     def mean(self) -> float:
-        """The exact mean, rounded once: the ``fsum`` of the durations until
-        sorted, then their exact integer sum over the denominator."""
+        """The exact mean of the natural durations, rounded once: their
+        ``fsum`` until sorted, then their exact integer sum over the denominator."""
         if self._mean is None:
             if self.denominator is None:
-                self._mean = math.fsum(self.ordered) / self.n
+                self._mean = math.fsum(self.ordered) / self.n_nat
             else:
-                self._mean = self._below(math.inf)[1] / self.denominator / self.n
+                self._mean = self._below(math.inf)[1] / self.denominator / self.n_nat
         return self._mean
 
     @property
     def stats(self) -> SampleStats:
-        """The one builder of ``SampleStats``: the kernel's mean and max, the min (the
-        sorted start once sorted), and the variance, an ``fsum`` that no order changes."""
+        """The one builder of ``SampleStats``, which describes the natural runs:
+        their mean and max, the min (the sorted start once sorted), and the
+        variance, an ``fsum`` that no order changes. ValueError if none is natural."""
         if self._stats is None:
-            ordered, n, mean = self.ordered, self.n, self.mean
+            if not self.n_nat:
+                raise ValueError("no natural run: every run of the sample is censored")
+            ordered, n, mean = self.ordered, self.n_nat, self.mean
             variance = math.fsum((d - mean) ** 2 for d in ordered) / (n - 1) if n > 1 else 0.0
             q_n = math.sqrt((n + 1) / n * variance)
             bottom = min(ordered) if self.denominator is None else ordered[0]
-            self._stats = SampleStats(n, mean, variance, q_n, self._top, bottom)
+            self._stats = SampleStats(n, mean, variance, q_n, self._max, bottom)
         return self._stats
 
     @property
@@ -361,26 +379,39 @@ class _SortedSample:
         return self._tolhurst
 
     def at(self, threshold: float) -> tuple[float, int]:
-        """(truncated mean, number of durations strictly above) at a threshold."""
+        """(truncated mean, overruns) at a threshold: every censored run, and
+        every natural duration strictly above it, is an overrun charged the
+        threshold."""
         n = self.n
-        if threshold >= self._top:  # saturated, sorted or not
-            return self.mean, 0
+        if threshold >= self._top:  # saturated, sorted or not; with c > 0 only at inf
+            return (math.inf if self.c else self.mean), self.c
         k, total = self._below(threshold)
         p, q = threshold.as_integer_ratio()
         denominator = self.denominator
         return (total * q + (n - k) * p * denominator) / (denominator * q) / n, n - k
 
     def above(self, threshold: float) -> int:
-        """``at``'s number of durations strictly above a threshold, with no mean."""
+        """``at``'s overruns at a threshold, with no mean."""
         if threshold >= self._top:
-            return 0
+            return self.c
         return self.n - self._below(threshold)[0]
+
+    def p_terms(self, empirical: bool) -> tuple[int, int, int]:
+        """(base, step, d): p for a count x of the natural runs is the exact
+        ratio (base + step x) / d, rounded once, each censored run an
+        overrun: (c + x) / n for x natural overruns, or, for the Tolhurst
+        numerator x of the natural runs, (c + n_nat x / (n_nat + 1)) / n."""
+        if empirical:
+            return self.c, 1, self.n
+        n_nat = self.n_nat
+        return self.c * (n_nat + 1), n_nat, self.n * (n_nat + 1)
 
     def probability(self, threshold: float, config: OptimizationConfig) -> float:
         """p at a threshold under the configured method."""
         if config.probability_method == EMPIRICAL_ECDF:
             return self.above(threshold) / self.n
-        return tolhurst_bound(self.stats, threshold)
+        base, step, d = self.p_terms(False)
+        return (base + step * _tolhurst_numerator(self.stats, threshold)) / d
 
     def empirical_cost(self, threshold: float, config: OptimizationConfig) -> tuple[float, int]:
         """(``expected_cost`` with empirical probabilities, overruns) at a threshold."""
@@ -401,9 +432,8 @@ class _Difference(_SortedSample):
     __slots__ = ("full", "kept")
 
     def __init__(self, full: _SortedSample, kept: _SortedSample, ordered: Iterable[float]) -> None:
-        super().__init__(ordered, full.test_id)
+        super().__init__(ordered, full.test_id, full.c - kept.c)
         self.full, self.kept = full, kept
-        self.c = full.c - kept.c
         self.denominator = full.denominator
 
     def _below(self, threshold: float) -> tuple[int, int]:
@@ -498,24 +528,26 @@ def optimize_timeout(
     the floor reaches the best candidate: none left can cost less, and no
     tie is pruned.
 
-    Samples with fewer than ``config.min_samples`` executions receive the
-    static fallback timeout instead; their reported cost and probability are
-    empirical diagnostics at the fallback value (NaN for an empty sample).
+    Samples with fewer than ``config.min_samples`` runs, censored ones
+    included, or fewer than 2 natural runs receive the static fallback
+    timeout instead; their reported cost and probability are empirical
+    diagnostics at the fallback value (NaN for an empty sample), and their
+    search range is that value's alone when no run is natural.
     """
     if isinstance(sample, _SortedSample):
         kernel = sample
     else:
         kernel = _SortedSample.of(sample, range(sample.n), sample.test_id)
     n = kernel.n
-    if n < config.min_samples:
+    fallback = n < config.min_samples or kernel.n_nat < 2
+    if fallback:
         t = config.fallback_timeout
         if n:
             cost, over = kernel.empirical_cost(t * GRID_SECONDS, config)
             p = over / n
-            lower, upper = search_grid(kernel.stats)
         else:
             cost = p = math.nan
-            lower = upper = t
+        lower, upper = search_grid(kernel.stats) if kernel.n_nat else (t, t)
     else:
         lower, upper = search_grid(kernel.stats)
         empirical = config.probability_method == EMPIRICAL_ECDF
@@ -542,7 +574,7 @@ def optimize_timeout(
         timeout_probability_at_optimum=p,
         search_range=(lower, upper),
         method_used=config.probability_method,
-        fallback_applied=n < config.min_samples,
+        fallback_applied=fallback,
     )
 
 
@@ -552,34 +584,37 @@ def _walk(
     """(unit, p) at the first unit in [lower, upper] of each step of p, from
     the step that holds ``upper`` down to the one that holds ``lower``.
 
-    p is a count over d: the overruns over n, or the Tolhurst numerator j
-    over n + 1. A step with count c starts at ``_step_start(c + 1)``, and the
-    unit below a start lies in the next step down.
+    p is a ratio of a count of the natural runs (``p_terms``): their
+    overruns, or their Tolhurst numerator j. A step with count x starts at
+    ``_step_start(x + 1)``, and the unit below a start lies in the next step
+    down.
     """
-    d = kernel.n if empirical else kernel.n + 1
-    u = upper
+    c, u = kernel.c, upper
+    base, step, d = kernel.p_terms(empirical)
     while u >= lower:
         threshold = u * GRID_SECONDS
-        count = kernel.above(threshold) if empirical else kernel.tolhurst.index(threshold)
+        count = kernel.above(threshold) - c if empirical else kernel.tolhurst.index(threshold)
         u = max(lower, _step_start(kernel, empirical, count + 1))
-        yield u, count / d
+        yield u, (base + step * count) / d
         u -= 1
 
 
-def _step_start(kernel: _SortedSample, empirical: bool, c: int) -> int:
-    """The least unit whose count behind p is below c >= 1, 0 if every one is.
+def _step_start(kernel: _SortedSample, empirical: bool, x: int) -> int:
+    """The least unit whose count of the natural runs behind p is below x >= 1,
+    0 if every one is.
 
-    Its least threshold: with c - 1 < n overruns, the (n - c + 1)th smallest
-    duration (the max at c = 1, so no sort there; a larger c is asked only
-    once a read below the max has sorted the kernel); for the Tolhurst
-    numerator, ``_TolhurstSteps.end(c)`` (of step 2 at c = 1, where a
-    zero-spread sample's j drops from n + 1 to 0) while c <= n + 1; else 0.
+    Its least threshold: with x - 1 < n_nat natural overruns, the
+    (n_nat - x + 1)th smallest natural duration (the natural max at x = 1, so
+    no sort there; a larger x is asked only once a read below it has sorted
+    the kernel); for the Tolhurst numerator, ``_TolhurstSteps.end(x)`` (of
+    step 2 at x = 1, where a zero-spread sample's j drops from n_nat + 1 to 0)
+    while x <= n_nat + 1; else 0.
     """
-    n = kernel.n
+    n = kernel.n_nat
     if empirical:
-        seconds = 0.0 if c > n else kernel.ordered[n - c] if c > 1 else kernel.stats.max
+        seconds = 0.0 if x > n else kernel.ordered[n - x] if x > 1 else kernel.stats.max
     else:
-        seconds = kernel.tolhurst.end(max(c, 2)) if c <= n + 1 else 0.0
+        seconds = kernel.tolhurst.end(max(x, 2)) if x <= n + 1 else 0.0
     return _unit_at_least(seconds)
 
 
@@ -595,21 +630,23 @@ def _raised_floor(
     than ``cost``, the cost of ``best``, the best candidate's (unit, tm).
 
     Units at or above the floor have tm and t at least the floor's, so the
-    least count c whose p costs more than ``cost`` even there, found by
-    bisection, prices out every unit below ``_step_start(c)``. No count up to
-    the best's own does, so c >= 1 and no start passes the best. The floor
-    moves to the start and reads tm there, until it stops rising or reaches
-    the best; a higher floor can only lower c, so each bisection searches up
-    to the last one's c.
+    least natural count x whose p costs more than ``cost`` even there, found
+    by bisection, prices out every unit below ``_step_start(x)``. No count up
+    to the best's own does, so x >= 1 (c + 1 overruns, empirically: no unit
+    has fewer than the c censored ones) and no start passes the best. The
+    floor moves to the start and reads tm there, until it stops rising or
+    reaches the best; a higher floor can only lower x, so each bisection
+    searches up to the last one's x.
     """
     unit, tm = floor
-    d = kernel.n if empirical else kernel.n + 1  # p = count / d, count in [0, d]
-    hi = d + 1  # none: every count costs at most the best at the floor
+    base, step, d = kernel.p_terms(empirical)
+    top = kernel.n_nat if empirical else kernel.n_nat + 1  # the largest count
+    hi = top + 1  # none: every count costs at most the best at the floor
     while True:
         lo, seconds = 1, unit * GRID_SECONDS
         while lo < hi:
             mid = (lo + hi) // 2
-            if _cost(tm, mid / d, seconds, config) > cost:
+            if _cost(tm, (base + step * mid) / d, seconds, config) > cost:
                 hi = mid
             else:
                 lo = mid + 1
@@ -640,21 +677,22 @@ def static_sweep(
 
     For every candidate t in [lo, hi] grid units, each (test, revision)
     sample contributes its expected cost with *empirical* probabilities: a
-    run counts as timed out whenever its recorded duration exceeds t, even
-    if it was never actually interrupted. Returns the averaged curve and the
-    grid minimum (smallest timeout on ties).
+    natural run counts as timed out whenever its recorded duration exceeds
+    t, even if it was never actually interrupted, and a censored run at
+    every t. Returns the averaged curve and the grid minimum (smallest
+    timeout on ties).
 
     Every sample gets a kernel and is scored by its ``empirical_cost``, and
     each point is the one fleet average, ``_average``: the scorer and the
     ``fsum`` average of ``evaluate``'s totals and cross-validation rows, so
     the point at t is bit-equal to ``compare_policies``' average cost of
     the static policy t. Only samples still running past the previous point
-    are rescored. Once the kernel reports no overrun at t the sample is
-    saturated: its p is 0 and its truncated mean is its exact mean at every
-    larger t, so its cost is left as it is, or, with breakage, set to that
-    mean plus the point's ``_breakage``, exactly what ``_cost`` adds to it at
-    p = 0. The kernel decides saturation, so a sample saturated at lo is
-    never sorted.
+    are rescored, as a sample with a censored run always is. Once the kernel
+    reports no overrun at t the sample is saturated: its p is 0 and its
+    truncated mean is its exact mean at every larger t, so its cost is left
+    as it is, or, with breakage, set to that mean plus the point's
+    ``_breakage``, exactly what ``_cost`` adds to it at p = 0. The kernel
+    decides saturation, so a sample saturated at lo is never sorted.
     """
     lo, hi = sweep_range
     if lo >= hi:

@@ -45,7 +45,7 @@ import math
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .model import (
     DISTRIBUTIONS, GRID_SECONDS, ExecutionDataset, TimeoutPolicy, Verdict, _check_durations,
@@ -392,6 +392,14 @@ def generate_workload(
     return dataset, policy, truths
 
 
+def _outcomes(
+    durations: Sequence[float], censored: Sequence[bool], rows: Sequence[int], t: float
+) -> list[tuple[float, bool]]:
+    """The outcome table of the runs at ``rows`` under timeout t: (t, True)
+    for a censored hang or a natural duration above t, else (duration, False)."""
+    return [(t, True) if censored[i] or durations[i] > t else (durations[i], False) for i in rows]
+
+
 def simulate_rerun_policy(
     dataset: ExecutionDataset,
     policy: TimeoutPolicy,
@@ -430,11 +438,8 @@ def simulate_rerun_policy(
     per_test: list[TestSimulation] = []
     for index, test_id in enumerate(test_ids):
         rng = np.random.default_rng((seed, index))
-        t = policy_seconds[test_id]
-        outcomes = [
-            (t, True) if censored[i] or durations[i] > t else (durations[i], False)
-            for i in dataset.test_index[test_id]
-        ]
+        rows, t = dataset.test_index[test_id], policy_seconds[test_id]
+        outcomes = _outcomes(durations, censored, rows, t)
 
         timeout_events = sum(timed_out for _, timed_out in outcomes)
         draws = rerun_count * timeout_events

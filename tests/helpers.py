@@ -111,7 +111,7 @@ def reference_cross_validate(
     """``cross_validate`` the straightforward way: per fold and test, the
     training and held-out rows go through ``subsample``, the training sample
     is fitted by ``optimize_timeout``, and every policy is scored with the
-    ``fsum`` reference cost and overrun count of ``reference``. Each test's
+    ``fsum`` reference cost and flaky-timeout count of ``reference``. Each test's
     whole-dataset timeout is ``optimize_timeout`` of its ``pooled_sample``."""
     folds = make_folds(dataset, k, seed)
     included = [tid for tid in dataset.test_ids() if tid not in folds.excluded_tests]
@@ -136,7 +136,9 @@ def reference_cross_validate(
             costs = [
                 reference.expected_cost(s, seconds[tid], empirical) for tid, s in held_out.items()
             ]
-            count = sum(reference.count_timeouts(s, seconds[tid]) for tid, s in held_out.items())
+            count = sum(
+                reference.count_flaky_timeouts(s, seconds[tid]) for tid, s in held_out.items()
+            )
             rows.append(FoldPolicyResult(fold, label, count, math.fsum(costs) / len(costs)))
     counts = {(row.fold, row.policy): row.flaky_timeout_count for row in rows}
     reduction: dict[str, dict[str, float | None]] = {}

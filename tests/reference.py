@@ -8,6 +8,11 @@ tally, and its public functions of the same names are adapters over those.
 So this module shares no code with them: it imports only the standard
 library and value types from ``timeopt.model``, which
 ``test_reference_imports_no_program_code`` checks.
+
+A censored run is a hang, a run that never ends: at every timeout it is
+an overrun that consumes the timeout, whatever duration it was recorded
+with. The statistics, and so the Tolhurst bound of the natural runs,
+describe the natural (uncensored) runs alone.
 """
 
 from __future__ import annotations
@@ -21,17 +26,25 @@ from timeopt.model import SampleStats, TestSample, Verdict
 EMPIRICAL_ECDF = "empirical_ecdf"  # the configuration's method name
 
 
+def natural_durations(sample: TestSample) -> list[float]:
+    """The durations of the sample's runs that are not censored."""
+    return [d for d, hung in zip(sample.durations, sample.censored) if not hung]
+
+
 def sample_stats(sample: TestSample) -> SampleStats:
-    """n, mean, unbiased variance, q_n and extremes of a sample, as ``fsum``s.
-    A sample's durations are at most 2**48 s, so neither sum overflows.
+    """n, mean, unbiased variance, q_n and extremes of a sample's natural
+    runs, as ``fsum``s. A sample's durations are at most 2**48 s, so neither
+    sum overflows.
 
     Raises:
-        ValueError: for an empty sample.
+        ValueError: for a sample with no natural run.
     """
-    durations = sample.durations
+    durations = natural_durations(sample)
     n = len(durations)
     if not n:
-        raise ValueError("empty sample")
+        raise ValueError(
+            "no natural run: every run of the sample is censored" if sample.n else "empty sample"
+        )
     mean = math.fsum(durations) / n
     if n == 1:
         variance = 0.0
@@ -41,23 +54,36 @@ def sample_stats(sample: TestSample) -> SampleStats:
     return SampleStats(n, mean, variance, q_n, max(durations), min(durations))
 
 
+def count_timeouts(sample: TestSample, timeout_seconds: float) -> int:
+    """Runs that time out: every censored run, and every natural duration
+    strictly greater than the timeout."""
+    runs = zip(sample.durations, sample.censored)
+    return sum(1 for d, hung in runs if hung or d > timeout_seconds)
+
+
+def count_flaky_timeouts(sample: TestSample, timeout_seconds: float) -> int:
+    """Natural durations strictly greater than the timeout: a hang is a
+    blocked run, not a flaky timeout."""
+    return sum(1 for d in natural_durations(sample) if d > timeout_seconds)
+
+
 def empirical_exceedance(sample: TestSample, threshold: float) -> float:
-    """Fraction of observed durations strictly greater than the threshold."""
+    """Fraction of runs that time out at the threshold."""
     if sample.n == 0:
         raise ValueError("empty sample")
-    return sum(1 for d in sample.durations if d > threshold) / sample.n
-
-
-def count_timeouts(sample: TestSample, timeout_seconds: float) -> int:
-    """Number of durations strictly greater than the timeout."""
-    return sum(1 for d in sample.durations if d > timeout_seconds)
+    return count_timeouts(sample, threshold) / sample.n
 
 
 def truncated_mean(sample: TestSample, threshold: float) -> float:
-    """Mean duration when every run is capped at the threshold."""
+    """Mean consumed time when every run is capped at the threshold: a
+    natural run consumes its duration up to it, a censored run all of it."""
     if sample.n == 0:
         raise ValueError("empty sample")
-    return math.fsum(min(d, threshold) for d in sample.durations) / sample.n
+    consumed = (
+        threshold if hung else min(d, threshold)
+        for d, hung in zip(sample.durations, sample.censored)
+    )
+    return math.fsum(consumed) / sample.n
 
 
 def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
@@ -66,26 +92,35 @@ def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
     an infinite threshold, its limit as lam grows: k^2 rises towards n but
     stays below it, so the floor is 1 with spread; with none, lam is infinite
     past the mean and the bound 0."""
+    return float(_tolhurst_fraction(stats, threshold))
+
+
+def _tolhurst_fraction(stats: SampleStats, threshold: float) -> Fraction:
+    """``tolhurst_bound`` as an exact fraction."""
     n = stats.n
     if n < 2:
         raise ValueError("insufficient sample: the bound requires n >= 2")
     if math.isinf(threshold) and threshold > 0:
-        return 0.0 if stats.q_n == 0 else 1 / (n + 1)
+        return Fraction(0 if stats.q_n == 0 else 1, n + 1)
     gap, q_n = Fraction(threshold) - Fraction(stats.mean), Fraction(stats.q_n)
     if gap <= q_n:
-        return 1.0
+        return Fraction(1)
     if not q_n:
-        return 0.0
+        return Fraction(0)
     lam_sq = (gap / q_n) ** 2
     k_sq = n * lam_sq / (n - 1 + lam_sq)
-    return math.floor((n + 1) / (k_sq + 1)) / (n + 1)
+    return Fraction(math.floor((n + 1) / (k_sq + 1)), n + 1)
 
 
 def timeout_probability(sample: TestSample, threshold: float, config) -> float:
-    """Timeout probability at a threshold, using the configured method."""
+    """Timeout probability at a threshold, using the configured method. The
+    Tolhurst bound p_nat covers the natural runs; with c of the n runs
+    censored, p = (c + n_nat p_nat) / n, in exact fractions, rounded once."""
     if config.probability_method == EMPIRICAL_ECDF:
         return empirical_exceedance(sample, threshold)
-    return tolhurst_bound(sample_stats(sample), threshold)
+    stats = sample_stats(sample)
+    hung = sample.n - stats.n
+    return float((hung + stats.n * _tolhurst_fraction(stats, threshold)) / sample.n)
 
 
 def cost(tm: float, p: float, threshold: float, config) -> float:

@@ -712,10 +712,11 @@ def _hung_fleet_argv(tmp_path, command):
 
 # The first 16 hex digits of the sha256 of each command's JSON output, recorded
 # from the code that re-wrapped tuples with list() and dict() before json.dumps.
-# The hung-fleet digests score each censored run as a natural run of its
-# enforced timeout; a rule that reads the kernels' censored count changes them.
-# hung-fleet-evaluate was re-recorded when held-out costs began to average
-# with ``fsum``, as the sweep does: one fold's average_cost moved in its last digit.
+# The hung-fleet digests pin the hang rule: a censored run is an overrun that
+# consumes the timeout at every timeout, its recorded duration read by nothing,
+# the statistics describe the natural runs, and evaluate's flaky-timeout
+# counts leave hangs out. They were recorded when that rule replaced scoring a
+# censored run as a natural run of its enforced timeout.
 @pytest.mark.parametrize(
     "build, digest",
     [
@@ -749,10 +750,10 @@ def _hung_fleet_argv(tmp_path, command):
                 id=f"hung-fleet-{command}",
             )
             for command, digest in [
-                ("optimize-tolhurst", "5b8a69faf3c9d417"),
-                ("optimize-empirical", "9e4168726032ec7d"),
-                ("sweep", "6b9cd3f41396df1b"),
-                ("evaluate", "3753b03c39b8acd4"),
+                ("optimize-tolhurst", "3119ea303e3518fa"),
+                ("optimize-empirical", "6ac61518bc595c24"),
+                ("sweep", "b70a2987ead63f07"),
+                ("evaluate", "e410e9f55128ce9a"),
             ]
         ),
     ],
@@ -785,7 +786,9 @@ def test_sweep_point_is_evaluate_static_row(tmp_path, capsys, pb):
 # The first 16 hex digits of the sha256 of each command's stdout, recorded
 # from the code whose record types were dataclasses: summarize's JSON and
 # table, optimize's JSON, one fleet with every test falling back, and
-# evaluate's fold and totals tables.
+# evaluate's fold and totals tables. The two on the hung fleet that a cost
+# or a flaky-timeout count reaches (optimize-json-fallback and
+# hung-fleet-evaluate-stdout) were re-recorded with the hang rule.
 @pytest.mark.parametrize(
     "build, digest",
     [
@@ -807,13 +810,13 @@ def test_sweep_point_is_evaluate_static_row(tmp_path, capsys, pb):
         ),
         pytest.param(
             lambda tmp, _: _hung_fleet_argv(tmp, "optimize-tolhurst") + ["--min-samples", "51"],
-            "47a7dea20b999437",
+            "6f2352ff89b14eaa",
             id="optimize-json-fallback",
         ),
         pytest.param(_evaluate_argv, "660288db79b1accd", id="evaluate-stdout"),
         pytest.param(
             lambda tmp, _: _hung_fleet_argv(tmp, "evaluate"),
-            "2cd036257068d07a",
+            "1542071b4db234b5",
             id="hung-fleet-evaluate-stdout",
         ),
     ],

@@ -232,9 +232,10 @@ def test_cross_validate_equals_the_subsample_reference(config, k, seed):
 
 @pytest.mark.parametrize("k, seed", [(5, 0), (3, 11), (4, 7)])
 def test_fold_kernels_count_the_censored_runs_of_the_subsample_reference(k, seed):
-    # Split by make_folds' masks, as cross_validate splits it, each test's
-    # kernel gives its held-out and training parts the censored counts of the
-    # rows that reference_cross_validate subsamples for the fold.
+    # Split by make_folds' masks over its natural runs in sorted order, and
+    # the fold's count of its censored runs, as cross_validate splits it,
+    # each test's kernel gives its held-out and training parts the censored
+    # counts of the rows that reference_cross_validate subsamples for the fold.
     dataset = reference_fixture()
     folds = make_folds(dataset, k, seed)
     durations, censored = dataset.durations, dataset.censored
@@ -247,9 +248,11 @@ def test_fold_kernels_count_the_censored_runs_of_the_subsample_reference(k, seed
         kernel = _SortedSample.of(dataset, order, test_id)
         assert kernel.c == dataset.pooled_sample(test_id).censored_count
         counted += kernel.c
+        natural = [i for i in order if not censored[i]]
         for fold in range(k):
-            in_fold = [folds.assignment[i] == fold for i in order]
-            held, train = kernel.split(in_fold, [censored[i] for i in order])
+            in_fold = [folds.assignment[i] == fold for i in natural]
+            hung = sum(censored[i] and folds.assignment[i] == fold for i in order)
+            held, train = kernel.split(in_fold, hung)
             for part, side in ((held, True), (train, False)):
                 rows = [i for i in indices if (folds.assignment[i] == fold) is side]
                 assert part.c == dataset.subsample(test_id, "*", rows).censored_count
@@ -413,11 +416,11 @@ class TestKernelSharing:
         others_alive = []
         init = _SortedSample.__init__
 
-        def counting_init(self, durations, test_id=""):
+        def counting_init(self, durations, test_id="", c=0):
             built[test_id] += 1
             others = [o for o in live_kernels(runs, besides=self) if o.test_id != test_id]
             others_alive.append(len(others))
-            init(self, durations, test_id)
+            init(self, durations, test_id, c)
 
         monkeypatch.setattr(_SortedSample, "__init__", counting_init)
         report = cross_validate(fleet(runs), [TimeoutPolicy.static(5)], CONFIG, k=3, seed=2)

@@ -634,6 +634,17 @@ class TestLoadTimeoutChanges:
         assert changes[0].new_value == 15
         assert changes[1].old_value == 15
 
+    def test_lone_surrogate_id_rejected(self, tmp_path):
+        # load_executions rejects such an id, since no UTF-8 output could hold it
+        path = tmp_path / "changes.jsonl"
+        path.write_bytes(
+            b'{"test_id": "\\ud800", "changed_at": "2021-01-01T00:00:00Z", "new_value": 15}\n'
+            b'{"test_id": "B", "changed_at": "2021-01-01T00:00:00Z", "new_value": 10}\n'
+        )
+        changes, report = load_timeout_changes(path)
+        assert (report.accepted, report.rejected, report.reasons) == (1, 1, {"bad id": 1})
+        assert [c.test_id for c in changes] == ["B"]
+
     def test_non_positive_value_rejected(self, tmp_path):
         path = tmp_path / "changes.jsonl"
         write_jsonl(
@@ -668,7 +679,7 @@ class TestLoadTimeoutChanges:
         row = {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": 7}
         write_jsonl(path, [{**row, field: value}, {**row, "test_id": "B"}])
         with pytest.raises(ValueError, match="bad value"):
-            _change_from_row({**row, field: value})
+            _change_from_row({**row, field: value}, {})
         changes, report = load_timeout_changes(path)
         assert report.rejected == 1 and report.reasons == {"bad value": 1}
         assert [c.test_id for c in changes] == ["B"]
@@ -680,7 +691,7 @@ class TestLoadTimeoutChanges:
         row = {"test_id": "A", "changed_at": "2021-01-01T00:00:00Z", "old_value": 5, "new_value": 7}
         write_jsonl(path, [{**row, field: value}, {**row, "test_id": "B"}])
         with pytest.raises(ValueError, match="bad value"):
-            _change_from_row({**row, field: value})
+            _change_from_row({**row, field: value}, {})
         changes, report = load_timeout_changes(path)
         assert report.rejected == 1 and report.reasons == {"bad value": 1}
         assert [c.test_id for c in changes] == ["B"]

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import MINUTE, dataset_of, minutes_sample, sample_of
-from timeopt.model import DURATION_LIMIT, SampleStats
+from helpers import MINUTE, dataset_of, minutes_sample, record, sample_of
+from timeopt.model import DURATION_LIMIT, ExecutionDataset, SampleStats
 from timeopt.optimize import (
     EMPIRICAL_ECDF,
     PROBABILITY_METHODS,
@@ -288,6 +288,38 @@ class TestOptimizeTimeout:
         assert result.optimal_timeout == (config.fallback_timeout if fallback else 7)
         assert result.search_range == (6, 14)
 
+    @pytest.mark.parametrize("method", PROBABILITY_METHODS)
+    @pytest.mark.parametrize("natural", [0, 1])
+    def test_fewer_than_two_natural_runs_fall_back(self, method, natural):
+        # 40 hangs and no or one natural run: no moments to fit, so the
+        # fallback, with empirical diagnostics in which every hang times out
+        config = OptimizationConfig(probability_method=method, min_samples=30)
+        durations = [5 * MINUTE] * natural + [20 * MINUTE] * 40
+        sample = sample_of(durations, censored=[False] * natural + [True] * 40)
+        result = optimize_timeout(sample, config)
+        fallback = config.fallback_timeout * MINUTE
+        assert result.fallback_applied is True
+        assert result.optimal_timeout == config.fallback_timeout
+        assert result.timeout_probability_at_optimum == 40 / (40 + natural)
+        assert result.expected_cost_at_optimum == reference.expected_cost(
+            sample, fallback, OptimizationConfig(probability_method=EMPIRICAL_ECDF)
+        )
+        assert result.search_range == ((5, 10) if natural else (120, 120))
+        runs = [record(minute=i, duration=d, verdict="timeout", interrupted=i >= natural)
+                for i, d in enumerate(durations)]
+        assert TimeoutOptimizer(config).fit(ExecutionDataset(runs)).timeouts_ == {"t1": 120}
+
+    @pytest.mark.parametrize("hung, fallback", [(0, True), (1, False)])
+    def test_min_samples_counts_censored_runs(self, hung, fallback):
+        # 29 natural runs fall back at min_samples = 30; one hang more does not
+        config = OptimizationConfig(probability_method=EMPIRICAL_ECDF, min_samples=30)
+        durations = ([5, 6, 7] * 10)[:29] + [60] * hung
+        sample = minutes_sample(durations, censored=[False] * 29 + [True] * hung)
+        result = optimize_timeout(sample, config)
+        assert result.fallback_applied is fallback
+        assert result.optimal_timeout == (config.fallback_timeout if fallback else 7)
+        assert result.search_range == (6, 14)
+
     def test_empty_sample_falls_back_with_nan_diagnostics(self):
         result = optimize_timeout(sample_of([]), EMPIRICAL)
         assert result.fallback_applied is True
@@ -507,7 +539,7 @@ class TestExactScaling:
         thresholds = self.thresholds(durations)
         kernel = _SortedSample(durations)
         # sorts, so every answer reads the integers
-        kernel.split([True] * len(durations), [False] * len(durations))
+        kernel.split([True] * len(durations), 0)
         assert kernel.denominator == denominator
         assert kernel_answers(kernel, thresholds) == reference_answers(durations, thresholds)
 
@@ -525,7 +557,7 @@ class TestExactScaling:
             "ties": [ordered[i] == ordered[i - 1] if i else False for i in range(n)],
         }[pattern]
         thresholds = self.thresholds(durations)
-        kept, rest = _SortedSample(durations).split(keep, [False] * n)
+        kept, rest = _SortedSample(durations).split(keep, 0)
         for part, side in ((kept, True), (rest, False)):
             values = [d for d, k in zip(ordered, keep) if k is side]
             assert part.n == len(values)
@@ -544,7 +576,7 @@ class TestExactScaling:
         # the search reads the same answer either way.
         config = OptimizationConfig(probability_method=method)
         kernel = _SortedSample(durations, "t1")
-        kernel.split([True] * len(durations), [False] * len(durations))
+        kernel.split([True] * len(durations), 0)
         positive = [abs(d) for d in durations]
         assert repr(optimize_timeout(kernel, config)) == repr(
             optimize_timeout(sample_of(positive), config)

@@ -16,8 +16,9 @@ simulator against a record-by-record replay, a write and reload, in
 both file formats, against the record adapter, the JSONL writer's
 bytes against ``json.dumps`` of each row, the loader's writer-line
 and typed paths against ``json.loads`` of each line and its full row check,
-every number two commands print for one input against each other, and
-mutated policy and timeout-change files against their loaders and commands.
+every number two commands print for one input against each other, the
+kernel against the rerun simulator's outcome table, and mutated policy,
+timeout-change and execution files against their loaders and commands.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from timeopt.optimize import (
     static_sweep,
     tolhurst_bound,
 )
-from timeopt.simulate import SimulationReport, TestSimulation, simulate_rerun_policy
+from timeopt.simulate import SimulationReport, TestSimulation, _outcomes, simulate_rerun_policy
 
 # Every duration a sample may hold, the limit itself included; subnormals,
 # zero and non-integer values are all drawn.
@@ -146,7 +147,7 @@ def test_split_of_a_never_sorted_kernel(durations, data):
     ordered = sorted(durations)
     kernel = _SortedSample(durations)
     for _ in range(2):  # never sorted, then sorted by the first split
-        for part, side in zip(kernel.split(keep, [False] * n), (True, False)):
+        for part, side in zip(kernel.split(keep, 0), (True, False)):
             kept = [d for d, k in zip(ordered, keep) if k is side]
             assert part.n == len(kept)
             if kept:
@@ -164,8 +165,11 @@ def outcome(function, *args):
 
 
 def assert_as_reference(module, name, *args):
-    """``module.name`` gives the value of ``reference.name``, or raises its error."""
-    assert outcome(getattr(module, name), *args) == outcome(getattr(reference, name), *args), name
+    """``module.name`` gives the value of ``reference.name``, or raises its
+    error; a NaN answers NaN (the cost at an infinite timeout of a sample
+    with hangs and no rerun is inf + 0 * inf)."""
+    got, expected = outcome(getattr(module, name), *args), outcome(getattr(reference, name), *args)
+    assert got == expected or got != got and expected != expected, name
 
 
 config_st = st.builds(
@@ -187,8 +191,11 @@ verdicts_st = st.lists(st.sampled_from([*Verdict, *(v.value for v in Verdict)]),
 def test_public_adapters_equal_the_reference(durations, data, config, verdicts):
     # Each public name is an adapter over the kernel or the verdict tally: it
     # answers the reference's value, or raises its error, on every input the
-    # sample and verdict types accept.
-    sample = sample_of(durations, test_id="x")
+    # sample and verdict types accept, censored runs (hangs) among them.
+    n = len(durations)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    hung = data.draw(st.one_of(st.just([False] * n), flags))
+    sample = sample_of(durations, test_id="x", censored=hung)
     threshold_st = st.one_of(durations_st, st.sampled_from([0.0, -1.0, math.inf, *durations]))
     for t in data.draw(st.lists(threshold_st, min_size=1, max_size=6)):
         assert_as_reference(optimize, "truncated_mean", sample, t)
@@ -226,21 +233,33 @@ def brute_force_argmin(sample: TestSample, config: OptimizationConfig) -> tuple[
     return best_t, best_cost
 
 
+def with_hangs(durations: list[float], hung: list[float]) -> TestSample:
+    """A sample of natural runs of ``durations`` and censored runs recorded at ``hung``."""
+    return sample_of(durations + hung, censored=[False] * len(durations) + [True] * len(hung))
+
+
+# No hang, or 1-30 censored runs whose recorded durations no rule reads.
+hangs_st = st.one_of(
+    st.just([]), st.lists(st.floats(min_value=0.0, max_value=3600.0), min_size=1, max_size=30)
+)
+
+
 @PROPERTY
 @given(
     durations=st.lists(st.floats(min_value=0.0, max_value=3600.0), min_size=2, max_size=60),
     method=st.sampled_from(PROBABILITY_METHODS),
     reruns=st.integers(min_value=0, max_value=5),
     breakage=st.sampled_from([0.0, 0.001, 0.01]),
+    hung=hangs_st,
 )
-def test_optimizer_equals_brute_force_argmin(durations, method, reruns, breakage):
+def test_optimizer_equals_brute_force_argmin(durations, method, reruns, breakage, hung):
     config = OptimizationConfig(
         rerun_count=reruns,
         breakage_probability=breakage,
         probability_method=method,
         min_samples=2,
     )
-    sample = sample_of(durations)
+    sample = with_hangs(durations, hung)
     result = optimize_timeout(sample, config)
     assert (result.optimal_timeout, result.expected_cost_at_optimum) == brute_force_argmin(
         sample, config
@@ -292,15 +311,18 @@ def candidate_case_st(draw) -> list[float]:
     method=st.sampled_from(PROBABILITY_METHODS),
     reruns=st.integers(0, 5),
     breakage=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+    hung=hangs_st,
 )
-def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, breakage):
+def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, breakage, hung):
+    # With hangs, p and tm never fall as t grows, so the walk's stop and the
+    # raised floor stay exact: the search is the exhaustive argmin.
     config = OptimizationConfig(
         rerun_count=reruns,
         breakage_probability=breakage,
         probability_method=method,
         min_samples=2,
     )
-    sample = sample_of(durations)
+    sample = with_hangs(durations, hung)
     result = optimize_timeout(sample, config)
     assert (result.optimal_timeout, result.expected_cost_at_optimum) == brute_force_argmin(
         sample, config
@@ -308,7 +330,7 @@ def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, b
     # The walk yields lower and exactly the grid points where p changes,
     # with p there, from the top down.
     lower, upper = result.search_range
-    walk = _walk(_SortedSample(durations), lower, upper, method == EMPIRICAL_ECDF)
+    walk = _walk(_kernel_of(sample), lower, upper, method == EMPIRICAL_ECDF)
     grid = range(lower, upper + 1)
     p = [reference.timeout_probability(sample, u * MINUTE, config) for u in grid]
     steps = [lower] + [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
@@ -631,7 +653,7 @@ def test_held_out_scoring_equals_fsum_reference(records, timeouts):
     for sample in dataset.samples.values():
         t = policy.value_for(sample.test_id) * MINUTE
         costs.append(reference.expected_cost(sample, t, empirical))
-        overruns += reference.count_timeouts(sample, t)
+        overruns += reference.count_flaky_timeouts(sample, t)
     assert totals.average_cost == math.fsum(costs) / len(costs)
     assert totals.flaky_timeout_count == overruns
 
@@ -772,6 +794,28 @@ def test_replay_equals_brute_force_replay(records, timeouts, m, seed):
         assert getattr(report, field) == getattr(expected, field), field
     assert report.rerun_count == m * report.timeout_events
     assert report.accepted + report.rejected == report.initial_runs
+
+
+@PROPERTY
+@given(
+    records=replay_records_st(),
+    timeouts=st.lists(st.integers(1, 10), min_size=4, max_size=4),
+)
+def test_kernel_equals_the_simulator_outcome_table(records, timeouts):
+    # One rule for a hang in the cost model and the rerun simulator: at each
+    # test's policy timeout, the kernel's tm and overrun share are the mean
+    # consumed seconds and the timed-out share of the simulator's outcome
+    # table, each an fsum, and its overruns are the replay's timeout events.
+    dataset = ExecutionDataset(records=records)
+    policy = TimeoutPolicy("original", values=dict(zip("abcd", timeouts)))
+    report = simulate_rerun_policy(dataset, policy, rerun_count=0)
+    for test_id, simulated in zip(dataset.test_ids(), report.per_test):
+        rows, t = dataset.test_index[test_id], policy.value_for(test_id) * MINUTE
+        table = _outcomes(dataset.durations, dataset.censored, rows, t)
+        tm, over = _SortedSample.of(dataset, rows).at(t)
+        assert tm == math.fsum(consumed for consumed, _ in table) / len(table)
+        assert over / len(rows) == math.fsum(timed_out for _, timed_out in table) / len(table)
+        assert over == simulated.timeout_events
 
 
 # Start times on a few whole seconds, many tied, with whole-second,
@@ -919,15 +963,80 @@ def test_mutated_small_files_never_crash(name, data):
             loader(path)
         except ValueError:
             pass
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, as a UTF-8 terminal
-        stderr = io.StringIO()
         inputs = ["--input", str(runs_path)] if argv[0] == "evaluate" else []
-        with mock.patch("sys.stdout", stdout), mock.patch("sys.stderr", stderr):
-            code = cli.run(argv + [str(path)] + inputs)
+        assert_runs_cleanly(argv + [str(path)] + inputs)
+
+
+def assert_runs_cleanly(argv: list[str]) -> None:
+    """``cli.run(argv)`` exits 0, 1 or 2 with no exception and stdout a
+    strict UTF-8 stream, as a terminal's; on exit 2, stderr's last line is
+    its one "error:" line."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    with mock.patch("sys.stdout", stdout), mock.patch("sys.stderr", stderr):
+        code = cli.run(argv)
     assert code in (0, 1, 2)
     lines = stderr.getvalue().splitlines()
     if code == 2:
         assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+
+
+# A valid execution file of each format: two tests on two revisions, with
+# passes, failures, a censored hang and an uninterrupted timeout; integer
+# durations, so that a mutation can put a token in place of one.
+_EXECUTION_ROWS = [
+    ("a", "r1", "00", 60, "pass", False),
+    ("a", "r1", "01", 90, "fail", False),
+    ("a", "r1", "02", 600, "timeout", True),
+    ("a", "r2", "03", 75, "pass", False),
+    ("a", "r2", "04", 80, "pass", False),
+    ("b", "r1", "05", 30, "pass", False),
+    ("b", "r1", "06", 700, "timeout", False),
+    ("b", "r2", "07", 45, "fail", False),
+    ("b", "r2", "08", 40, "pass", False),
+]
+EXECUTION_FILES = {
+    "jsonl": "".join(
+        f'{{"test_id": "{t}", "revision_id": "{r}", "started_at": "2021-01-01T00:{m}:00Z", '
+        f'"duration_seconds": {d}, "verdict": "{v}", "interrupted": {str(i).lower()}}}\n'
+        for t, r, m, d, v, i in _EXECUTION_ROWS
+    ).encode(),
+    "csv": (
+        "test_id,revision_id,started_at,duration_seconds,verdict,interrupted\n"
+        + "".join(
+            f"{t},{r},2021-01-01T00:{m}:00Z,{d},{v},{str(i).lower()}\n"
+            for t, r, m, d, v, i in _EXECUTION_ROWS
+        )
+    ).encode(),
+}
+# Every command that reads an execution file, with small grids and folds.
+EXECUTION_COMMANDS = [
+    ["summarize"],
+    ["optimize", "--min-samples", "2"],
+    ["sweep", "--lo", "1", "--hi", "12"],
+    ["evaluate", "--k", "2", "--seed", "1", "--min-samples", "2", "--static", "3"],
+    ["flakiness", "--revision", "r1"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fmt=st.sampled_from(sorted(EXECUTION_FILES)), data=st.data())
+def test_mutated_execution_files_never_crash(fmt, data):
+    # No execution file crashes its loader or a command that reads it, with
+    # the same mutations and checks as the small formats: the loader returns
+    # or raises ValueError, and each command exits cleanly.
+    mutated = data.draw(mutated_st(EXECUTION_FILES[fmt]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"mutated.{fmt}"
+        path.write_bytes(mutated)
+        try:
+            load_executions(path, fmt)
+        except ValueError:
+            pass
+        for argv in EXECUTION_COMMANDS:
+            assert_runs_cleanly(argv + ["--input", str(path), "--format", fmt])
+        compare = ["compare", "--input-a", str(path), "--input-b", str(path), "--format", fmt]
+        assert_runs_cleanly(compare + ["--revision-a", "r1", "--revision-b", "r2"])
 
 
 # Ids that json must escape (quotes, backslashes, control characters,

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,10 @@ from helpers import verdict_dataset
 from timeopt import cli, simulate
 from timeopt.ingest import load_executions, write_executions
 from timeopt.model import DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, TimeoutPolicy, Verdict
-from timeopt.optimize import EMPIRICAL_ECDF, OptimizationConfig, expected_cost
+from timeopt.evaluate import compare_policies
+from timeopt.optimize import (
+    EMPIRICAL_ECDF, PROBABILITY_METHODS, OptimizationConfig, TimeoutOptimizer, expected_cost,
+)
 from timeopt.simulate import (
     _QUANTILE_CAP,
     TestDistribution,
@@ -549,6 +553,32 @@ class TestSimulateRerunPolicy:
             sum(r.duration for r in dataset.records)
         )
         assert report.rejected == 0
+
+    def test_hang_costs_lie_within_the_rerun_noise(self):
+        # 10 tests x 500 runs, 5% hangs: for a static policy and both fitted
+        # ones, the cost model's whole-dataset average lies within three
+        # standard deviations of the simulator's over ten rerun seeds. Scoring
+        # a hang as a natural run of its enforced timeout put the model 200
+        # or more of the simulator's standard errors below it.
+        spec = WorkloadSpec(test_count=10, executions_per_test=500, hang_probability=0.05, seed=1)
+        dataset, _, _ = generate_workload(spec)
+        assert sum(dataset.censored) == 243
+        policies = [TimeoutPolicy.static(60)] + [
+            TimeoutPolicy(method, TimeoutOptimizer(config).fit(dataset).timeouts_)
+            for method in PROBABILITY_METHODS
+            for config in [OptimizationConfig(3, 0.0, method)]
+        ]
+        totals = compare_policies(dataset, policies, OptimizationConfig(3, 0.0, EMPIRICAL_ECDF))
+        for policy, total in zip(policies, totals):
+            simulated = [
+                simulate_rerun_policy(dataset, policy, rerun_count=3, seed=seed)
+                for seed in range(10)
+            ]
+            costs = [report.mean_cost_per_initial_run for report in simulated]
+            noise = statistics.stdev(costs)
+            assert abs(total.average_cost - statistics.fmean(costs)) <= 3 * noise, policy.label
+            hangs_and_overruns = simulated[0].timeout_events
+            assert total.flaky_timeout_count == hangs_and_overruns - 243  # hangs are not flaky
 
     def test_everything_hangs_charges_full_budget(self):
         dataset, policy, _ = generate_workload(
