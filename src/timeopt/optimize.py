@@ -443,7 +443,10 @@ class _Difference(_SortedSample):
 
 
 def _cost(tm: float, p: float, threshold: float, config: OptimizationConfig) -> float:
-    cost = tm + config.rerun_count * p * tm
+    """tm + m p tm, plus ``_breakage`` when pb > 0; tm alone when m p is 0,
+    so hangs at an infinite timeout cost inf, not inf + 0 * inf = NaN."""
+    reruns = config.rerun_count * p
+    cost = tm + reruns * tm if reruns else tm
     return cost + _breakage(threshold, config) if config.breakage_probability > 0.0 else cost
 
 
@@ -470,7 +473,8 @@ def sample_stats(sample: TestSample) -> SampleStats:
 
 
 def empirical_exceedance(sample: TestSample, threshold: float) -> float:
-    """Fraction of observed durations strictly greater than the threshold."""
+    """Fraction of runs that time out at the threshold: every censored run
+    and every natural duration above it."""
     return _kernel_of(sample).above(threshold) / sample.n
 
 

@@ -124,8 +124,9 @@ def timeout_probability(sample: TestSample, threshold: float, config) -> float:
 
 
 def cost(tm: float, p: float, threshold: float, config) -> float:
-    """tm + m p tm, plus pb t (m + 1) when breakage is modeled."""
-    total = tm + config.rerun_count * p * tm
+    """tm + m p tm, plus pb t (m + 1) when breakage is modeled; tm alone
+    when m p is 0, so an infinite tm costs inf."""
+    total = tm + config.rerun_count * p * tm if config.rerun_count * p else tm
     if config.breakage_probability > 0.0:
         total += config.breakage_probability * threshold * (config.rerun_count + 1)
     return total

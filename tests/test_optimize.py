@@ -217,6 +217,14 @@ class TestExpectedCost:
             costs = [expected_cost(sample, t, config) for t in ts]
             assert all(b > a for a, b in zip(costs, costs[1:]))
 
+    @pytest.mark.parametrize("reruns", [0, 3])
+    @pytest.mark.parametrize("method", [EMPIRICAL_ECDF, TOLHURST_BOUND])
+    def test_hangs_cost_inf_at_an_infinite_timeout(self, reruns, method):
+        # a hang consumes the timeout, so with no rerun the cost is tm = inf
+        sample = sample_of([60.0, 120.0, 90.0], censored=[False, False, True])
+        config = OptimizationConfig(probability_method=method, rerun_count=reruns)
+        assert expected_cost(sample, math.inf, config) == math.inf
+
 
 def brute_force_argmin(sample, config):
     """Naive independent re-evaluation over the whole grid, with the

@@ -40,7 +40,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import EPOCH, MINUTE, dataset_of, sample_of
+from helpers import EPOCH, MINUTE, dataset_of, record, sample_of
 from timeopt import cli, evaluate, flakiness, ingest, optimize
 from timeopt.ingest import (
     _record_from_row,
@@ -165,11 +165,8 @@ def outcome(function, *args):
 
 
 def assert_as_reference(module, name, *args):
-    """``module.name`` gives the value of ``reference.name``, or raises its
-    error; a NaN answers NaN (the cost at an infinite timeout of a sample
-    with hangs and no rerun is inf + 0 * inf)."""
-    got, expected = outcome(getattr(module, name), *args), outcome(getattr(reference, name), *args)
-    assert got == expected or got != got and expected != expected, name
+    """``module.name`` gives the value of ``reference.name``, or raises its error."""
+    assert outcome(getattr(module, name), *args) == outcome(getattr(reference, name), *args), name
 
 
 config_st = st.builds(
@@ -373,11 +370,13 @@ def test_kernel_stats_equal_sample_stats(durations):
 
 
 @st.composite
-def sweep_case_st(draw) -> tuple[tuple[int, int], list[list[float]]]:
-    """A sweep range and 1-8 samples of 1-6 durations each.
+def sweep_case_st(draw) -> tuple[tuple[int, int], list[list[float]], list[int]]:
+    """A sweep range, 1-8 samples of 1-6 durations each, and 0-2 hangs
+    (censored runs) per sample.
 
     Durations sit on grid points of the range and just beyond it, one ulp
-    above them, or anywhere from 0 to one point past the range.
+    above them, or anywhere from 0 to one point past the range. A sample
+    with a hang never saturates, so it is scored past its natural max too.
     """
     lo = draw(st.integers(1, 5))
     hi = draw(st.integers(lo + 1, lo + 10))
@@ -390,16 +389,20 @@ def sweep_case_st(draw) -> tuple[tuple[int, int], list[list[float]]]:
     samples = draw(
         st.lists(st.lists(duration_st, min_size=1, max_size=6), min_size=1, max_size=8)
     )
-    return (lo, hi), samples
+    hangs = draw(st.lists(st.integers(0, 2), min_size=len(samples), max_size=len(samples)))
+    return (lo, hi), samples, hangs
 
 
 @PROPERTY
 @given(case=sweep_case_st(), m=st.integers(0, 4), pb=st.sampled_from([0.0, 0.01]))
 def test_sweep_is_bit_equal_to_fsum_reference(case, m, pb):
-    (lo, hi), durations = case
-    dataset = dataset_of(
-        {(f"t{i}", "r1"): [(d, "pass") for d in ds] for i, ds in enumerate(durations)}
-    )
+    (lo, hi), durations, hangs = case
+    runs = [(i, d, "pass") for i, ds in enumerate(durations) for d in ds]
+    runs += [(i, (hi + 1) * MINUTE, "timeout") for i, h in enumerate(hangs) for _ in range(h)]
+    dataset = ExecutionDataset(records=tuple(
+        record(f"t{i}", "r1", minute, d, verdict, interrupted=verdict == "timeout")
+        for minute, (i, d, verdict) in enumerate(runs)
+    ))
     config = OptimizationConfig(
         rerun_count=m, breakage_probability=pb, probability_method=EMPIRICAL_ECDF
     )
