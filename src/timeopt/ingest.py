@@ -577,10 +577,11 @@ def timeout_policy_csv(timeouts: Mapping[str, int]) -> str:
 def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPolicy:
     """Read a per-test timeout CSV (``timeout_policy_csv``'s format) as a policy. The
     file is strict UTF-8, a leading byte-order mark dropped. The header may be left
-    out: a first row whose id is ``test_id`` is the header, and any other first row
-    whose value is not a number is a malformed header. A malformed header or row, a
-    value that is not a valid whole number of minutes (named with its line and test
-    id), or a test id that is empty or named twice is a ValueError for the whole file."""
+    out: a first row whose id is ``test_id`` is the header, which must name
+    ``timeout_minutes`` next, and any other first row whose value is not a number is a
+    malformed header. A malformed header or row, a value that is not a valid whole
+    number of minutes (named with its line and test id), or a test id that is empty or
+    named twice is a ValueError for the whole file."""
     expected = ",".join(TIMEOUT_POLICY_FIELDS)
     with Path(path).open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -590,7 +591,10 @@ def load_timeout_policy(path: str | Path, label: str = "original") -> TimeoutPol
             raise ValueError(f"malformed policy file: {exc}") from None
     if not rows or len(rows[0][1]) < 2:
         raise ValueError(f"malformed header: expected {expected}")
-    if rows[0][1][0].strip() == TIMEOUT_POLICY_FIELDS[0]:
+    first = rows[0][1]
+    if first[0].strip() == TIMEOUT_POLICY_FIELDS[0]:  # a header, naming both fields
+        if first[1].strip() != TIMEOUT_POLICY_FIELDS[1]:
+            raise ValueError(f"malformed header: expected {expected}")
         del rows[0]
     else:
         try:

@@ -30,23 +30,26 @@ p. Along such a run the float cost never falls as t grows, since tm(t) is
 the correctly rounded value of a non-decreasing exact function and every
 float operation of the cost is monotone in tm, p and t. So scanning the
 candidates in decreasing order, keeping a cost at most the best, returns the
-exhaustive argmin, ties included. The candidates are the first grid point of
-each step of p: empirically, the first point at or above each natural
-duration, at most n_nat + 1; for the Tolhurst bound, whose steps are found
-in exact integers, at most (n_nat + 1) // 2 + 1, however far the grid
-reaches. Durations lie in
-``[0, DURATION_LIMIT]`` (``model``), so no statistic overflows and the
-search reads only exact floats. The scan keeps a floor f, a unit whose tm
-it has read, lower at first: every unit at or above f has tm and t at least
-tm(f) and f. So below a candidate of probability p, every unit at or above
-f costs at least the cost of p, tm(f) and f, and the scan stops exactly once
-that exceeds the best. Each time the best cost falls, the floor rises: p
-grows with an integer count of the natural runs, bisection finds the least
-count whose p costs more than the best even at tm(f) and f, and every unit below
-the first unit of a smaller count then costs more than the best. The floor
-moves to that unit and tm is read there, once, until the floor stops
-rising; the scan ends once the floor reaches the best candidate. Pruning
-needs a strict excess, so ties still go to the smallest timeout. The search,
+exhaustive argmin, ties included. Each estimator is one steps object,
+``_EmpiricalSteps`` or ``_TolhurstSteps``, that the search builds and reads
+alone: ``count`` is the count of the natural runs behind p at a threshold,
+``start(x)`` the first grid unit whose count is below x, ``terms`` p's exact
+ratio of a count, and ``top`` the largest count. The candidates are the first
+grid point of each step of p: empirically, the first point at or above each
+natural duration, at most n_nat + 1; for the Tolhurst bound, whose steps are
+found in exact integers, at most (n_nat + 1) // 2 + 1, however far the grid
+reaches. Durations lie in ``[0, DURATION_LIMIT]`` (``model``), so no statistic
+overflows and the search reads only exact floats. The scan keeps a floor f, a
+unit whose tm it has read, lower at first: every unit at or above f has tm and
+t at least tm(f) and f. So below a candidate of probability p, every unit at
+or above f costs at least the cost of p, tm(f) and f, and the scan stops
+exactly once that exceeds the best. Each time the best cost falls, the floor
+rises: p grows with ``count``, bisection finds the least count whose p costs
+more than the best even at tm(f) and f, and every unit below the first unit of
+a smaller count then costs more than the best. The floor moves to that unit
+and tm is read there, once, until the floor stops rising; the scan ends once
+the floor reaches the best candidate. Pruning needs a strict excess, so ties
+still go to the smallest timeout. The search,
 the static sweep and held-out scoring read the sample statistics, tm(t) and
 the empirical p(t) from one kernel per sample (``_SortedSample``, which
 alone decides saturation and holds exact integer prefix sums); the public
@@ -176,20 +179,38 @@ def tolhurst_bound(stats: SampleStats, threshold: float) -> float:
     Raises:
         ValueError: if stats.n < 2.
     """
-    return _tolhurst_numerator(stats, threshold) / (stats.n + 1)
+    return _TolhurstSteps(stats).count(threshold) / (stats.n + 1)
 
 
-def _tolhurst_numerator(stats: SampleStats, threshold: float) -> int:
-    """``tolhurst_bound``'s numerator j; ValueError if stats.n < 2."""
-    if stats.n < 2:
-        raise ValueError("insufficient sample: the bound requires n >= 2")
-    if threshold == math.inf:  # the limit: the floor of a ratio falling to 1 from above
-        return 1 if stats.q_n else 0
-    return _TolhurstSteps(stats).index(threshold)
+class _EmpiricalSteps:
+    """The empirical p of one kernel as steps: the count x behind p is its
+    natural overruns, and p = (c + x) / n. It has ``_TolhurstSteps``' four
+    members, and refers to its kernel, so no kernel keeps one."""
+
+    __slots__ = ("kernel", "terms", "top")
+
+    def __init__(self, kernel: _SortedSample) -> None:
+        self.kernel, self.terms, self.top = kernel, (kernel.c, 1, kernel.n), kernel.n_nat
+
+    def count(self, threshold: float) -> int:
+        return self.kernel.above(threshold) - self.kernel.c
+
+    def start(self, x: int) -> int:
+        """The least unit whose count is below x >= 1, 0 if every one is: the
+        first at or above the (n_nat - x + 1)th smallest natural duration, the
+        max at x = 1, so no sort there; a larger x is asked only once a read
+        below it has sorted the kernel."""
+        kernel, n = self.kernel, self.top
+        if x > n:
+            return 0
+        return _unit_at_least(kernel.ordered[n - x] if x > 1 else kernel.stats.max)
 
 
 class _TolhurstSteps:
-    """The numerator j of ``tolhurst_bound`` for one sample, in integers.
+    """The Tolhurst p of one sample as steps, in integers: ``count`` is the
+    numerator j of ``tolhurst_bound`` for the n natural runs, and with c
+    censored runs beside them p = (c + n j / (n + 1)) / (n + c), the exact
+    ratio of ``terms``, which is bit-equal to j / (n + 1) when c = 0.
 
     Every finite float is an integer over a power of two, so the mean and
     q_n are put over one denominator once, and the gap threshold - mean
@@ -203,19 +224,25 @@ class _TolhurstSteps:
     and D (J - 1) (n + 1) > A (n + 1 - J).
     """
 
-    __slots__ = ("n", "scale", "mean", "q_n", "a")
+    __slots__ = ("n", "scale", "mean", "q_n", "a", "terms", "top")
 
-    def __init__(self, stats: SampleStats) -> None:
+    def __init__(self, stats: SampleStats, c: int = 0) -> None:
+        n = self.n = stats.n
         mean, mean_denominator = stats.mean.as_integer_ratio()
         q_n, q_n_denominator = stats.q_n.as_integer_ratio()
-        self.n = stats.n
         self.scale = max(mean_denominator, q_n_denominator)
         self.mean = mean * (self.scale // mean_denominator)
         self.q_n = q_n * (self.scale // q_n_denominator)
-        self.a = (stats.n - 1) * self.q_n * self.q_n
+        self.a = (n - 1) * self.q_n * self.q_n
+        self.terms = c * (n + 1), n, (n + c) * (n + 1)
+        self.top = n + 1
 
-    def index(self, threshold: float) -> int:
+    def count(self, threshold: float) -> int:
         n = self.n
+        if n < 2:
+            raise ValueError("insufficient sample: the bound requires n >= 2")
+        if threshold == math.inf:  # the limit: the floor of a ratio falling to 1 from above
+            return 1 if self.q_n else 0
         t, denominator = threshold.as_integer_ratio()
         gap, q_n = t * self.scale - self.mean * denominator, self.q_n * denominator
         if gap <= q_n:
@@ -225,17 +252,26 @@ class _TolhurstSteps:
         d, a = gap * gap, self.a * denominator * denominator
         return (n + 1) * (a + d) // ((n + 1) * d + a)
 
-    def end(self, j: int) -> float:
-        """The least float threshold in whole seconds whose j is below j >= 2.
-
-        Grid points are whole seconds, where the gap is an integer. The least
-        integer gap past the step is g = max(q_n, isqrt(A (n + 1 - j) //
-        ((j - 1) (n + 1)))) + 1; (mean + g) / scale is rounded up to whole
-        seconds, a float exactly wherever the walk reads it (``DURATION_LIMIT``).
-        """
+    def start(self, x: int) -> int:
+        """The least unit whose j is below x >= 1, 0 past n + 1. With J =
+        max(x, 2) (at x = 1 a zero-spread sample's j drops from n + 1 to 0),
+        the least integer gap past step J, as grid points are whole seconds,
+        is g = max(q_n, isqrt(A (n + 1 - J) // ((J - 1) (n + 1)))) + 1, and
+        (mean + g) / scale is rounded up to whole seconds, a float exactly
+        wherever the walk reads it (``DURATION_LIMIT``)."""
         n = self.n
+        if x > n + 1:
+            return 0
+        j = max(x, 2)
         g = max(self.q_n, math.isqrt(self.a * (n + 1 - j) // ((j - 1) * (n + 1)))) + 1
-        return float(-(-(self.mean + g) // self.scale))
+        return _unit_at_least(float(-(-(self.mean + g) // self.scale)))
+
+
+def _steps(kernel: _SortedSample, method: str) -> _EmpiricalSteps | _TolhurstSteps:
+    """The kernel's steps of p under a probability method, built afresh."""
+    if method == EMPIRICAL_ECDF:
+        return _EmpiricalSteps(kernel)
+    return _TolhurstSteps(kernel.stats, kernel.c)
 
 
 # The largest shift s at which DURATION_LIMIT * 2**s is a finite float: past it, _sort
@@ -280,7 +316,7 @@ class _SortedSample:
     """
 
     __slots__ = ("test_id", "ordered", "n_nat", "c", "n", "scaled", "prefix", "denominator",
-                 "_stats", "_max", "_top", "_mean", "_tolhurst")
+                 "_stats", "_max", "_top", "_mean")
 
     def __init__(self, durations: Iterable[float], test_id: str = "", c: int = 0) -> None:
         self.test_id = test_id
@@ -293,7 +329,6 @@ class _SortedSample:
         self._max = max(self.ordered) if self.ordered else -math.inf
         self._top = math.inf if c else self._max  # the one saturation bound
         self._mean: float | None = None  # kept once read
-        self._tolhurst: _TolhurstSteps | None = None
 
     def _sort(self) -> None:
         ordered = self.ordered
@@ -370,14 +405,6 @@ class _SortedSample:
             self._stats = SampleStats(n, mean, variance, q_n, self._max, bottom)
         return self._stats
 
-    @property
-    def tolhurst(self) -> _TolhurstSteps:
-        """The Tolhurst numerator's steps, built once: the search's walk and
-        its floor read the same."""
-        if self._tolhurst is None:
-            self._tolhurst = _TolhurstSteps(self.stats)
-        return self._tolhurst
-
     def at(self, threshold: float) -> tuple[float, int]:
         """(truncated mean, overruns) at a threshold: every censored run, and
         every natural duration strictly above it, is an overrun charged the
@@ -396,22 +423,11 @@ class _SortedSample:
             return self.c
         return self.n - self._below(threshold)[0]
 
-    def p_terms(self, empirical: bool) -> tuple[int, int, int]:
-        """(base, step, d): p for a count x of the natural runs is the exact
-        ratio (base + step x) / d, rounded once, each censored run an
-        overrun: (c + x) / n for x natural overruns, or, for the Tolhurst
-        numerator x of the natural runs, (c + n_nat x / (n_nat + 1)) / n."""
-        if empirical:
-            return self.c, 1, self.n
-        n_nat = self.n_nat
-        return self.c * (n_nat + 1), n_nat, self.n * (n_nat + 1)
-
     def probability(self, threshold: float, config: OptimizationConfig) -> float:
-        """p at a threshold under the configured method."""
-        if config.probability_method == EMPIRICAL_ECDF:
-            return self.above(threshold) / self.n
-        base, step, d = self.p_terms(False)
-        return (base + step * _tolhurst_numerator(self.stats, threshold)) / d
+        """p at a threshold under the configured method, from its steps."""
+        steps = _steps(self, config.probability_method)
+        base, step, d = steps.terms
+        return (base + step * steps.count(threshold)) / d
 
     def empirical_cost(self, threshold: float, config: OptimizationConfig) -> tuple[float, int]:
         """(``expected_cost`` with empirical probabilities, overruns) at a threshold."""
@@ -554,10 +570,10 @@ def optimize_timeout(
         lower, upper = search_grid(kernel.stats) if kernel.n_nat else (t, t)
     else:
         lower, upper = search_grid(kernel.stats)
-        empirical = config.probability_method == EMPIRICAL_ECDF
+        steps = _steps(kernel, config.probability_method)
         floor, tm_floor = lower, kernel.at(lower * GRID_SECONDS)[0]
         t, cost, p = lower, math.inf, math.inf
-        for unit, unit_p in _walk(kernel, lower, upper, empirical):
+        for unit, unit_p in _walk(steps, lower, upper):
             if _cost(tm_floor, unit_p, floor * GRID_SECONDS, config) > cost:
                 break
             threshold = unit * GRID_SECONDS
@@ -566,7 +582,7 @@ def optimize_timeout(
             if unit_cost <= cost and unit_cost < math.inf:  # an infinite cost is never kept
                 if unit_cost < cost and unit > floor:
                     floor, tm_floor = _raised_floor(
-                        kernel, empirical, (floor, tm_floor), (unit, tm), unit_cost, config
+                        kernel, steps, (floor, tm_floor), (unit, tm), unit_cost, config
                     )
                 t, cost, p = unit, unit_cost, unit_p
                 if floor == unit:  # every candidate left lies below the floor
@@ -583,48 +599,28 @@ def optimize_timeout(
 
 
 def _walk(
-    kernel: _SortedSample, lower: int, upper: int, empirical: bool
+    steps: _EmpiricalSteps | _TolhurstSteps, lower: int, upper: int
 ) -> Iterator[tuple[int, float]]:
     """(unit, p) at the first unit in [lower, upper] of each step of p, from
     the step that holds ``upper`` down to the one that holds ``lower``.
 
-    p is a ratio of a count of the natural runs (``p_terms``): their
+    p is the ratio ``steps.terms`` of a count of the natural runs: their
     overruns, or their Tolhurst numerator j. A step with count x starts at
-    ``_step_start(x + 1)``, and the unit below a start lies in the next step
+    ``steps.start(x + 1)``, and the unit below a start lies in the next step
     down.
     """
-    c, u = kernel.c, upper
-    base, step, d = kernel.p_terms(empirical)
+    base, step, d = steps.terms
+    u = upper
     while u >= lower:
-        threshold = u * GRID_SECONDS
-        count = kernel.above(threshold) - c if empirical else kernel.tolhurst.index(threshold)
-        u = max(lower, _step_start(kernel, empirical, count + 1))
+        count = steps.count(u * GRID_SECONDS)
+        u = max(lower, steps.start(count + 1))
         yield u, (base + step * count) / d
         u -= 1
 
 
-def _step_start(kernel: _SortedSample, empirical: bool, x: int) -> int:
-    """The least unit whose count of the natural runs behind p is below x >= 1,
-    0 if every one is.
-
-    Its least threshold: with x - 1 < n_nat natural overruns, the
-    (n_nat - x + 1)th smallest natural duration (the natural max at x = 1, so
-    no sort there; a larger x is asked only once a read below it has sorted
-    the kernel); for the Tolhurst numerator, ``_TolhurstSteps.end(x)`` (of
-    step 2 at x = 1, where a zero-spread sample's j drops from n_nat + 1 to 0)
-    while x <= n_nat + 1; else 0.
-    """
-    n = kernel.n_nat
-    if empirical:
-        seconds = 0.0 if x > n else kernel.ordered[n - x] if x > 1 else kernel.stats.max
-    else:
-        seconds = kernel.tolhurst.end(max(x, 2)) if x <= n + 1 else 0.0
-    return _unit_at_least(seconds)
-
-
 def _raised_floor(
     kernel: _SortedSample,
-    empirical: bool,
+    steps: _EmpiricalSteps | _TolhurstSteps,
     floor: tuple[int, float],
     best: tuple[int, float],
     cost: float,
@@ -635,7 +631,7 @@ def _raised_floor(
 
     Units at or above the floor have tm and t at least the floor's, so the
     least natural count x whose p costs more than ``cost`` even there, found
-    by bisection, prices out every unit below ``_step_start(x)``. No count up
+    by bisection, prices out every unit below ``steps.start(x)``. No count up
     to the best's own does, so x >= 1 (c + 1 overruns, empirically: no unit
     has fewer than the c censored ones) and no start passes the best. The
     floor moves to the start and reads tm there, until it stops rising or
@@ -643,9 +639,8 @@ def _raised_floor(
     searches up to the last one's x.
     """
     unit, tm = floor
-    base, step, d = kernel.p_terms(empirical)
-    top = kernel.n_nat if empirical else kernel.n_nat + 1  # the largest count
-    hi = top + 1  # none: every count costs at most the best at the floor
+    base, step, d = steps.terms
+    hi = steps.top + 1  # none: every count costs at most the best at the floor
     while True:
         lo, seconds = 1, unit * GRID_SECONDS
         while lo < hi:
@@ -654,7 +649,7 @@ def _raised_floor(
                 hi = mid
             else:
                 lo = mid + 1
-        start = _step_start(kernel, empirical, hi)
+        start = steps.start(hi)
         if start <= unit:
             return unit, tm
         if start >= best[0]:

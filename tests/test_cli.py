@@ -443,6 +443,7 @@ class TestEvaluate:
         "text, error",
         [
             ("id,minutes\nalpha,4\nbeta,7\n", "malformed header: expected test_id,timeout_minutes"),
+            ("test_id,foo\na,5\n", "malformed header: expected test_id,timeout_minutes"),
             (
                 "test_id,timeout_minutes\nalpha,5.0\nbeta,7\n",
                 "line 2, test 'alpha': timeout_minutes '5.0' is not a whole number of minutes"
@@ -454,7 +455,7 @@ class TestEvaluate:
                 " >= 1 and finite in seconds",
             ),
         ],
-        ids=["other-header", "fractional-value", "zero-value-headerless"],
+        ids=["other-header", "test-id-other-header", "fractional-value", "zero-value-headerless"],
     )
     def test_bad_policy_value_names_its_line_and_test(
         self, runs_file, tmp_path, capsys, text, error

@@ -800,6 +800,23 @@ class TestLoadTimeoutPolicy:
             load_timeout_policy(path)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("text", ["test_id,foo\na,5\n", "test_id,5\na,7\n"])
+    def test_header_must_name_timeout_minutes(self, tmp_path, text):
+        # a first row whose id is test_id is a header, so it names both fields
+        path = tmp_path / "timeouts.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            load_timeout_policy(path)
+        assert str(raised.value) == "malformed header: expected test_id,timeout_minutes"
+
+    @pytest.mark.parametrize(
+        "text", [" test_id , timeout_minutes \na,5\n", "test_id,timeout_minutes\na,5\n", "a,5\n"]
+    )
+    def test_stripped_or_absent_header_loads(self, tmp_path, text):
+        path = tmp_path / "timeouts.csv"
+        path.write_text(text, encoding="utf-8")
+        assert load_timeout_policy(path).values == {"a": 5}
+
 
 class TestSummarize:
     def test_empty_dataset(self):

@@ -16,6 +16,7 @@ from timeopt.optimize import (
     TimeoutOptimizer,
     _cost,
     _SortedSample,
+    _steps,
     _unit_at_least,
     _walk,
     empirical_exceedance,
@@ -439,7 +440,7 @@ class TestCandidateSearch:
         durations = [300 * rng.lognormvariate(0, 0.5) for _ in range(32)]
         kernel = _SortedSample(durations)
         lower, upper = search_grid(kernel.stats)
-        steps = len(list(_walk(kernel, lower, upper, config == EMPIRICAL)))
+        steps = len(list(_walk(_steps(kernel, config.probability_method), lower, upper)))
         expected = self.exhaustive(kernel, config)
         calls = 0
         at = _SortedSample.at
@@ -655,7 +656,7 @@ def test_early_stop_never_changes_the_result(durations, method, reruns, breakage
     kernel = _SortedSample(durations)
     lower, upper = search_grid(kernel.stats)
     expected = (lower, math.inf, math.inf)
-    for u, p in reversed(list(_walk(kernel, lower, upper, method == EMPIRICAL_ECDF))):
+    for u, p in reversed(list(_walk(_steps(kernel, method), lower, upper))):
         cost = _cost(kernel.at(u * MINUTE)[0], p, u * MINUTE, config)
         if cost < expected[1]:
             expected = (u, cost, p)

@@ -67,8 +67,10 @@ from timeopt.optimize import (
     TimeoutOptimizer,
     _kernel_of,
     _SortedSample,
+    _steps,
     _walk,
     optimize_timeout,
+    search_grid,
     static_sweep,
     tolhurst_bound,
 )
@@ -327,11 +329,41 @@ def test_candidate_search_equals_brute_force_argmin(durations, method, reruns, b
     # The walk yields lower and exactly the grid points where p changes,
     # with p there, from the top down.
     lower, upper = result.search_range
-    walk = _walk(_kernel_of(sample), lower, upper, method == EMPIRICAL_ECDF)
+    walk = _walk(_steps(_kernel_of(sample), method), lower, upper)
     grid = range(lower, upper + 1)
     p = [reference.timeout_probability(sample, u * MINUTE, config) for u in grid]
     steps = [lower] + [lower + i for i in range(1, len(p)) if p[i] != p[i - 1]]
     assert list(walk) == list(reversed([(u, p[u - lower]) for u in steps]))
+
+
+@PROPERTY
+@given(
+    durations=candidate_case_st(),
+    method=st.sampled_from(PROBABILITY_METHODS),
+    hung=st.lists(st.floats(min_value=0.0, max_value=3600.0), max_size=3),
+)
+def test_steps_start_where_the_count_falls_below_x(durations, method, hung):
+    """``_raised_floor`` asks an estimator's steps where the count behind p
+    falls below any x, which for the Tolhurst bound can lie far past the
+    search grid: ``start(x)`` is the least unit whose count is below x, for
+    every x from 2 to ``top + 1``, and x = 1 where some count is 0. On the
+    grid, ``terms`` maps the count to the reference p."""
+    sample = with_hangs(durations, hung)
+    kernel = _kernel_of(sample)
+    steps = _steps(kernel, method)
+
+    def count(unit: int) -> int:
+        return steps.count(unit * MINUTE)
+
+    for x in range(1 if steps.count(math.inf) == 0 else 2, steps.top + 2):
+        start = steps.start(x)
+        assert count(start) < x
+        assert start == 0 or count(start - 1) >= x
+    base, step, d = steps.terms
+    config = OptimizationConfig(probability_method=method)
+    for unit in range(1, search_grid(kernel.stats)[1] + 1):
+        p = reference.timeout_probability(sample, unit * MINUTE, config)
+        assert (base + step * count(unit)) / d == p
 
 
 @st.composite

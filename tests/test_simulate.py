@@ -399,8 +399,9 @@ CODEGEN = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
 # What tests/reference.py may take from the program, and names it must not use
 REFERENCE_VALUE_TYPES = {"SampleStats", "TestSample", "Verdict"}
 REFERENCE_FORBIDDEN = {
-    "_SortedSample", "_TolhurstSteps", "_cost", "_tallies", "_tally", "_kernel_of", "stats_of",
-    "verdict_of", "__import__", "import_module", "optimize", "evaluate", "flakiness", "modules",
+    "_SortedSample", "_EmpiricalSteps", "_TolhurstSteps", "_steps", "_cost", "_tallies", "_tally",
+    "_kernel_of", "stats_of", "verdict_of", "__import__", "import_module", "optimize", "evaluate",
+    "flakiness", "modules",
 }
 
 
