@@ -10,8 +10,9 @@ is a blocked run, not a flaky failure, so no flaky-timeout count includes
 it (the rerun simulator's timeout events count both). Folds evaluate
 independently and the whole report is deterministic given (dataset, seed,
 config). The report also carries each test's timeout fitted on all its
-runs, from the same kernel, so cross-validation sorts each test's runs
-once. The whole-dataset totals (``compare_policies``) build one kernel per
+runs, from the kernel that its folds' sorted parts merge into, so
+cross-validation sorts each fold's runs once and each test's once, as a
+merge. The whole-dataset totals (``compare_policies``) build one kernel per
 (test, revision) sample and sort it only when some policy's timeout cuts
 it or it has a censored run. CV rows and totals
 share ``static_sweep``'s scorer and ``fsum`` average, so a static policy's
@@ -22,7 +23,9 @@ total is the sweep's point. Policies are ``model.TimeoutPolicy`` values;
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from collections import abc
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import GRID_SECONDS, ExecutionDataset, TestSample
 from .optimize import OptimizationConfig, _average, _SortedSample, optimize_timeout
@@ -104,28 +107,55 @@ def make_folds(dataset: ExecutionDataset, k: int, seed: int) -> FoldAssignment:
     seed and split so per-test fold sizes differ by at most one, which
     guarantees every test has training data in every split. Tests with fewer
     than k executions are left out and listed in ``excluded_tests``.
-    Deterministic given seed.
+    Deterministic given seed. Each test's folds are kept as k row lists, its
+    parts; ``assignment`` builds the row → fold mapping from them when read.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = random.Random(seed)
-    assignment: dict[int, int] = {}
+    parts: dict[str, tuple[list[int], ...]] = {}
     excluded: list[str] = []
     for test_id, ordered in sorted(dataset.test_index.items()):
-        indices = list(ordered)
-        if len(indices) < k:
+        n = len(ordered)
+        if n < k:
             excluded.append(test_id)
             continue
+        indices = list(ordered)
         rng.shuffle(indices)
-        n = len(indices)
         base, remainder = divmod(n, k)
-        cursor = 0
-        for fold in range(k):
-            size = base + (1 if fold < remainder else 0)
-            for i in indices[cursor : cursor + size]:
-                assignment[i] = fold
-            cursor += size
-    return FoldAssignment(k=k, assignment=assignment, excluded_tests=tuple(excluded))
+        cuts = [fold * base + min(fold, remainder) for fold in range(k + 1)]
+        parts[test_id] = tuple(indices[a:b] for a, b in zip(cuts, cuts[1:]))
+    return FoldAssignment(k=k, assignment=_FoldMap(parts), excluded_tests=tuple(excluded))
+
+
+class _FoldMap(abc.Mapping):
+    """``make_folds``' row → fold mapping over its per-test ``parts``, each
+    test's k row lists in fold order. The dict is built on the first read and
+    kept; ``cross_validate`` reads only the parts."""
+
+    def __init__(self, parts: Mapping[str, tuple[list[int], ...]]) -> None:
+        self.parts = parts
+
+    @cached_property
+    def _folds(self) -> dict[int, int]:
+        return {
+            i: fold
+            for test_parts in self.parts.values()
+            for fold, rows in enumerate(test_parts)
+            for i in rows
+        }
+
+    def __getitem__(self, row: int) -> int:
+        return self._folds[row]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._folds)
+
+    def __len__(self) -> int:
+        return len(self._folds)
+
+    def __repr__(self) -> str:
+        return repr(self._folds)
 
 
 def cross_validate(
@@ -146,13 +176,14 @@ def cross_validate(
     test's whole-dataset timeout, as ``TimeoutOptimizer.fit`` gives it.
 
     Tests are visited one at a time, so one test's kernels are alive at
-    once. Every test's kernel is built from its runs in duration order, so
-    its natural runs are in the order every fold masks, and is sorted and
-    scaled once. Each fold splits an included test's kernel into a held-out
-    kernel, with the fold's censored runs, and a training ``_Difference``
-    (full minus held-out) with the others; the whole-dataset fit then reads
-    the same kernel. A test with fewer than k runs gets a kernel for its
-    whole fit only.
+    once. An included test's natural runs are sorted once per fold, from
+    ``make_folds``' parts, and its kernel merges the sorted parts and is
+    scaled once (``_SortedSample.of_parts``). Each fold's held-out kernel,
+    with the fold's censored runs, is born sorted from its part over the
+    kernel's denominator, and its training kernel is a ``_Difference`` (full
+    minus held-out) over the other parts merged; the whole-dataset fit then
+    reads the same kernel. A test with fewer than k runs gets a kernel for
+    its whole fit only.
 
     Raises:
         ValueError: when a baseline policy misses a test, or a baseline is
@@ -176,22 +207,18 @@ def cross_validate(
     # per fold and policy: held-out overruns, and each included test's cost in test order
     totals = [_Totals(len(all_labels)) for _ in range(k)]
     fitted_timeouts: dict[str, int] = {}
-    durations, censored, assignment = dataset.durations, dataset.censored, folds.assignment
+    parts = folds.assignment.parts
     for test_id in test_ids:
-        # Both stable sorts of the same durations in test_index order, so
-        # this order is the kernel's sorted one, ties included.
-        order = sorted(dataset.test_index[test_id], key=durations.__getitem__)
-        kernel = _SortedSample.of(dataset, order, test_id)
-        if test_id not in excluded:
-            fold_of = [assignment[i] for i in order if not censored[i]]
-            hung_fold_of = [assignment[i] for i in order if censored[i]]
+        if test_id in excluded:
+            kernel = _SortedSample.of(dataset, dataset.test_index[test_id], test_id)
+        else:
+            kernel, pieces = _SortedSample.of_parts(dataset, parts[test_id], test_id)
             baseline_seconds = [baseline[test_id] for baseline in baselines]
             for fold, fold_totals in enumerate(totals):
-                in_fold = [f == fold for f in fold_of]
-                held_out, train = kernel.split(in_fold, hung_fold_of.count(fold))
+                held_out, train = kernel.fold(pieces, fold)
                 fitted = optimize_timeout(train, config).optimal_timeout * GRID_SECONDS
                 fold_totals.add(held_out, baseline_seconds + [fitted], config)
-            del held_out, train
+            del held_out, train, pieces
         fitted_timeouts[test_id] = optimize_timeout(kernel, config).optimal_timeout
         del kernel  # freed before the next test's is built
 

@@ -40,7 +40,7 @@ import math
 import re
 from collections import Counter
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TextIO
@@ -392,8 +392,7 @@ def load_executions(
 def _censored_warnings(dataset: ExecutionDataset) -> tuple[str, ...]:
     """One note per (test, revision) whose censored fraction exceeds the
     threshold, in key order; counted from the columns, with no samples."""
-    keys = zip(dataset.tests, dataset.revisions)
-    hung = Counter(key for key, censored in zip(keys, dataset.censored) if censored)
+    hung = Counter(compress(zip(dataset.tests, dataset.revisions), dataset.censored))
     if not hung:
         return ()
     totals = Counter(zip(dataset.tests, dataset.revisions))

@@ -60,12 +60,13 @@ policy totals and its cross-validation rows share one scorer, the kernel's
 ``empirical_cost``, whose breakage term is written once (``_breakage``), and
 one fleet average, ``_average``: the ``fsum`` of the costs over their count.
 ``fit`` builds, searches and frees one test's kernel at a time;
-``cross_validate`` fits each test on the kernel that its folds split, so
-cross-validation sorts each test once, while ``evaluate``'s policy totals
-build a kernel for each (test, revision) sample and sort it when some
-policy's timeout cuts it. Every kernel is built from rows by
-``_SortedSample.of``, which keeps the natural durations and counts c, the
-censored runs among them; ``split`` counts each part's.
+``cross_validate`` sorts each fold's natural runs once, merges them into the
+test's kernel (``_SortedSample.of_parts``) and builds each fold's held-out and
+training kernels from the sorted parts (``fold``), while ``evaluate``'s policy
+totals build a kernel for each (test, revision) sample and sort it when some
+policy's timeout cuts it. Every kernel is built from rows, by
+``_SortedSample.of`` or ``of_parts``, which keep the natural durations and
+count c, the censored runs among them, for the whole and for each part.
 
 All operations are pure; per-test optimizations are independent.
 """
@@ -76,7 +77,7 @@ import math
 import operator
 import sys
 from bisect import bisect_right
-from itertools import accumulate, compress
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
@@ -275,8 +276,10 @@ def _steps(kernel: _SortedSample, method: str) -> _EmpiricalSteps | _TolhurstSte
 
 
 # The largest shift s at which DURATION_LIMIT * 2**s is a finite float: past it, _sort
-# scales by exact integer ratios instead.
+# takes the largest of the durations' integer-ratio denominators, and _fill scales by
+# exact integer ratios past 2**s.
 _FAST_SHIFT = sys.float_info.max_exp - math.frexp(DURATION_LIMIT)[1]
+_FAST_DENOMINATOR = 1 << _FAST_SHIFT
 
 
 class _SortedSample:
@@ -284,21 +287,23 @@ class _SortedSample:
 
     It holds the natural durations and ``c``, the number of censored runs
     beside them, so n = n_nat + c. Every caller builds it from rows with
-    ``of``, and ``split`` builds its parts; a bare ``_SortedSample(durations)``
-    has no censored run. A censored run overruns every threshold, so with k
-    natural durations at most t, ``at`` charges the n - k overruns t each.
-    The kernel alone decides saturation, by one rule whether sorted or not:
-    at a threshold at or above ``_top``, the max kept from construction,
-    ``at`` returns the exact mean, computed once, and ``at`` and ``above`` no
-    overrun. A kernel with c > 0 never saturates (``_top`` is inf): at an
-    infinite threshold its tm is inf and its overruns are c. Until a
-    threshold below the max is asked for, the durations stay unsorted and
-    the mean is their ``fsum``. The first threshold below the
-    max, or a ``split``, sorts them once into exact integer prefix sums over
-    a common power-of-two denominator. It is 2**(53 - e), where e is the
-    ``frexp`` exponent of the smallest nonzero duration: every duration is
-    then an integer times 2**(e - 53), and each product d * 2.0**(53 - e) is
-    that integer as an exact float. Where DURATION_LIMIT * 2**(53 - e) would
+    ``of``, or with ``of_parts``, whose ``fold`` builds each part's kernels;
+    a bare ``_SortedSample(durations)`` has no censored run. A censored run
+    overruns every threshold, so with k natural durations at most t, ``at``
+    charges the n - k overruns t each. The kernel alone decides saturation,
+    by one rule whether sorted or not: at a threshold at or above ``_top``,
+    the max kept from construction, ``at`` returns the exact mean, computed
+    once, and ``at`` and ``above`` no overrun. A kernel with c > 0 never
+    saturates (``_top`` is inf): at an infinite threshold its tm is inf and
+    its overruns are c. Until a threshold below the max is asked for, the
+    durations stay unsorted and the mean is their ``fsum``. The first
+    threshold below the max, or ``of_parts``, sorts them once into exact
+    integer prefix sums (``_fill``) over a common power-of-two denominator; a
+    fold's held-out kernel is born sorted over its test kernel's. The
+    denominator is 2**(53 - e), where e is the ``frexp`` exponent of the
+    smallest nonzero duration: every duration is then an integer times
+    2**(e - 53), and each product d * 2.0**(53 - e) is that integer as an
+    exact float. Where DURATION_LIMIT * 2**(53 - e) would
     overflow (a smallest nonzero duration below 2**-923 s), the denominator
     is the largest of the durations' ``as_integer_ratio`` denominators
     instead. At threshold t = p / q, with k = bisect_right(sorted, t), the
@@ -315,8 +320,8 @@ class _SortedSample:
     ``at`` needs at least one run, and ``stats`` at least one natural one.
     """
 
-    __slots__ = ("test_id", "ordered", "n_nat", "c", "n", "scaled", "prefix", "denominator",
-                 "_stats", "_max", "_top", "_mean")
+    __slots__ = ("test_id", "ordered", "n_nat", "c", "n", "prefix", "denominator", "_stats",
+                 "_max", "_top", "_mean")
 
     def __init__(self, durations: Iterable[float], test_id: str = "", c: int = 0) -> None:
         self.test_id = test_id
@@ -336,15 +341,19 @@ class _SortedSample:
         nonzero = bisect_right(ordered, 0.0)
         shift = 53 - math.frexp(ordered[nonzero])[1] if nonzero < self.n_nat else 0
         if shift <= _FAST_SHIFT:
-            scale = 2.0**shift
-            self._fill(list(map(int, map(scale.__mul__, ordered))), 1 << shift)
+            denominator = 1 << shift
         else:
-            ratios = [d.as_integer_ratio() for d in ordered]
-            denominator = max(q for _, q in ratios)
-            self._fill([p * (denominator // q) for p, q in ratios], denominator)
+            denominator = max(d.as_integer_ratio()[1] for d in ordered)
+        self._fill(denominator)
 
-    def _fill(self, scaled: list[int], denominator: int) -> None:
-        self.scaled = scaled  # each sorted duration times the denominator
+    def _fill(self, denominator: int) -> None:
+        """The exact integer prefix sums of the sorted durations over a power
+        of two that makes each one an integer: a float product each where
+        DURATION_LIMIT times it is finite, else each one's integer ratio."""
+        if denominator <= _FAST_DENOMINATOR:
+            scaled = map(int, map(float(denominator).__mul__, self.ordered))
+        else:
+            scaled = (p * (denominator // q) for p, q in map(float.as_integer_ratio, self.ordered))
         self.prefix = list(accumulate(scaled, initial=0))
         self.denominator = denominator
 
@@ -366,18 +375,37 @@ class _SortedSample:
         natural = [durations[i] for i in rows if not censored[i]]
         return cls(natural, test_id, len(rows) - len(natural))
 
-    def split(self, keep: Sequence[bool], c: int) -> tuple["_SortedSample", "_SortedSample"]:
-        """(kept, rest): kernels of the natural durations whose position in
-        sorted order is true, or false, in ``keep``; the kept part has ``c``
-        of the censored runs and the rest the others. The kept part is born
-        sorted, with its own prefix sums over this kernel's denominator; the
-        rest is a ``_Difference`` of this kernel and the kept part, which
-        holds only its sorted durations and keeps both alive while it is."""
-        if self.denominator is None:
-            self._sort()
-        kept = _SortedSample(compress(self.ordered, keep), self.test_id, c)
-        kept._fill(list(compress(self.scaled, keep)), self.denominator)
-        return kept, _Difference(self, kept, compress(self.ordered, map(operator.not_, keep)))
+    @classmethod
+    def of_parts(
+        cls, runs: ExecutionDataset | TestSample, parts: Sequence[Sequence[int]], test_id: str = ""
+    ) -> tuple["_SortedSample", list[tuple[list[float], int]]]:
+        """(the kernel of every part's runs, each part's sorted natural
+        durations and censored count) for disjoint row lists. Each part is
+        sorted once, and the kernel sorts their concatenation, which merges the
+        sorted runs; ``fold`` builds a part's kernels from the pieces."""
+        durations, censored = runs.durations, runs.censored
+        pieces = []
+        for rows in parts:
+            natural = [durations[i] for i in rows if not censored[i]]
+            natural.sort()
+            pieces.append((natural, len(rows) - len(natural)))
+        kernel = cls(chain.from_iterable(p for p, _ in pieces), test_id, sum(c for _, c in pieces))
+        kernel._sort()
+        return kernel, pieces
+
+    def fold(
+        self, pieces: Sequence[tuple[list[float], int]], i: int
+    ) -> tuple["_SortedSample", "_SortedSample"]:
+        """(held-out, training) for piece i of this sorted kernel's pieces
+        (``of_parts``): the held-out kernel is born sorted from the piece, with
+        prefix sums over this kernel's denominator; the training kernel is a
+        ``_Difference`` of this kernel and it, holding the other pieces
+        merged, and keeps both alive while it is."""
+        natural, c = pieces[i]
+        held_out = _SortedSample(natural, self.test_id, c)
+        held_out._fill(self.denominator)
+        rest = chain.from_iterable(p for j, (p, _) in enumerate(pieces) if j != i)
+        return held_out, _Difference(self, held_out, rest)
 
     @property
     def mean(self) -> float:
@@ -442,13 +470,14 @@ class _Difference(_SortedSample):
     k_full - k_kept and its scaled sum prefix_full[k_full] -
     prefix_kept[k_kept]: the exact integers a kernel of its own would hold.
     So ``at``, ``above`` and the mean are bit-equal to that kernel's. Its
-    sorted durations serve the variance and the order statistics; it is not
-    split further."""
+    sorted durations, merged from the sorted runs it is given, serve the
+    variance and the order statistics."""
 
     __slots__ = ("full", "kept")
 
-    def __init__(self, full: _SortedSample, kept: _SortedSample, ordered: Iterable[float]) -> None:
-        super().__init__(ordered, full.test_id, full.c - kept.c)
+    def __init__(self, full: _SortedSample, kept: _SortedSample, rest: Iterable[float]) -> None:
+        super().__init__(rest, full.test_id, full.c - kept.c)
+        self.ordered.sort()  # merges the sorted runs it is given
         self.full, self.kept = full, kept
         self.denominator = full.denominator
 

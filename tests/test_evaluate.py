@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import math
 import random
 from collections import Counter
 
@@ -232,31 +234,94 @@ def test_cross_validate_equals_the_subsample_reference(config, k, seed):
 
 @pytest.mark.parametrize("k, seed", [(5, 0), (3, 11), (4, 7)])
 def test_fold_kernels_count_the_censored_runs_of_the_subsample_reference(k, seed):
-    # Split by make_folds' masks over its natural runs in sorted order, and
-    # the fold's count of its censored runs, as cross_validate splits it,
-    # each test's kernel gives its held-out and training parts the censored
+    # Built from make_folds' parts, as cross_validate builds them, each test's
+    # kernel gives its held-out and training kernels the runs and censored
     # counts of the rows that reference_cross_validate subsamples for the fold.
     dataset = reference_fixture()
     folds = make_folds(dataset, k, seed)
-    durations, censored = dataset.durations, dataset.censored
     counted = 0
-    for test_id in dataset.test_ids():
-        if test_id in folds.excluded_tests:
-            continue
+    for test_id, parts in folds.assignment.parts.items():
         indices = dataset.test_index[test_id]
-        order = sorted(indices, key=durations.__getitem__)
-        kernel = _SortedSample.of(dataset, order, test_id)
+        kernel, pieces = _SortedSample.of_parts(dataset, parts, test_id)
         assert kernel.c == dataset.pooled_sample(test_id).censored_count
         counted += kernel.c
-        natural = [i for i in order if not censored[i]]
         for fold in range(k):
-            in_fold = [folds.assignment[i] == fold for i in natural]
-            hung = sum(censored[i] and folds.assignment[i] == fold for i in order)
-            held, train = kernel.split(in_fold, hung)
-            for part, side in ((held, True), (train, False)):
+            for part, side in zip(kernel.fold(pieces, fold), (True, False)):
                 rows = [i for i in indices if (folds.assignment[i] == fold) is side]
+                assert part.n == len(rows)
                 assert part.c == dataset.subsample(test_id, "*", rows).censored_count
     assert counted == 4  # the "hung" test's interrupted timeouts
+
+
+# sha256 of repr(list(make_folds(reference_fixture(), k, seed).assignment.items())),
+# recorded when make_folds still built its dict row by row
+FOLD_DIGESTS = {
+    (5, 0): "745a851154b4ea8c4deedddab0dcf5f016c6bac0279d0d70889e7466427b6da6",
+    (3, 11): "b14054ddbb394ec5c605be6d3d2d14b8e7de07015c45a9da446e66162dbecbb5",
+    (4, 7): "78252e5ade4829aae8671cfd0f68973ef63a403edc4dcc42a5d4ce0ebe3cd0bf",
+}
+
+
+@pytest.mark.parametrize("k, seed", FOLD_DIGESTS)
+def test_make_folds_keeps_its_assignment_and_deals_each_test_into_k_parts(k, seed):
+    dataset = reference_fixture()
+    folds = make_folds(dataset, k, seed)
+    digest = hashlib.sha256(repr(list(folds.assignment.items())).encode()).hexdigest()
+    assert digest == FOLD_DIGESTS[k, seed]
+    parts = folds.assignment.parts
+    assert list(parts) == [t for t in dataset.test_ids() if t not in folds.excluded_tests]
+    for test_id, test_parts in parts.items():
+        assert len(test_parts) == k
+        rows = [i for part in test_parts for i in part]
+        assert sorted(rows) == sorted(dataset.test_index[test_id])
+        sizes = [len(part) for part in test_parts]
+        assert max(sizes) - min(sizes) <= 1
+
+
+def edge_fleet(case: str) -> ExecutionDataset:
+    """A spread test beside one edge case of the folds: a test whose runs are
+    mostly hangs, so some fold holds out censored runs alone; a test with
+    exactly 5 runs, one per fold at k = 5; or a test whose smallest nonzero
+    duration is below 2**-923, where the kernel scales by integer ratios."""
+    rng = random.Random(17)
+    runs = {("spread", "r1"): [(rng.lognormvariate(5.0, 0.6), "pass") for _ in range(23)]}
+    records = list(dataset_of(runs).records)
+    if case == "hung-fold":
+        durations = [(90.0, False), (200.0, False), (150.0, False)] + [(600.0, True)] * 9
+    elif case == "k-runs":
+        durations = [(30.0, False), (45.0, False), (45.0, False), (-0.0, False), (400.0, True)]
+    else:
+        tiny = [5e-324, 3 * 2.0**-950, math.nextafter(2.0**-923, 0.0), 0.0]
+        durations = [(d, False) for d in tiny + [1.0, 61.0, 75.0, 130.0] * 3]
+    for minute, (duration, hung) in enumerate(durations):
+        verdict = "timeout" if hung else "pass"
+        records.append(record("edge", "r1", minute, duration, verdict, interrupted=hung))
+    return ExecutionDataset(records=records)
+
+
+@pytest.mark.parametrize("method", [EMPIRICAL_ECDF, TOLHURST_BOUND])
+@pytest.mark.parametrize("case", ["hung-fold", "k-runs", "tiny-durations"])
+def test_cross_validate_equals_the_subsample_reference_on_edge_folds(case, method):
+    dataset = edge_fleet(case)
+    config = OptimizationConfig(probability_method=method, min_samples=2)
+    k = 5
+    censored = dataset.censored
+
+    def hung_only_folds(seed):
+        parts = make_folds(dataset, k, seed).assignment.parts["edge"]
+        return sum(all(censored[i] for i in part) for part in parts)
+
+    # the first seed whose folds of "edge" hold out censored runs alone
+    seed = next(s for s in range(100) if hung_only_folds(s)) if case == "hung-fold" else 3
+    if case == "k-runs":
+        assert len(dataset.test_index["edge"]) == k
+    if case == "tiny-durations":
+        kernel, _ = _SortedSample.of_parts(dataset, [dataset.test_index["edge"]], "edge")
+        assert kernel.denominator == 2**1074
+    policies = [TimeoutPolicy.static(1), TimeoutPolicy.static(4, label="loose")]
+    report = cross_validate(dataset, policies, config, k=k, seed=seed)
+    assert report.excluded_tests == ()
+    assert report == reference_cross_validate(dataset, policies, config, k, seed)
 
 
 class TestComparePolicies:

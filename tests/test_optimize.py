@@ -516,6 +516,20 @@ def reference_answers(durations, thresholds):
     return list(zip(means, counts)), counts, reference.sample_stats(sample)
 
 
+def fold_answers(kernel, thresholds):
+    """(truncated mean, overruns), overruns alone, the statistics (0 with no
+    natural run) and c."""
+    at = [kernel.at(t) for t in thresholds]
+    return at, [kernel.above(t) for t in thresholds], kernel.n_nat and kernel.stats, kernel.c
+
+
+def reference_fold_answers(sample, thresholds):
+    counts = [reference.count_timeouts(sample, t) for t in thresholds]
+    means = [reference.truncated_mean(sample, t) for t in thresholds]
+    stats = sample.n - sample.censored_count and reference.sample_stats(sample)
+    return list(zip(means, counts)), counts, stats, sample.censored_count
+
+
 class TestExactScaling:
     """Both branches of the kernel's common denominator against the ``fsum``
     references, bit for bit: the fast 2**(53 - e) scaling, and the
@@ -547,16 +561,25 @@ class TestExactScaling:
     def test_kernel_equals_the_reference(self, durations, denominator):
         thresholds = self.thresholds(durations)
         kernel = _SortedSample(durations)
-        # sorts, so every answer reads the integers
-        kernel.split([True] * len(durations), 0)
+        kernel._sort()  # so every answer reads the integers
         assert kernel.denominator == denominator
         assert kernel_answers(kernel, thresholds) == reference_answers(durations, thresholds)
 
     @pytest.mark.parametrize("durations, denominator", CASES)
-    @pytest.mark.parametrize("pattern", ["alternate", "first-half", "all-but-the-max", "ties"])
-    def test_split_parts_equal_the_reference(self, durations, denominator, pattern):
-        # Each part is scored against the references of the durations it
-        # holds; "ties" cuts every run of equal durations in two.
+    @pytest.mark.parametrize(
+        "pattern, hung",
+        [(pattern, hung) for pattern in ("alternate", "first-half", "all-but-the-max", "ties")
+         for hung in (0, 3)] + [("hung-only", 3)],
+    )
+    def test_fold_kernels_equal_the_kernels_of_their_rows(
+        self, durations, denominator, pattern, hung
+    ):
+        # The runs are the durations in sorted order, then ``hung`` censored
+        # runs; the two parts take the sorted positions the pattern keeps, or
+        # the others, and the censored runs alternately. "ties" cuts every run
+        # of equal durations in two, and "hung-only" holds out the censored
+        # runs alone. Each fold's held-out kernel and training kernel answer
+        # as the kernel built from its rows and as the fsum references.
         ordered = sorted(durations)
         n = len(ordered)
         keep = {
@@ -564,15 +587,28 @@ class TestExactScaling:
             "first-half": [i < n // 2 for i in range(n)],
             "all-but-the-max": [i < n - 1 for i in range(n)],
             "ties": [ordered[i] == ordered[i - 1] if i else False for i in range(n)],
-        }[pattern]
+            "hung-only": [False] * n,
+        }[pattern] + [pattern == "hung-only" or i % 2 == 0 for i in range(hung)]
+        runs = sample_of(ordered + ordered[:1] * hung, censored=[False] * n + [True] * hung)
+        parts = [[i for i, k in enumerate(keep) if k is side] for side in (True, False)]
         thresholds = self.thresholds(durations)
-        kept, rest = _SortedSample(durations).split(keep, 0)
-        for part, side in ((kept, True), (rest, False)):
-            values = [d for d, k in zip(ordered, keep) if k is side]
-            assert part.n == len(values)
-            if values:
-                assert kernel_answers(part, thresholds) == reference_answers(values, thresholds)
-                assert part.ordered == sorted(values)
+        kernel, pieces = _SortedSample.of_parts(runs, parts)
+        assert kernel.denominator == denominator
+        assert fold_answers(kernel, thresholds) == reference_fold_answers(runs, thresholds)
+        for fold in range(2):
+            for part, rows in zip(kernel.fold(pieces, fold), (parts[fold], parts[1 - fold])):
+                own = _SortedSample.of(runs, rows)
+                assert part.n == own.n
+                if not rows:  # "ties" on distinct durations; no fold is empty
+                    continue
+                assert fold_answers(part, thresholds) == fold_answers(own, thresholds)
+                assert part.ordered == sorted(own.ordered)
+                subsample = sample_of(
+                    [runs.durations[i] for i in rows], censored=[runs.censored[i] for i in rows]
+                )
+                assert fold_answers(part, thresholds) == reference_fold_answers(
+                    subsample, thresholds
+                )
 
     @pytest.mark.parametrize("method", PROBABILITY_METHODS)
     @pytest.mark.parametrize(
@@ -585,7 +621,7 @@ class TestExactScaling:
         # the search reads the same answer either way.
         config = OptimizationConfig(probability_method=method)
         kernel = _SortedSample(durations, "t1")
-        kernel.split([True] * len(durations), 0)
+        kernel._sort()
         positive = [abs(d) for d in durations]
         assert repr(optimize_timeout(kernel, config)) == repr(
             optimize_timeout(sample_of(positive), config)

@@ -137,25 +137,39 @@ def test_kernel_answers_do_not_depend_on_threshold_order(durations, data):
 
 @PROPERTY
 @given(durations=samples_st, data=st.data())
-def test_split_of_a_never_sorted_kernel(durations, data):
-    # The mask reads positions in sorted order, whether the kernel was
-    # sorted before the split or by it; the parts are the fsum references
-    # of the durations kept.
+def test_fold_kernels_equal_the_kernels_of_their_rows(durations, data):
+    # Runs, some censored, are dealt into k parts, as make_folds deals a
+    # test's shuffled rows; each fold's held-out kernel and training kernel
+    # answer as the kernel built from its rows, with its sorted durations, and
+    # as the fsum references where a run is natural.
     n = len(durations)
-    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    censored = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    k = data.draw(st.integers(2, 5))
+    fold_of = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     thresholds = data.draw(
         st.lists(st.one_of(durations_st, st.sampled_from(durations)), min_size=1, max_size=6)
     )
-    ordered = sorted(durations)
-    kernel = _SortedSample(durations)
-    for _ in range(2):  # never sorted, then sorted by the first split
-        for part, side in zip(kernel.split(keep, 0), (True, False)):
-            kept = [d for d, k in zip(ordered, keep) if k is side]
-            assert part.n == len(kept)
-            if kept:
-                assert kernel_answers(part, thresholds) == reference_answers(
-                    sample_of(kept), thresholds
-                )
+    runs = sample_of(durations, censored=censored)
+    parts = [[i for i in range(n) if fold_of[i] == fold] for fold in range(k)]
+    kernel, pieces = _SortedSample.of_parts(runs, parts)
+    assert (kernel.n, kernel.c) == (n, sum(censored))
+    for fold in range(k):
+        others = [i for i in range(n) if fold_of[i] != fold]
+        for part, rows in zip(kernel.fold(pieces, fold), (parts[fold], others)):
+            own = _SortedSample.of(runs, rows)
+            assert (part.n, part.c) == (own.n, own.c)
+            assert part.ordered == sorted(own.ordered)
+            if not rows:
+                continue
+            answers = [(part.at(t), part.above(t)) for t in thresholds]
+            assert answers == [(own.at(t), own.above(t)) for t in thresholds]
+            subsample = sample_of([durations[i] for i in rows], censored=[censored[i] for i in rows])
+            assert [at for at, _ in answers] == [
+                (reference.truncated_mean(subsample, t), reference.count_timeouts(subsample, t))
+                for t in thresholds
+            ]
+            if part.n_nat:
+                assert part.stats == own.stats == reference.sample_stats(subsample)
 
 
 def outcome(function, *args):
