@@ -23,14 +23,13 @@ _EXPORTS = {
         "summarize", "write_executions",
     ),
     "model": (
-        "GRID_SECONDS", "ExecutionDataset", "ExecutionRecord", "SampleStats", "TestSample",
-        "TimeoutChangeRecord", "TimeoutPolicy", "Verdict",
+        "GRID_SECONDS", "ExecutionDataset", "ExecutionRecord", "OptimizationConfig",
+        "SampleStats", "TestSample", "TimeoutChangeRecord", "TimeoutPolicy", "Verdict",
     ),
     "optimize": (
-        "CostCurve", "OptimizationConfig", "OptimizationResult", "SweepResult",
-        "TimeoutOptimizer", "empirical_exceedance", "expected_cost", "optimize_timeout",
-        "sample_stats", "static_sweep", "timeout_probability", "tolhurst_bound",
-        "truncated_mean",
+        "CostCurve", "OptimizationResult", "SweepResult", "TimeoutOptimizer",
+        "empirical_exceedance", "expected_cost", "optimize_timeout", "sample_stats",
+        "static_sweep", "timeout_probability", "tolhurst_bound", "truncated_mean",
     ),
     "simulate": (
         "SimulationReport", "WorkloadSpec", "generate_workload", "simulate_rerun_policy",

@@ -6,10 +6,14 @@ are minutes (one grid unit); internally everything is seconds. Randomized
 subcommands require an explicit --seed and produce byte-identical output
 across invocations. Exit codes: 0 success, 1 usage error, 2 data error.
 
-Each subcommand imports only the modules it runs: this module loads
-ingest, model and optimize, and a handler imports evaluate, flakiness or
-simulate itself when it needs them. Library operations return their
-diagnostics as notes, and only ``_warn`` writes them, one line each.
+Each subcommand imports only the modules it runs: this module loads ingest
+and model, which holds the optimizer's config and estimator names, so every
+flag parses without the optimizer. The ``optimize`` and ``sweep`` handlers
+import optimize, ``evaluate`` imports evaluate (and so optimize),
+``flakiness``, ``compare`` and ``timeout-history`` import flakiness, and
+``simulate`` imports simulate; ``summarize`` needs ingest alone. Library
+operations return their diagnostics as notes, and only ``_warn`` writes
+them, one line each.
 """
 
 from __future__ import annotations
@@ -22,19 +26,22 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import ingest
-from . import optimize as op
-from .model import DISTRIBUTIONS, GRID_SECONDS, TimeoutPolicy, valid_minutes
+from .model import (
+    DISTRIBUTIONS, EMPIRICAL_ECDF, GRID_SECONDS, TOLHURST_BOUND, OptimizationConfig,
+    TimeoutPolicy, valid_minutes,
+)
 
 if TYPE_CHECKING:
     from .evaluate import CvReport
+    from .optimize import OptimizationResult
 
 _METHOD_ALIASES = {
-    "tolhurst": op.TOLHURST_BOUND,
-    "tolhurst_bound": op.TOLHURST_BOUND,
-    "empirical": op.EMPIRICAL_ECDF,
-    "empirical_ecdf": op.EMPIRICAL_ECDF,
+    "tolhurst": TOLHURST_BOUND,
+    "tolhurst_bound": TOLHURST_BOUND,
+    "empirical": EMPIRICAL_ECDF,
+    "empirical_ecdf": EMPIRICAL_ECDF,
 }
-_DEFAULTS = op.OptimizationConfig()  # the one source of every optimizer flag default
+_DEFAULTS = OptimizationConfig()  # the one source of every optimizer flag default
 # Bounds on the work one command does: a sweep scores every sample at each of
 # its --hi - --lo + 1 points, and simulate replays --m reruns per timeout event.
 _MAX_SWEEP_SPAN = 10_000
@@ -120,8 +127,8 @@ def _bounded(kind: type, low: float, high: float | None = None, minutes: bool = 
 _MINUTES = _bounded(int, 1, minutes=True)  # the type of every flag in minutes
 
 
-def _config_from_args(args: argparse.Namespace) -> op.OptimizationConfig:
-    return op.OptimizationConfig(
+def _config_from_args(args: argparse.Namespace) -> OptimizationConfig:
+    return OptimizationConfig(
         rerun_count=args.m,
         breakage_probability=args.pb,
         probability_method=_METHOD_ALIASES[getattr(args, "method", _DEFAULTS.probability_method)],
@@ -130,7 +137,7 @@ def _config_from_args(args: argparse.Namespace) -> op.OptimizationConfig:
     )
 
 
-def _result_record(result: op.OptimizationResult) -> dict[str, Any]:
+def _result_record(result: OptimizationResult) -> dict[str, Any]:
     return {
         "test_id": result.test_id,
         "optimal_timeout_minutes": result.optimal_timeout,
@@ -199,6 +206,7 @@ def _cmd_timeout_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from . import optimize as op
     dataset = _load(args.input, args.format)
     fitted = op.TimeoutOptimizer(_config_from_args(args)).fit(dataset)
     if args.output_format == "csv":
@@ -209,6 +217,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import optimize as op
     dataset = _load(args.input, args.format)
     config = _config_from_args(args)
     result = op.static_sweep(dataset, (args.lo, args.hi), config)

@@ -27,8 +27,8 @@ from collections import abc
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .model import GRID_SECONDS, ExecutionDataset, TestSample
-from .optimize import OptimizationConfig, _average, _SortedSample, optimize_timeout
+from .model import GRID_SECONDS, ExecutionDataset, OptimizationConfig, TestSample
+from .optimize import _average, _SortedSample, optimize_timeout
 
 if TYPE_CHECKING:
     from .model import TimeoutPolicy

@@ -2,10 +2,13 @@
 
 The execution dataset, per-(test, revision) samples, the record of a
 sample's statistics (which only ``optimize``'s kernel fills), timeout
-policies and timeout-change records, with their checks; no statistic or
-verdict tally is computed here. This module imports no other module of the
-package, and it is the one the algorithm modules share. The dataset holds
-its runs as parallel columns, one tuple per field, built once at ingest;
+policies, timeout-change records and the optimizer's config
+(``OptimizationConfig``, with the estimator names), with their checks; no
+statistic or verdict tally is computed here. The config lives here so the
+command line parses every flag without loading ``optimize``. This module
+imports no other module of the package, and it is the one the algorithm
+modules share. The dataset holds its runs as parallel columns, one tuple per
+field, each built once at ingest;
 ``ExecutionRecord`` is the one-row view that API users and tests build
 datasets from and read them back as. Commands read the columns through the
 dataset's grouping index; a ``TestSample`` is built only when asked for.
@@ -22,6 +25,7 @@ fields is a ``_Frozen`` subclass whose ``__init__`` holds the checks.
 from __future__ import annotations
 
 import math
+import sys
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
@@ -445,3 +449,49 @@ class TimeoutPolicy(_Frozen):
         if len(values) % 2:
             return values[middle]
         return (values[middle - 1] + values[middle]) / 2
+
+
+TOLHURST_BOUND = "tolhurst_bound"
+EMPIRICAL_ECDF = "empirical_ecdf"
+PROBABILITY_METHODS = (TOLHURST_BOUND, EMPIRICAL_ECDF)
+
+
+class OptimizationConfig(_Frozen):
+    """Knobs of the cost model and the timeout search.
+
+    Timeouts are searched in integer grid units of ``GRID_SECONDS``. Samples
+    smaller than ``min_samples`` get the static ``fallback_timeout`` (grid
+    units) instead of an unstable data-driven value.
+    """
+
+    __slots__ = _fields = (
+        "rerun_count", "breakage_probability", "probability_method", "min_samples",
+        "fallback_timeout",
+    )
+    rerun_count: int
+    breakage_probability: float
+    probability_method: str
+    min_samples: int
+    fallback_timeout: int
+
+    def __init__(
+        self, rerun_count: int = 3, breakage_probability: float = 0.0,
+        probability_method: str = TOLHURST_BOUND, min_samples: int = 30,
+        fallback_timeout: int = 120,
+    ) -> None:
+        if not 0 <= rerun_count <= sys.float_info.max:  # the cost takes m + 1 as a float
+            raise ValueError("rerun_count must be in [0, sys.float_info.max]")
+        if not 0.0 <= breakage_probability <= 1.0:
+            raise ValueError("breakage_probability must be in [0, 1]")
+        if probability_method not in PROBABILITY_METHODS:
+            raise ValueError(
+                f"probability_method must be one of {PROBABILITY_METHODS}, "
+                f"got {probability_method!r}"
+            )
+        if min_samples < 2:
+            raise ValueError("min_samples must be >= 2")
+        if not valid_minutes(fallback_timeout):
+            raise ValueError("fallback_timeout must be >= 1 and finite in seconds")
+        self._set(
+            rerun_count, breakage_probability, probability_method, min_samples, fallback_timeout
+        )

@@ -80,56 +80,11 @@ from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+# the config and the estimator names live in model, so cli parses flags without this module
 from .model import (
-    DURATION_LIMIT, GRID_SECONDS, ExecutionDataset, SampleStats, TestSample, _Frozen,
-    valid_minutes,
+    DURATION_LIMIT, EMPIRICAL_ECDF, GRID_SECONDS, PROBABILITY_METHODS, TOLHURST_BOUND,
+    ExecutionDataset, OptimizationConfig, SampleStats, TestSample, _Frozen,
 )
-
-TOLHURST_BOUND = "tolhurst_bound"
-EMPIRICAL_ECDF = "empirical_ecdf"
-PROBABILITY_METHODS = (TOLHURST_BOUND, EMPIRICAL_ECDF)
-
-
-class OptimizationConfig(_Frozen):
-    """Knobs of the cost model and the timeout search.
-
-    Timeouts are searched in integer grid units of ``GRID_SECONDS``. Samples
-    smaller than ``min_samples`` get the static ``fallback_timeout`` (grid
-    units) instead of an unstable data-driven value.
-    """
-
-    __slots__ = _fields = (
-        "rerun_count", "breakage_probability", "probability_method", "min_samples",
-        "fallback_timeout",
-    )
-    rerun_count: int
-    breakage_probability: float
-    probability_method: str
-    min_samples: int
-    fallback_timeout: int
-
-    def __init__(
-        self, rerun_count: int = 3, breakage_probability: float = 0.0,
-        probability_method: str = TOLHURST_BOUND, min_samples: int = 30,
-        fallback_timeout: int = 120,
-    ) -> None:
-        if not 0 <= rerun_count <= sys.float_info.max:  # the cost takes m + 1 as a float
-            raise ValueError("rerun_count must be in [0, sys.float_info.max]")
-        if not 0.0 <= breakage_probability <= 1.0:
-            raise ValueError("breakage_probability must be in [0, 1]")
-        if probability_method not in PROBABILITY_METHODS:
-            raise ValueError(
-                f"probability_method must be one of {PROBABILITY_METHODS}, "
-                f"got {probability_method!r}"
-            )
-        if min_samples < 2:
-            raise ValueError("min_samples must be >= 2")
-        if not valid_minutes(fallback_timeout):
-            raise ValueError("fallback_timeout must be >= 1 and finite in seconds")
-        self._set(
-            rerun_count, breakage_probability, probability_method, min_samples, fallback_timeout
-        )
-
 
 class OptimizationResult(NamedTuple):
     """Cost-optimal timeout for one test, in grid units."""

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -630,6 +633,43 @@ def test_commands_load_through_the_module_attribute(runs_file, monkeypatch, caps
     monkeypatch.setattr(ingest, "load_executions", lambda *args: calls.append(args) or original(*args))
     assert run(["summarize", "--input", str(runs_file)]) == 0
     assert calls == [(str(runs_file), "jsonl")]
+
+
+# Each command with the package modules beyond cli, ingest and model it must load: the
+# optimizer only where a command fits or sweeps, and numpy only where simulate draws.
+COMMAND_MODULES = {
+    "summarize": lambda tmp, runs: ["summarize", "--input", str(runs)],
+    "flakiness": lambda tmp, runs: _flakiness_argv(tmp),
+    "compare": lambda tmp, runs: _compare_argv(tmp, False),
+    "timeout-history": lambda tmp, runs: _history_argv(tmp, True),
+    "simulate": lambda tmp, runs: _simulate_argv(),
+    "optimize": lambda tmp, runs: ["optimize", "--input", str(runs)],
+    "sweep": lambda tmp, runs: _sweep_argv(tmp),
+    "evaluate": lambda tmp, runs: _evaluate_argv(tmp, runs),
+}
+FITS = {"optimize", "sweep", "evaluate"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_imports_only_what_it_runs(command, runs_file, tmp_path):
+    # one fresh child per command, which runs it through cli.run and reports sys.modules
+    argv = COMMAND_MODULES[command](tmp_path, runs_file)
+    argv += ["--report-out" if command == "simulate" else "--out", str(tmp_path / "out")]
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    code = (
+        "import sys, timeopt.cli\n"
+        "assert timeopt.cli.run(sys.argv[1:]) == 0\n"
+        "print(*sorted(sys.modules), sep='\\n')\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(child.stdout.split())
+    assert ("timeopt.optimize" in loaded) == (command in FITS)
+    if command != "simulate":
+        assert "numpy" not in loaded
 
 
 class TestTimeoutHistory:

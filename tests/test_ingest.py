@@ -477,18 +477,24 @@ class TestTypedPath:
 
 
 class TestWriterLinePath:
-    """Every line this program writes is read by one regex match, with no
-    JSON decode; ``test_properties`` pins that path to the full check."""
+    """Every line this program writes is read by one regex ``findall`` per chunk,
+    its values converted a column at a time, with no JSON decode and no line
+    matched on its own; ``test_properties`` pins that path to the full check."""
 
     @staticmethod
     def no_decode(line):
         raise AssertionError(f"unexpected JSON decode of {line!r}")
+
+    @staticmethod
+    def no_row_check(*values):
+        raise AssertionError(f"unexpected check of one row, {values[:2]!r}")
 
     def load_without_decode(self, path, monkeypatch, no_z):
         expected, expected_report = load_executions(path)
         if no_z:
             monkeypatch.setattr(ingest, "datetime", NoZ)
         monkeypatch.setattr(ingest, "_DECODE", self.no_decode)
+        monkeypatch.setattr(ingest, "_typed_row", self.no_row_check)
         dataset, report = load_executions(path)
         assert (report.accepted, report.rejected, report.reasons) == (len(expected), 0, {})
         assert report.warnings == expected_report.warnings
@@ -515,6 +521,31 @@ class TestWriterLinePath:
         dataset = self.load_without_decode(path, monkeypatch, no_z)
         assert len(dataset) == 120 and any(dataset.censored)
 
+    def test_escaped_ids_take_it_and_are_decoded_once(self, tmp_path, monkeypatch):
+        # the writer escapes every non-ASCII or control character of an id as \uXXXX
+        names = ["é", "日本", "😀", "a\x85b", "c\u2028d", "t\x01"]
+        written = dataset_of(
+            {(test_id, "r1"): [(60.0 * (k + 1), "pass") for k in range(3)] for test_id in names}
+        )
+        path = tmp_path / "escaped.jsonl"
+        write_executions(written, path)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        assert all("\\u" in line for line in lines)
+        expected = [ingest._record_from_row(json.loads(line), {}) for line in lines]
+        decoded = []
+        scanstring = ingest.scanstring
+
+        def counted(text, end):
+            decoded.append(text)
+            return scanstring(text, end)
+
+        monkeypatch.setattr(ingest, "_DECODE", self.no_decode)
+        monkeypatch.setattr(ingest, "scanstring", counted)
+        dataset, report = load_executions(path)
+        assert (report.accepted, report.rejected) == (len(lines), 0)
+        assert list(dataset.rows()) == expected
+        assert len(decoded) == len(set(decoded)) == len(names)  # each escaped id, once
+
     def test_matching_stops_at_the_first_line_in_another_layout(
         self, runs_file, tmp_path, monkeypatch
     ):
@@ -523,21 +554,23 @@ class TestWriterLinePath:
         write_executions(expected, written)
         mixed = tmp_path / "mixed.jsonl"
         mixed.write_text(written.read_text() + runs_file.read_text())
-        tried = []
-        pattern = ingest._WRITER_LINE
+        decoded = []
+        decode = ingest._DECODE
 
-        class Counted:
-            @staticmethod
-            def fullmatch(line):
-                tried.append(line)
-                return pattern.fullmatch(line)
+        def counted(line):
+            decoded.append(line)
+            return decode(line)
 
-        monkeypatch.setattr(ingest, "_WRITER_LINE", Counted)
-        for path, lines_tried, copies in [(runs_file, 1, 1), (written, 24, 1), (mixed, 25, 2)]:
-            tried.clear()
+        # every line from the first one in another layout on is decoded, and no line before it
+        monkeypatch.setattr(ingest, "_DECODE", counted)
+        other_layout = runs_file.read_text().splitlines()
+        for path, lines_decoded, copies in [
+            (runs_file, other_layout, 1), (written, [], 1), (mixed, other_layout, 2)
+        ]:
+            decoded.clear()
             dataset, report = load_executions(path)
             assert list(dataset.rows()) == list(expected.rows()) * copies
-            assert report.rejected == 0 and len(tried) == lines_tried
+            assert report.rejected == 0 and decoded == lines_decoded
 
 
 class TestTimestamps:

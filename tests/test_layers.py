@@ -1,7 +1,9 @@
 """The package's layers, read from each module's source with ``ast``.
 
-``model`` holds the record types, the dataset and their checks, and imports
-no package module; it computes no sample statistic and no verdict tally.
+``model`` holds the record types, the dataset, the optimizer's config
+(``OptimizationConfig`` and the estimator names, so ``cli`` parses flags
+without ``optimize``) and their checks, and imports no package module; it
+computes no sample statistic and no verdict tally.
 Those have one home each: the kernel in ``optimize`` (``sample_stats`` is an
 adapter over it) and the tally in ``flakiness`` (with ``is_flaky`` and
 ``failure_rate``). ``ingest`` owns every file format. The algorithm modules

@@ -1270,12 +1270,13 @@ def test_typed_path_equals_the_full_check(data, mutated, pad, ending):
     for line in (sorted_line, json.dumps(row)):
         values, reasons = _assert_loads_as_full_check(pad[0] + line + pad[1] + ending)
         assert (values, reasons) == (([], {expected: 1}) if isinstance(expected, str) else ([expected], {}))
-    # a row the writer would write so is read with no JSON decode: the
-    # writer escapes quotes, backslashes, control and non-ASCII characters
+    # a row the writer would write so is read with no JSON decode: the writer escapes
+    # quotes, backslashes and control characters, and non-ASCII ones as \uXXXX, the one
+    # escape the match takes
     if (
         not mutated
         and "interrupted" in row
-        and "\\" not in sorted_line
+        and not re.search(r"\\[^u]", sorted_line)
         and math.copysign(1.0, row["duration_seconds"]) > 0
     ):
         _assert_loads_as_full_check(sorted_line + ending, decode=False)
@@ -1301,7 +1302,12 @@ WRITER_LINE_EDGES = {
     "writer lines": (_LINE + "\n" + _LINE_2 + "\n", True),
     "no final newline": (_LINE, True),
     "escaped quote in an id": (_writer_line(test='"a\\"b"'), False),
-    "escaped e-acute in an id": (_writer_line(test='"\\u00e9"'), False),
+    "escaped e-acute in an id": (_writer_line(test='"\\u00e9"'), True),
+    "escaped surrogate pair in an id": (_writer_line(revision='"r\\uD83D\\ude00"'), True),
+    "escaped control character in an id": (_writer_line(test='"t\\u0001"'), True),
+    "escaped backslash before a u in an id": (_writer_line(test='"\\\\u00e9"'), False),
+    "short escape in an id": (_writer_line(test='"\\u00e"'), False),
+    "escaped stamp": (_writer_line(stamp='"2024-01-01T00:00:00\\u005a"'), False),
     "raw control character in an id": (_writer_line(test='"t\x01"'), False),
     "escaped lone surrogate in an id": (_writer_line(test='"t\\udc80"'), False),
     "undecodable byte in an id": (_writer_line(revision='"r\udcff"'), False),
@@ -1344,3 +1350,69 @@ def test_writer_line_edges_equal_the_full_check(text, without_decode):
     _assert_loads_as_full_check(text)
     if without_decode:
         _assert_loads_as_full_check(text, decode=False)
+
+
+# Lines for the chunk-boundary property: writer lines, lines the match or a check misses,
+# and blank ones.
+CHUNK_LINES = [
+    _LINE,
+    _LINE_2,
+    _writer_line(test='"\\u00e9"', revision='"\\ud83d\\ude00"'),  # escapes the match takes
+    _REVERSED,  # another key order
+    "",
+    " \t",
+    _writer_line(stamp='"soon"'),
+    _writer_line(duration=repr(math.nextafter(DURATION_LIMIT, math.inf))),
+    _writer_line(test='"t\\udc80"'),  # an escaped lone surrogate
+    _writer_line(revision='"r\udcff"'),  # an undecodable byte
+    _LINE + "x",  # a writer line with junk after it: only the $ anchor rejects it
+    "x" + _LINE,  # and with junk before it: only the ^ anchor rejects it
+    _writer_line(test='"a\x85b"'),  # str.splitlines splits here, a file does not
+    _writer_line(revision='"c\u2028d"'),
+]
+CHUNK_SIZES = [1, 7, 4096, ingest._CHUNK]
+
+
+def _load_in_chunks(text, size):
+    """What ``load_executions`` reads from ``text`` in chunks of ``size`` characters:
+    its rows, report, duration reprs and stamp zones."""
+    with mock.patch.object(ingest, "_CHUNK", size):
+        dataset, report = _load_text(text)
+    rows = list(dataset.rows())
+    return rows, report, [repr(row[3]) for row in rows], [row[2].tzinfo for row in rows]
+
+
+def _assert_chunks_never_change_a_load(text):
+    values, reasons = _full_check(text)
+    loads = [_load_in_chunks(text, size) for size in CHUNK_SIZES]
+    for rows, report, durations, zones in loads:
+        assert (report.accepted, report.rejected, report.reasons) == (
+            len(values), sum(reasons.values()), reasons
+        )
+        assert report.warnings == loads[0][1].warnings
+        assert rows == values
+        assert durations == [repr(row[3]) for row in values]
+        assert all(zone is row[2].tzinfo for zone, row in zip(zones, values))
+
+
+@PROPERTY
+@given(
+    lines=st.lists(
+        st.tuples(st.sampled_from(CHUNK_LINES), st.sampled_from(["\n", "\r\n"])), max_size=12
+    ),
+    final=st.sampled_from(["\n", "\r\n", ""]),
+)
+def test_chunk_boundaries_never_change_a_load(lines, final):
+    text = "".join(line + ending for line, ending in lines)
+    _assert_chunks_never_change_a_load(text[: len(text.rstrip("\r\n"))] + final)
+
+
+def test_a_miss_in_mid_chunk_hands_on_the_rest_of_its_line():
+    # the first chunk ends inside the line after the miss, which must reach the JSON
+    # path whole, joined to what the file holds after the chunk
+    text = "\n".join([_LINE, _LINE + "x", _LINE_2, _REVERSED, _LINE]) + "\n"
+    miss_end = text.index("x\n") + 2
+    for size in (miss_end + 9, miss_end - 9, len(_LINE) + 1):
+        with mock.patch.object(ingest, "_CHUNK", size):
+            _assert_loads_as_full_check(text)
+    _assert_chunks_never_change_a_load(text)
