@@ -546,31 +546,57 @@ class TestWriterLinePath:
         assert list(dataset.rows()) == expected
         assert len(decoded) == len(set(decoded)) == len(names)  # each escaped id, once
 
+    @pytest.mark.parametrize("chunk", [1, ingest._CHUNK], ids=["line-chunks", "default-chunks"])
     def test_matching_stops_at_the_first_line_in_another_layout(
-        self, runs_file, tmp_path, monkeypatch
+        self, runs_file, tmp_path, monkeypatch, chunk
     ):
         expected, _ = load_executions(runs_file)
         written = tmp_path / "written.jsonl"
         write_executions(expected, written)
+        writer_lines, other_layout = written.read_text(), runs_file.read_text()
+        assert writer_lines.endswith("\n") and other_layout.endswith("\n")
+        writer_lines, other_layout = writer_lines.splitlines(), other_layout.splitlines()
+        # writer lines after the other layout are decoded too: matching never resumes
         mixed = tmp_path / "mixed.jsonl"
-        mixed.write_text(written.read_text() + runs_file.read_text())
-        decoded = []
-        decode = ingest._DECODE
+        mixed.write_text(written.read_text() + runs_file.read_text() + written.read_text())
+        decoded, tried = [], []
+        decode, pattern = ingest._DECODE, ingest._WRITER_LINE
 
         def counted(line):
             decoded.append(line)
             return decode(line)
 
-        # every line from the first one in another layout on is decoded, and no line before it
+        class Counted:
+            @staticmethod
+            def findall(text):
+                tried.append(text)
+                return pattern.findall(text)
+
+            @staticmethod
+            def fullmatch(line):
+                tried.append(line)
+                return pattern.fullmatch(line)
+
         monkeypatch.setattr(ingest, "_DECODE", counted)
-        other_layout = runs_file.read_text().splitlines()
-        for path, lines_decoded, copies in [
-            (runs_file, other_layout, 1), (written, [], 1), (mixed, other_layout, 2)
+        monkeypatch.setattr(ingest, "_WRITER_LINE", Counted)
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+        # match calls: with one line per chunk, a findall per writer line and one on the
+        # miss, then a fullmatch on the miss; with one chunk for the file, a findall on it,
+        # then a fullmatch per line up to and including the miss. None after the miss.
+        per_line = chunk == 1
+        for path, lines_decoded, calls, copies in [
+            (runs_file, other_layout, 2, 1),
+            (written, [], len(writer_lines) if per_line else 1, 1),
+            (mixed, other_layout + writer_lines, len(writer_lines) + 2, 3),
         ]:
             decoded.clear()
+            tried.clear()
             dataset, report = load_executions(path)
             assert list(dataset.rows()) == list(expected.rows()) * copies
             assert report.rejected == 0 and decoded == lines_decoded
+            assert len(tried) == calls
+            if lines_decoded:  # the last match call is the one that missed
+                assert tried[-1] == other_layout[0]
 
 
 class TestTimestamps:

@@ -411,7 +411,7 @@ class TestImportGraph:
     def test_package_loads_no_submodule(self):
         run_python(f"import sys, timeopt; assert {LOADED} == [], {LOADED}")
 
-    def test_cli_loads_only_what_optimize_and_sweep_run(self):
+    def test_cli_loads_no_optimizer_until_a_handler_runs(self):
         # the optimize and sweep handlers import optimize themselves
         expected = ["timeopt.cli", "timeopt.ingest", "timeopt.model"]
         run_python(f"import sys, timeopt.cli; assert {LOADED} == {expected}, {LOADED}")
