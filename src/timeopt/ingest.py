@@ -504,10 +504,11 @@ def load_executions(
 def _censored_warnings(dataset: ExecutionDataset) -> tuple[str, ...]:
     """One note per (test, revision) whose censored fraction exceeds the
     threshold, in key order; counted from the columns, with no samples."""
-    hung = Counter(compress(zip(dataset.tests, dataset.revisions), dataset.censored))
+    censored = dataset.censored
+    hung = Counter(zip(compress(dataset.tests, censored), compress(dataset.revisions, censored)))
     if not hung:
         return ()
-    totals = Counter(zip(dataset.tests, dataset.revisions))
+    totals = dataset.sample_sizes(hung)
     notes = []
     for test_id, revision_id in sorted(hung):
         fraction = hung[test_id, revision_id] / totals[test_id, revision_id]

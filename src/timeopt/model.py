@@ -11,7 +11,8 @@ modules share. The dataset holds its runs as parallel columns, one tuple per
 field, each built once at ingest;
 ``ExecutionRecord`` is the one-row view that API users and tests build
 datasets from and read them back as. Commands read the columns through the
-dataset's grouping index; a ``TestSample`` is built only when asked for.
+dataset's grouping index, which holds a test stored as one time-ordered
+block as a ``range``; a ``TestSample`` is built only when asked for.
 Verdicts given as members or as their string values are coerced through one
 dict lookup. Everything in this module is an immutable value and every
 operation is a pure function, so instances can be shared across threads
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, groupby, pairwise, repeat, starmap
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 GRID_SECONDS = 60.0  # one grid unit: timeouts and policies are integer minutes
@@ -250,6 +253,22 @@ class SampleStats(NamedTuple):
     min: float
 
 
+def row_slice(rows: Sequence[int], size: int) -> slice | None:
+    """The slice of a column of ``size`` rows that picks ``rows`` in order,
+    when they are a ``range`` of row numbers going up by one inside it, as
+    ``test_index`` blocks are; None otherwise."""
+    if isinstance(rows, range) and rows.step == 1 and 0 <= rows.start and rows.stop <= size:
+        return slice(rows.start, rows.stop)
+    return None
+
+
+def _runs(column: Sequence[Any], start: int, stop: int) -> Iterator[range]:
+    """The rows ``start`` to ``stop`` of the column as ranges of equal values,
+    in order, found lazily by one C-level pass of ``groupby``."""
+    lengths = (len(list(run)) for _, run in groupby(column[start:stop]))
+    return starmap(range, pairwise(accumulate(lengths, initial=start)))
+
+
 class ExecutionDataset(_Frozen):
     """An immutable collection of test executions, held as parallel columns.
 
@@ -264,7 +283,10 @@ class ExecutionDataset(_Frozen):
     instance ``__dict__``, which ``functools.cached_property`` needs.
 
     Every row belongs to exactly one ``(test_id, revision_id)`` group of
-    ``sample_index``; group sizes sum to the row count.
+    ``sample_index``; group sizes sum to the row count. An index entry is a
+    ``Sequence[int]`` of row numbers: a ``range`` where the rows are one
+    block already in start-time order, else a tuple. Consumers iterate it,
+    and the kernel and ``subsample`` slice the columns for a ``range``.
     """
 
     _fields = ("tests", "revisions", "started_at", "durations", "verdicts", "interrupted")
@@ -313,9 +335,12 @@ class ExecutionDataset(_Frozen):
 
     @cached_property
     def censored(self) -> tuple[bool, ...]:
-        """Per row: the duration was capped by an enforced timeout."""
-        timeout = Verdict.TIMEOUT
-        return tuple(i and v is timeout for i, v in zip(self.interrupted, self.verdicts))
+        """Per row: the duration was capped by an enforced timeout. Where no
+        run was interrupted, no verdict is read."""
+        interrupted, timeout = self.interrupted, Verdict.TIMEOUT
+        if not any(interrupted):
+            return (False,) * len(interrupted)
+        return tuple(i and v is timeout for i, v in zip(interrupted, self.verdicts))
 
     def rows(self) -> Iterator[tuple[str, str, datetime, float, Verdict, bool]]:
         """Each row's values in ``ExecutionRecord`` field order, in input order."""
@@ -330,12 +355,32 @@ class ExecutionDataset(_Frozen):
         return tuple(ExecutionRecord(*row) for row in self.rows())
 
     @cached_property
-    def test_index(self) -> Mapping[str, tuple[int, ...]]:
+    def _blocks(self) -> dict[str, range] | None:
+        """test_id -> the ``range`` of its rows, when each test's rows form one
+        block whose start times never decrease, and so are already in
+        (started_at, index) order; else None."""
+        tests, started = self.tests, self.started_at
+        blocks: dict[str, range] = {}
+        for rows in _runs(tests, 0, len(tests)):
+            stamps = list(started[rows.start:rows.stop])
+            if tests[rows.start] in blocks or sorted(stamps) != stamps:
+                return None  # at the first test in two blocks or out of time order
+            blocks[tests[rows.start]] = rows
+        return blocks
+
+    @cached_property
+    def test_index(self) -> Mapping[str, Sequence[int]]:
         """test_id -> indices of its rows in (started_at, index) order.
 
         The one grouping of the rows: the fit, pooled samples,
         cross-validation folds and ``sample_index`` are all read from it.
+        When each test's rows are one block in start-time order, as every
+        file the writer and the generator make holds them, each entry is
+        that block's ``range``, with no per-row object; otherwise each is a
+        tuple.
         """
+        if self._blocks is not None:
+            return self._blocks
         groups: dict[str, list[int]] = {}
         for i, test_id in enumerate(self.tests):
             groups.setdefault(test_id, []).append(i)
@@ -347,20 +392,50 @@ class ExecutionDataset(_Frozen):
         }
 
     @cached_property
-    def sample_index(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
+    def sample_index(self) -> Mapping[tuple[str, str], Sequence[int]]:
         """(test_id, revision_id) -> row indices in (started_at, index) order,
         keys sorted: ``test_index`` refined by revision. The sweep, policy
-        totals and flakiness read the columns through it."""
+        totals and flakiness read the columns through it. A ``range`` entry
+        of ``test_index`` is cut where the revision changes; where each
+        revision's rows are one piece, the pieces are the test's entries,
+        else they are tuples."""
         revisions = self.revisions
-        groups: dict[tuple[str, str], list[int]] = {}
+        groups: dict[tuple[str, str], Sequence[int]] = {}
         for test_id, indices in self.test_index.items():
+            if isinstance(indices, range):
+                pieces = list(_runs(revisions, indices.start, indices.stop))
+                names = [revisions[rows.start] for rows in pieces]
+                if len(set(names)) == len(names):  # each revision's rows are one piece
+                    groups.update(zip(zip(repeat(test_id), names), pieces))
+                    continue
+            by_revision: dict[str, list[int]] = {}
             for i in indices:
-                groups.setdefault((test_id, revisions[i]), []).append(i)
-        return {key: tuple(groups[key]) for key in sorted(groups)}
+                by_revision.setdefault(revisions[i], []).append(i)
+            groups.update(((test_id, r), tuple(rows)) for r, rows in by_revision.items())
+        return {key: groups[key] for key in sorted(groups)}
+
+    def sample_sizes(self, keys: Iterable[tuple[str, str]]) -> dict[tuple[str, str], int]:
+        """(test_id, revision_id) -> its number of runs, 0 if none, for each of
+        ``keys``: counted in its test's block where each test is one (the
+        blocks of ``test_index``), else over every row's key."""
+        revisions, blocks = self.revisions, self._blocks
+        if blocks is None:
+            totals = Counter(zip(self.tests, revisions))
+            return {key: totals[key] for key in keys}
+        sizes = {}
+        for test_id, revision_id in keys:
+            rows = blocks.get(test_id, range(0))
+            sizes[test_id, revision_id] = revisions[rows.start:rows.stop].count(revision_id)
+        return sizes
 
     def subsample(self, test_id: str, revision_id: str, indices: Sequence[int]) -> TestSample:
         """The rows at ``indices``, in that order, as one sample."""
         durations, verdicts, censored = self.durations, self.verdicts, self.censored
+        span = row_slice(indices, len(durations))
+        if span is not None:
+            return TestSample(
+                test_id, revision_id, durations[span], verdicts[span], censored[span]
+            )
         return TestSample(
             test_id,
             revision_id,
@@ -390,7 +465,7 @@ class ExecutionDataset(_Frozen):
             ) from None
         return self.subsample(test_id, revision_id, rows)
 
-    def revision_rows(self, revision_id: str) -> Mapping[str, tuple[int, ...]]:
+    def revision_rows(self, revision_id: str) -> Mapping[str, Sequence[int]]:
         """test_id -> its ``sample_index`` rows on one revision, test ids
         sorted; error on unknown revision."""
         found = {tid: rows for (tid, rid), rows in self.sample_index.items() if rid == revision_id}

@@ -83,7 +83,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 # the config and the estimator names live in model, so cli parses flags without this module
 from .model import (
     DURATION_LIMIT, EMPIRICAL_ECDF, GRID_SECONDS, PROBABILITY_METHODS, TOLHURST_BOUND,
-    ExecutionDataset, OptimizationConfig, SampleStats, TestSample, _Frozen,
+    ExecutionDataset, OptimizationConfig, SampleStats, TestSample, _Frozen, row_slice,
 )
 
 class OptimizationResult(NamedTuple):
@@ -325,8 +325,12 @@ class _SortedSample:
         cls, runs: ExecutionDataset | TestSample, rows: Sequence[int], test_id: str = ""
     ) -> "_SortedSample":
         """The kernel of the runs at ``rows``: the natural durations in that
-        order, and ``c`` the number of those runs that are censored."""
+        order, and ``c`` the number of those runs that are censored. A block of
+        rows with no censored run is one slice of the durations column."""
         durations, censored = runs.durations, runs.censored
+        span = row_slice(rows, len(durations))
+        if span is not None and not any(censored[span]):
+            return cls(durations[span], test_id)
         natural = [durations[i] for i in rows if not censored[i]]
         return cls(natural, test_id, len(rows) - len(natural))
 

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from datetime import timedelta
 
 import pytest
 
@@ -317,6 +319,14 @@ class TestExecutionDataset:
         assert sample == expected
         assert all(type(d) is float for d in sample.durations)
         assert all(type(v) is Verdict for v in sample.verdicts)
+        # a range of rows is a slice of the columns only inside them
+        assert dataset.subsample("a", "*", range(1, 3)) == dataset.subsample("a", "*", [1, 2])
+        for rows in (range(0, len(records) + 2), range(-1, 2), range(0, 4, 2)):
+            if rows.stop > len(records):
+                with pytest.raises(IndexError):
+                    dataset.subsample("a", "*", rows)
+            else:
+                assert dataset.subsample("a", "*", rows) == dataset.subsample("a", "*", list(rows))
         assert dataset.pooled_sample("a") == TestSample(
             "a", "*", (0.0, 7.0, 60.0, 90.5), ("fail", "timeout", "pass", "timeout"),
             (False, False, False, True),
@@ -365,6 +375,100 @@ class TestExecutionDataset:
         assert columns.test_index == adapted.test_index == {"a": (1, 0)}
         assert columns.samples == adapted.samples
         assert columns.pooled_sample("a") == adapted.pooled_sample("a")
+
+    def test_a_time_ordered_block_is_a_range(self):
+        # a: one block in start-time order, ties included, on two revisions;
+        # b: a block out of order; c: one block, then a second after d's
+        columns = {
+            "tests": ["a", "a", "a", "a", "b", "b", "c", "d", "c"],
+            "revisions": ["r1", "r1", "r2", "r1", "r1", "r1", "r1", "r1", "r1"],
+            "minutes": [0, 1, 1, 2, 5, 4, 0, 0, 1],
+        }
+        n = len(columns["tests"])
+
+        def dataset(tests, minutes):
+            stamps = [EPOCH + timedelta(minutes=m) for m in minutes]
+            return ExecutionDataset.from_columns(
+                tests, columns["revisions"], stamps, [1.0] * n, [Verdict.PASS] * n, [False] * n
+            )
+
+        mixed = dataset(columns["tests"], columns["minutes"])
+        assert mixed.test_index == {"a": (0, 1, 2, 3), "b": (5, 4), "c": (6, 8), "d": (7,)}
+        assert all(type(rows) is tuple for rows in mixed.test_index.values())
+        blocks = dataset(["a"] * 4 + ["b"] * 2 + ["c", "c", "d"], [0, 1, 1, 2, 4, 5, 0, 1, 0])
+        assert blocks.test_index == {
+            "a": range(0, 4), "b": range(4, 6), "c": range(6, 8), "d": range(8, 9)
+        }
+        # a sample whose rows are one piece of its test's block keeps it as a
+        # range; a test whose revision recurs after another gets tuples
+        assert blocks.sample_index == {
+            ("a", "r1"): (0, 1, 3), ("a", "r2"): (2,), ("b", "r1"): range(4, 6),
+            ("c", "r1"): range(6, 8), ("d", "r1"): range(8, 9),
+        }
+        assert type(blocks.sample_index["a", "r2"]) is tuple
+        assert blocks.pooled_sample("a") == mixed.pooled_sample("a")
+        assert blocks.revision_rows("r1")["b"] == range(4, 6)
+        ordered = ExecutionDataset.from_columns(
+            ["a"] * 4, ["r1", "r1", "r2", "r2"], [EPOCH] * 4, [1.0] * 4, [Verdict.PASS] * 4,
+            [False] * 4,
+        )
+        assert ordered.sample_index == {("a", "r1"): range(0, 2), ("a", "r2"): range(2, 4)}
+
+        def one_test(revisions):
+            k = len(revisions)
+            return ExecutionDataset.from_columns(
+                ["a"] * k, revisions, [EPOCH] * k, [1.0] * k, [Verdict.PASS] * k, [False] * k
+            ).sample_index
+
+        # long and short pieces alike
+        long_runs = ["r1"] * 30 + ["r2"] * 2 + ["r3"] * 30 + ["r4"]
+        assert one_test(long_runs) == {
+            ("a", "r1"): range(0, 30), ("a", "r2"): range(30, 32),
+            ("a", "r3"): range(32, 62), ("a", "r4"): range(62, 63),
+        }
+        recurring = one_test(["r1"] * 30 + ["r2"] * 30 + ["r1"] * 3)
+        assert recurring == {
+            ("a", "r1"): (*range(0, 30), 60, 61, 62), ("a", "r2"): tuple(range(30, 60))
+        }
+        assert all(type(rows) is tuple for rows in recurring.values())
+        empty = ExecutionDataset.from_columns([], [], [], [], [], [])
+        assert empty.test_index == {} and empty.sample_index == {}
+
+    def test_censored_holds_bools(self):
+        dataset = ExecutionDataset(
+            records=[
+                record("a", minute=0, verdict="timeout", interrupted=True),
+                record("a", minute=1, verdict="pass", interrupted=True),
+                record("a", minute=2, verdict="timeout", interrupted=False),
+                record("a", minute=3, verdict="fail", interrupted=False),
+            ]
+        )
+        assert dataset.censored == (True, False, False, False)
+        assert all(type(flag) is bool for flag in dataset.censored)
+        # no run interrupted: every flag False, a timeout verdict included
+        uninterrupted = ExecutionDataset(records=[*dataset.records[2:], record("a", minute=4)])
+        assert uninterrupted.censored == (False, False, False)
+        assert all(type(flag) is bool for flag in uninterrupted.censored)
+
+    def test_a_block_index_retains_no_per_row_object(self):
+        # 24 tests x 2,000 runs, one revision, stored test by test in start-time
+        # order: one range per test and per sample, not 48,000 row numbers
+        tests, runs = 24, 2_000
+        stamps = [EPOCH + timedelta(minutes=j) for j in range(runs)]
+        n = tests * runs
+        dataset = ExecutionDataset.from_columns(
+            [f"t{k:02d}" for k in range(tests) for _ in range(runs)], ["r0"] * n,
+            stamps * tests, [1.0] * n, [Verdict.PASS] * n, [False] * n,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dataset.test_index, dataset.sample_index
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(dataset.sample_index) == tests
+        assert retained < 64 * 1024
 
     def test_equality_compares_every_column(self):
         base = dataset_of({("a", "r1"): [(10, "pass"), (20, "fail")]})

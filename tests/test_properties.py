@@ -137,6 +137,38 @@ def test_kernel_answers_do_not_depend_on_threshold_order(durations, data):
 
 @PROPERTY
 @given(durations=samples_st, data=st.data())
+def test_kernel_of_a_row_range_equals_it_of_the_same_rows_as_a_tuple(durations, data):
+    # A test stored as one time-ordered block, between other tests' rows, has
+    # a range in test_index; its kernel, which slices the durations column
+    # when no run of the block is censored, equals the kernel of the same
+    # rows as a tuple, censored runs drawn anywhere in the block included.
+    n = len(durations)
+    censored = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    before, after = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    tests = ["a"] * before + ["t"] * n + ["z"] * after
+    size = len(tests)
+    dataset = ExecutionDataset.from_columns(
+        tests, ["r"] * size, [EPOCH] * size, [1.0] * before + durations + [2.0] * after,
+        [Verdict.PASS] * before + [Verdict.TIMEOUT if c else Verdict.PASS for c in censored]
+        + [Verdict.FAIL] * after,
+        [False] * before + censored + [True] * after,
+    )
+    rows = dataset.test_index["t"]
+    assert rows == range(before, before + n)
+    thresholds = data.draw(
+        st.lists(st.one_of(durations_st, st.sampled_from(durations)), min_size=1, max_size=6)
+    )
+    kernels = [_SortedSample.of(dataset, rows, "t"), _SortedSample.of(dataset, tuple(rows), "t")]
+    state = [(k.test_id, k.ordered, k.n_nat, k.c, k.n, k._max, k._top) for k in kernels]
+    assert state[0] == state[1] and state[0][3] == sum(censored)
+    answers = [[(k.at(t), k.above(t)) for t in thresholds] for k in kernels]
+    assert answers[0] == answers[1]
+    if not all(censored):
+        assert kernels[0].stats == kernels[1].stats
+
+
+@PROPERTY
+@given(durations=samples_st, data=st.data())
 def test_fold_kernels_equal_the_kernels_of_their_rows(durations, data):
     # Runs, some censored, are dealt into k parts, as make_folds deals a
     # test's shuffled rows; each fold's held-out kernel and training kernel
@@ -480,6 +512,33 @@ record_st = st.builds(
 records_st = st.lists(record_st, max_size=40).flatmap(st.permutations).map(tuple)
 
 
+def _blocks(records) -> list:
+    """The records test by test, each test's rows in start-time order (ties in
+    draw order): the layout the writer and the generator make."""
+    return sorted(records, key=lambda r: (r.test_id, r.started_at))
+
+
+def _at_epoch(records) -> list:
+    return [ExecutionRecord(r.test_id, r.revision_id, EPOCH, r.duration, r.verdict,
+                            r.interrupted) for r in records]
+
+
+# Row layouts that the grouping index tells apart: a test stored as one
+# time-ordered block gets a range, any other layout the per-row grouping.
+LAYOUTS = {
+    "time-ordered blocks": _blocks,
+    "a block out of time order": lambda records: _blocks(records)[::-1],
+    "one test split into two blocks": lambda records: _blocks(records)[1:] + _blocks(records)[:1],
+    "rows interleaved across tests": lambda records: sorted(records, key=lambda r: r.started_at),
+    "equal start times": lambda records: _blocks(_at_epoch(records)),
+}
+layouts_st = st.builds(
+    lambda records, layout: tuple(LAYOUTS[layout](records)),
+    st.lists(record_st, max_size=40),
+    st.sampled_from(sorted(LAYOUTS)),
+)
+
+
 def regroup(dataset: ExecutionDataset, keep) -> list[tuple[str, str, list[int]]]:
     """(test, revision, indices) per group of ``keep(record)``, by (started_at, index)."""
     groups: dict[tuple[str, str], list[tuple[object, int]]] = {}
@@ -519,13 +578,23 @@ def brute_force_folds(dataset: ExecutionDataset, k: int, seed: int) -> tuple[dic
 
 
 @PROPERTY
-@given(records=records_st, k=st.integers(2, 5), seed=st.integers(0, 2**32))
+@given(
+    records=st.one_of(records_st, layouts_st), k=st.integers(2, 5), seed=st.integers(0, 2**32)
+)
 def test_grouping_index_equals_brute_force_regroup(records, k, seed):
     dataset = ExecutionDataset(records=records)
     by_sample = regroup(dataset, lambda r: (r.test_id, r.revision_id))
-    assert list(dataset.sample_index.items()) == [
+    # an entry is a range or a tuple of rows; compared as the rows it holds
+    assert [(key, tuple(rows)) for key, rows in dataset.sample_index.items()] == [
         ((tid, rid), tuple(idx)) for tid, rid, idx in by_sample
     ]
+    assert sorted((tid, tuple(rows)) for tid, rows in dataset.test_index.items()) == [
+        (tid, tuple(idx)) for tid, _, idx in regroup(dataset, lambda r: (r.test_id, "*"))
+    ]
+    keys = [(tid, rid) for tid, rid, _ in by_sample] + [("absent", "r1")]
+    assert dataset.sample_sizes(keys) == {
+        **{(tid, rid): len(idx) for tid, rid, idx in by_sample}, ("absent", "r1"): 0
+    }
     assert list(dataset.samples.items()) == [
         ((tid, rid), as_sample(dataset, tid, rid, idx)) for tid, rid, idx in by_sample
     ]
@@ -585,7 +654,9 @@ def built_kernels(call) -> list[tuple[str, int, int]]:
 
 
 @PROPERTY
-@given(records=records_st, k=st.integers(2, 5), seed=st.integers(0, 2**32))
+@given(
+    records=st.one_of(records_st, layouts_st), k=st.integers(2, 5), seed=st.integers(0, 2**32)
+)
 def test_every_kernel_counts_the_censored_runs_of_its_rows(records, k, seed):
     # Every place that builds a kernel gives it c, the censored count of the
     # rows it was built from; a fold's held-out and training kernels count
