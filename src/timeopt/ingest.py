@@ -16,21 +16,19 @@ files are opened by ``_open_rows`` alone, as UTF-8 with ``surrogateescape``
 and a leading byte-order mark dropped, so an undecodable byte costs only its
 row: a test or revision id that holds a lone surrogate (such a byte, or a
 ``\\udcXX`` JSON escape) is rejected, since no UTF-8 output could hold it.
-JSONL lines spelled as the writer spells them (``_WRITER_LINE``, whose one
-string escape is the writer's ``\\uXXXX``) are read in chunks of ``_CHUNK``
-characters, each run on to the end of its line: one ``findall`` per chunk,
-and when every line matched, the values are converted a column at a time
-at C speed, with ``_typed_row``'s checks applied to whole columns. A chunk
-that misses goes line by line up to its first line that is not a writer
-line or fails a check; each line from there on is decoded by one
-``raw_decode``, and a row in the canonical shape (``_typed_values``) goes
-straight into the columns. All three take ``_typed_row``'s checks. Any
-other row, each CSV row included, goes through ``_record_from_row``, which
-alone decides whether a row is rejected and why. No per-row record object
-is built, verdict strings map to members through one dict lookup, repeated
-ids share one string, checked once, and an escaped id is decoded once. The
-loader appends to one list per field and turns each into its tuple in
-turn, freeing the list, so each column is built once.
+JSONL is read in chunks of ``_CHUNK`` characters, each run on to the end of
+its line. Two decoders turn a chunk into six raw columns: one ``findall`` of
+``_WRITER_LINE`` (the writer's spelling, whose one string escape is the
+writer's ``\\uXXXX``), tried when the chunk's first line starts as a writer
+line, and otherwise one ``raw_decode`` per line. One validator,
+``_take_columns``, checks the columns at C speed and adds them; the rows of a
+chunk it refuses go through ``_record_from_row``, as each CSV row does, which
+alone decides whether a row is rejected and why. The next chunk is matched
+again. No per-row record object is built, verdict strings map to members
+through one dict lookup, repeated ids share one string, checked once, and an
+escaped id is decoded once. The loader appends to one list per field and
+turns each into its tuple in turn, freeing the list, so each column is built
+once.
 Loading groups nothing beyond what the censored-fraction warnings count and
 is single-threaded per file; the dataset is immutable and shareable.
 Timeout-change files take the same per-row rejection. A policy file
@@ -47,9 +45,9 @@ import math
 import re
 from collections import Counter
 from datetime import datetime, timezone
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from json.decoder import scanstring
-from operator import attrgetter, is_
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -206,63 +204,6 @@ def _record_from_row(
     return test_id, revision_id, started_at, duration, verdict, interrupted
 
 
-def _typed_values(
-    row: Mapping[str, Any], ids: dict[str, str]
-) -> tuple[str, str, datetime, float, Verdict, bool] | None:
-    """``_record_from_row(row, ids)`` for a row in the canonical shape, else None.
-
-    The shape: ``str`` ids, a ``float`` duration, a verdict string in
-    ``_VERDICT_OF``, ``interrupted`` absent or a bool, a ``str`` stamp, and
-    values that pass ``_typed_row``. None rejects nothing: the row takes the
-    full check. CSV rows, whose values are all strings, never come here.
-    """
-    try:
-        test_id = row["test_id"]
-        revision_id = row["revision_id"]
-        stamp = row["started_at"]
-        duration = row["duration_seconds"]
-        verdict = _VERDICT_OF[row["verdict"]]
-    except (KeyError, TypeError):
-        return None
-    interrupted = row.get("interrupted", False)
-    if not (
-        type(test_id) is str
-        and type(revision_id) is str
-        and type(duration) is float
-        and type(stamp) is str
-        and (interrupted is True or interrupted is False)
-    ):
-        return None
-    return _typed_row(test_id, revision_id, stamp, duration, verdict, interrupted, ids)
-
-
-def _typed_row(
-    test_id: str, revision_id: str, stamp: str, duration: float, verdict: Verdict,
-    interrupted: bool, ids: dict[str, str],
-) -> tuple[str, str, datetime, float, Verdict, bool] | None:
-    """The checks every fast path shares (``_writer_chunk`` makes them a column at a time):
-    the values in field order, ids shared through ``ids``, if both ids are non-empty with no
-    lone surrogate, the duration is in ``[0, DURATION_LIMIT]``, and ``fromisoformat`` reads
-    the stamp, a trailing ``Z`` spelled ``+00:00``, with ``timezone.utc`` as its zone (as
-    ``parse_timestamp`` reads it); else None."""
-    if not 0.0 <= duration <= DURATION_LIMIT:
-        return None
-    # one dict lookup per known id; _shared_id runs on first sight only
-    test_id = ids.get(test_id) or _shared_id(test_id, ids)
-    revision_id = ids.get(revision_id) or _shared_id(revision_id, ids)
-    if not (test_id and revision_id):
-        return None
-    if stamp[-1:] == "Z":  # as parse_timestamp does; fromisoformat reads no Z before 3.11
-        stamp = stamp[:-1] + "+00:00"
-    try:
-        started_at = datetime.fromisoformat(stamp)
-    except ValueError:
-        return None
-    if started_at.tzinfo is not timezone.utc:
-        return None
-    return test_id, revision_id, started_at, duration, verdict, interrupted
-
-
 _DECODE = json.JSONDecoder().raw_decode
 # The line ``json.dumps(row, sort_keys=True)`` writes (``_jsonl_lines``) with an unsigned
 # float in ASCII digits, as JSON requires. An id's one escape is ``\uXXXX``, as the writer
@@ -276,6 +217,7 @@ _WRITER_LINE = re.compile(
     rf'"interrupted": (true|false), "revision_id": {_TEXT}, "started_at": {_STAMP}, '
     rf'"test_id": {_TEXT}, "verdict": "({"|".join(_VERDICT_OF)})"\}}$\n?'
 )
+_WRITER_START = '{"duration_seconds": '  # how each writer line starts
 _CHUNK = 1 << 16  # characters read at a time; a chunk then runs on to the end of its line
 _FLAG = {"true": True, "false": False}
 _TZINFO = attrgetter("tzinfo")
@@ -293,85 +235,124 @@ def _id_of(text: str, escapes: dict[str, str]) -> str:
     return value
 
 
-def _shared_column(texts: Sequence[str], ids: dict[str, str]) -> list[str] | None:
-    """Each id as its one shared string in ``ids``, each distinct id checked once (as
-    ``_typed_row`` checks it); None if one is empty or holds a lone surrogate."""
-    distinct = set(texts)
-    for value in distinct.difference(ids):
+def _shared_column(values: Sequence[Any], ids: dict[str, str]) -> list[str] | None:
+    """Each id as its one shared string in ``ids``, each distinct id checked once; None if
+    one is not a ``str``, is empty or holds a lone surrogate (TypeError if unhashable)."""
+    distinct = set(values)
+    for value in distinct.difference(ids):  # every key of ids is a str
+        if type(value) is not str:
+            return None
         _shared_id(value, ids)
     if not all(map(ids.__getitem__, distinct)):
         return None
-    return list(map(ids.__getitem__, texts))
+    return list(map(ids.__getitem__, values))
 
 
-def _writer_chunk(
-    chunk: str, columns: list[list[Any]], ids: dict[str, str], escapes: dict[str, str]
+def _take_columns(
+    batch: list[Iterable[Any]], columns: list[list[Any]], ids: dict[str, str]
 ) -> bool:
-    """Add every line of ``chunk`` to ``columns`` if each is a writer line that passes
-    ``_typed_row``'s checks, converting the values a column at a time; else add none
-    and return False. One match per line: a match spans one whole line."""
-    found = _WRITER_LINE.findall(chunk)
-    if len(found) != chunk.count("\n") + (chunk[-1] != "\n"):  # a last line with no \n
-        return False
-    durations, flags, revisions, stamps, tests, verdicts = zip(*found)
-    del found
-    durations = list(map(float, durations))
-    if max(durations) > DURATION_LIMIT:  # the match takes no sign, so none is below 0
-        return False
-    # a trailing Z spelled +00:00, as _typed_row spells it: one replace over the stamps
-    # joined by newlines, which no writer-line stamp holds
-    stamps = ("\n".join(stamps) + "\n").replace("Z\n", "+00:00\n").split("\n")[:-1]
+    """Add a batch of rows, given as a list of six columns in ``EXECUTION_FIELDS`` order,
+    to ``columns`` if every row passes these checks, made a column at a time; else add
+    none and return False. Ids are ``str``, non-empty with no lone surrogate, and shared
+    through ``ids``; ``float`` reads each duration, which is in ``[0, DURATION_LIMIT]``;
+    ``fromisoformat`` reads each stamp, a trailing ``Z`` spelled ``+00:00``, with
+    ``timezone.utc`` as its zone; each verdict is in ``_VERDICT_OF``. Flags are ``bool``,
+    as both decoders give them. A row that passes gets the values ``_record_from_row``
+    gives it, so the rows of a refused batch go to that row by row. ``batch`` is emptied,
+    so each column read is freed once its values are made, and they can reuse its memory."""
+    tests, revisions, stamps, durations, verdicts, flags = batch
+    batch.clear()
     try:
+        durations = list(map(float, durations))
+        # a trailing Z spelled +00:00, as parse_timestamp spells it: one replace over the
+        # stamps joined by newlines, so a stamp holding one adds to the count (and an
+        # empty batch gives one empty text, which fromisoformat refuses)
+        stamps = ("\n".join(stamps) + "\n").replace("Z\n", "+00:00\n").split("\n")[:-1]
         started = list(map(datetime.fromisoformat, stamps))
-    except ValueError:
+        # checked on the distinct verdicts; each member is looked up as its column is
+        # extended, with no list per chunk
+        unknown = set(verdicts).difference(_VERDICT_OF)
+        tests, revisions = _shared_column(tests, ids), _shared_column(revisions, ids)
+    except (TypeError, ValueError, OverflowError):
         return False
-    if not all(map(is_, map(_TZINFO, started), repeat(timezone.utc))):
-        return False
-    if "\\" in chunk:
-        tests = [_id_of(text, escapes) for text in tests]
-        revisions = [_id_of(text, escapes) for text in revisions]
-    tests, revisions = _shared_column(tests, ids), _shared_column(revisions, ids)
-    if tests is None or revisions is None:
+    if not (
+        tests is not None
+        and revisions is not None
+        and not unknown
+        and len(started) == len(durations)
+        and 0.0 <= min(durations)
+        and max(durations) <= DURATION_LIMIT
+        and not math.isnan(sum(durations))  # min and max may pass over a NaN
+        and all(map(is_, map(_TZINFO, started), repeat(timezone.utc)))
+    ):
         return False
     verdicts = map(_VERDICT_OF.__getitem__, verdicts)
-    for column, values in zip(columns, (tests, revisions, started, durations, verdicts,
-                                        map(_FLAG.__getitem__, flags))):
+    for column, values in zip(columns, (tests, revisions, started, durations, verdicts, flags)):
         column += values
     return True
 
 
-def _writer_prefix(
-    handle: TextIO, columns: list[list[Any]], ids: dict[str, str]
-) -> Iterable[str]:
-    """Read ``handle``'s writer lines into ``columns``, a chunk at a time, up to the first
-    line that is not one or fails a check; return the lines from that one on.
+def _writer_columns(chunk: str, escapes: dict[str, str]) -> list[Iterable[Any]] | None:
+    """The six raw columns of ``chunk`` if each of its lines is a writer line or blank
+    (``str.strip`` empties it), each escaped id decoded through ``escapes``; else None.
+    One ``findall``: a match spans one whole line."""
+    found = _WRITER_LINE.findall(chunk)
+    if len(found) != chunk.count("\n") + (chunk[-1] != "\n") and len(found) != sum(
+        map(bool, map(str.strip, chunk.split("\n")))
+    ):
+        return None
+    durations, flags, revisions, stamps, tests, verdicts = zip(*found)
+    if "\\" in chunk:
+        tests = [_id_of(text, escapes) for text in tests]
+        revisions = [_id_of(text, escapes) for text in revisions]
+    return [tests, revisions, stamps, durations, verdicts, map(_FLAG.__getitem__, flags)]
 
-    A chunk is ``_CHUNK`` characters run on to the end of its line, so chunks cut no line.
-    A chunk that ``_writer_chunk`` does not take is matched line by line, split at ``\\n``
-    alone, as iterating over the file splits it (``str.splitlines`` also splits at
-    ``\\x85`` and ``\\u2028``), up to its first miss."""
+
+_FIELD_OF = [itemgetter(name) for name in EXECUTION_FIELDS[:-1]]
+
+
+def _object_columns(rows: list[tuple[Any, str | None]]) -> list[list[Any]] | None:
+    """The six columns of ``_jsonl_rows``' rows if each is an object holding every field
+    but ``interrupted``, which is a ``bool`` or absent (False); else None."""
+    objects = [row for row, _ in rows]
+    try:  # a row that is not an object is None, which no field getter takes
+        columns = [list(map(field, objects)) for field in _FIELD_OF]
+    except (KeyError, TypeError):
+        return None
+    flags = list(map(dict.get, objects, repeat("interrupted"), repeat(False)))
+    if list(map(type, flags)).count(bool) != len(flags):
+        return None
+    columns.append(flags)
+    return columns
+
+
+def _jsonl_chunks(
+    handle: TextIO, columns: list[list[Any]], ids: dict[str, str], reasons: dict[str, int]
+) -> None:
+    """Read ``handle``'s JSONL rows into ``columns`` a chunk at a time, or count their
+    reasons in ``reasons``.
+
+    A chunk is ``_CHUNK`` characters run on to the end of its line, so chunks cut no line;
+    its lines are split at ``\\n`` alone, as iterating over the file splits them
+    (``str.splitlines`` also splits at ``\\x85`` and ``\\u2028``). A chunk whose first
+    line starts as a writer line is tried by ``_writer_columns``; any other, or one it
+    refuses, is decoded line by line, each line once, for ``_object_columns``.
+    ``_take_columns`` checks the batch. The rows of a chunk that gives no batch, or whose
+    batch it refuses, go through ``_record_from_row``; the next chunk is matched again."""
     escapes: dict[str, str] = {}  # each escaped id text -> its id
-    writer_line = _WRITER_LINE.fullmatch
     while chunk := handle.read(_CHUNK):
         if chunk[-1] != "\n":
             chunk += handle.readline()
-        if _writer_chunk(chunk, columns, ids, escapes):
-            continue
-        lines = chunk.split("\n")
-        if not lines[-1]:  # the end of the chunk's last line
-            lines.pop()
-        for i, line in enumerate(lines):
-            match = writer_line(line)
-            if match:
-                duration, flag, revision_id, stamp, test_id, verdict = match.groups()
-                values = _typed_row(_id_of(test_id, escapes), _id_of(revision_id, escapes),
-                                    stamp, float(duration), _VERDICT_OF[verdict], _FLAG[flag],
-                                    ids)
-            if not match or values is None:
-                return chain(lines[i:], handle)
-            for column, value in zip(columns, values):
-                column.append(value)
-    return ()
+        rows = None
+        batch = _writer_columns(chunk, escapes) if chunk.startswith(_WRITER_START) else None
+        if batch is None:
+            rows = list(_jsonl_rows(chunk.split("\n")))
+            batch = _object_columns(rows)
+        if batch is None or not _take_columns(batch, columns, ids):
+            # a writer batch refused is decoded for the row check alone: decoded, its
+            # columns would hold the same values
+            _keep_rows(_jsonl_rows(chunk.split("\n")) if rows is None else rows,
+                       columns, ids, reasons)
 
 
 def _jsonl_rows(lines: Iterable[str]) -> Iterator[tuple[Mapping[str, Any] | None, str | None]]:
@@ -432,19 +413,17 @@ def _open_rows(path: str | Path, fmt: str) -> TextIO:
     )
 
 
-def _keep_rows(rows: Iterable[tuple[Any, str | None]], typed: bool, columns: list[list[Any]],
+def _keep_rows(rows: Iterable[tuple[Any, str | None]], columns: list[list[Any]],
                ids: dict[str, str], reasons: dict[str, int]) -> None:
-    """Add each row's values to ``columns``, by ``_typed_values`` if ``typed`` and it
-    takes the row, else by ``_record_from_row``; or count its reason in ``reasons``.
-    Each value goes straight into its column and the row's tuple is freed at once:
-    holding rows for a batched copy measured 5% slower on a file read by this path."""
+    """Add each row's values, by ``_record_from_row``, to ``columns``, or count its
+    reason in ``reasons``. Each value goes straight into its column."""
     add_test, add_revision, add_start, add_duration, add_verdict, add_flag = (
         column.append for column in columns
     )
     for row, reason in rows:
         if reason is None:
             try:
-                values = typed and _typed_values(row, ids) or _record_from_row(row, ids)
+                values = _record_from_row(row, ids)
             except ValueError as exc:
                 reason = str(exc)
             else:
@@ -482,12 +461,10 @@ def load_executions(
     ids: dict[str, str] = {}  # each distinct id -> its one shared string, "" if rejected
     reasons: dict[str, int] = {}
     with _open_rows(path, fmt) as handle:
-        if fmt == "csv":  # a CSV value is always a str, so only the full check
-            rows = _csv_rows(handle, EXECUTION_FIELDS[:-1])  # "interrupted" is optional
-            _keep_rows(rows, False, columns, ids, reasons)
-        else:  # no JSON decode up to the first line the match or its checks miss
-            lines = _writer_prefix(handle, columns, ids)
-            _keep_rows(_jsonl_rows(lines), True, columns, ids, reasons)
+        if fmt == "csv":  # "interrupted" is optional
+            _keep_rows(_csv_rows(handle, EXECUTION_FIELDS[:-1]), columns, ids, reasons)
+        else:
+            _jsonl_chunks(handle, columns, ids, reasons)
 
     for k in range(len(columns)):  # one column at a time: each list goes as its tuple comes
         columns[k] = tuple(columns[k])

@@ -430,12 +430,12 @@ class NoZ(datetime):
 
 
 class TestTypedPath:
-    """Which rows skip the full check; ``test_properties`` pins the typed
-    path's values to the full check's."""
+    """Which rows skip the full check: the ones the column validator takes;
+    ``test_properties`` pins its values to the full check's."""
 
     @staticmethod
-    def must_not_run(row):
-        raise AssertionError(f"unexpected call on {row}")
+    def must_not_run(*args):
+        raise AssertionError(f"unexpected call on {args[0]}")
 
     def test_writer_rows_take_it_where_fromisoformat_reads_no_z(
         self, runs_file, monkeypatch
@@ -470,7 +470,7 @@ class TestTypedPath:
         expected, _ = load_executions(runs_file)
         path = tmp_path / "runs.csv"
         write_executions(expected, path, "csv")
-        monkeypatch.setattr(ingest, "_typed_values", self.must_not_run)
+        monkeypatch.setattr(ingest, "_take_columns", self.must_not_run)
         dataset, report = load_executions(path, "csv")
         assert dataset == expected
         assert report.rejected == 0
@@ -478,24 +478,34 @@ class TestTypedPath:
 
 class TestWriterLinePath:
     """Every line this program writes is read by one regex ``findall`` per chunk,
-    its values converted a column at a time, with no JSON decode and no line
-    matched on its own; ``test_properties`` pins that path to the full check."""
+    its values checked and converted a column at a time by the validator, with
+    no JSON decode and no row checked on its own; ``test_properties`` pins that
+    path to the full check."""
 
     @staticmethod
     def no_decode(line):
         raise AssertionError(f"unexpected JSON decode of {line!r}")
 
     @staticmethod
-    def no_row_check(*values):
-        raise AssertionError(f"unexpected check of one row, {values[:2]!r}")
+    def no_row_check(row, ids):
+        raise AssertionError(f"unexpected check of one row, {row!r}")
 
     def load_without_decode(self, path, monkeypatch, no_z):
         expected, expected_report = load_executions(path)
         if no_z:
             monkeypatch.setattr(ingest, "datetime", NoZ)
+        taken = []
+        take_columns = ingest._take_columns
+
+        def counted(batch, columns, ids):
+            taken.append(take_columns(batch, columns, ids))
+            return taken[-1]
+
         monkeypatch.setattr(ingest, "_DECODE", self.no_decode)
-        monkeypatch.setattr(ingest, "_typed_row", self.no_row_check)
+        monkeypatch.setattr(ingest, "_record_from_row", self.no_row_check)
+        monkeypatch.setattr(ingest, "_take_columns", counted)
         dataset, report = load_executions(path)
+        assert taken and all(taken)  # the validator took every batch it saw
         assert (report.accepted, report.rejected, report.reasons) == (len(expected), 0, {})
         assert report.warnings == expected_report.warnings
         assert dataset == expected
@@ -547,18 +557,26 @@ class TestWriterLinePath:
         assert len(decoded) == len(set(decoded)) == len(names)  # each escaped id, once
 
     @pytest.mark.parametrize("chunk", [1, ingest._CHUNK], ids=["line-chunks", "default-chunks"])
-    def test_matching_stops_at_the_first_line_in_another_layout(
+    def test_matching_resumes_after_a_chunk_in_another_layout(
         self, runs_file, tmp_path, monkeypatch, chunk
     ):
         expected, _ = load_executions(runs_file)
         written = tmp_path / "written.jsonl"
         write_executions(expected, written)
-        writer_lines, other_layout = written.read_text(), runs_file.read_text()
-        assert writer_lines.endswith("\n") and other_layout.endswith("\n")
-        writer_lines, other_layout = writer_lines.splitlines(), other_layout.splitlines()
-        # writer lines after the other layout are decoded too: matching never resumes
+
+        def block(path):
+            """The file's lines, repeated until they fill a chunk: its last line is the
+            first to reach the chunk's end, so the block is a chunk of its own."""
+            lines = path.read_text().splitlines(keepends=True)
+            taken = lines[:]
+            while sum(map(len, taken)) < chunk:
+                taken.append(lines[len(taken) % len(lines)])
+            return taken
+
+        writer_lines, other_layout = block(written), block(runs_file)
+        lines = writer_lines + other_layout + writer_lines
         mixed = tmp_path / "mixed.jsonl"
-        mixed.write_text(written.read_text() + runs_file.read_text() + written.read_text())
+        mixed.write_text("".join(lines))
         decoded, tried = [], []
         decode, pattern = ingest._DECODE, ingest._WRITER_LINE
 
@@ -572,31 +590,19 @@ class TestWriterLinePath:
                 tried.append(text)
                 return pattern.findall(text)
 
-            @staticmethod
-            def fullmatch(line):
-                tried.append(line)
-                return pattern.fullmatch(line)
-
         monkeypatch.setattr(ingest, "_DECODE", counted)
         monkeypatch.setattr(ingest, "_WRITER_LINE", Counted)
         monkeypatch.setattr(ingest, "_CHUNK", chunk)
-        # match calls: with one line per chunk, a findall per writer line and one on the
-        # miss, then a fullmatch on the miss; with one chunk for the file, a findall on it,
-        # then a fullmatch per line up to and including the miss. None after the miss.
-        per_line = chunk == 1
-        for path, lines_decoded, calls, copies in [
-            (runs_file, other_layout, 2, 1),
-            (written, [], len(writer_lines) if per_line else 1, 1),
-            (mixed, other_layout + writer_lines, len(writer_lines) + 2, 3),
-        ]:
-            decoded.clear()
-            tried.clear()
-            dataset, report = load_executions(path)
-            assert list(dataset.rows()) == list(expected.rows()) * copies
-            assert report.rejected == 0 and decoded == lines_decoded
-            assert len(tried) == calls
-            if lines_decoded:  # the last match call is the one that missed
-                assert tried[-1] == other_layout[0]
+        dataset, report = load_executions(mixed)
+        rows = [ingest._record_from_row(json.loads(line), {}) for line in lines]
+        assert list(dataset.rows()) == rows
+        assert report.rejected == 0
+        # only the other layout's lines are decoded, each once: the writer lines after
+        # them take the regex again
+        assert decoded == [line.rstrip("\n") for line in other_layout]
+        # one findall per writer chunk, none on a chunk whose first line is not a writer line
+        assert "".join(tried) == "".join(writer_lines) * 2
+        assert len(tried) == (2 * len(writer_lines) if chunk == 1 else 2)
 
 
 class TestTimestamps:

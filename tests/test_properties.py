@@ -14,8 +14,8 @@ reference ``is_flaky`` of every prefix and ``failure_rate`` of each
 regrouped sample, the rerun
 simulator against a record-by-record replay, a write and reload, in
 both file formats, against the record adapter, the JSONL writer's
-bytes against ``json.dumps`` of each row, the loader's writer-line
-and typed paths against ``json.loads`` of each line and its full row check,
+bytes against ``json.dumps`` of each row, the loader's column validator
+and its two decoders against ``json.loads`` of each line and its full row check,
 every number two commands print for one input against each other, the
 kernel against the rerun simulator's outcome table, and mutated policy,
 timeout-change and execution files against their loaders and commands.
@@ -44,7 +44,6 @@ from helpers import EPOCH, MINUTE, dataset_of, record, sample_of
 from timeopt import cli, evaluate, flakiness, ingest, optimize
 from timeopt.ingest import (
     _record_from_row,
-    _typed_values,
     format_timestamp,
     load_executions,
     load_timeout_policy,
@@ -1205,9 +1204,9 @@ def test_jsonl_writer_equals_json_dumps_of_each_row(data, pool):
         assert path.read_bytes() == expected.encode("utf-8")
 
 
-# Rows for the loader's two paths: a canonical row (what the writer
-# produces), then some fields replaced by values only the full check
-# handles, or deleted. A stamp is a canonical UTC stamp with its ``Z``
+# Rows for the column validator and the full check: a canonical row (what
+# the writer produces), then some fields replaced by values only the full
+# check handles, or deleted. A stamp is a canonical UTC stamp with its ``Z``
 # kept, spelled "+00:00", dropped (naive) or replaced by another offset,
 # optionally padded, or one of a few odd spellings.
 _ABSENT = object()
@@ -1219,12 +1218,13 @@ stamp_st = st.one_of(
         lambda stamp, zone, pad: pad + stamp[:-1] + zone + pad,
         canonical_stamp_st,
         st.sampled_from(["Z", "+00:00", "-00:00", "", "+05:30", "-08:00", " Z"]),
-        st.sampled_from(["", "", " ", "\t"]),
+        st.sampled_from(["", "", " ", "\t", "\u2003", "\x85"]),
     ),
     st.sampled_from(
         [
             "2024-01-06Z", "2024-01-06", "2024-01-06+00:00", "2024-01-01T12Z",
             "2024-01-01T00:00:00z", "2024-01-01T24:00:00Z", "not a time", "",
+            "2024-01-01T00:00:00Z\n2024-01-01T00:00:00Z",  # two stamps' texts in one
             0, None, ["2024-01-01T00:00:00Z"], _ABSENT,
         ]
     ),
@@ -1303,14 +1303,11 @@ def _assert_loads_as_full_check(text, decode=True):
     return values, reasons
 
 
-@PROPERTY
-@given(
-    data=st.data(),
-    mutated=st.sets(st.sampled_from(sorted(ROW_MUTATIONS)), max_size=3),
-    pad=st.tuples(*[st.sampled_from(["", " ", "\t ", "\u2003"])] * 2),
-    ending=st.sampled_from(["\n", "\r\n", ""]),
-)
-def test_typed_path_equals_the_full_check(data, mutated, pad, ending):
+def _drawn_line(data, mutated):
+    """A JSONL line of a drawn row, with the ``mutated`` fields replaced or deleted,
+    its keys sorted or not, maybe led by a copy of one of its keys with another value,
+    which the later one overrides (the last one wins in ``json``), padded with
+    whitespace ``str.strip`` drops."""
     row = {
         "test_id": data.draw(row_id_st),
         "revision_id": data.draw(row_id_st),
@@ -1322,35 +1319,65 @@ def test_typed_path_equals_the_full_check(data, mutated, pad, ending):
     for name in sorted(mutated):
         row[name] = data.draw(ROW_MUTATIONS[name], label=name)
     row = {key: value for key, value in row.items() if value is not _ABSENT}
-    try:
-        expected = _record_from_row(row, {})
-    except ValueError as exc:
-        expected = str(exc)
+    line = json.dumps(row, sort_keys=data.draw(st.booleans(), label="sorted"))
+    repeated = data.draw(st.sampled_from([None, *sorted(row)]), label="repeated")
+    if repeated is not None:
+        first = data.draw(ROW_MUTATIONS[repeated], label="overridden")
+        if first is not _ABSENT:
+            line = "{" + json.dumps({repeated: first})[1:-1] + ", " + line[1:]
+    pad = data.draw(st.tuples(*[st.sampled_from(["", " ", "\t ", "\u2003", "\x85"])] * 2))
+    return pad[0] + line + pad[1]
 
-    typed = _typed_values(row, {})
-    if not mutated:
-        assert typed is not None  # the canonical shape takes the typed path
-    if typed is not None:
-        assert typed == expected
-        assert typed[2].tzinfo is expected[2].tzinfo
-        assert repr(typed[3]) == repr(expected[3])
 
-    # the loader agrees, on the row in the writer's sorted layout and in
-    # insertion order, each padded and ended as drawn
-    sorted_line = json.dumps(row, sort_keys=True)
-    for line in (sorted_line, json.dumps(row)):
-        values, reasons = _assert_loads_as_full_check(pad[0] + line + pad[1] + ending)
-        assert (values, reasons) == (([], {expected: 1}) if isinstance(expected, str) else ([expected], {}))
-    # a row the writer would write so is read with no JSON decode: the writer escapes
-    # quotes, backslashes and control characters, and non-ASCII ones as \uXXXX, the one
-    # escape the match takes
+@PROPERTY
+@given(
+    data=st.data(),
+    mutations=st.lists(
+        st.sets(st.sampled_from(sorted(ROW_MUTATIONS)), max_size=3), min_size=1, max_size=5
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    ending=st.sampled_from(["\n", "\r\n", ""]),
+)
+def test_column_validator_equals_the_full_check(data, mutations, newline, ending):
+    lines = [_drawn_line(data, mutated) for mutated in mutations]
+    ids = {}
+    expected = []
+    for line in lines:
+        try:
+            expected.append(_record_from_row(json.loads(line.strip()), ids))
+        except ValueError as exc:
+            expected.append(str(exc))
+
+    # the batch as the loader decodes it: the validator refuses it or gives the full
+    # check's values, row by row
+    batch = ingest._object_columns(list(ingest._jsonl_rows(lines)))  # None if a field is absent
+    columns = [[] for _ in ingest.EXECUTION_FIELDS]
+    taken = batch is not None and ingest._take_columns(batch, columns, {})
+    if not any(mutations):
+        assert taken  # a batch of canonical rows takes the column path
+    if taken:
+        values = list(zip(*columns))
+        assert values == expected
+        for value, row in zip(values, expected):
+            assert value[2].tzinfo is row[2].tzinfo
+            assert repr(value[3]) == repr(row[3])
+    else:
+        assert columns == [[] for _ in ingest.EXECUTION_FIELDS]
+
+    # the loader agrees, the lines ended as drawn; a batch the writer would write so is
+    # read with no JSON decode: the writer escapes quotes, backslashes and control
+    # characters, and non-ASCII ones as \uXXXX, the one escape the match takes
+    values, reasons = _assert_loads_as_full_check(newline.join(lines) + ending)
+    assert values == [row for row in expected if not isinstance(row, str)]
+    rows = [json.loads(line.strip()) for line in lines]
+    writer_spelled = [json.dumps(row, sort_keys=True) for row in rows if "interrupted" in row]
     if (
-        not mutated
-        and "interrupted" in row
-        and not re.search(r"\\[^u]", sorted_line)
-        and math.copysign(1.0, row["duration_seconds"]) > 0
+        not any(mutations)
+        and len(writer_spelled) == len(lines)
+        and not any(re.search(r"\\[^u]", line) for line in writer_spelled)
+        and all(math.copysign(1.0, row[3]) > 0 for row in expected)
     ):
-        _assert_loads_as_full_check(sorted_line + ending, decode=False)
+        _assert_loads_as_full_check(newline.join(writer_spelled) + ending, decode=False)
 
 
 def _writer_line(
@@ -1368,6 +1395,11 @@ def _writer_line(
 _LINE = _writer_line()
 _LINE_2 = _writer_line(duration="1e-05", interrupted="true", verdict='"timeout"')
 _REVERSED = json.dumps(dict(reversed(json.loads(_LINE_2).items())))  # the keys in another order
+# Three lines, none a JSON object, that joined with "\n," inside [...] decode to three rows
+# with exactly the fields: a row cut in two, then one row twice on one line.
+_ROW = json.dumps(json.loads(_LINE), separators=(",", ":"))
+_CUT = _ROW.index('"revision_id"')
+JOINED_ROWS = [_ROW[: _CUT - 1], _ROW[_CUT:], _ROW + "," + _ROW]
 # name -> (file text, whether every line is read with no JSON decode)
 WRITER_LINE_EDGES = {
     "writer lines": (_LINE + "\n" + _LINE_2 + "\n", True),
@@ -1379,6 +1411,9 @@ WRITER_LINE_EDGES = {
     "escaped backslash before a u in an id": (_writer_line(test='"\\\\u00e9"'), False),
     "short escape in an id": (_writer_line(test='"\\u00e"'), False),
     "escaped stamp": (_writer_line(stamp='"2024-01-01T00:00:00\\u005a"'), False),
+    "stamp holding a newline": (
+        _writer_line(stamp='"2024-01-01T00:00:00Z\\n2024-01-01T00:00:00Z"'), False
+    ),
     "raw control character in an id": (_writer_line(test='"t\x01"'), False),
     "escaped lone surrogate in an id": (_writer_line(test='"t\\udc80"'), False),
     "undecodable byte in an id": (_writer_line(revision='"r\udcff"'), False),
@@ -1409,10 +1444,11 @@ WRITER_LINE_EDGES = {
     "trailing whitespace": (_LINE + " \n", False),
     "CRLF endings": (_LINE + "\r\n" + _LINE_2 + "\r\n", True),
     "final blank lines": (_LINE + "\n" + _LINE_2 + "\n\n \t\n", True),
-    # matching stops at the first line in another layout: later lines are decoded
+    # a chunk led by a blank line, or holding a line in another layout, is decoded
     "blank lines": ("\n" + _LINE + "\n\n \t\n" + _LINE_2 + "\n\n", False),
     "another layout first": (_REVERSED + "\n" + _LINE, False),
     "another layout after": (_LINE + "\n" + _REVERSED + "\n" + _LINE_2, False),
+    "lines that join into rows": ("\n".join(JOINED_ROWS) + "\n", False),
 }
 
 
@@ -1421,6 +1457,17 @@ def test_writer_line_edges_equal_the_full_check(text, without_decode):
     _assert_loads_as_full_check(text)
     if without_decode:
         _assert_loads_as_full_check(text, decode=False)
+
+
+def test_lines_that_join_into_rows_are_each_invalid_json():
+    # one json.loads of the lines joined with "\n," gives as many flat rows as lines, each
+    # with exactly the fields; a stripped line not both starting with { and ending with }
+    # is what tells a decoder of joined lines to refuse them
+    joined = json.loads("[" + "\n,".join(JOINED_ROWS) + "]")
+    assert len(joined) == len(JOINED_ROWS)
+    assert all(set(row) == set(ingest.EXECUTION_FIELDS) for row in joined)
+    assert not all(line.startswith("{") and line.endswith("}") for line in JOINED_ROWS)
+    assert _assert_loads_as_full_check("\n".join(JOINED_ROWS) + "\n") == ([], {"invalid json": 3})
 
 
 # Lines for the chunk-boundary property: writer lines, lines the match or a check misses,
@@ -1440,6 +1487,7 @@ CHUNK_LINES = [
     "x" + _LINE,  # and with junk before it: only the ^ anchor rejects it
     _writer_line(test='"a\x85b"'),  # str.splitlines splits here, a file does not
     _writer_line(revision='"c\u2028d"'),
+    "\n".join(JOINED_ROWS),  # one json.loads of the three joined with "\n," gives three rows
 ]
 CHUNK_SIZES = [1, 7, 4096, ingest._CHUNK]
 

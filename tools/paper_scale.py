@@ -6,7 +6,9 @@ scale_spread=3, hang_probability=0.002, outlier_probability=0.01, seed=1)``),
 written by ``write_executions``. With ``--layout ci-export`` the same rows
 are written in start-time order across tests, on 17 revisions (run j of 750
 is on revision ``r{17 j // 750}``), with sorted keys and compact separators,
-as a CI system's export might hold them.
+as a CI system's export might hold them. With ``--layout bad-rows`` the
+writer's file has every 1,000th line's stamp made invalid, so about a third
+of the loader's chunks are refused and read row by row.
 
 Each command runs as a fresh ``python -m timeopt.cli`` child of this
 script, which re-executes itself under ``python -S`` and imports little, so
@@ -47,7 +49,7 @@ COMMANDS = {
     "summarize": ["summarize"],
 }
 BUILD = """
-import json, sys
+import json, os, sys
 from timeopt.ingest import format_timestamp, record_to_row, write_executions
 from timeopt.simulate import WorkloadSpec, generate_workload
 path, layout = sys.argv[1:]
@@ -56,6 +58,15 @@ spec = WorkloadSpec(test_count=744, executions_per_test=750, scale_spread=3,
 dataset = generate_workload(spec)[0]
 if layout == "writer":
     write_executions(dataset, path)
+    sys.exit()
+if layout == "bad-rows":
+    write_executions(dataset, path + ".tmp")
+    with open(path + ".tmp", encoding="utf-8") as lines, open(path, "w", encoding="utf-8") as out:
+        for number, line in enumerate(lines, 1):
+            if number % 1000 == 0:  # still a writer line, with a stamp no loader reads
+                line = line.replace('"started_at": "', '"started_at": "x', 1)
+            out.write(line)
+    os.remove(path + ".tmp")
     sys.exit()
 rows, runs = list(dataset.rows()), spec.executions_per_test
 stamps = {s: format_timestamp(s) for s in set(dataset.started_at)}
@@ -180,7 +191,7 @@ def _line(name: str, report: dict) -> str:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--layout", choices=("writer", "ci-export"), default="writer")
+    parser.add_argument("--layout", choices=("writer", "ci-export", "bad-rows"), default="writer")
     parser.add_argument("--runs", type=int, default=1, help="runs (pairs) per command")
     parser.add_argument("--against", help="the parent's tree, whose src/ runs alternately")
     parser.add_argument("--json", help="write the full report here")
